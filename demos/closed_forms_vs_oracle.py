@@ -14,12 +14,13 @@ from dataclasses import replace
 from mecfl import costs, verify
 from mecfl.oracle import bisect_root, grid_minimize, simplex_minimize_maxtime
 from mecfl.optimizer import solve_delta, solve_gamma, solve_uplink
+from mecfl.types import Population
 
 rng = np.random.default_rng(2024)
 
 # --- CPU fraction: minimize local time subject to the energy budget -------
 user, alloc, model, cfg, transmission = verify.random_gamma_instance(rng)
-gamma, _ = solve_gamma(user, alloc, model, cfg)
+(gamma,), _ = solve_gamma(Population.from_users([user]), alloc, model, cfg)
 data = (1.0 - alloc.delta[0]) * costs.dataset_bytes(user, cfg)
 grid_gamma, _ = grid_minimize(
     lambda g: costs.training_time(data, cfg.cycles_per_byte, g, user.cpu_hz),
@@ -33,13 +34,15 @@ print(f"  closed form {gamma:.8f}   grid search {grid_gamma:.8f}   "
 
 # --- offload fraction: balance the local and edge completion times --------
 users, alloc, model, cfg = verify.random_delta_instance(rng)
-delta = solve_delta(1, users, alloc, model, cfg)
+pop = Population.from_users(users)
+others = np.delete(alloc.delta * costs.dataset_bytes(pop, cfg), 1).sum()  # users 0 and 2
+delta = solve_delta(users[1], alloc, model, cfg, others)
 
 
 def imbalance(d):
     state = replace(alloc, delta=np.where(np.arange(3) == 1, d, alloc.delta))
-    return (costs.local_time(users[1], state, model, cfg)
-            - costs.edge_time_user(1, users, state, cfg))
+    return (costs.local_time(pop, state, model, cfg)
+            - costs.edge_time_user(pop, state, cfg))[1]
 
 
 root = bisect_root(imbalance, 0.0, 1.0, 1e-12)
@@ -48,8 +51,9 @@ print(f"  closed form {delta:.10f}   bisection {root:.10f}   gap {abs(delta - ro
 
 # --- bandwidth shares: minimize the slowest per-user completion time ------
 users, alloc, model, cfg = verify.random_uplink_instance(rng)
-closed_off, closed_up = solve_uplink(users, alloc, model, cfg)
-oracle_off, oracle_up = simplex_minimize_maxtime(users, alloc, model, cfg, 1e-3)
+pop = Population.from_users(users)
+closed_off, closed_up = solve_uplink(pop, alloc, model, cfg)
+oracle_off, oracle_up = simplex_minimize_maxtime(pop, alloc, model, cfg, 1e-3)
 print("bandwidth shares (offload side, then upload side)")
 print(f"  closed form {np.round(closed_off, 4)}   exhaustive {oracle_off}")
 print(f"  closed form {np.round(closed_up, 4)}   exhaustive {oracle_up}")

@@ -27,21 +27,19 @@ from .errors import (
 from .types import (
     AllocationState,
     ModelState,
+    Population,
     RoundMetrics,
     SystemConfig,
     UserProfile,
     project_unit_interval,
     validate_allocation,
 )
-from .link import LinkRates, base_rate, link_rates, offload_rate, upload_rate
 from .costs import (
+    base_rate,
     edge_time_total,
     edge_time_user,
-    local_energy,
     local_time,
-    offload_energy,
     total_energy,
-    total_time,
 )
 from .learning import (
     Dataset,

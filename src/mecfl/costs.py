@@ -1,30 +1,40 @@
-"""Time and energy accounting for one communication round.
+"""Uplink rates and time/energy accounting for one communication round.
+
+Each user sees a spectral base rate
+
+    R_i = bandwidth * log2(1 + p_i * g_i / n0)
+
+and receives the fractions ``uplink_offload`` / ``uplink_weight`` of it for
+dataset offloading and weight upload. The two transmissions never run at
+the same time; sequencing them is the orchestrator's job.
 
 Sizes are carried in bytes and converted to bits only where they meet a
 rate (rates are bit/s). The size of a dataset and of the weight vector are
 linear models: ``bytes_per_sample * samples`` and
 ``bytes_per_weight_element * dim``.
 
-A zero divisor (CPU share, bandwidth share) under a nonzero numerator
-raises :class:`DegenerateDivisor` rather than producing ``inf``; when the
-numerator is exactly zero the whole term is 0.
-
-The module keeps two layers: scalar kernels (``training_time``,
-``transmit_time``, ...) that broadcast over numpy arrays and carry no
-guards, and the per-user operations built on top of them.
+The kernels (``training_time``, ``transmit_time``, ...) and the size and
+rate models (``base_rate``, ``dataset_bytes``) broadcast over numpy arrays
+and carry no guards, so they serve one :class:`UserProfile` as well as a
+:class:`Population`. The round costs (``local_time``, ``total_energy``,
+``edge_time_user``, ``edge_time_total``) take a whole :class:`Population`
+and return one value per user. A zero divisor (CPU share, bandwidth share)
+under a nonzero numerator raises :class:`DegenerateDivisor` rather than
+producing ``inf``; when the numerator is exactly zero the term is 0.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import DegenerateDivisor
-from .link import base_rate
-from .types import AllocationState, ModelState, SystemConfig, UserProfile
+from .types import AllocationState, ModelState, Population, SystemConfig
 
 BITS_PER_BYTE = 8.0
 
 
 # --------------------------------------------------------------------------
-# broadcasting kernels (no degeneracy guards; used by oracles as well)
+# broadcasting kernels and size/rate models (no degeneracy guards)
 # --------------------------------------------------------------------------
 
 def training_time(data_bytes, cycles_per_byte, cpu_share, cpu_hz):
@@ -47,8 +57,15 @@ def transmit_energy(power_w, payload_bytes, share, rate_bps):
     return power_w * transmit_time(payload_bytes, share, rate_bps)
 
 
-def dataset_bytes(user: UserProfile, cfg: SystemConfig) -> float:
-    return cfg.bytes_per_sample * user.dataset_size
+def base_rate(users, cfg: SystemConfig):
+    """Full-bandwidth achievable rate, bit/s, of a user or of every user."""
+    snr = users.transmit_power * users.channel_gain / cfg.noise_power
+    return cfg.bandwidth_hz * np.log2(1.0 + snr)
+
+
+def dataset_bytes(users, cfg: SystemConfig):
+    """Size of the full local dataset, bytes, of a user or of every user."""
+    return cfg.bytes_per_sample * users.dataset_size
 
 
 def weights_bytes(model: ModelState, cfg: SystemConfig) -> float:
@@ -56,103 +73,75 @@ def weights_bytes(model: ModelState, cfg: SystemConfig) -> float:
 
 
 # --------------------------------------------------------------------------
-# per-user operations
+# per-round costs of every user
 # --------------------------------------------------------------------------
 
-def local_time(user: UserProfile, alloc: AllocationState, model: ModelState,
-               cfg: SystemConfig) -> float:
-    """Local training time plus weight-upload time of one user.
+def check_degenerate(bad, what: str) -> None:
+    """Raise :class:`DegenerateDivisor` naming the first user flagged in ``bad``."""
+    if bad.any():
+        raise DegenerateDivisor(f"user {int(bad.argmax())}: {what}")
+
+
+def _upload_time(alloc: AllocationState, model: ModelState, cfg: SystemConfig, rate):
+    check_degenerate(alloc.uplink_weight <= 0.0, "zero uplink share for the weight upload")
+    return transmit_time(weights_bytes(model, cfg), alloc.uplink_weight, rate)
+
+
+def _offload_time(pop: Population, alloc: AllocationState, cfg: SystemConfig, rate):
+    """Dataset offload time of every user; exactly 0 where delta = 0."""
+    share, delta = alloc.uplink_offload, alloc.delta
+    check_degenerate((share <= 0.0) & (delta > 0.0), "delta>0 needs a positive offload share")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        seconds = transmit_time(delta * dataset_bytes(pop, cfg), share, rate)
+    return np.where(delta > 0.0, seconds, 0.0)
+
+
+def local_time(pop: Population, alloc: AllocationState, model: ModelState,
+               cfg: SystemConfig) -> np.ndarray:
+    """Local training time plus weight-upload time of every user.
 
     (1 - delta) * data_bytes * cycles_per_byte / (gamma * cpu_hz)
         + 8 * weight_bytes / (uplink_weight * R_i)
     """
-    i = user.id
-    kept_bytes = (1.0 - alloc.delta[i]) * dataset_bytes(user, cfg)
-    train = 0.0
-    if kept_bytes > 0.0:
-        if alloc.gamma[i] <= 0.0:
-            raise DegenerateDivisor(f"user {i}: gamma=0 with local data to train on")
-        train = training_time(kept_bytes, cfg.cycles_per_byte, alloc.gamma[i], user.cpu_hz)
-    if alloc.uplink_weight[i] <= 0.0:
-        raise DegenerateDivisor(f"user {i}: zero uplink share for the weight upload")
-    upload = transmit_time(weights_bytes(model, cfg), alloc.uplink_weight[i],
-                           base_rate(user, cfg))
-    return train + upload
+    kept_bytes = (1.0 - alloc.delta) * dataset_bytes(pop, cfg)
+    check_degenerate((alloc.gamma <= 0.0) & (kept_bytes > 0.0),
+                     "gamma=0 with local data to train on")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        train = training_time(kept_bytes, cfg.cycles_per_byte, alloc.gamma, pop.cpu_hz)
+    train = np.where(kept_bytes > 0.0, train, 0.0)
+    return train + _upload_time(alloc, model, cfg, base_rate(pop, cfg))
 
 
-def local_energy(user: UserProfile, alloc: AllocationState, model: ModelState,
-                 cfg: SystemConfig) -> float:
-    """Local training energy plus weight-upload energy of one user.
+def total_energy(pop: Population, alloc: AllocationState, model: ModelState,
+                 cfg: SystemConfig) -> np.ndarray:
+    """Per-round energy of every user: local training, weight upload, offloading.
 
     capacitance * (1 - delta) * data_bytes * cycles_per_byte * (gamma * cpu_hz)^2
         + p_i * 8 * weight_bytes / (uplink_weight * R_i)
+        + p_i * 8 * delta * data_bytes / (uplink_offload * R_i)
     """
-    i = user.id
-    kept_bytes = (1.0 - alloc.delta[i]) * dataset_bytes(user, cfg)
+    kept_bytes = (1.0 - alloc.delta) * dataset_bytes(pop, cfg)
     compute = training_energy(cfg.chip_capacitance, kept_bytes, cfg.cycles_per_byte,
-                              alloc.gamma[i], user.cpu_hz)
-    if alloc.uplink_weight[i] <= 0.0:
-        raise DegenerateDivisor(f"user {i}: zero uplink share for the weight upload")
-    upload = transmit_energy(user.transmit_power, weights_bytes(model, cfg),
-                             alloc.uplink_weight[i], base_rate(user, cfg))
-    return compute + upload
+                              alloc.gamma, pop.cpu_hz)
+    rate = base_rate(pop, cfg)
+    power = pop.transmit_power
+    return (compute + power * _upload_time(alloc, model, cfg, rate)
+            + power * _offload_time(pop, alloc, cfg, rate))
 
 
-def offload_energy(user: UserProfile, alloc: AllocationState, cfg: SystemConfig) -> float:
-    """Energy spent transmitting the offloaded dataset slice; 0 when delta=0."""
-    i = user.id
-    if alloc.delta[i] <= 0.0:
-        return 0.0
-    if alloc.uplink_offload[i] <= 0.0:
-        raise DegenerateDivisor(f"user {i}: delta>0 needs a positive offload share")
-    return transmit_energy(user.transmit_power,
-                           alloc.delta[i] * dataset_bytes(user, cfg),
-                           alloc.uplink_offload[i], base_rate(user, cfg))
+def edge_time_user(pop: Population, alloc: AllocationState, cfg: SystemConfig) -> np.ndarray:
+    """Every user's own offload time plus the shared edge training time.
 
+    delta_i * data_bytes_i * 8 / (uplink_offload_i * R_i)
+        + sum_j{delta_j * data_bytes_j} * cycles_per_byte / edge_cpu_hz
 
-def _offload_time(user: UserProfile, alloc: AllocationState, cfg: SystemConfig) -> float:
-    i = user.id
-    if alloc.delta[i] <= 0.0:
-        return 0.0
-    if alloc.uplink_offload[i] <= 0.0:
-        raise DegenerateDivisor(f"user {i}: delta>0 needs a positive offload share")
-    return transmit_time(alloc.delta[i] * dataset_bytes(user, cfg),
-                         alloc.uplink_offload[i], base_rate(user, cfg))
-
-
-def _edge_compute_time(users, alloc: AllocationState, cfg: SystemConfig) -> float:
-    offloaded = sum(alloc.delta[u.id] * dataset_bytes(u, cfg) for u in users)
-    return offloaded * cfg.cycles_per_byte / cfg.edge_cpu_hz
-
-
-def edge_time_total(users, alloc: AllocationState, cfg: SystemConfig) -> float:
-    """Slowest dataset offload plus the pooled edge training time.
-
-    max_i{delta_i * data_bytes_i * 8 / (uplink_offload_i * R_i)}
-        + sum_i{delta_i * data_bytes_i} * cycles_per_byte / edge_cpu_hz
+    The max over users is ``edge_time_total``.
     """
-    slowest = max(_offload_time(u, alloc, cfg) for u in users)
-    return slowest + _edge_compute_time(users, alloc, cfg)
+    offloaded = float((alloc.delta * dataset_bytes(pop, cfg)).sum())
+    edge_compute = offloaded * cfg.cycles_per_byte / cfg.edge_cpu_hz
+    return _offload_time(pop, alloc, cfg, base_rate(pop, cfg)) + edge_compute
 
 
-def edge_time_user(index: int, users, alloc: AllocationState, cfg: SystemConfig) -> float:
-    """One user's own offload time plus the shared edge training time.
-
-    The max over users of this quantity equals ``edge_time_total`` exactly.
-    """
-    user = users[index]
-    if user.id != index:
-        raise ValueError(f"users[{index}] has id {user.id}; ids must equal positions")
-    return _offload_time(user, alloc, cfg) + _edge_compute_time(users, alloc, cfg)
-
-
-def total_time(users, alloc: AllocationState, model: ModelState, cfg: SystemConfig) -> float:
-    """Synchronous round time: slowest of all local paths and the edge path."""
-    slowest_local = max(local_time(u, alloc, model, cfg) for u in users)
-    return max(slowest_local, edge_time_total(users, alloc, cfg))
-
-
-def total_energy(user: UserProfile, alloc: AllocationState, model: ModelState,
-                 cfg: SystemConfig) -> float:
-    """Per-round energy of one user: local training/upload plus offloading."""
-    return local_energy(user, alloc, model, cfg) + offload_energy(user, alloc, cfg)
+def edge_time_total(pop: Population, alloc: AllocationState, cfg: SystemConfig) -> float:
+    """Slowest dataset offload plus the pooled edge training time."""
+    return float(edge_time_user(pop, alloc, cfg).max())

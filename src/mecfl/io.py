@@ -283,18 +283,6 @@ def representative_users(users) -> tuple[int, int]:
     return max(gains)[1], min(gains)[1]
 
 
-def cell_tags(users, decile: float = 0.1) -> dict[int, str]:
-    """Label the top gain decile 'center' and the bottom decile 'edge'."""
-    ordered = sorted(users, key=lambda u: u.channel_gain)
-    n_tag = max(1, int(len(users) * decile))
-    tags = {}
-    for u in ordered[:n_tag]:
-        tags[u.id] = "edge"
-    for u in ordered[-n_tag:]:
-        tags[u.id] = "center"
-    return tags
-
-
 # --------------------------------------------------------------------------
 # experiment dispatch
 # --------------------------------------------------------------------------

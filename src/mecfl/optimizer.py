@@ -1,7 +1,8 @@
 """Closed-form best responses for the per-round resource game.
 
-Each function answers one player's move given everyone else's current
-decision:
+``solve_gamma``, ``solve_uplink`` and ``update_multipliers`` answer for
+every user of a :class:`Population` at once; ``solve_delta`` is one
+player's move, made in turn by each user of the sweep:
 
 * ``solve_gamma``    - CPU fraction that spends the whole energy budget,
 * ``solve_delta``    - offload fraction that balances the local and edge
@@ -14,89 +15,95 @@ decision:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .costs import (
     BITS_PER_BYTE,
+    base_rate,
+    check_degenerate,
     dataset_bytes,
     training_time,
     transmit_energy,
     weights_bytes,
 )
 from .errors import AllZeroWeights, DegenerateDivisor, ValidationError
-from .link import base_rate
-from .types import AllocationState, ModelState, SystemConfig, UserProfile, project_unit_interval
+from .types import (
+    AllocationState,
+    ModelState,
+    Population,
+    SystemConfig,
+    UserProfile,
+    project_unit_interval,
+)
 
 # Keeps both multipliers strictly positive; repeated penalty increments
 # would otherwise drive the upload-side multiplier to zero or below.
 LAMBDA_MIN = 1e-3
 
 
-def solve_gamma(user: UserProfile, alloc: AllocationState, model: ModelState,
-                cfg: SystemConfig) -> tuple[float, bool]:
-    """CPU fraction whose training energy exactly exhausts the budget.
+def solve_gamma(pop: Population, alloc: AllocationState, model: ModelState,
+                cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """CPU fraction of every user whose training energy exactly exhausts the budget.
 
     Solves energy(gamma) = budget for gamma and projects onto [0, 1]:
 
         gamma = sqrt((budget - transmission_energy)
                      / (capacitance * kept_bytes * cycles_per_byte * cpu_hz^2))
 
-    Returns ``(gamma, budget_exhausted)``. The flag is True when the
+    Returns ``(gamma, budget_exhausted)``. The flag is True where the
     transmission energy alone exceeds the budget, in which case no compute
     budget remains and gamma is 0. With delta = 1 there is nothing to train
-    locally and gamma is defined as 0.
+    locally and gamma is defined as 0. Each user's answer reads only its own
+    entries of ``alloc``.
     """
-    i = user.id
-    delta = alloc.delta[i]
-    if delta >= 1.0:
-        return 0.0, False
-    rate = base_rate(user, cfg)
-    data = dataset_bytes(user, cfg)
-    transmission = 0.0
-    if delta > 0.0:
-        if alloc.uplink_offload[i] <= 0.0:
-            raise DegenerateDivisor(f"user {i}: delta>0 needs a positive offload share")
-        transmission += transmit_energy(user.transmit_power, delta * data,
-                                        alloc.uplink_offload[i], rate)
-    if alloc.uplink_weight[i] <= 0.0:
-        raise DegenerateDivisor(f"user {i}: zero uplink share for the weight upload")
-    transmission += transmit_energy(user.transmit_power, weights_bytes(model, cfg),
-                                    alloc.uplink_weight[i], rate)
-    remaining = user.energy_budget - transmission
-    if remaining < 0.0:
-        return 0.0, True
+    delta = alloc.delta
+    training = delta < 1.0
+    offloading = training & (delta > 0.0)
+    check_degenerate(offloading & (alloc.uplink_offload <= 0.0),
+                     "delta>0 needs a positive offload share")
+    check_degenerate(training & (alloc.uplink_weight <= 0.0),
+                     "zero uplink share for the weight upload")
+    rate = base_rate(pop, cfg)
+    data = dataset_bytes(pop, cfg)
+    power = pop.transmit_power
     curvature = (cfg.chip_capacitance * (1.0 - delta) * data
-                 * cfg.cycles_per_byte * user.cpu_hz ** 2)
-    return project_unit_interval(math.sqrt(remaining / curvature)), False
+                 * cfg.cycles_per_byte * pop.cpu_hz ** 2)
+    # entries of users that do not train may divide by zero; they are masked
+    with np.errstate(divide="ignore", invalid="ignore"):
+        offload = transmit_energy(power, delta * data, alloc.uplink_offload, rate)
+        upload = transmit_energy(power, weights_bytes(model, cfg), alloc.uplink_weight, rate)
+        remaining = pop.energy_budget - (np.where(offloading, offload, 0.0) + upload)
+        ratio = remaining / curvature
+    exhausted = training & (remaining < 0.0)
+    gamma = np.sqrt(np.where(training & ~exhausted, ratio, 0.0))
+    if not np.all(np.isfinite(gamma)):
+        raise ValidationError("solve_gamma: a CPU fraction is not finite")
+    return np.minimum(gamma, 1.0), exhausted
 
 
-def solve_delta(index: int, users, alloc: AllocationState, model: ModelState,
-                cfg: SystemConfig) -> float:
-    """Offload fraction equating the user's local and edge completion times.
+def solve_delta(user: UserProfile, alloc: AllocationState, model: ModelState,
+                cfg: SystemConfig, others_offloaded_bytes: float) -> float:
+    """Offload fraction equating one user's local and edge completion times.
 
     Both times are linear in delta with opposite slopes, so the balance
     point is unique; it is projected onto [0, 1]. Other users' offload
-    decisions enter through the shared edge compute load.
+    decisions enter through the shared edge compute load, given as the
+    bytes they offload, sum_{j != i} delta_j * data_bytes_j.
     """
-    user = users[index]
-    if user.id != index:
-        raise ValidationError(f"users[{index}] has id {user.id}; ids must equal positions")
     i = user.id
-    if alloc.gamma[i] <= 0.0 or alloc.uplink_offload[i] <= 0.0 or alloc.uplink_weight[i] <= 0.0:
+    gamma, offload_share, upload_share = (
+        alloc.gamma[i], alloc.uplink_offload[i], alloc.uplink_weight[i])
+    if gamma <= 0.0 or offload_share <= 0.0 or upload_share <= 0.0:
         raise DegenerateDivisor(
             f"user {i}: solve_delta needs positive gamma and both uplink shares"
         )
     rate = base_rate(user, cfg)
     data = dataset_bytes(user, cfg)
-    offload_per_unit = BITS_PER_BYTE * data / (alloc.uplink_offload[i] * rate)
+    offload_per_unit = BITS_PER_BYTE * data / (offload_share * rate)
     edge_compute_per_unit = data * cfg.cycles_per_byte / cfg.edge_cpu_hz
-    local_per_unit = training_time(data, cfg.cycles_per_byte, alloc.gamma[i], user.cpu_hz)
-    upload = BITS_PER_BYTE * weights_bytes(model, cfg) / (alloc.uplink_weight[i] * rate)
-    others_compute = sum(
-        alloc.delta[u.id] * dataset_bytes(u, cfg) for u in users if u.id != i
-    ) * cfg.cycles_per_byte / cfg.edge_cpu_hz
+    local_per_unit = training_time(data, cfg.cycles_per_byte, gamma, user.cpu_hz)
+    upload = BITS_PER_BYTE * weights_bytes(model, cfg) / (upload_share * rate)
+    others_compute = others_offloaded_bytes * cfg.cycles_per_byte / cfg.edge_cpu_hz
     numerator = local_per_unit + upload - others_compute
     denominator = offload_per_unit + edge_compute_per_unit + local_per_unit
     return project_unit_interval(numerator / denominator)
@@ -113,28 +120,25 @@ def simplex_shares(weights: np.ndarray) -> np.ndarray:
     return weights / total
 
 
-def offload_share_weights(users, alloc: AllocationState, cfg: SystemConfig) -> np.ndarray:
+def offload_share_weights(pop: Population, alloc: AllocationState,
+                          cfg: SystemConfig) -> np.ndarray:
     """Unnormalized offload-share weights: sqrt(multiplier * delta * bytes / rate)."""
     lam = alloc.lambda_offload
     if np.any(lam <= 0.0):
         raise ValidationError("offload multipliers must be > 0")
-    return np.sqrt([
-        lam[u.id] * alloc.delta[u.id] * dataset_bytes(u, cfg) / base_rate(u, cfg)
-        for u in users
-    ])
+    return np.sqrt(lam * alloc.delta * dataset_bytes(pop, cfg) / base_rate(pop, cfg))
 
 
-def upload_share_weights(users, alloc: AllocationState, model: ModelState,
+def upload_share_weights(pop: Population, alloc: AllocationState, model: ModelState,
                          cfg: SystemConfig) -> np.ndarray:
     """Unnormalized upload-share weights: sqrt(multiplier * weight bytes / rate)."""
     lam = alloc.lambda_local
     if np.any(lam <= 0.0):
         raise ValidationError("upload multipliers must be > 0")
-    payload = weights_bytes(model, cfg)
-    return np.sqrt([lam[u.id] * payload / base_rate(u, cfg) for u in users])
+    return np.sqrt(lam * weights_bytes(model, cfg) / base_rate(pop, cfg))
 
 
-def solve_uplink(users, alloc: AllocationState, model: ModelState,
+def solve_uplink(pop: Population, alloc: AllocationState, model: ModelState,
                  cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Square-root proportional bandwidth shares for both uplink phases.
 
@@ -142,14 +146,15 @@ def solve_uplink(users, alloc: AllocationState, model: ModelState,
     normalization. Each returned vector sums to 1 exactly (every user
     always uploads weights, so the upload side never degenerates).
     """
-    offload = simplex_shares(offload_share_weights(users, alloc, cfg))
-    upload = simplex_shares(upload_share_weights(users, alloc, model, cfg))
+    offload = simplex_shares(offload_share_weights(pop, alloc, cfg))
+    upload = simplex_shares(upload_share_weights(pop, alloc, model, cfg))
     return offload, upload
 
 
-def update_multipliers(e_total: float, energy_budget: float, lambda_offload_prev: float,
-                       cfg: SystemConfig) -> tuple[float, float]:
-    """Penalty update of one user's multiplier pair.
+def update_multipliers(e_total: np.ndarray, energy_budget: np.ndarray,
+                       lambda_offload_prev: np.ndarray,
+                       cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Penalty update of every user's multiplier pair.
 
     The offload multiplier grows by the configured increment while the
     energy budget is violated, shifting bandwidth toward the (more
@@ -157,8 +162,7 @@ def update_multipliers(e_total: float, energy_budget: float, lambda_offload_prev
     complement. Both are clamped to [LAMBDA_MIN, 1 - LAMBDA_MIN] so the
     square-root weighting stays well defined.
     """
-    lam = lambda_offload_prev
-    if e_total > energy_budget:
-        lam += cfg.multiplier_increment
-    lam = min(max(lam, LAMBDA_MIN), 1.0 - LAMBDA_MIN)
+    lam = np.where(e_total > energy_budget,
+                   lambda_offload_prev + cfg.multiplier_increment, lambda_offload_prev)
+    lam = np.clip(lam, LAMBDA_MIN, 1.0 - LAMBDA_MIN)
     return lam, 1.0 - lam

@@ -23,7 +23,7 @@ from .errors import (
     NoSignChange,
     ValidationError,
 )
-from .types import AllocationState, ModelState, SystemConfig
+from .types import AllocationState, ModelState, Population, SystemConfig
 
 
 def grid_minimize(f, lo: float, hi: float, points: int, constraint=None):
@@ -92,17 +92,14 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def _max_time(per_user_time, users) -> float:
-    worst = 0.0
-    for u in users:
-        try:
-            worst = max(worst, per_user_time(u.id))
-        except DegenerateDivisor:
-            return np.inf
-    return worst
+def _max_time(per_user_time, *args) -> float:
+    try:
+        return float(per_user_time(*args).max())
+    except DegenerateDivisor:
+        return np.inf
 
 
-def simplex_minimize_maxtime(users, alloc: AllocationState, model: ModelState,
+def simplex_minimize_maxtime(pop: Population, alloc: AllocationState, model: ModelState,
                              cfg: SystemConfig, resolution: float):
     """Exhaustive search certifying tiny bandwidth allocations (<= 3 users).
 
@@ -114,7 +111,7 @@ def simplex_minimize_maxtime(users, alloc: AllocationState, model: ModelState,
     Offload fractions, CPU fractions, and multipliers are taken from
     ``alloc`` and held fixed.
     """
-    n = len(users)
+    n = pop.n_users
     if n > 3:
         raise InstanceTooLarge(f"simplex_minimize_maxtime: {n} users (max 3)")
     steps = int(round(1.0 / resolution))
@@ -125,12 +122,10 @@ def simplex_minimize_maxtime(users, alloc: AllocationState, model: ModelState,
     best_upload, best_upload_time = None, np.inf
     for combo in _compositions(steps, n):
         shares = np.array(combo, dtype=float) / steps
-        cand = replace(alloc, uplink_offload=shares)
-        worst = _max_time(lambda i, a=cand: costs.edge_time_user(i, users, a, cfg), users)
+        worst = _max_time(costs.edge_time_user, pop, replace(alloc, uplink_offload=shares), cfg)
         if worst < best_offload_time:
             best_offload, best_offload_time = shares, worst
-        cand = replace(alloc, uplink_weight=shares)
-        worst = _max_time(lambda i, a=cand: costs.local_time(users[i], a, model, cfg), users)
+        worst = _max_time(costs.local_time, pop, replace(alloc, uplink_weight=shares), model, cfg)
         if worst < best_upload_time:
             best_upload, best_upload_time = shares, worst
     if best_offload is None or not np.isfinite(best_upload_time):

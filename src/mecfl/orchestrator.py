@@ -4,10 +4,12 @@ One run works as follows. Round 0 uses the initial allocation (random
 offload/CPU fractions, uniform bandwidth, multipliers at 0.5): every user
 splits its dataset, trains locally on the kept part while the edge trains
 on the pooled offloaded parts, and the size-weighted aggregate forms the
-global model. From round 1 on, each round first lets every user update its
-CPU fraction and then its offload fraction (a sequential sweep in user-id
-order, so later users see earlier users' fresh offload decisions; both use
-the previous round's bandwidth shares). After splitting, training, and
+global model. From round 1 on, each round first runs the best-response
+sweep, at the previous round's bandwidth shares: every user's CPU fraction
+in one call, then the offload fractions one user at a time in user-id
+order, so later users see earlier users' fresh offload decisions (a
+Gauss-Seidel sweep; the CPU fractions need no order, because each reads
+only the user's own offload fraction). After splitting, training, and
 uploading, the edge updates the multipliers from the energies just spent,
 recomputes both bandwidth share vectors, trains on the offloaded pool, and
 aggregates. The loop stops once both the test loss and the round time move
@@ -45,7 +47,7 @@ from .optimizer import (
     update_multipliers,
     upload_share_weights,
 )
-from .types import AllocationState, ModelState, RoundMetrics, SystemConfig
+from .types import AllocationState, ModelState, Population, RoundMetrics, SystemConfig
 
 _SEED_CAP = 2**31
 
@@ -62,12 +64,11 @@ class ExperimentResult:
     iterations_used: int
 
 
-def _check_population(users, datasets):
+def _check_population(users, datasets) -> Population:
     if not users or len(users) != len(datasets):
         raise ValidationError("need one dataset per user")
-    for position, (user, data) in enumerate(zip(users, datasets)):
-        if user.id != position:
-            raise ValidationError(f"users[{position}] has id {user.id}; ids must equal positions")
+    pop = Population.from_users(users)
+    for user, data in zip(users, datasets):
         if user.dataset_size != data.sample_count:
             raise ValidationError(
                 f"user {user.id}: profile says {user.dataset_size} samples, "
@@ -77,35 +78,28 @@ def _check_population(users, datasets):
     n_classes = datasets[0].n_classes
     if any(d.n_features != n_features or d.n_classes != n_classes for d in datasets):
         raise ValidationError("all user datasets must share feature and class counts")
-    return n_features, n_classes
+    return pop
 
 
-def _initial_allocation(n_users: int, rng, force_delta, initial_delta, initial_gamma):
+def _best_response_sweep(users, pop, alloc, model, cfg, force_delta):
+    """Every CPU fraction at once, then the offload fractions in user-id order.
+
+    User i answers the fresh offload fractions of users j < i and the
+    previous ones of users j > i; the edge load it sees is a running prefix
+    of fresh offloaded bytes plus a suffix sum of the previous ones.
+    """
+    gamma, _ = solve_gamma(pop, alloc, model, cfg)
+    alloc = replace(alloc, gamma=gamma)
     if force_delta is not None:
-        delta = np.full(n_users, float(force_delta))
-    elif initial_delta is not None:
-        delta = np.full(n_users, float(initial_delta))
-    else:
-        delta = rng.uniform(0.0, 1.0, n_users)
-    gamma = (np.full(n_users, float(initial_gamma)) if initial_gamma is not None
-             else rng.uniform(0.0, 1.0, n_users))
-    share = np.full(n_users, 1.0 / n_users)
-    lam = np.full(n_users, 0.5)
-    return AllocationState(delta, gamma, share, share.copy(), lam, 1.0 - lam)
-
-
-def _best_response_sweep(users, alloc, model, cfg, force_delta):
-    """Per-user CPU then offload update, sequential in user-id order."""
+        return alloc
+    data = costs.dataset_bytes(pop, cfg)
+    suffix = np.cumsum((alloc.delta * data)[::-1])[::-1]   # previous bytes of users j >= i
+    later = np.append(suffix[1:], 0.0)                     # ... of users j > i
     delta = alloc.delta.copy()
-    gamma = alloc.gamma.copy()
+    earlier = 0.0                                          # fresh bytes of users j < i
     for user in users:
         i = user.id
-        state = replace(alloc, delta=delta.copy(), gamma=gamma.copy())
-        gamma[i], _ = solve_gamma(user, state, model, cfg)
-        if force_delta is not None:
-            continue
-        state = replace(alloc, delta=delta.copy(), gamma=gamma.copy())
-        if state.uplink_offload[i] <= 0.0:
+        if alloc.uplink_offload[i] <= 0.0:
             # No offload bandwidth assigned, so nothing can be shipped out.
             delta[i] = 0.0
         elif gamma[i] <= 0.0:
@@ -114,15 +108,16 @@ def _best_response_sweep(users, alloc, model, cfg, force_delta):
             # response tends to full offloading in that limit.
             delta[i] = 1.0
         else:
-            delta[i] = solve_delta(i, users, state, model, cfg)
-    return replace(alloc, delta=delta, gamma=gamma)
+            delta[i] = solve_delta(user, alloc, model, cfg, earlier + later[i])
+        earlier += delta[i] * data[i]
+    return replace(alloc, delta=delta)
 
 
-def _round_metrics(users, alloc, model, cfg, train_pool, test_dataset):
-    t_local = np.array([costs.local_time(u, alloc, model, cfg) for u in users])
-    t_edge = costs.edge_time_total(users, alloc, cfg)
+def _round_metrics(pop, alloc, model, cfg, train_pool, test_dataset):
+    t_local = costs.local_time(pop, alloc, model, cfg)
+    t_edge = costs.edge_time_total(pop, alloc, cfg)
     t_total = max(float(t_local.max()), t_edge)
-    e_total = np.array([costs.total_energy(u, alloc, model, cfg) for u in users])
+    e_total = costs.total_energy(pop, alloc, model, cfg)
     train_loss = evaluate_loss(model.global_weights, train_pool)
     test_loss = evaluate_loss(model.global_weights, test_dataset)
     return RoundMetrics(
@@ -150,14 +145,19 @@ def run_proposed(users, datasets, cfg: SystemConfig, max_iterations: int = 100, 
     """
     if max_iterations < 1:
         raise ValidationError("max_iterations must be >= 1")
-    n_features, n_classes = _check_population(users, datasets)
+    pop = _check_population(users, datasets)
+    n_features, n_classes = datasets[0].n_features, datasets[0].n_classes
     dim = weight_dim(n_features, n_classes)
     if test_dataset.n_features != n_features or test_dataset.n_classes != n_classes:
         raise ValidationError("test dataset shape does not match the training data")
     train_pool = concat_datasets(datasets, n_classes, n_features)
 
     rng = np.random.default_rng(cfg.rng_seed)
-    alloc = _initial_allocation(len(users), rng, force_delta, initial_delta, initial_gamma)
+    delta = force_delta if force_delta is not None else initial_delta
+    if delta is None:
+        delta = rng.uniform(0.0, 1.0, len(users))
+    gamma = initial_gamma if initial_gamma is not None else rng.uniform(0.0, 1.0, len(users))
+    alloc = AllocationState.uniform(len(users), delta=delta, gamma=gamma)
     model = ModelState.initial(len(users), dim, [u.dataset_size for u in users])
 
     trace: list[RoundMetrics] = []
@@ -166,9 +166,9 @@ def run_proposed(users, datasets, cfg: SystemConfig, max_iterations: int = 100, 
     for iteration in range(max_iterations):
         try:
             alloc, model = _run_one_round(
-                iteration, users, datasets, alloc, model, cfg, rng, adapt, force_delta
+                iteration, users, pop, datasets, alloc, model, cfg, rng, adapt, force_delta
             )
-            metrics = _round_metrics(users, alloc, model, cfg, train_pool, test_dataset)
+            metrics = _round_metrics(pop, alloc, model, cfg, train_pool, test_dataset)
         except SimulationError as exc:
             raise SimulationError(f"iteration {iteration}: {exc}") from exc
         trace.append(metrics)
@@ -189,11 +189,12 @@ def run_proposed(users, datasets, cfg: SystemConfig, max_iterations: int = 100, 
     )
 
 
-def _run_one_round(iteration, users, datasets, alloc, model, cfg, rng, adapt, force_delta):
+def _run_one_round(iteration, users, pop, datasets, alloc, model, cfg, rng, adapt,
+                   force_delta):
     n_users = len(users)
     update_resources = adapt and iteration > 0
     if update_resources:
-        alloc = _best_response_sweep(users, alloc, model, cfg, force_delta)
+        alloc = _best_response_sweep(users, pop, alloc, model, cfg, force_delta)
 
     split_seeds = rng.integers(_SEED_CAP, size=n_users)
     train_seeds = rng.integers(_SEED_CAP, size=n_users)
@@ -219,20 +220,16 @@ def _run_one_round(iteration, users, datasets, alloc, model, cfg, rng, adapt, fo
     if update_resources:
         # The edge reacts to the energy just spent (still at the previous
         # bandwidth shares) before it reallocates the uplink.
-        lam_off = np.empty(n_users)
-        lam_up = np.empty(n_users)
-        for user in users:
-            spent = costs.total_energy(user, alloc, model, cfg)
-            lam_off[user.id], lam_up[user.id] = update_multipliers(
-                spent, user.energy_budget, float(alloc.lambda_offload[user.id]), cfg
-            )
+        spent = costs.total_energy(pop, alloc, model, cfg)
+        lam_off, lam_up = update_multipliers(spent, pop.energy_budget,
+                                             alloc.lambda_offload, cfg)
         alloc = replace(alloc, lambda_offload=lam_off, lambda_local=lam_up)
         if np.any(alloc.delta > 0.0):
-            offload_shares, upload_shares = solve_uplink(users, alloc, model, cfg)
+            offload_shares, upload_shares = solve_uplink(pop, alloc, model, cfg)
         else:
             # Nobody offloads: the offload shares are moot, keep them.
             offload_shares = alloc.uplink_offload
-            upload_shares = simplex_shares(upload_share_weights(users, alloc, model, cfg))
+            upload_shares = simplex_shares(upload_share_weights(pop, alloc, model, cfg))
         alloc = replace(alloc, uplink_offload=offload_shares, uplink_weight=upload_shares)
 
     # Edge phase: train on the pooled offloaded data, then aggregate.

@@ -128,13 +128,18 @@ class AllocationState:
                "lambda_offload", "lambda_local")
 
     def __post_init__(self):
-        arrays = [_frozen_array(self, name, getattr(self, name)) for name in self._FIELDS]
+        arrays = [np.asarray(getattr(self, name), dtype=float) for name in self._FIELDS]
         n = arrays[0].size
         for name, arr in zip(self._FIELDS, arrays):
             if arr.ndim != 1 or arr.size != n:
                 raise ValidationError(f"AllocationState: {name} must be 1-d of length {n}")
         if n == 0:
             raise ValidationError("AllocationState: at least one user required")
+        # one read-only copy of all six fields; each field is a row of it
+        stacked = np.array(arrays)
+        stacked.flags.writeable = False
+        for name, row in zip(self._FIELDS, stacked):
+            object.__setattr__(self, name, row)
         validate_allocation(self, n)
 
     @property
@@ -143,11 +148,14 @@ class AllocationState:
 
     @classmethod
     def uniform(cls, n_users: int, delta=0.0, gamma=1.0, multiplier=0.5) -> "AllocationState":
-        """Allocation with equal bandwidth shares and constant per-user values."""
+        """Allocation with equal bandwidth shares.
+
+        ``delta`` and ``gamma`` are one value for every user or one per user.
+        """
         share = np.full(n_users, 1.0 / n_users)
         return cls(
-            delta=np.full(n_users, float(delta)),
-            gamma=np.full(n_users, float(gamma)),
+            delta=np.full(n_users, delta, dtype=float),
+            gamma=np.full(n_users, gamma, dtype=float),
             uplink_offload=share,
             uplink_weight=share.copy(),
             lambda_offload=np.full(n_users, float(multiplier)),
@@ -155,39 +163,82 @@ class AllocationState:
         )
 
 
+# Upper box bound of each AllocationState field, as a column: fractions and
+# shares lie in [0, 1], multipliers only need to be finite and >= 0.
+_FIELD_UPPER = np.array([[1.0 + CONSTRAINT_ATOL]] * 4 + [[np.finfo(float).max]] * 2)
+
+
 def validate_allocation(alloc: AllocationState, n_users: int) -> AllocationState:
     """Check an allocation against its box and simplex constraints.
 
     Returns the input unchanged when every invariant holds; raises
     :class:`OutOfRange` or :class:`SumExceedsOne` otherwise. Comparisons
-    use an absolute slack of ``CONSTRAINT_ATOL``.
+    use an absolute slack of ``CONSTRAINT_ATOL``. Non-finite entries are
+    reported first, then out-of-range ones, then an oversized share sum;
+    within one check the first field in ``_FIELDS`` order and then the
+    lowest user index is reported.
     """
-    for name in AllocationState._FIELDS:
-        arr = getattr(alloc, name)
+    names = AllocationState._FIELDS
+    arrays = [getattr(alloc, name) for name in names]
+    for name, arr in zip(names, arrays):
         if arr.size != n_users:
             raise ValidationError(
                 f"AllocationState: {name} has length {arr.size}, expected {n_users}"
             )
-        if not np.all(np.isfinite(arr)):
-            bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-            raise ValidationError(f"AllocationState: {name}[{bad}] is not finite")
-    for name in ("delta", "gamma", "uplink_offload", "uplink_weight"):
-        arr = getattr(alloc, name)
-        bad = np.flatnonzero((arr < -CONSTRAINT_ATOL) | (arr > 1.0 + CONSTRAINT_ATOL))
-        if bad.size:
-            i = int(bad[0])
-            raise OutOfRange(i, name, float(arr[i]))
-    for name in ("lambda_offload", "lambda_local"):
-        arr = getattr(alloc, name)
-        bad = np.flatnonzero(arr < -CONSTRAINT_ATOL)
-        if bad.size:
-            i = int(bad[0])
-            raise OutOfRange(i, name, float(arr[i]))
-    for name in ("uplink_offload", "uplink_weight"):
-        total = float(getattr(alloc, name).sum())
+    stacked = np.array(arrays)   # one row per field, in _FIELDS order
+    # Non-finite entries fail both comparisons, so one pass covers the boxes too.
+    inside = (stacked >= -CONSTRAINT_ATOL) & (stacked <= _FIELD_UPPER)
+    if not inside.all():
+        finite = np.isfinite(stacked)
+        if not finite.all():
+            row, i = divmod(int(finite.argmin()), n_users)
+            raise ValidationError(f"AllocationState: {names[row]}[{i}] is not finite")
+        row, i = divmod(int(inside.argmin()), n_users)
+        raise OutOfRange(i, names[row], float(stacked[row, i]))
+    for name, total in zip(names[2:4], stacked[2:4].sum(axis=1).tolist()):
         if total > 1.0 + CONSTRAINT_ATOL:
             raise SumExceedsOne(name, total - 1.0)
     return alloc
+
+
+@dataclass(frozen=True)
+class Population:
+    """The user profiles as one array per field, indexed by user id.
+
+    Read-only struct of arrays that the cost model and the best responses
+    evaluate for every user at once. Build it with :meth:`from_users`,
+    which checks once that user ids equal list positions.
+    """
+
+    transmit_power: np.ndarray
+    channel_gain: np.ndarray
+    cpu_hz: np.ndarray
+    energy_budget: np.ndarray
+    dataset_size: np.ndarray
+
+    _FIELDS = ("transmit_power", "channel_gain", "cpu_hz", "energy_budget", "dataset_size")
+
+    def __post_init__(self):
+        arrays = [_frozen_array(self, name, getattr(self, name),
+                                dtype=np.int64 if name == "dataset_size" else float)
+                  for name in self._FIELDS]
+        n = arrays[0].size
+        if n == 0 or any(arr.shape != (n,) for arr in arrays):
+            raise ValidationError("Population: needs at least one user and one entry "
+                                  "per user in every field")
+
+    @property
+    def n_users(self) -> int:
+        return self.dataset_size.size
+
+    @classmethod
+    def from_users(cls, users) -> "Population":
+        for position, user in enumerate(users):
+            if user.id != position:
+                raise ValidationError(
+                    f"users[{position}] has id {user.id}; ids must equal positions"
+                )
+        return cls(**{name: [getattr(u, name) for u in users] for name in cls._FIELDS})
 
 
 @dataclass(frozen=True)

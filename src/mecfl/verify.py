@@ -21,10 +21,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import costs
-from .link import base_rate
+from .costs import base_rate
 from .oracle import bisect_root, finite_diff, grid_minimize, simplex_minimize_maxtime
 from .optimizer import solve_delta, solve_gamma, solve_uplink
-from .types import AllocationState, ModelState, SystemConfig, UserProfile
+from .types import AllocationState, ModelState, Population, SystemConfig, UserProfile
 
 GRID_POINTS = 10**6          # gamma oracle resolution: one step is 1e-6
 DELTA_MATCH_TOL = 1e-8
@@ -106,7 +106,8 @@ def check_gamma_closed_form(n_instances: int = 200, seed: int = 11,
     interior = 0
     for _ in range(n_instances):
         user, alloc, model, cfg, transmission = random_gamma_instance(rng)
-        solved, exhausted = solve_gamma(user, alloc, model, cfg)
+        pop = Population.from_users([user])
+        (solved,), (exhausted,) = solve_gamma(pop, alloc, model, cfg)
         if exhausted:
             return CheckResult("gamma-closed-form", False, "unexpected exhausted budget")
         data = (1.0 - alloc.delta[0]) * costs.dataset_bytes(user, cfg)
@@ -123,7 +124,7 @@ def check_gamma_closed_form(n_instances: int = 200, seed: int = 11,
         worst_gap = max(worst_gap, abs(solved - grid_best))
         if 0.0 < solved < 1.0:
             interior += 1
-            spent = costs.total_energy(user, replace(alloc, gamma=[solved]), model, cfg)
+            (spent,) = costs.total_energy(pop, replace(alloc, gamma=[solved]), model, cfg)
             worst_energy = max(worst_energy,
                                abs(spent - user.energy_budget) / user.energy_budget)
     passed = worst_gap <= step + 1e-12 and worst_energy <= ENERGY_RTOL and interior > 0
@@ -159,14 +160,16 @@ def check_delta_closed_form(n_instances: int = 200, seed: int = 23) -> CheckResu
     interior = 0
     for _ in range(n_instances):
         users, alloc, model, cfg = random_delta_instance(rng)
-        solved = solve_delta(target, users, alloc, model, cfg)
+        pop = Population.from_users(users)
+        others = np.delete(alloc.delta * costs.dataset_bytes(pop, cfg), target).sum()
+        solved = solve_delta(users[target], alloc, model, cfg, others)
 
-        def imbalance(d, users=users, alloc=alloc, model=model, cfg=cfg):
+        def imbalance(d, pop=pop, alloc=alloc, model=model, cfg=cfg):
             delta = alloc.delta.copy()
             delta[target] = d
             state = replace(alloc, delta=delta)
-            return (costs.local_time(users[target], state, model, cfg)
-                    - costs.edge_time_user(target, users, state, cfg))
+            return (costs.local_time(pop, state, model, cfg)
+                    - costs.edge_time_user(pop, state, cfg))[target]
 
         lo, hi = imbalance(0.0), imbalance(1.0)
         if lo < 0.0:
@@ -184,8 +187,8 @@ def check_delta_closed_form(n_instances: int = 200, seed: int = 23) -> CheckResu
         if 0.0 < solved < 1.0:
             interior += 1
             state = replace(alloc, delta=np.where(np.arange(3) == target, solved, alloc.delta))
-            t_loc = costs.local_time(users[target], state, model, cfg)
-            t_edge = costs.edge_time_user(target, users, state, cfg)
+            t_loc = costs.local_time(pop, state, model, cfg)[target]
+            t_edge = costs.edge_time_user(pop, state, cfg)[target]
             worst_balance = max(worst_balance,
                                 abs(t_loc - t_edge) / max(t_loc, t_edge))
     passed = (worst_gap <= DELTA_MATCH_TOL and worst_balance <= BALANCE_RTOL
@@ -231,8 +234,9 @@ def check_uplink_closed_form(n_instances: int = 50, seed: int = 37,
     worst_gap = worst_sum = 0.0
     for _ in range(n_instances):
         users, alloc, model, cfg = random_uplink_instance(rng)
-        closed_off, closed_up = solve_uplink(users, alloc, model, cfg)
-        oracle_off, oracle_up = simplex_minimize_maxtime(users, alloc, model, cfg, resolution)
+        pop = Population.from_users(users)
+        closed_off, closed_up = solve_uplink(pop, alloc, model, cfg)
+        oracle_off, oracle_up = simplex_minimize_maxtime(pop, alloc, model, cfg, resolution)
         worst_gap = max(
             worst_gap,
             float(np.abs(closed_off - oracle_off).max()),
@@ -289,13 +293,11 @@ def check_curvature_and_monotonicity(points_per_pair: int = 1000, seed: int = 41
         for _ in range(points_per_pair):
             user, alloc, model, cfg = _curvature_instance(rng)
             reference = _analytic_first_derivatives(user, alloc, model, cfg)[(quantity, variable)]
+            cost = costs.total_energy if quantity == "energy" else costs.local_time
 
-            def evaluate(x, variable=variable, quantity=quantity,
-                         user=user, alloc=alloc, model=model, cfg=cfg):
-                state = replace(alloc, **{variable: [x]})
-                if quantity == "energy":
-                    return costs.total_energy(user, state, model, cfg)
-                return costs.local_time(user, state, model, cfg)
+            def evaluate(x, variable=variable, cost=cost, pop=Population.from_users([user]),
+                         alloc=alloc, model=model, cfg=cfg):
+                return cost(pop, replace(alloc, **{variable: [x]}), model, cfg)[0]
 
             x0 = float(getattr(alloc, variable)[0])
             fd1 = finite_diff(evaluate, x0, 1, FD_STEP_FIRST)

@@ -123,15 +123,13 @@ def test_channel_gain_range_override():
     assert all(1e-7 <= u.channel_gain <= 2e-7 for u in users)
 
 
-def test_representative_users_and_tags():
+def test_representative_users():
     spec = desk_spec(seed=0, user_count=20)
     users, _ = io.synthesize_users(spec)
     center, edge = io.representative_users(users)
     gains = [u.channel_gain for u in users]
     assert users[center].channel_gain == max(gains)
     assert users[edge].channel_gain == min(gains)
-    tags = io.cell_tags(users)
-    assert tags[center] == "center" and tags[edge] == "edge"
 
 
 # ---------------------------------------------------------------- config
@@ -207,7 +205,7 @@ def test_offload_sweep_full_delta_has_no_local_training_time():
     user = users[center]
     # at delta=1 the local path is the weight upload alone (uniform shares)
     from mecfl.costs import transmit_time
-    from mecfl.link import base_rate
+    from mecfl.costs import base_rate
     dim = weight_dim(spec.n_features, spec.n_classes)
     upload = transmit_time(cfg.bytes_per_weight_element * dim, 1.0 / len(users),
                            base_rate(user, cfg))

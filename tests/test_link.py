@@ -1,12 +1,13 @@
+"""Uplink rate model: the spectral base rate R = bandwidth * log2(1 + p*g/n0)."""
+
 import mpmath
 import numpy as np
 import pytest
 
-from mecfl.errors import ValidationError
-from mecfl.link import LinkRates, base_rate, link_rates, offload_rate, upload_rate
-from mecfl.types import AllocationState, SystemConfig
+from mecfl.costs import base_rate
+from mecfl.types import Population, SystemConfig
 
-from helpers import make_alloc, make_user
+from helpers import make_user
 
 
 def cfg_with(noise=1e-9):
@@ -31,36 +32,6 @@ def test_base_rate_against_high_precision_reference():
     assert base_rate(user, cfg_with()) == pytest.approx(expected, rel=1e-14)
 
 
-def test_offload_rate_zero_share():
-    user = make_user(power=0.2, gain=5e-9, uid=0)
-    alloc = make_alloc(1, offload=[0.0], upload=[0.5])
-    assert offload_rate(user, alloc, cfg_with()) == 0.0
-
-
-def test_offload_rate_full_share():
-    user = make_user(power=0.2, gain=5e-9)
-    alloc = make_alloc(1, offload=[1.0], upload=[0.0])
-    assert offload_rate(user, alloc, cfg_with()) == pytest.approx(20e6)
-
-
-def test_offload_rate_linear_scaling():
-    user = make_user(power=0.2, gain=15e-9)  # R = 40e6
-    alloc = make_alloc(1, offload=[0.25], upload=[0.5])
-    assert offload_rate(user, alloc, cfg_with()) == pytest.approx(1e7)
-
-
-def test_upload_rate_uniform_fifty_users():
-    users = [make_user(uid=i, power=0.2, gain=5e-9) for i in range(50)]
-    alloc = AllocationState.uniform(50)
-    assert upload_rate(users[13], alloc, cfg_with()) == pytest.approx(4e5)
-
-
-def test_upload_rate_half_share():
-    user = make_user(power=0.2, gain=5e-9)
-    alloc = make_alloc(1, offload=[0.5], upload=[0.5])
-    assert upload_rate(user, alloc, cfg_with()) == pytest.approx(1e7)
-
-
 def test_base_rate_monotone_in_gain():
     rng = np.random.default_rng(3)
     cfg = cfg_with()
@@ -68,28 +39,7 @@ def test_base_rate_monotone_in_gain():
         g_lo, g_hi = sorted(rng.uniform(1e-9, 1e-5, 2))
         if g_lo == g_hi:
             continue
-        lo = base_rate(make_user(gain=g_lo), cfg)
-        hi = base_rate(make_user(gain=g_hi), cfg)
+        lo, hi = base_rate(Population.from_users([make_user(uid=0, gain=g_lo),
+                                                  make_user(uid=1, gain=g_hi)]), cfg)
         assert hi > lo
-
-
-def test_offload_rate_linearity_property():
-    rng = np.random.default_rng(4)
-    cfg = cfg_with()
-    for _ in range(50):
-        share = rng.uniform(0.01, 0.5)
-        user = make_user(gain=rng.uniform(1e-9, 1e-6))
-        single = offload_rate(user, make_alloc(1, offload=[share], upload=[0.5]), cfg)
-        double = offload_rate(user, make_alloc(1, offload=[2 * share], upload=[0.5]), cfg)
-        assert double == pytest.approx(2 * single, rel=1e-12)
-
-
-def test_link_rates_bundle_and_invariants():
-    user = make_user(power=0.2, gain=5e-9)
-    rates = link_rates(user, make_alloc(1, offload=[0.25], upload=[0.5]), cfg_with())
-    assert rates.offload_rate == pytest.approx(5e6)
-    assert rates.upload_rate == pytest.approx(10e6)
-    with pytest.raises(ValidationError):
-        LinkRates(base_rate=1e6, offload_rate=2e6, upload_rate=0.0)
-    with pytest.raises(ValidationError):
-        LinkRates(base_rate=0.0, offload_rate=0.0, upload_rate=0.0)
+        assert base_rate(make_user(gain=g_hi), cfg) == hi

@@ -3,8 +3,8 @@ import pytest
 from dataclasses import replace
 
 from mecfl import costs
+from mecfl.costs import base_rate
 from mecfl.errors import AllZeroWeights, DegenerateDivisor, ValidationError
-from mecfl.link import base_rate
 from mecfl.optimizer import (
     LAMBDA_MIN,
     solve_delta,
@@ -12,22 +12,22 @@ from mecfl.optimizer import (
     solve_uplink,
     update_multipliers,
 )
-from mecfl.types import SystemConfig
+from mecfl.types import Population, SystemConfig
 
 from helpers import make_alloc, make_model, make_user
 
 
-def gamma_instance(target, delta=0.4):
+def gamma_instance(target, delta=0.4, share=0.4):
     """Budget placed so the unclamped CPU fraction equals ``target``."""
     cfg = SystemConfig()
     user = make_user(samples=500)
-    alloc = make_alloc(1, delta=delta, gamma=0.3, offload=[0.4], upload=[0.4])
+    alloc = make_alloc(1, delta=delta, gamma=0.3, offload=[share], upload=[share])
     model = make_model([user], dim=200)
     rate = base_rate(user, cfg)
     data = costs.dataset_bytes(user, cfg)
     transmission = (
-        costs.transmit_energy(user.transmit_power, delta * data, 0.4, rate)
-        + costs.transmit_energy(user.transmit_power, costs.weights_bytes(model, cfg), 0.4, rate)
+        costs.transmit_energy(user.transmit_power, delta * data, share, rate)
+        + costs.transmit_energy(user.transmit_power, costs.weights_bytes(model, cfg), share, rate)
     )
     compute = costs.training_energy(cfg.chip_capacitance, (1 - delta) * data,
                                     cfg.cycles_per_byte, target, user.cpu_hz)
@@ -35,41 +35,54 @@ def gamma_instance(target, delta=0.4):
     return user, alloc, model, cfg
 
 
+def gamma_of(user, alloc, model, cfg):
+    """solve_gamma on a one-user population, as plain (gamma, exhausted)."""
+    (gamma,), (exhausted,) = solve_gamma(Population.from_users([user]), alloc, model, cfg)
+    return gamma, exhausted
+
+
+def delta_of(index, users, alloc, model, cfg):
+    """solve_delta for one user, the others' offloaded bytes summed here."""
+    others = sum(alloc.delta[u.id] * costs.dataset_bytes(u, cfg) for u in users if u.id != index)
+    return solve_delta(users[index], alloc, model, cfg, others)
+
+
 def test_gamma_zero_remaining_budget():
     user, alloc, model, cfg = gamma_instance(target=0.0)
-    assert solve_gamma(user, alloc, model, cfg) == (0.0, False)
+    assert gamma_of(user, alloc, model, cfg) == (0.0, False)
 
 
 def test_gamma_clamps_at_one():
     user, alloc, model, cfg = gamma_instance(target=2.0)
-    assert solve_gamma(user, alloc, model, cfg) == (1.0, False)
+    assert gamma_of(user, alloc, model, cfg) == (1.0, False)
 
 
 def test_gamma_budget_exhausted_flag():
     user, alloc, model, cfg = gamma_instance(target=0.5)
     user = replace(user, energy_budget=user.energy_budget * 0.1)
-    gamma, exhausted = solve_gamma(user, alloc, model, cfg)
+    gamma, exhausted = gamma_of(user, alloc, model, cfg)
     assert gamma == 0.0 and exhausted
 
 
 def test_gamma_interior_recovers_target_and_saturates_budget():
     user, alloc, model, cfg = gamma_instance(target=0.7)
-    gamma, exhausted = solve_gamma(user, alloc, model, cfg)
+    gamma, exhausted = gamma_of(user, alloc, model, cfg)
     assert not exhausted
     assert gamma == pytest.approx(0.7, rel=1e-12)
-    spent = costs.total_energy(user, replace(alloc, gamma=np.array([gamma])), model, cfg)
+    (spent,) = costs.total_energy(Population.from_users([user]),
+                                  replace(alloc, gamma=np.array([gamma])), model, cfg)
     assert spent == pytest.approx(user.energy_budget, rel=1e-12)
 
 
 def test_gamma_full_offload_is_zero():
     user, alloc, model, cfg = gamma_instance(target=0.7, delta=0.4)
-    assert solve_gamma(user, replace(alloc, delta=np.array([1.0])), model, cfg) == (0.0, False)
+    assert gamma_of(user, replace(alloc, delta=np.array([1.0])), model, cfg) == (0.0, False)
 
 
 def test_gamma_requires_positive_shares():
     user, alloc, model, cfg = gamma_instance(target=0.5)
     with pytest.raises(DegenerateDivisor):
-        solve_gamma(user, replace(alloc, uplink_offload=np.array([0.0])), model, cfg)
+        gamma_of(user, replace(alloc, uplink_offload=np.array([0.0])), model, cfg)
 
 
 def test_delta_limit_all_remote_costs_vanish():
@@ -79,7 +92,7 @@ def test_delta_limit_all_remote_costs_vanish():
     user = make_user(gain=1e-2, samples=1, cpu=1e8)
     alloc = make_alloc(1, delta=0.3, gamma=1.0, offload=[0.5], upload=[0.5])
     model = make_model([user], dim=10000)
-    assert solve_delta(0, [user], alloc, model, cfg) == 1.0
+    assert delta_of(0, [user], alloc, model, cfg) == 1.0
 
 
 def test_delta_clamps_at_zero_when_edge_is_overloaded():
@@ -87,7 +100,7 @@ def test_delta_clamps_at_zero_when_edge_is_overloaded():
     users = [make_user(uid=0, samples=100), make_user(uid=1, samples=100000)]
     alloc = make_alloc(2, delta=[0.5, 1.0], gamma=1.0, offload=[0.4, 0.4], upload=[0.4, 0.4])
     model = make_model(users, dim=100)
-    assert solve_delta(0, users, alloc, model, cfg) == 0.0
+    assert delta_of(0, users, alloc, model, cfg) == 0.0
 
 
 def test_delta_interior_balances_times():
@@ -100,12 +113,13 @@ def test_delta_interior_balances_times():
                            offload=rng.dirichlet(np.ones(2)) * 0.9,
                            upload=rng.dirichlet(np.ones(2)) * 0.9)
         model = make_model(users, dim=int(rng.integers(100, 2000)))
-        star = solve_delta(0, users, alloc, model, cfg)
+        star = delta_of(0, users, alloc, model, cfg)
         if not 0.0 < star < 1.0:
             continue
         state = replace(alloc, delta=np.array([star, alloc.delta[1]]))
-        t_local = costs.local_time(users[0], state, model, cfg)
-        t_edge = costs.edge_time_user(0, users, state, cfg)
+        pop = Population.from_users(users)
+        t_local = costs.local_time(pop, state, model, cfg)[0]
+        t_edge = costs.edge_time_user(pop, state, cfg)[0]
         assert abs(t_local - t_edge) <= 1e-6 * max(t_local, t_edge)
 
 
@@ -114,9 +128,9 @@ def test_delta_requires_positive_allocations():
     user = make_user()
     model = make_model([user], dim=10)
     with pytest.raises(DegenerateDivisor):
-        solve_delta(0, [user], make_alloc(1, gamma=0.0), model, cfg)
+        delta_of(0, [user], make_alloc(1, gamma=0.0), model, cfg)
     with pytest.raises(DegenerateDivisor):
-        solve_delta(0, [user], make_alloc(1, offload=[0.0]), model, cfg)
+        delta_of(0, [user], make_alloc(1, offload=[0.0]), model, cfg)
 
 
 def test_uplink_symmetric_users_split_evenly():
@@ -124,7 +138,7 @@ def test_uplink_symmetric_users_split_evenly():
     users = [make_user(uid=i) for i in range(4)]
     alloc = make_alloc(4, delta=0.5, gamma=0.5)
     model = make_model(users, dim=100)
-    offload, upload = solve_uplink(users, alloc, model, cfg)
+    offload, upload = solve_uplink(Population.from_users(users), alloc, model, cfg)
     assert np.allclose(offload, 0.25, rtol=0, atol=1e-15)
     assert np.allclose(upload, 0.25, rtol=0, atol=1e-15)
 
@@ -135,7 +149,7 @@ def test_uplink_square_root_proportionality():
     users = [make_user(uid=0), make_user(uid=1)]
     alloc = make_alloc(2, delta=0.5, gamma=0.5, lam_offload=[0.8, 0.2])
     model = make_model(users, dim=100)
-    offload, _ = solve_uplink(users, alloc, model, cfg)
+    offload, _ = solve_uplink(Population.from_users(users), alloc, model, cfg)
     assert offload[0] == pytest.approx(2.0 / 3.0, rel=1e-12)
     assert offload[1] == pytest.approx(1.0 / 3.0, rel=1e-12)
 
@@ -145,7 +159,7 @@ def test_uplink_zero_delta_user_is_excluded():
     users = [make_user(uid=i) for i in range(3)]
     alloc = make_alloc(3, delta=[0.0, 0.5, 0.5], gamma=0.5)
     model = make_model(users, dim=100)
-    offload, upload = solve_uplink(users, alloc, model, cfg)
+    offload, upload = solve_uplink(Population.from_users(users), alloc, model, cfg)
     assert offload[0] == 0.0
     assert offload[1] == pytest.approx(0.5) and offload[2] == pytest.approx(0.5)
     assert upload.sum() == pytest.approx(1.0, abs=1e-12)
@@ -162,7 +176,7 @@ def test_uplink_simplex_sums_are_exact():
                            lam_offload=rng.uniform(0.05, 0.95, n),
                            lam_local=rng.uniform(0.05, 0.95, n))
         model = make_model(users, dim=100)
-        offload, upload = solve_uplink(users, alloc, model, cfg)
+        offload, upload = solve_uplink(Population.from_users(users), alloc, model, cfg)
         assert abs(offload.sum() - 1.0) <= 1e-12
         assert abs(upload.sum() - 1.0) <= 1e-12
 
@@ -175,8 +189,9 @@ def test_uplink_scale_invariance():
                       lam_offload=[0.1, 0.3, 0.6], lam_local=[0.2, 0.2, 0.6])
     scaled = replace(base, lambda_offload=base.lambda_offload * 37.0,
                      lambda_local=base.lambda_local * 37.0)
-    off_a, up_a = solve_uplink(users, base, model, cfg)
-    off_b, up_b = solve_uplink(users, scaled, model, cfg)
+    pop = Population.from_users(users)
+    off_a, up_a = solve_uplink(pop, base, model, cfg)
+    off_b, up_b = solve_uplink(pop, scaled, model, cfg)
     assert np.allclose(off_a, off_b, rtol=1e-14)
     assert np.allclose(up_a, up_b, rtol=1e-14)
 
@@ -187,7 +202,7 @@ def test_uplink_all_zero_offload_weights():
     alloc = make_alloc(2, delta=0.0, gamma=0.5)
     model = make_model(users, dim=100)
     with pytest.raises(AllZeroWeights):
-        solve_uplink(users, alloc, model, cfg)
+        solve_uplink(Population.from_users(users), alloc, model, cfg)
 
 
 def test_uplink_rejects_nonpositive_multipliers():
@@ -196,7 +211,7 @@ def test_uplink_rejects_nonpositive_multipliers():
     alloc = make_alloc(2, delta=0.5, gamma=0.5, lam_offload=[0.0, 1.0])
     model = make_model(users, dim=100)
     with pytest.raises(ValidationError):
-        solve_uplink(users, alloc, model, cfg)
+        solve_uplink(Population.from_users(users), alloc, model, cfg)
 
 
 def test_multipliers_unchanged_when_budget_is_met():
@@ -216,3 +231,26 @@ def test_multipliers_clamp_near_one():
     lam_off, lam_up = update_multipliers(3.0, 2.0, 0.99, cfg)
     assert lam_off == 1.0 - LAMBDA_MIN
     assert lam_up == pytest.approx(LAMBDA_MIN, rel=1e-12)
+
+
+def test_gamma_population_matches_one_user_answers():
+    # interior, clamped at 1, exhausted budget and full offload in one call
+    cases = [gamma_instance(target, share=0.25) for target in (0.7, 2.0, 0.5, 0.3)]
+    users = [replace(user, id=i) for i, (user, *_) in enumerate(cases)]
+    users[2] = replace(users[2], energy_budget=users[2].energy_budget * 0.1)
+    _, _, model, cfg = cases[0]
+    alloc = make_alloc(4, delta=[0.4, 0.4, 0.4, 1.0], gamma=0.3)
+    gamma, exhausted = solve_gamma(Population.from_users(users), alloc, model, cfg)
+    for i, user in enumerate(users):
+        alone = make_alloc(1, delta=alloc.delta[i], gamma=0.3, offload=[0.25], upload=[0.25])
+        assert (gamma[i], exhausted[i]) == gamma_of(replace(user, id=0), alone, model, cfg)
+    assert gamma.tolist() == [pytest.approx(0.7, rel=1e-12), 1.0, 0.0, 0.0]
+    assert exhausted.tolist() == [False, False, True, False]
+
+
+def test_multipliers_update_every_user_at_once():
+    cfg = SystemConfig()
+    lam_off, lam_up = update_multipliers(np.array([1.0, 3.0, 3.0]), np.array([2.0, 2.0, 2.0]),
+                                         np.array([0.5, 0.5, 0.99]), cfg)
+    assert lam_off == pytest.approx([0.5, 0.55, 1.0 - LAMBDA_MIN], rel=1e-12)
+    assert np.array_equal(lam_up, 1.0 - lam_off)

@@ -8,12 +8,16 @@ from mecfl.errors import (
     NoSignChange,
     ValidationError,
 )
-from mecfl.link import base_rate
+from mecfl.costs import base_rate
 from mecfl.oracle import bisect_root, finite_diff, grid_minimize, simplex_minimize_maxtime
-from mecfl.types import SystemConfig
+from mecfl.types import Population, SystemConfig
 from dataclasses import replace
 
 from helpers import make_alloc, make_model, make_user
+
+
+def pop_of(users):
+    return Population.from_users(users)
 
 
 def test_grid_finds_quadratic_vertex():
@@ -85,7 +89,8 @@ def test_energy_curvature_in_offload_share_matches_analytic_expression():
     alloc = make_alloc(1, delta=0.6, gamma=0.5, offload=[share], upload=[0.4])
 
     def energy(x):
-        return costs.total_energy(user, replace(alloc, uplink_offload=[x]), model, cfg)
+        state = replace(alloc, uplink_offload=[x])
+        return costs.total_energy(Population.from_users([user]), state, model, cfg)[0]
 
     fd2 = finite_diff(energy, share, 2, 1e-4)
     analytic = (2.0 * user.transmit_power * 8.0 * 0.6 * costs.dataset_bytes(user, cfg)
@@ -99,7 +104,7 @@ def test_simplex_symmetric_two_users_split_evenly():
     users = [make_user(uid=0), make_user(uid=1)]
     alloc = make_alloc(2, delta=0.5, gamma=0.5)
     model = make_model(users, dim=100)
-    offload, upload = simplex_minimize_maxtime(users, alloc, model, cfg, 1e-2)
+    offload, upload = simplex_minimize_maxtime(pop_of(users), alloc, model, cfg, 1e-2)
     assert np.allclose(offload, [0.5, 0.5])
     assert np.allclose(upload, [0.5, 0.5])
 
@@ -110,7 +115,7 @@ def test_simplex_asymmetric_load_gets_proportional_share():
     users = [make_user(uid=0, samples=2000), make_user(uid=1, samples=1000)]
     alloc = make_alloc(2, delta=0.5, gamma=0.5)
     model = make_model(users, dim=100)
-    offload, _ = simplex_minimize_maxtime(users, alloc, model, cfg, 1e-3)
+    offload, _ = simplex_minimize_maxtime(pop_of(users), alloc, model, cfg, 1e-3)
     assert offload[0] == pytest.approx(2.0 / 3.0, abs=1e-3)
     assert offload[1] == pytest.approx(1.0 / 3.0, abs=1e-3)
 
@@ -120,7 +125,7 @@ def test_simplex_three_users_supported():
     users = [make_user(uid=i) for i in range(3)]
     alloc = make_alloc(3, delta=0.5, gamma=0.5)
     model = make_model(users, dim=100)
-    offload, upload = simplex_minimize_maxtime(users, alloc, model, cfg, 5e-2)
+    offload, upload = simplex_minimize_maxtime(pop_of(users), alloc, model, cfg, 5e-2)
     assert offload.sum() == pytest.approx(1.0)
     assert upload.sum() == pytest.approx(1.0)
 
@@ -131,4 +136,4 @@ def test_simplex_guards_against_large_instances():
     alloc = make_alloc(4, delta=0.5, gamma=0.5)
     model = make_model(users, dim=100)
     with pytest.raises(InstanceTooLarge):
-        simplex_minimize_maxtime(users, alloc, model, cfg, 1e-2)
+        simplex_minimize_maxtime(pop_of(users), alloc, model, cfg, 1e-2)

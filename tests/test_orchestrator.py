@@ -3,12 +3,17 @@ import pytest
 from dataclasses import replace
 
 from mecfl import costs, io
+from mecfl.costs import base_rate
 from mecfl.errors import SimulationError, ValidationError
-from mecfl.link import base_rate
-from mecfl.orchestrator import run_centralized, run_proposed, run_traditional
-from mecfl.types import validate_allocation
+from mecfl.orchestrator import (
+    _best_response_sweep,
+    run_centralized,
+    run_proposed,
+    run_traditional,
+)
+from mecfl.types import Population, SystemConfig, validate_allocation
 
-from helpers import desk_spec
+from helpers import desk_spec, make_alloc, make_model, make_user
 
 
 def tiny_population(seed=0, **overrides):
@@ -160,3 +165,31 @@ def test_population_validation():
     with pytest.raises(ValidationError):
         run_proposed(list(reversed(users)), list(reversed(datasets)), cfg, 2,
                      test_dataset=test)
+
+
+def sweep_instance():
+    """Six users: four interior, user 2 without offload bandwidth, user 3 out of budget."""
+    cfg = SystemConfig()
+    gains = [1e-6, 3e-7, 2e-6, 5e-7, 1e-6, 8e-7]
+    budgets = [50.0, 50.0, 50.0, 1e-9, 50.0, 50.0]
+    users = [make_user(uid=i, gain=g, budget=b, samples=500 + 100 * i)
+             for i, (g, b) in enumerate(zip(gains, budgets))]
+    alloc = make_alloc(6, delta=[0.9, 0.8, 0.0, 0.5, 0.9, 0.7], gamma=0.5,
+                       offload=[0.2, 0.2, 0.0, 0.2, 0.2, 0.2], upload=np.full(6, 1 / 6))
+    return users, alloc, make_model(users, dim=100), cfg
+
+
+def test_sweep_is_sequential_in_user_id_order():
+    users, alloc, model, cfg = sweep_instance()
+    pop = Population.from_users(users)
+    new = _best_response_sweep(users, pop, alloc, model, cfg, None)
+    assert new.delta[2] == 0.0
+    assert new.gamma[3] == 0.0 and new.delta[3] == 1.0
+    t_local = costs.local_time(pop, new, model, cfg)
+    for i in (0, 1, 4, 5):
+        assert 0.0 < new.delta[i] < 1.0
+        # user i answered the fresh offload fractions of lower ids and the
+        # previous ones of higher ids
+        seen = np.where(np.arange(6) <= i, new.delta, alloc.delta)
+        t_edge = costs.edge_time_user(pop, replace(new, delta=seen), cfg)
+        assert t_local[i] == pytest.approx(t_edge[i], rel=1e-9)

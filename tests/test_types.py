@@ -143,3 +143,36 @@ def test_round_metrics_rejects_negative_time():
     with pytest.raises(ValidationError):
         RoundMetrics(t_local=[-1.0], t_edge=0.0, t_total=0.0, e_total=[0.0],
                      train_loss=0.0, test_loss=0.0, weighted_score=0.0)
+
+
+FEASIBLE_TWO_USERS = dict(delta=[0.5, 0.5], gamma=[0.5, 0.5],
+                          uplink_offload=[0.5, 0.5], uplink_weight=[0.3, 0.3],
+                          lambda_offload=[0.5, 0.5], lambda_local=[0.5, 0.5])
+
+
+@pytest.mark.parametrize("overrides, error, field, index", [
+    # non-finite beats an out-of-range entry in an earlier field
+    (dict(delta=[1.5, 0.5], lambda_local=[0.5, float("nan")]),
+     ValidationError, "lambda_local", 1),
+    # out of range beats an oversized share sum
+    (dict(gamma=[0.5, -0.2], uplink_offload=[0.8, 0.8]), OutOfRange, "gamma", 1),
+    # the first field in field order wins, whatever the user index
+    (dict(delta=[0.5, 1.2], gamma=[-0.5, 0.5]), OutOfRange, "delta", 1),
+    (dict(uplink_weight=[0.3, 1.5], lambda_offload=[-1.0, 0.5]),
+     OutOfRange, "uplink_weight", 1),
+    # within one field the lowest user index wins
+    (dict(gamma=[2.0, 3.0]), OutOfRange, "gamma", 0),
+    # both share sums too large: the offload simplex is reported
+    (dict(uplink_offload=[0.6, 0.6], uplink_weight=[0.9, 0.9]),
+     SumExceedsOne, "uplink_offload", None),
+])
+def test_validation_precedence_when_violations_co_occur(overrides, error, field, index):
+    with pytest.raises(ValidationError) as excinfo:
+        AllocationState(**{**FEASIBLE_TWO_USERS, **overrides})
+    assert type(excinfo.value) is error
+    if error is OutOfRange:
+        assert (excinfo.value.field, excinfo.value.index) == (field, index)
+    elif error is SumExceedsOne:
+        assert excinfo.value.simplex == field
+    else:
+        assert f"{field}[{index}] is not finite" in str(excinfo.value)
