@@ -43,7 +43,6 @@ from .costs import (
 )
 from .learning import (
     Dataset,
-    SplitDataset,
     accuracy,
     aggregate,
     evaluate_loss,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import ast
 import csv
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field, fields, replace
@@ -175,27 +176,37 @@ def _read_exact(handle, count: int, path: str) -> bytes:
     return data
 
 
+def _read_idx(path: str, magic: int) -> np.ndarray:
+    """One IDX array of unsigned bytes; the magic's low byte is its dimension count."""
+    n_dims = magic & 0xFF
+    with open(path, "rb") as handle:
+        found, *shape = struct.unpack(f">{1 + n_dims}I", _read_exact(handle, 4 + 4 * n_dims, path))
+        if found != magic:
+            raise BadMagic(f"{path}: magic {found:#010x}, expected {magic:#010x}")
+        raw = _read_exact(handle, math.prod(shape), path)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(shape)
+
+
+def _read_idx_pair(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray]:
+    images = _read_idx(images_path, _IDX_IMAGES_MAGIC)
+    labels = _read_idx(labels_path, _IDX_LABELS_MAGIC).astype(np.int64)
+    if len(images) != len(labels):
+        raise CountMismatch(f"{len(images)} images but {len(labels)} labels")
+    return images.reshape(len(images), -1) / 255.0, labels
+
+
+def _idx_class_count(labels: np.ndarray) -> int:
+    return max(int(labels.max()) + 1, 2)
+
+
 def load_idx(images_path: str, labels_path: str) -> Dataset:
     """Load an IDX image/label file pair (big-endian, standard headers).
 
     Pixels are scaled to [0, 1] by dividing by 255 and flattened to one
-    row per image.
+    row per image. The class count is one more than the largest label.
     """
-    with open(images_path, "rb") as handle:
-        magic, count, rows, cols = struct.unpack(">IIII", _read_exact(handle, 16, images_path))
-        if magic != _IDX_IMAGES_MAGIC:
-            raise BadMagic(f"{images_path}: magic {magic:#010x}, expected {_IDX_IMAGES_MAGIC:#010x}")
-        pixels = _read_exact(handle, count * rows * cols, images_path)
-    with open(labels_path, "rb") as handle:
-        magic, label_count = struct.unpack(">II", _read_exact(handle, 8, labels_path))
-        if magic != _IDX_LABELS_MAGIC:
-            raise BadMagic(f"{labels_path}: magic {magic:#010x}, expected {_IDX_LABELS_MAGIC:#010x}")
-        raw_labels = _read_exact(handle, label_count, labels_path)
-    if count != label_count:
-        raise CountMismatch(f"{count} images but {label_count} labels")
-    features = np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows * cols) / 255.0
-    labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
-    return Dataset(features, labels, n_classes=max(int(labels.max()) + 1, 2))
+    features, labels = _read_idx_pair(images_path, labels_path)
+    return Dataset(features, labels, n_classes=_idx_class_count(labels))
 
 
 def synthesize_dataset(n_samples: int, n_features: int, n_classes: int, seed: int,
@@ -270,9 +281,13 @@ def synthesize_users(spec: ExperimentSpec) -> tuple[list[UserProfile], list[Data
 
 def load_test_dataset(spec: ExperimentSpec) -> Dataset:
     if spec.data_source == "idx":
-        if not (spec.idx_test_images and spec.idx_test_labels):
-            raise ValidationError("data_source 'idx' needs idx_test_images and idx_test_labels")
-        return load_idx(spec.idx_test_images, spec.idx_test_labels)
+        if not (spec.idx_test_images and spec.idx_test_labels and spec.idx_labels):
+            raise ValidationError("data_source 'idx' needs idx_test_images, idx_test_labels "
+                                  "and idx_labels paths")
+        # The test set shares the training classes, even where it lacks the top one.
+        features, labels = _read_idx_pair(spec.idx_test_images, spec.idx_test_labels)
+        n_classes = _idx_class_count(_read_idx(spec.idx_labels, _IDX_LABELS_MAGIC))
+        return Dataset(features, labels, n_classes)
     return synthesize_dataset(spec.test_samples, spec.n_features, spec.n_classes,
                               spec.seed + 0x7E57, spec.class_separation)
 

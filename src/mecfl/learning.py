@@ -4,6 +4,10 @@ The model keeps one weight row per class, each row holding the feature
 weights plus a trailing bias, flattened into a single vector of length
 ``(n_features + 1) * n_classes``. The loss is the mean over samples of the
 squared error between the per-class sigmoid outputs and the one-hot target.
+
+A :class:`Dataset` is validated once, where data enters the program (the
+``io`` loaders and synthesizers, or a public caller). SGD then works on its
+raw feature and label rows and builds no ``Dataset`` per mini-batch.
 """
 
 from __future__ import annotations
@@ -58,34 +62,24 @@ class Dataset:
         return Dataset(self.features[indices], self.labels[indices], self.n_classes)
 
 
-@dataclass(frozen=True)
-class SplitDataset:
-    """A dataset partitioned into a kept (local) part and an offloaded part."""
-
-    local_part: Dataset
-    offload_part: Dataset
-
-
 def weight_dim(n_features: int, n_classes: int) -> int:
     """Flattened weight length: one bias-augmented row per class."""
     return (n_features + 1) * n_classes
 
 
-def split_dataset(d: Dataset, delta: float, seed: int) -> SplitDataset:
-    """Uniform random partition: round(delta * n) samples go to the edge.
+def split_dataset(d: Dataset, delta: float, seed: int) -> tuple[Dataset, Dataset]:
+    """Uniform random partition ``(local_part, offload_part)``.
 
-    Ties round half-up; the remainder stays local, so the two parts always
-    partition the input exactly. Deterministic for a fixed seed.
+    round(delta * n) samples go to the edge; ties round half-up and the
+    remainder stays local, so the two parts always partition the input
+    exactly. Deterministic for a fixed seed.
     """
     if not 0.0 <= delta <= 1.0:
         raise ValidationError(f"split_dataset: delta must lie in [0, 1], got {delta}")
     n = d.sample_count
     n_offload = int(math.floor(delta * n + 0.5))
     perm = np.random.default_rng(seed).permutation(n)
-    return SplitDataset(
-        local_part=d.take(perm[n_offload:]),
-        offload_part=d.take(perm[:n_offload]),
-    )
+    return d.take(perm[n_offload:]), d.take(perm[:n_offload])
 
 
 def concat_datasets(parts, n_classes: int, n_features: int) -> Dataset:
@@ -111,20 +105,15 @@ def _scores(w: np.ndarray, features: np.ndarray, n_classes: int) -> np.ndarray:
     return expit(z)
 
 
-def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    out = np.zeros((labels.size, n_classes))
-    out[np.arange(labels.size), labels] = 1.0
-    return out
-
-
-def loss_gradient(w: np.ndarray, d: Dataset) -> np.ndarray:
-    """Gradient of the mean squared sigmoid error over the whole dataset."""
-    if d.sample_count == 0:
+def loss_gradient(w: np.ndarray, features: np.ndarray, labels: np.ndarray,
+                  n_classes: int) -> np.ndarray:
+    """Gradient of the mean squared sigmoid error over the given rows."""
+    if labels.size == 0:
         raise EmptyDataset("loss_gradient: dataset has no samples")
-    probs = _scores(w, d.features, d.n_classes)
-    targets = _one_hot(d.labels, d.n_classes)
-    dz = 2.0 * (probs - targets) * probs * (1.0 - probs) / d.sample_count
-    grad_feat = dz.T @ d.features                     # (classes, features)
+    probs = _scores(w, features, n_classes)
+    targets = np.eye(n_classes)[labels]               # one-hot, (samples, classes)
+    dz = 2.0 * (probs - targets) * probs * (1.0 - probs) / labels.size
+    grad_feat = dz.T @ features                       # (classes, features)
     grad_bias = dz.sum(axis=0)[:, None]               # (classes, 1)
     return np.hstack([grad_feat, grad_bias]).ravel()
 
@@ -134,21 +123,20 @@ def train(w_init: np.ndarray, d: Dataset, epochs: int, lr: float, seed: int,
     """Mini-batch SGD on the squared sigmoid error; deterministic per seed."""
     if d.sample_count == 0:
         raise EmptyDataset("train: dataset has no samples")
-    if lr <= 0:
-        raise ValidationError(f"train: lr must be > 0, got {lr}")
+    if not (lr > 0 and epochs >= 0 and batch_size >= 1):
+        raise ValidationError("train: need lr > 0, epochs >= 0 and batch_size >= 1, got "
+                              f"lr={lr}, epochs={epochs}, batch_size={batch_size}")
     w = np.array(w_init, dtype=float)
-    if w.shape != (weight_dim(d.n_features, d.n_classes),):
-        raise ValidationError(
-            f"train: weight length {w.size} does not match "
-            f"{weight_dim(d.n_features, d.n_classes)}"
-        )
+    dim = weight_dim(d.n_features, d.n_classes)
+    if w.shape != (dim,):
+        raise ValidationError(f"train: weight length {w.size} does not match {dim}")
     rng = np.random.default_rng(seed)
     n = d.sample_count
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
-            batch = d.take(order[start:start + batch_size])
-            w -= lr * loss_gradient(w, batch)
+            rows = order[start:start + batch_size]
+            w -= lr * loss_gradient(w, d.features[rows], d.labels[rows], d.n_classes)
     return w
 
 
@@ -156,19 +144,15 @@ def evaluate_loss(w: np.ndarray, d: Dataset) -> float:
     """Mean over samples of the summed per-class squared sigmoid error."""
     if d.sample_count == 0:
         raise EmptyDataset("evaluate_loss: dataset has no samples")
-    probs = _scores(w, d.features, d.n_classes)
-    targets = _one_hot(d.labels, d.n_classes)
-    return float(np.sum((probs - targets) ** 2) / d.sample_count)
-
-
-def predict(w: np.ndarray, d: Dataset) -> np.ndarray:
-    return np.argmax(_scores(w, d.features, d.n_classes), axis=1)
+    errors = _scores(w, d.features, d.n_classes) - np.eye(d.n_classes)[d.labels]
+    return float(np.sum(errors ** 2) / d.sample_count)
 
 
 def accuracy(w: np.ndarray, d: Dataset) -> float:
     if d.sample_count == 0:
         raise EmptyDataset("accuracy: dataset has no samples")
-    return float(np.mean(predict(w, d) == d.labels))
+    predicted = np.argmax(_scores(w, d.features, d.n_classes), axis=1)
+    return float(np.mean(predicted == d.labels))
 
 
 def aggregate(model: ModelState) -> np.ndarray:

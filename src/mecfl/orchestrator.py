@@ -206,12 +206,13 @@ def _run_one_round(iteration, users, pop, datasets, alloc, model, cfg, rng, adap
     local_sizes = np.empty(n_users, dtype=np.int64)
     offload_parts = []
     for user, data in zip(users, datasets):
-        parts = split_dataset(data, float(alloc.delta[user.id]), int(split_seeds[user.id]))
-        offload_parts.append(parts.offload_part)
-        local_sizes[user.id] = parts.local_part.sample_count
-        if parts.local_part.sample_count:
+        kept, offloaded = split_dataset(data, float(alloc.delta[user.id]),
+                                        int(split_seeds[user.id]))
+        offload_parts.append(offloaded)
+        local_sizes[user.id] = kept.sample_count
+        if kept.sample_count:
             local_weights[user.id] = train(
-                model.global_weights, parts.local_part, cfg.local_epochs,
+                model.global_weights, kept, cfg.local_epochs,
                 cfg.learning_rate, int(train_seeds[user.id]), cfg.batch_size,
             )
         else:

@@ -156,7 +156,7 @@ def test_criterion_10_gradient_check_and_aggregation_weights():
         sample = Dataset(rng.uniform(0, 1, (1, n_features)),
                          [int(rng.integers(0, n_classes))], n_classes)
         w = rng.normal(scale=1.0, size=weight_dim(n_features, n_classes))
-        grad = loss_gradient(w, sample)
+        grad = loss_gradient(w, sample.features, sample.labels, n_classes)
         fd = np.empty_like(grad)
         for k in range(w.size):
             bump = np.zeros_like(w)

@@ -8,6 +8,7 @@ from mecfl.cli import main as cli_main
 from mecfl.errors import BadMagic, CountMismatch, TruncatedFile, ValidationError
 from mecfl.learning import train, accuracy, weight_dim
 from mecfl.orchestrator import run_proposed
+from mecfl.verify import CheckResult
 
 from helpers import desk_spec
 
@@ -60,6 +61,33 @@ def test_load_idx_truncated_reports_offset(tmp_path):
     with pytest.raises(TruncatedFile) as excinfo:
         io.load_idx(img, lbl)
     assert excinfo.value.offset == 16
+
+
+def idx_spec(tmp_path, train_labels, test_labels):
+    rng = np.random.default_rng(1)
+    (tmp_path / "train").mkdir()
+    (tmp_path / "test").mkdir()
+    train_img, train_lbl = write_idx_pair(
+        tmp_path / "train", rng.integers(0, 256, (len(train_labels), 2, 2)), train_labels)
+    test_img, test_lbl = write_idx_pair(
+        tmp_path / "test", rng.integers(0, 256, (len(test_labels), 2, 2)), test_labels)
+    return desk_spec(seed=3, data_source="idx", user_count=2, max_iterations=2,
+                     idx_images=train_img, idx_labels=train_lbl,
+                     idx_test_images=test_img, idx_test_labels=test_lbl)
+
+
+def test_idx_test_set_takes_the_training_class_count(tmp_path):
+    # the test file lacks the top training class (2), which must not shrink its class count
+    spec = idx_spec(tmp_path, [0, 1, 2] * 4, [0, 1, 1, 0, 1])
+    assert io.load_test_dataset(spec).n_classes == 3
+    result = io.run_experiment(spec)
+    assert result.iterations_used == 2
+
+
+def test_idx_test_label_outside_training_classes_rejected(tmp_path):
+    spec = idx_spec(tmp_path, [0, 1, 2] * 4, [0, 1, 3])
+    with pytest.raises(ValidationError, match="labels must lie in"):
+        io.run_experiment(spec)
 
 
 # ------------------------------------------------------------ synthetic data
@@ -290,6 +318,20 @@ def test_cli_sweep_writes_csv(tmp_path):
         assert cells[0] == "sweep_gamma"
         for cell in cells[1:]:
             float(cell)
+
+
+def test_cli_verify_fast_passes(capsys):
+    assert cli_main(["verify", "--fast"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    assert all(line.startswith("[PASS] ") for line in lines)
+
+
+def test_cli_verify_fails_on_a_failing_check(monkeypatch, capsys):
+    monkeypatch.setattr("mecfl.cli.run_all",
+                        lambda fast: [CheckResult("stub check", False, "forced failure")])
+    assert cli_main(["verify", "--fast"]) == 1
+    assert capsys.readouterr().out.startswith("[FAIL] stub check: forced failure")
 
 
 def test_cli_run_with_config_file(tmp_path):

@@ -23,16 +23,16 @@ def random_dataset(rng, n=40, n_features=3, n_classes=2):
 
 def test_split_zero_delta_keeps_everything():
     d = random_dataset(np.random.default_rng(0))
-    parts = split_dataset(d, 0.0, seed=1)
-    assert parts.offload_part.sample_count == 0
-    assert parts.local_part.sample_count == d.sample_count
+    local, offload = split_dataset(d, 0.0, seed=1)
+    assert offload.sample_count == 0
+    assert local.sample_count == d.sample_count
 
 
 def test_split_full_delta_offloads_everything():
     d = random_dataset(np.random.default_rng(0))
-    parts = split_dataset(d, 1.0, seed=1)
-    assert parts.local_part.sample_count == 0
-    assert parts.offload_part.sample_count == d.sample_count
+    local, offload = split_dataset(d, 1.0, seed=1)
+    assert local.sample_count == 0
+    assert offload.sample_count == d.sample_count
 
 
 def test_split_half_of_1200_is_600_600_disjoint():
@@ -40,32 +40,32 @@ def test_split_half_of_1200_is_600_600_disjoint():
     # tag each sample through its feature value to track the partition
     feats = (np.arange(1200, dtype=float) / 1200).reshape(-1, 1)
     d = Dataset(feats, rng.integers(0, 2, 1200), 2)
-    parts = split_dataset(d, 0.5, seed=5)
-    assert parts.local_part.sample_count == 600
-    assert parts.offload_part.sample_count == 600
-    local_ids = set(np.round(parts.local_part.features[:, 0] * 1200).astype(int))
-    offload_ids = set(np.round(parts.offload_part.features[:, 0] * 1200).astype(int))
+    local, offload = split_dataset(d, 0.5, seed=5)
+    assert local.sample_count == 600
+    assert offload.sample_count == 600
+    local_ids = set(np.round(local.features[:, 0] * 1200).astype(int))
+    offload_ids = set(np.round(offload.features[:, 0] * 1200).astype(int))
     assert local_ids.isdisjoint(offload_ids)
     assert len(local_ids | offload_ids) == 1200
 
 
 def test_split_reproducible_and_seed_sensitive():
     d = random_dataset(np.random.default_rng(2), n=100)
-    a = split_dataset(d, 0.3, seed=7)
-    b = split_dataset(d, 0.3, seed=7)
-    c = split_dataset(d, 0.3, seed=8)
-    assert np.array_equal(a.offload_part.features, b.offload_part.features)
-    assert not np.array_equal(a.offload_part.features, c.offload_part.features)
+    _, a = split_dataset(d, 0.3, seed=7)
+    _, b = split_dataset(d, 0.3, seed=7)
+    _, c = split_dataset(d, 0.3, seed=8)
+    assert np.array_equal(a.features, b.features)
+    assert not np.array_equal(a.features, c.features)
 
 
 def test_split_complement_swaps_cardinalities():
     d = random_dataset(np.random.default_rng(3), n=101)
     rng = np.random.default_rng(4)
     for delta in rng.uniform(0.01, 0.99, 20):
-        direct = split_dataset(d, delta, seed=1)
-        flipped = split_dataset(d, 1.0 - delta, seed=1)
-        assert direct.offload_part.sample_count == flipped.local_part.sample_count
-        assert direct.local_part.sample_count == flipped.offload_part.sample_count
+        direct_local, direct_offload = split_dataset(d, delta, seed=1)
+        flipped_local, flipped_offload = split_dataset(d, 1.0 - delta, seed=1)
+        assert direct_offload.sample_count == flipped_local.sample_count
+        assert direct_local.sample_count == flipped_offload.sample_count
 
 
 def test_split_rejects_bad_delta():
@@ -115,7 +115,7 @@ def test_gradient_matches_central_finite_differences():
     rng = np.random.default_rng(7)
     d = random_dataset(rng, n=12, n_features=4, n_classes=3)
     w = rng.normal(scale=0.5, size=weight_dim(4, 3))
-    grad = loss_gradient(w, d)
+    grad = loss_gradient(w, d.features, d.labels, d.n_classes)
     h = 1e-6
     fd = np.empty_like(grad)
     for k in range(w.size):
@@ -135,7 +135,8 @@ def test_sgd_step_is_first_order_in_lr():
     n_batches = math.ceil(d.sample_count / batch)
     # at lr -> 0 the weights barely move, so the initial gradient bounds each step
     max_grad = max(
-        np.linalg.norm(loss_gradient(w0, d.take(np.arange(s, min(s + batch, 64)))))
+        np.linalg.norm(loss_gradient(w0, d.features[s:s + batch], d.labels[s:s + batch],
+                                     d.n_classes))
         for s in range(0, 64, batch)
     )
     assert np.linalg.norm(out - w0) <= lr * n_batches * max_grad * 1.5
@@ -155,6 +156,65 @@ def test_train_rejects_empty_dataset():
     empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
     with pytest.raises(EmptyDataset):
         train(np.zeros(weight_dim(2, 2)), empty, epochs=1, lr=0.1, seed=0)
+
+
+def test_loss_gradient_rejects_no_rows():
+    with pytest.raises(EmptyDataset):
+        loss_gradient(np.zeros(weight_dim(2, 2)), np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
+
+
+@pytest.mark.parametrize("epochs, lr, batch_size", [
+    (1, 0.1, 0),      # batch_size < 1 used to escape as a bare ValueError from range()
+    (1, 0.1, -3),
+    (-1, 0.1, 8),     # epochs < 0 used to return w_init silently
+    (1, 0.0, 8),
+])
+def test_train_rejects_bad_arguments(epochs, lr, batch_size):
+    d = random_dataset(np.random.default_rng(14))
+    with pytest.raises(ValidationError):
+        train(np.zeros(weight_dim(d.n_features, d.n_classes)), d, epochs=epochs, lr=lr,
+              seed=0, batch_size=batch_size)
+
+
+def _reference_train(w_init, d, epochs, lr, seed, batch_size):
+    # the per-batch loop train() replaced: one validated Dataset per mini-batch
+    w = np.array(w_init, dtype=float)
+    rng = np.random.default_rng(seed)
+    for _ in range(epochs):
+        order = rng.permutation(d.sample_count)
+        for start in range(0, d.sample_count, batch_size):
+            batch = d.take(order[start:start + batch_size])
+            w -= lr * loss_gradient(w, batch.features, batch.labels, batch.n_classes)
+    return w
+
+
+@pytest.mark.parametrize("n, batch_size", [
+    (64, 16),     # whole batches only
+    (50, 16),     # ragged last batch of 2
+    (7, 32),      # batch_size > n: one batch per epoch
+    (1, 1),
+])
+def test_train_equals_per_batch_dataset_loop(n, batch_size):
+    rng = np.random.default_rng(15)
+    d = random_dataset(rng, n=n, n_features=5, n_classes=3)
+    w0 = rng.normal(size=weight_dim(5, 3))
+    out = train(w0, d, epochs=3, lr=0.3, seed=21, batch_size=batch_size)
+    assert np.array_equal(out, _reference_train(w0, d, 3, 0.3, 21, batch_size))
+
+
+def test_train_builds_no_dataset(monkeypatch):
+    d = random_dataset(np.random.default_rng(16), n=100)
+    built = []
+    original = Dataset.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(Dataset, "__post_init__", counting)
+    train(np.zeros(weight_dim(d.n_features, d.n_classes)), d, epochs=2, lr=0.1, seed=0,
+          batch_size=8)
+    assert built == []
 
 
 def _model(local_weights, edge_weights, sizes, kept, edge_size):
