@@ -192,6 +192,8 @@ def _read_idx_pair(images_path: str, labels_path: str) -> tuple[np.ndarray, np.n
     labels = _read_idx(labels_path, _IDX_LABELS_MAGIC).astype(np.int64)
     if len(images) != len(labels):
         raise CountMismatch(f"{len(images)} images but {len(labels)} labels")
+    if not len(images):
+        raise ValidationError(f"{images_path}: the IDX pair holds no images")
     return images.reshape(len(images), -1) / 255.0, labels
 
 

@@ -2,17 +2,18 @@
 
 One run works as follows. Round 0 uses the initial allocation (random
 offload/CPU fractions, uniform bandwidth, multipliers at 0.5): every user
-splits its dataset, trains locally on the kept part while the edge trains
-on the pooled offloaded parts, and the size-weighted aggregate forms the
-global model. From round 1 on, each round first runs the best-response
-sweep, at the previous round's bandwidth shares: every user's CPU fraction
-in one call, then the offload fractions one user at a time in user-id
-order, so later users see earlier users' fresh offload decisions (a
-Gauss-Seidel sweep; the CPU fractions need no order, because each reads
-only the user's own offload fraction). After splitting, training, and
-uploading, the edge updates the multipliers from the energies just spent,
-recomputes both bandwidth share vectors, trains on the offloaded pool, and
-aggregates. The loop stops once both the test loss and the round time move
+splits its dataset, all users train locally on their kept rows in lockstep
+(one mini-batch step for every user at a time, read by index from the pool
+of all users' data) while the edge trains on the pooled offloaded rows, and
+the size-weighted aggregate forms the global model. From round 1 on, each
+round first runs the best-response sweep, at the previous round's
+bandwidth shares: every user's CPU fraction in one call, then the offload
+fractions one user at a time in user-id order, so later users see earlier
+users' fresh offload decisions (a Gauss-Seidel sweep; the CPU fractions
+need no order, because each reads only the user's own offload fraction).
+After splitting, training, and uploading, the edge updates the multipliers
+from the energies just spent, recomputes both bandwidth share vectors,
+trains on the offloaded pool, and aggregates. The loop stops once both the test loss and the round time move
 less than the configured tolerance between consecutive rounds.
 
 Note the deliberate one-round lag: a round's dataset offload is priced at
@@ -37,6 +38,7 @@ from .learning import (
     shuffle_dataset,
     split_dataset,
     train,
+    train_users,
     weight_dim,
 )
 from .optimizer import (
@@ -166,7 +168,8 @@ def run_proposed(users, datasets, cfg: SystemConfig, max_iterations: int = 100, 
     for iteration in range(max_iterations):
         try:
             alloc, model = _run_one_round(
-                iteration, users, pop, datasets, alloc, model, cfg, rng, adapt, force_delta
+                iteration, users, pop, datasets, train_pool, alloc, model, cfg, rng, adapt,
+                force_delta,
             )
             metrics = _round_metrics(pop, alloc, model, cfg, train_pool, test_dataset)
         except SimulationError as exc:
@@ -189,8 +192,8 @@ def run_proposed(users, datasets, cfg: SystemConfig, max_iterations: int = 100, 
     )
 
 
-def _run_one_round(iteration, users, pop, datasets, alloc, model, cfg, rng, adapt,
-                   force_delta):
+def _run_one_round(iteration, users, pop, datasets, train_pool, alloc, model, cfg, rng,
+                   adapt, force_delta):
     n_users = len(users)
     update_resources = adapt and iteration > 0
     if update_resources:
@@ -200,23 +203,19 @@ def _run_one_round(iteration, users, pop, datasets, alloc, model, cfg, rng, adap
     train_seeds = rng.integers(_SEED_CAP, size=n_users)
     edge_seed = int(rng.integers(_SEED_CAP))
 
-    # Local phase: split, train on the kept part, warm-started from the
-    # current global model. Users offloading everything skip training.
-    local_weights = np.empty((n_users, model.dim))
-    local_sizes = np.empty(n_users, dtype=np.int64)
-    offload_parts = []
+    # Local phase: split, then every user trains on its kept rows of the
+    # pool at once, warm-started from the current global model. Users
+    # offloading everything keep the global weights.
+    starts = np.cumsum(pop.dataset_size) - pop.dataset_size
+    kept_rows, offloaded_rows = [], []
     for user, data in zip(users, datasets):
         kept, offloaded = split_dataset(data, float(alloc.delta[user.id]),
                                         int(split_seeds[user.id]))
-        offload_parts.append(offloaded)
-        local_sizes[user.id] = kept.sample_count
-        if kept.sample_count:
-            local_weights[user.id] = train(
-                model.global_weights, kept, cfg.local_epochs,
-                cfg.learning_rate, int(train_seeds[user.id]), cfg.batch_size,
-            )
-        else:
-            local_weights[user.id] = model.global_weights
+        kept_rows.append(starts[user.id] + kept)
+        offloaded_rows.append(starts[user.id] + offloaded)
+    local_sizes = np.array([rows.size for rows in kept_rows], dtype=np.int64)
+    local_weights = train_users(model.global_weights, train_pool, kept_rows, cfg.local_epochs,
+                                cfg.learning_rate, train_seeds, cfg.batch_size)
 
     if update_resources:
         # The edge reacts to the energy just spent (still at the previous
@@ -233,10 +232,10 @@ def _run_one_round(iteration, users, pop, datasets, alloc, model, cfg, rng, adap
             upload_shares = simplex_shares(upload_share_weights(pop, alloc, model, cfg))
         alloc = replace(alloc, uplink_offload=offload_shares, uplink_weight=upload_shares)
 
-    # Edge phase: train on the pooled offloaded data, then aggregate.
-    pooled = concat_datasets(offload_parts, datasets[0].n_classes, datasets[0].n_features)
-    if pooled.sample_count:
-        pooled = shuffle_dataset(pooled, edge_seed)
+    # Edge phase: train on the pooled offloaded rows, then aggregate.
+    pooled_rows = np.concatenate(offloaded_rows)
+    if pooled_rows.size:
+        pooled = shuffle_dataset(train_pool.take(pooled_rows), edge_seed)
         edge_weights = train(model.global_weights, pooled, cfg.local_epochs,
                              cfg.learning_rate, edge_seed, cfg.batch_size)
     else:
@@ -247,7 +246,7 @@ def _run_one_round(iteration, users, pop, datasets, alloc, model, cfg, rng, adap
         global_weights=model.global_weights,
         dataset_sizes=model.dataset_sizes,
         local_trainset_sizes=local_sizes,
-        edge_trainset_size=pooled.sample_count,
+        edge_trainset_size=pooled_rows.size,
     )
     model = replace(model, global_weights=aggregate(model))
     return alloc, model

@@ -63,6 +63,13 @@ def test_load_idx_truncated_reports_offset(tmp_path):
     assert excinfo.value.offset == 16
 
 
+def test_load_idx_empty_pair_rejected(tmp_path):
+    # used to escape as a bare numpy ValueError from reshape
+    img, lbl = write_idx_pair(tmp_path, np.zeros((0, 2, 2), np.uint8), [])
+    with pytest.raises(ValidationError, match="no images"):
+        io.load_idx(img, lbl)
+
+
 def idx_spec(tmp_path, train_labels, test_labels):
     rng = np.random.default_rng(1)
     (tmp_path / "train").mkdir()

@@ -11,6 +11,7 @@ from mecfl.learning import (
     loss_gradient,
     split_dataset,
     train,
+    train_users,
     weight_dim,
 )
 from mecfl.types import ModelState
@@ -21,51 +22,52 @@ def random_dataset(rng, n=40, n_features=3, n_classes=2):
                    rng.integers(0, n_classes, n), n_classes)
 
 
+def assert_partition(kept, offloaded, n):
+    assert np.array_equal(np.sort(np.concatenate([kept, offloaded])), np.arange(n))
+
+
 def test_split_zero_delta_keeps_everything():
     d = random_dataset(np.random.default_rng(0))
-    local, offload = split_dataset(d, 0.0, seed=1)
-    assert offload.sample_count == 0
-    assert local.sample_count == d.sample_count
+    kept, offloaded = split_dataset(d, 0.0, seed=1)
+    assert offloaded.size == 0
+    assert_partition(kept, offloaded, d.sample_count)
 
 
 def test_split_full_delta_offloads_everything():
     d = random_dataset(np.random.default_rng(0))
-    local, offload = split_dataset(d, 1.0, seed=1)
-    assert local.sample_count == 0
-    assert offload.sample_count == d.sample_count
+    kept, offloaded = split_dataset(d, 1.0, seed=1)
+    assert kept.size == 0
+    assert_partition(kept, offloaded, d.sample_count)
 
 
 def test_split_half_of_1200_is_600_600_disjoint():
-    rng = np.random.default_rng(1)
-    # tag each sample through its feature value to track the partition
-    feats = (np.arange(1200, dtype=float) / 1200).reshape(-1, 1)
-    d = Dataset(feats, rng.integers(0, 2, 1200), 2)
-    local, offload = split_dataset(d, 0.5, seed=5)
-    assert local.sample_count == 600
-    assert offload.sample_count == 600
-    local_ids = set(np.round(local.features[:, 0] * 1200).astype(int))
-    offload_ids = set(np.round(offload.features[:, 0] * 1200).astype(int))
-    assert local_ids.isdisjoint(offload_ids)
-    assert len(local_ids | offload_ids) == 1200
+    d = random_dataset(np.random.default_rng(1), n=1200)
+    kept, offloaded = split_dataset(d, 0.5, seed=5)
+    assert kept.size == 600
+    assert offloaded.size == 600
+    assert_partition(kept, offloaded, 1200)
 
 
 def test_split_reproducible_and_seed_sensitive():
     d = random_dataset(np.random.default_rng(2), n=100)
-    _, a = split_dataset(d, 0.3, seed=7)
-    _, b = split_dataset(d, 0.3, seed=7)
+    kept_a, a = split_dataset(d, 0.3, seed=7)
+    kept_b, b = split_dataset(d, 0.3, seed=7)
     _, c = split_dataset(d, 0.3, seed=8)
-    assert np.array_equal(a.features, b.features)
-    assert not np.array_equal(a.features, c.features)
+    assert np.array_equal(a, b) and np.array_equal(kept_a, kept_b)
+    assert not np.array_equal(a, c)
 
 
 def test_split_complement_swaps_cardinalities():
     d = random_dataset(np.random.default_rng(3), n=101)
     rng = np.random.default_rng(4)
+    assert split_dataset(d, 0.5, seed=1)[1].size == 51   # 50.5 rows round half-up
     for delta in rng.uniform(0.01, 0.99, 20):
-        direct_local, direct_offload = split_dataset(d, delta, seed=1)
-        flipped_local, flipped_offload = split_dataset(d, 1.0 - delta, seed=1)
-        assert direct_offload.sample_count == flipped_local.sample_count
-        assert direct_local.sample_count == flipped_offload.sample_count
+        direct_kept, direct_offloaded = split_dataset(d, delta, seed=1)
+        flipped_kept, flipped_offloaded = split_dataset(d, 1.0 - delta, seed=1)
+        assert direct_offloaded.size == math.floor(delta * 101 + 0.5)
+        assert direct_offloaded.size == flipped_kept.size
+        assert direct_kept.size == flipped_offloaded.size
+        assert_partition(direct_kept, direct_offloaded, 101)
 
 
 def test_split_rejects_bad_delta():
@@ -215,6 +217,54 @@ def test_train_builds_no_dataset(monkeypatch):
     train(np.zeros(weight_dim(d.n_features, d.n_classes)), d, epochs=2, lr=0.1, seed=0,
           batch_size=8)
     assert built == []
+
+
+def _mixed_users(rng):
+    # one call mixing whole batches (64), a ragged last batch (50), n < batch (7),
+    # no rows, and n = 1 or a last batch of one row (1, 17, 33, 49), which numpy
+    # multiplies by another BLAS routine than a batch of several rows
+    pool = random_dataset(rng, n=200, n_features=8, n_classes=3)
+    rows = [rng.choice(200, size=n, replace=False) for n in (64, 50, 7, 0, 1, 1, 17, 33, 49)]
+    return pool, rows, rng.integers(2**31, size=len(rows)), rng.normal(size=weight_dim(8, 3))
+
+
+def test_train_users_equals_per_user_reference_loop():
+    rng = np.random.default_rng(17)
+    pool, rows, seeds, w0 = _mixed_users(rng)
+    out = train_users(w0, pool, rows, epochs=3, lr=0.3, seeds=seeds, batch_size=16)
+    assert out.shape == (len(rows), w0.size)
+    for u, r in enumerate(rows):
+        expected = _reference_train(w0, pool.take(r), 3, 0.3, seeds[u], 16) if r.size else w0
+        assert np.array_equal(out[u], expected)
+
+
+def test_train_users_zero_epochs_returns_initial_weights():
+    pool, rows, seeds, w0 = _mixed_users(np.random.default_rng(18))
+    out = train_users(w0, pool, rows, epochs=0, lr=0.3, seeds=seeds, batch_size=16)
+    assert np.array_equal(out, np.tile(w0, (len(rows), 1)))
+
+
+@pytest.mark.parametrize("bad_row", [-1, 200])
+def test_train_users_rejects_rows_outside_the_pool(bad_row):
+    pool, rows, seeds, w0 = _mixed_users(np.random.default_rng(19))
+    rows[2] = np.append(rows[2], bad_row)
+    with pytest.raises(ValidationError):
+        train_users(w0, pool, rows, epochs=1, lr=0.3, seeds=seeds, batch_size=16)
+
+
+def test_loss_gradient_user_axis_skips_padding_rows():
+    rng = np.random.default_rng(20)
+    features = rng.uniform(0, 1, (3, 8, 4))
+    labels = rng.integers(0, 3, (3, 8))
+    w = rng.normal(size=(3, weight_dim(4, 3)))
+    counts = np.array([8, 5, 1])
+    padded = np.where(np.arange(8) < counts[:, None], labels, -1)
+    grad = loss_gradient(w, features, padded, 3)
+    for u, n in enumerate(counts):
+        assert np.array_equal(grad[u], loss_gradient(w[u], features[u, :n], labels[u, :n], 3))
+    padded[1] = -1
+    with pytest.raises(EmptyDataset):
+        loss_gradient(w, features, padded, 3)
 
 
 def _model(local_weights, edge_weights, sizes, kept, edge_size):

@@ -5,13 +5,22 @@ from dataclasses import replace
 from mecfl import costs, io
 from mecfl.costs import base_rate
 from mecfl.errors import SimulationError, ValidationError
+from mecfl.learning import Dataset, concat_datasets, split_dataset, train, weight_dim
 from mecfl.orchestrator import (
+    _SEED_CAP,
     _best_response_sweep,
+    _run_one_round,
     run_centralized,
     run_proposed,
     run_traditional,
 )
-from mecfl.types import Population, SystemConfig, validate_allocation
+from mecfl.types import (
+    AllocationState,
+    ModelState,
+    Population,
+    SystemConfig,
+    validate_allocation,
+)
 
 from helpers import desk_spec, make_alloc, make_model, make_user
 
@@ -193,3 +202,57 @@ def test_sweep_is_sequential_in_user_id_order():
         seen = np.where(np.arange(6) <= i, new.delta, alloc.delta)
         t_edge = costs.edge_time_user(pop, replace(new, delta=seen), cfg)
         assert t_local[i] == pytest.approx(t_edge[i], rel=1e-9)
+
+
+def round_inputs(n_users, delta, seed=11):
+    """Arguments of one round of ``n_users`` desk users at offload fractions ``delta``."""
+    spec = desk_spec(seed=seed, user_count=n_users, samples_per_user=45)
+    users, datasets = io.synthesize_users(spec)
+    cfg = io.effective_config(spec)
+    n_features, n_classes = datasets[0].n_features, datasets[0].n_classes
+    dim = weight_dim(n_features, n_classes)
+    model = replace(ModelState.initial(n_users, dim, [u.dataset_size for u in users]),
+                    global_weights=np.random.default_rng(seed).normal(size=dim))
+    alloc = AllocationState.uniform(n_users, delta=delta, gamma=0.5)
+    train_pool = concat_datasets(datasets, n_classes, n_features)
+    return (0, users, Population.from_users(users), datasets, train_pool, alloc, model, cfg,
+            np.random.default_rng(seed), False, None)
+
+
+def test_round_local_weights_equal_per_user_training():
+    delta = [0.0, 1.0, 0.5, 0.3, 1.0, 0.77]
+    args = round_inputs(6, delta)
+    datasets, before, cfg = args[3], args[6], args[7]
+    _, after = _run_one_round(*args)
+    rng = np.random.default_rng(11)   # the round's seed draws, in its order
+    split_seeds = rng.integers(_SEED_CAP, size=6)
+    train_seeds = rng.integers(_SEED_CAP, size=6)
+    for i, data in enumerate(datasets):
+        kept, _ = split_dataset(data, delta[i], int(split_seeds[i]))
+        assert after.local_trainset_sizes[i] == kept.size
+        if kept.size:
+            expected = train(before.global_weights, data.take(kept), cfg.local_epochs,
+                             cfg.learning_rate, int(train_seeds[i]), cfg.batch_size)
+        else:
+            expected = before.global_weights    # offloads everything: keeps the global model
+        assert np.array_equal(after.local_weights[i], expected)
+    assert after.local_trainset_sizes[0] == datasets[0].sample_count
+    assert np.array_equal(after.local_weights[[1, 4]], np.tile(before.global_weights, (2, 1)))
+    assert after.edge_trainset_size == sum(d.sample_count for d in datasets) - sum(
+        after.local_trainset_sizes)
+
+
+@pytest.mark.parametrize("n_users", [3, 12])
+def test_round_builds_at_most_two_datasets(monkeypatch, n_users):
+    args = round_inputs(n_users, 0.4)
+    built = []
+    original = Dataset.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(Dataset, "__post_init__", counting)
+    _run_one_round(*args)
+    # the edge pool and its shuffled copy, whatever the user count
+    assert len(built) <= 2
