@@ -9,9 +9,29 @@ A :class:`Dataset` is validated once, where data enters the program (the
 ``io`` loaders and synthesizers, or a public caller). SGD then reads rows by
 index from it. :func:`train_users` is the one SGD kernel: it trains many
 users at once, each on its own row set of one pool, one mini-batch step for
-all users at a time, and gives every user the same bits as training it
-alone. :func:`train` is its one-row-set call, and :func:`split_dataset`
-returns row indices, so local training copies no user data.
+all users at a time. :func:`train` is its one-row-set call, and
+:func:`split_dataset` returns row indices, so local training copies no user
+data.
+
+The kernel gives every user the same bits as :func:`loss_gradient` steps on
+that user's batches alone. Everything that does not change between steps is
+built once per call: the table of every user's batch rows (padded with -1)
+and their labels, the valid-row count of every batch, per-step flags for
+"some batch is short" and "some batch has one row", and the one-hot rows.
+The bits match because:
+
+- the feature weights and the biases are held apart, as ``(users, classes,
+  features)`` and ``(users, classes)`` blocks, and updated in place;
+  ``w - lr * g`` is elementwise, so the layout does not change its bits;
+- products stay ``@``, one gemm per user, which sums each entry in the same
+  order whatever the row stride; a batch of one row gets numpy's one-row
+  product (gemv) as a one-user call does, and a one-feature product, which
+  numpy would also take with gemv, is summed row by row in both;
+- ``take`` reads the -1 padding as the last row of the pool; padding rows
+  get a zero gradient, and a zero added to a sum leaves it unchanged;
+- a step with no short batch divides by the scalar ``batch_size``, the same
+  float as every user's row count; other steps divide by each user's count;
+- the bias gradient sums the rows in order, as ``sum(axis=0)`` does.
 """
 
 from __future__ import annotations
@@ -103,9 +123,9 @@ def shuffle_dataset(d: Dataset, seed: int) -> Dataset:
 
 
 def _logits(w: np.ndarray, features: np.ndarray, n_classes: int) -> np.ndarray:
-    """Per-class scores before the sigmoid, shape (..., samples, classes)."""
-    rows = w.reshape(*w.shape[:-1], n_classes, -1)
-    return features @ rows[..., :-1].swapaxes(-1, -2) + rows[..., None, :, -1]
+    """Per-class scores before the sigmoid, shape (samples, classes)."""
+    rows = w.reshape(n_classes, -1)
+    return features @ rows[:, :-1].T + rows[:, -1]
 
 
 def _scores(w: np.ndarray, features: np.ndarray, n_classes: int) -> np.ndarray:
@@ -117,85 +137,108 @@ def loss_gradient(w: np.ndarray, features: np.ndarray, labels: np.ndarray,
                   n_classes: int) -> np.ndarray:
     """Gradient of the mean squared sigmoid error over the given rows.
 
-    ``w`` (dim,), ``features`` (rows, features) and ``labels`` (rows,) are
-    one user. With a leading user axis, ``w`` is (users, dim) and the result
-    holds each user's gradient over its own rows; a row labelled -1 pads a
-    short batch: it adds nothing, and the mean runs over the other rows.
+    ``w`` is (dim,), ``features`` (rows, features) and ``labels`` (rows,).
+    :func:`train_users` runs the same expression for every user at once and
+    gives the same bits as one call per batch.
     """
-    one_user = labels.ndim == 1
-    if one_user:
-        w, features, labels = w[None], features[None], labels[None]
-    valid = labels >= 0
-    counts = valid.sum(axis=1)
-    fewest = counts.min()
-    if fewest == 0:
-        raise EmptyDataset("loss_gradient: a user has no rows")
-    z = _logits(w, features, n_classes)
-    if fewest == 1 and features.shape[1] > 1:
-        # numpy takes a one-row product with gemv, which sums in another order
-        # than gemm: a user whose batch is one row gets the one-row product,
-        # so a padded batch gives the same bits as its rows alone.
-        single = counts == 1
-        z[single, :1] = _logits(w[single], features[single, :1], n_classes)
-    probs = expit(z)
-    targets = np.eye(n_classes)[labels]               # one-hot, (users, rows, classes)
-    dz = 2.0 * (probs - targets) * probs * (1.0 - probs) / counts[:, None, None]
-    if fewest < features.shape[1]:
-        dz[~valid] = 0.0
-    grad_feat = dz.swapaxes(1, 2) @ features           # (users, classes, features)
-    grad_bias = dz.sum(axis=1)[..., None]             # (users, classes, 1)
-    grad = np.concatenate([grad_feat, grad_bias], axis=2).reshape(len(w), -1)
-    return grad[0] if one_user else grad
+    if len(labels) == 0:
+        raise EmptyDataset("loss_gradient: no rows")
+    probs = _scores(w, features, n_classes)
+    dz = 2.0 * (probs - np.eye(n_classes)[labels]) * probs * (1.0 - probs) / len(labels)
+    if features.shape[1] > 1:
+        grad_feat = dz.T @ features
+    else:
+        grad_feat = (dz * features).sum(axis=0)[:, None]   # rows in order, not gemv
+    return np.concatenate([grad_feat, dz.sum(axis=0)[:, None]], axis=1).ravel()
 
 
 def train_users(w_init: np.ndarray, pool: Dataset, rows, epochs: int, lr: float, seeds,
                 batch_size: int = 32) -> np.ndarray:
     """Mini-batch SGD of every user at once, each from ``w_init`` on its own rows.
 
-    User ``u`` trains on the rows ``rows[u]`` of ``pool`` (indices, in that
-    order) with the batches that :func:`train` would draw for them with seed
-    ``seeds[u]``: a fresh ``default_rng(seeds[u]).permutation`` each epoch,
-    cut into ``batch_size`` chunks. Step k updates every user on its own k-th
-    batch; a user out of batches (or with no rows at all) keeps its weights.
-    Returns the weights, shape (users, dim), with the same bits as training
-    each user alone.
+    User ``u`` trains on the rows ``rows[u]`` of ``pool`` (a 1-d index array,
+    in that order) with the batches that :func:`train` would draw for them
+    with seed ``seeds[u]``: a fresh ``default_rng(seeds[u]).permutation``
+    each epoch, cut into ``batch_size`` chunks. All epochs of a user are
+    drawn in one ``Generator.permuted`` call, which gives the same orders.
+    Step k updates every user on its own k-th batch; a user out of batches
+    (or with no rows at all) keeps its weights. Returns the weights, shape
+    (users, dim), with the same bits as training each user alone (see the
+    module docstring for why). Needs one seed per row set.
     """
     if not (lr > 0 and epochs >= 0 and batch_size >= 1):
         raise ValidationError("train: need lr > 0, epochs >= 0 and batch_size >= 1, got "
                               f"lr={lr}, epochs={epochs}, batch_size={batch_size}")
     w_init = np.asarray(w_init, dtype=float)
-    dim = weight_dim(pool.n_features, pool.n_classes)
+    n_classes, n_features = pool.n_classes, pool.n_features
+    dim = weight_dim(n_features, n_classes)
     if w_init.shape != (dim,):
         raise ValidationError(f"train: weight length {w_init.size} does not match {dim}")
     rows = [np.asarray(r, dtype=np.int64) for r in rows]
+    if len(seeds) != len(rows) or any(r.ndim != 1 for r in rows):
+        raise ValidationError(f"train: need one seed per row set and 1-d row sets, got "
+                              f"{len(seeds)} seeds for {len(rows)} row sets")
     flat = np.concatenate([np.zeros(0, dtype=np.int64), *rows])
     if flat.size and (flat.min() < 0 or flat.max() >= pool.sample_count):
         raise ValidationError(f"train: row indices must lie in [0, {pool.sample_count})")
     sizes = np.array([r.size for r in rows], dtype=np.int64)
     per_epoch = -(-sizes // batch_size)
     steps = epochs * per_epoch
-    # Slots hold the users by step count, most first, so the users still
-    # training at step k are the first active[k] slots.
-    order = np.argsort(-steps, kind="stable")
+    # Slots hold the users that train, by step count, most first, so the
+    # users still training at step k are the first active[k] slots.
+    order = np.argsort(-steps, kind="stable")[:np.count_nonzero(steps)]
     active = len(rows) - np.searchsorted(np.sort(steps), np.arange(steps.max(initial=0)),
                                          side="right")
-    # batches[k, slot] holds the pool rows of that user's k-th batch, padded
-    # with -1 (which numpy reads as the last row, and the labels mark as padding).
-    batches = np.full((len(active), len(rows), batch_size), -1, dtype=np.int32)
-    for slot, u in enumerate(order[:np.count_nonzero(steps)]):
-        rng, s = np.random.default_rng(seeds[u]), per_epoch[u]
-        padded = np.full(s * batch_size, -1, dtype=np.int32)
-        for e in range(epochs):
-            padded[:sizes[u]] = rows[u][rng.permutation(sizes[u])]
-            batches[e * s:(e + 1) * s, slot] = padded.reshape(s, batch_size)
-    labels = np.where(batches >= 0, pool.labels[batches], -1)
-    w = np.tile(w_init, (len(rows), 1))
-    for k, a in enumerate(active):
-        w[:a] -= lr * loss_gradient(w[:a], pool.features[batches[k, :a]], labels[k, :a],
-                                    pool.n_classes)
-    out = np.empty_like(w)
-    out[order] = w
-    return out
+    # batches[slot, k] holds the pool rows of that user's k-th batch, padded
+    # with -1; each user's epochs are one contiguous block of its slot.
+    batches = np.full((len(order), len(active), batch_size), -1, dtype=np.intp)
+    for slot, u in enumerate(order):
+        block = batches[slot, :steps[u]].reshape(epochs, -1)[:, :sizes[u]]
+        block[:] = rows[u]
+        np.random.default_rng(seeds[u]).permuted(block, axis=1, out=block)
+    labels = pool.labels.take(batches)
+    pad = batches < 0
+    counts = batch_size - pad.sum(axis=2)                   # (slots, steps)
+    padded = ((counts > 0) & (counts < batch_size)).any(axis=0)
+    single = (counts == 1).any(axis=0) & (batch_size > 1)
+    onehot = np.eye(n_classes)
+    w0 = w_init.reshape(n_classes, n_features + 1)
+    w_feat = np.tile(w0[:, :-1], (len(order), 1, 1))        # (slots, classes, features)
+    w_bias = np.tile(w0[:, -1], (len(order), 1))            # (slots, classes)
+    for k, (a, pads, singles) in enumerate(zip(active.tolist(), padded.tolist(),
+                                               single.tolist())):
+        x = pool.features.take(batches[:a, k], axis=0)      # (a, batch, features)
+        wf, wb = w_feat[:a], w_bias[:a]
+        # Scores and their gradients are held batch-major, (batch, a, classes),
+        # so the bias add and the row sum run along one contiguous a * classes axis.
+        z = np.empty((batch_size, a, n_classes))
+        np.matmul(x, wf.swapaxes(1, 2), out=z.swapaxes(0, 1))
+        z += wb
+        if singles:
+            # numpy takes a one-row product with gemv, which sums in another
+            # order than gemm: a user whose batch is one row gets the one-row
+            # product, so a padded batch gives the same bits as its row alone.
+            s = np.flatnonzero(counts[:a, k] == 1)
+            z[0, s] = (x[s, :1] @ wf[s].swapaxes(1, 2))[:, 0] + wb[s]
+        p = expit(z)
+        dz = 2.0 * (p - onehot.take(labels[:a, k].T, axis=0)) * p * (1.0 - p)
+        if pads:
+            dz /= counts[:a, k, None]
+            dz[pad[:a, k].T] = 0.0
+        else:
+            dz /= batch_size
+        if n_features > 1:
+            wf -= lr * (dz.transpose(1, 2, 0) @ x)
+        else:
+            # numpy would take a one-feature product with gemv, whose sum order
+            # depends on the row count and the stride: sum the rows in order.
+            wf -= lr * np.add.reduce(dz * x.swapaxes(0, 1), axis=0)[..., None]
+        wb -= lr * np.add.reduce(dz, axis=0)
+        del x, z, p, dz   # free this step's arrays before the next step allocates its own
+    out = np.tile(w0, (len(rows), 1, 1))
+    out[order, :, :-1] = w_feat
+    out[order, :, -1] = w_bias
+    return out.reshape(len(rows), dim)
 
 
 def train(w_init: np.ndarray, d: Dataset, epochs: int, lr: float, seed: int,

@@ -219,23 +219,43 @@ def test_train_builds_no_dataset(monkeypatch):
     assert built == []
 
 
-def _mixed_users(rng):
-    # one call mixing whole batches (64), a ragged last batch (50), n < batch (7),
-    # no rows, and n = 1 or a last batch of one row (1, 17, 33, 49), which numpy
-    # multiplies by another BLAS routine than a batch of several rows
-    pool = random_dataset(rng, n=200, n_features=8, n_classes=3)
-    rows = [rng.choice(200, size=n, replace=False) for n in (64, 50, 7, 0, 1, 1, 17, 33, 49)]
-    return pool, rows, rng.integers(2**31, size=len(rows)), rng.normal(size=weight_dim(8, 3))
+def _mixed_users(rng, sizes=(64, 50, 7, 0, 1, 1, 17, 33, 49), n_features=8, n_classes=3):
+    # by default one call mixing whole batches (64), a ragged last batch (50),
+    # n < batch (7), no rows, and n = 1 or a last batch of one row (1, 17, 33,
+    # 49), which numpy multiplies by another BLAS routine than a batch of several rows
+    pool = random_dataset(rng, n=200, n_features=n_features, n_classes=n_classes)
+    rows = [rng.choice(200, size=n, replace=False) for n in sizes]
+    return (pool, rows, rng.integers(2**31, size=len(rows)),
+            rng.normal(size=weight_dim(n_features, n_classes)))
+
+
+def _assert_equals_reference(rng, epochs=3, batch_size=16, **users):
+    pool, rows, seeds, w0 = _mixed_users(rng, **users)
+    out = train_users(w0, pool, rows, epochs=epochs, lr=0.3, seeds=seeds,
+                      batch_size=batch_size)
+    assert out.shape == (len(rows), w0.size)
+    for u, r in enumerate(rows):
+        expected = (_reference_train(w0, pool.take(r), epochs, 0.3, seeds[u], batch_size)
+                    if r.size else w0)
+        assert np.array_equal(out[u], expected), f"user {u} with {r.size} rows"
 
 
 def test_train_users_equals_per_user_reference_loop():
-    rng = np.random.default_rng(17)
-    pool, rows, seeds, w0 = _mixed_users(rng)
-    out = train_users(w0, pool, rows, epochs=3, lr=0.3, seeds=seeds, batch_size=16)
-    assert out.shape == (len(rows), w0.size)
-    for u, r in enumerate(rows):
-        expected = _reference_train(w0, pool.take(r), 3, 0.3, seeds[u], 16) if r.size else w0
-        assert np.array_equal(out[u], expected)
+    _assert_equals_reference(np.random.default_rng(17))
+
+
+@pytest.mark.parametrize("sizes, batch_size, n_features, n_classes, epochs", [
+    pytest.param((9, 1, 0, 4), 1, 8, 3, 3, id="batch-1"),
+    pytest.param((64, 32, 16, 0, 48), 16, 8, 3, 3, id="no-padded-step"),
+    pytest.param((64, 50, 7, 1, 17), 16, 1, 3, 3, id="one-feature"),
+    pytest.param((64, 50, 7, 1, 17), 16, 8, 2, 3, id="two-classes"),
+    pytest.param((64, 50, 7, 1, 17), 16, 8, 3, 1, id="one-epoch"),
+    pytest.param((64, 50, 7, 1, 17), 16, 8, 3, 5, id="five-epochs"),
+])
+def test_train_users_equals_reference_at_branch_points(sizes, batch_size, n_features,
+                                                       n_classes, epochs):
+    _assert_equals_reference(np.random.default_rng(22), epochs, batch_size, sizes=sizes,
+                             n_features=n_features, n_classes=n_classes)
 
 
 def test_train_users_zero_epochs_returns_initial_weights():
@@ -252,19 +272,53 @@ def test_train_users_rejects_rows_outside_the_pool(bad_row):
         train_users(w0, pool, rows, epochs=1, lr=0.3, seeds=seeds, batch_size=16)
 
 
-def test_loss_gradient_user_axis_skips_padding_rows():
+@pytest.mark.parametrize("seeds, rows", [
+    pytest.param([1, 2], [np.arange(5)], id="more-seeds-than-row-sets"),
+    pytest.param([1], [np.arange(5), np.arange(3)], id="fewer-seeds-than-row-sets"),
+    pytest.param([1], [np.arange(6).reshape(2, 3)], id="2-d-row-set"),
+    pytest.param([1], [np.int64(4)], id="0-d-row-set"),
+])
+def test_train_users_rejects_mismatched_seeds_and_row_sets(seeds, rows):
+    pool = random_dataset(np.random.default_rng(23))
+    with pytest.raises(ValidationError):
+        train_users(np.zeros(weight_dim(pool.n_features, pool.n_classes)), pool, rows,
+                    epochs=1, lr=0.1, seeds=seeds, batch_size=4)
+
+
+def test_train_users_padded_step_means_over_its_rows_alone():
+    # one epoch of one batch: 8, 5 and 1 rows padded to a batch of 8; each user
+    # steps by the mean gradient over its own rows, padding adds nothing
     rng = np.random.default_rng(20)
-    features = rng.uniform(0, 1, (3, 8, 4))
-    labels = rng.integers(0, 3, (3, 8))
-    w = rng.normal(size=(3, weight_dim(4, 3)))
-    counts = np.array([8, 5, 1])
-    padded = np.where(np.arange(8) < counts[:, None], labels, -1)
-    grad = loss_gradient(w, features, padded, 3)
-    for u, n in enumerate(counts):
-        assert np.array_equal(grad[u], loss_gradient(w[u], features[u, :n], labels[u, :n], 3))
-    padded[1] = -1
-    with pytest.raises(EmptyDataset):
-        loss_gradient(w, features, padded, 3)
+    pool = random_dataset(rng, n=30, n_features=4, n_classes=3)
+    rows = [np.arange(0, 8), np.arange(10, 15), np.array([20])]
+    seeds = [3, 4, 5]
+    w0 = rng.normal(size=weight_dim(4, 3))
+    out = train_users(w0, pool, rows, epochs=1, lr=0.5, seeds=seeds, batch_size=8)
+    for u, r in enumerate(rows):
+        batch = r[np.random.default_rng(seeds[u]).permutation(r.size)]
+        grad = loss_gradient(w0, pool.features[batch], pool.labels[batch], 3)
+        assert np.array_equal(out[u], w0 - 0.5 * grad)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 600])
+@pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
+def test_permuted_epochs_equal_sequential_permutations(n, seed):
+    # train_users draws a user's epochs with one Generator.permuted call;
+    # train and the reference loop draw one permutation per epoch
+    epochs = 5
+    sequential = np.random.default_rng(seed)
+    expected = np.stack([sequential.permutation(n) for _ in range(epochs)])
+    tiled = np.random.default_rng(seed).permuted(np.tile(np.arange(n), (epochs, 1)), axis=1)
+    message = (f"Generator.permuted no longer matches sequential permutation calls "
+               f"on numpy {np.__version__}")
+    assert np.array_equal(tiled, expected), message
+    # the kernel shuffles the row ids in place, in a strided view of its table
+    table = np.full((epochs, n + 3), -1)
+    view = table[:, :n]
+    view[:] = np.arange(n) + 100
+    np.random.default_rng(seed).permuted(view, axis=1, out=view)
+    assert np.array_equal(view, expected + 100), message
+    assert np.all(table[:, n:] == -1)
 
 
 def _model(local_weights, edge_weights, sizes, kept, edge_size):
