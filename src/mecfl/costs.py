@@ -18,7 +18,9 @@ rate models (``base_rate``, ``dataset_bytes``) broadcast over numpy arrays
 and carry no guards, so they serve one :class:`UserProfile` as well as a
 :class:`Population`. The round costs (``local_time``, ``total_energy``,
 ``edge_time_user``, ``edge_time_total``) take a whole :class:`Population`
-and return one value per user. A zero divisor (CPU share, bandwidth share)
+and return one value per user; all but ``edge_time_total`` also take a
+stack of candidate allocations, fields shaped ``(..., n)``, and return one
+row per candidate. A zero divisor (CPU share, bandwidth share)
 under a nonzero numerator raises :class:`DegenerateDivisor` rather than
 producing ``inf``; when the numerator is exactly zero the term is 0.
 """
@@ -77,9 +79,12 @@ def weights_bytes(model: ModelState, cfg: SystemConfig) -> float:
 # --------------------------------------------------------------------------
 
 def check_degenerate(bad, what: str) -> None:
-    """Raise :class:`DegenerateDivisor` naming the first user flagged in ``bad``."""
+    """Raise :class:`DegenerateDivisor` naming the first user flagged in ``bad``.
+
+    ``bad`` is ``(..., n)``; the user is named by its index on the last axis.
+    """
     if bad.any():
-        raise DegenerateDivisor(f"user {int(bad.argmax())}: {what}")
+        raise DegenerateDivisor(f"user {int(bad.argmax()) % bad.shape[-1]}: {what}")
 
 
 def _upload_time(alloc: AllocationState, model: ModelState, cfg: SystemConfig, rate):
@@ -137,7 +142,7 @@ def edge_time_user(pop: Population, alloc: AllocationState, cfg: SystemConfig) -
 
     The max over users is ``edge_time_total``.
     """
-    offloaded = float((alloc.delta * dataset_bytes(pop, cfg)).sum())
+    offloaded = (alloc.delta * dataset_bytes(pop, cfg)).sum(axis=-1, keepdims=True)
     edge_compute = offloaded * cfg.cycles_per_byte / cfg.edge_cpu_hz
     return _offload_time(pop, alloc, cfg, base_rate(pop, cfg)) + edge_compute
 

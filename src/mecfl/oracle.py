@@ -6,10 +6,16 @@ an exhaustive simplex search for tiny bandwidth-allocation instances. They
 evaluate the shared cost functions (re-deriving the formulas twice would
 only double the typo risk); the independence lies in the optimization
 step itself.
+
+Candidates are scored as one batch, not one at a time: the simplex search
+puts every composition of a simplex into one stacked
+:class:`AllocationState` and makes one cost-model call per simplex, and
+``finite_diff`` evaluates its whole stencil in one call of ``f``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +29,7 @@ from .errors import (
     NoSignChange,
     ValidationError,
 )
-from .types import AllocationState, ModelState, Population, SystemConfig
+from .types import AllocationState, ModelState, Population, SystemConfig, _require_positive
 
 
 def grid_minimize(f, lo: float, hi: float, points: int, constraint=None):
@@ -63,6 +69,7 @@ def grid_minimize(f, lo: float, hi: float, points: int, constraint=None):
 
 def bisect_root(g, lo: float, hi: float, tol: float) -> float:
     """Root of ``g`` on [lo, hi], bracketed to interval width <= tol."""
+    _require_positive("bisect_root", tol=tol)
     g_lo, g_hi = g(lo), g(hi)
     if g_lo * g_hi > 0:
         raise NoSignChange(f"bisect_root: g({lo})={g_lo:g} and g({hi})={g_hi:g} share a sign")
@@ -74,12 +81,20 @@ def bisect_root(g, lo: float, hi: float, tol: float) -> float:
 
 
 def finite_diff(f, x: float, order: int, h: float) -> float:
-    """Central finite difference of first or second order."""
+    """Central finite difference of first or second order.
+
+    ``f`` is called once, on the vector of stencil points (``[x+h, x-h]``,
+    or ``[x+h, x, x-h]`` for the second order), and must return one value
+    per point.
+    """
+    if order not in (1, 2):
+        raise ValidationError(f"finite_diff: order must be 1 or 2, got {order}")
+    _require_positive("finite_diff", h=h)
     if order == 1:
-        return (f(x + h) - f(x - h)) / (2.0 * h)
-    if order == 2:
-        return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
-    raise ValidationError(f"finite_diff: order must be 1 or 2, got {order}")
+        up, down = f(np.array([x + h, x - h]))
+        return float((up - down) / (2.0 * h))
+    up, mid, down = f(np.array([x + h, x, x - h]))
+    return float((up - 2.0 * mid + down) / (h * h))
 
 
 def _compositions(total: int, parts: int):
@@ -92,11 +107,26 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def _max_time(per_user_time, *args) -> float:
+def _fastest(candidates: np.ndarray, refused: np.ndarray, per_user_time) -> int | None:
+    """Index of the candidate whose slowest user finishes first, or None.
+
+    ``per_user_time`` maps a stack of candidates to per-user times in one
+    cost-model call. ``refused`` flags, per candidate and user, what the
+    cost model refuses with :class:`DegenerateDivisor` (it refuses a whole
+    stack for one such candidate): those candidates stay out of the call
+    and score +inf. If the call still raises, no candidate avoids the
+    degeneracy and every one scores +inf. NaN scores +inf too; ties take
+    the first candidate.
+    """
+    scores = np.full(len(candidates), np.inf)
+    kept = ~refused.any(axis=-1)
     try:
-        return float(per_user_time(*args).max())
+        worst = per_user_time(candidates[kept]).max(axis=-1)
     except DegenerateDivisor:
-        return np.inf
+        return None
+    scores[kept] = np.where(np.isnan(worst), np.inf, worst)
+    best = int(np.argmin(scores))
+    return best if np.isfinite(scores[best]) else None
 
 
 def simplex_minimize_maxtime(pop: Population, alloc: AllocationState, model: ModelState,
@@ -109,25 +139,26 @@ def simplex_minimize_maxtime(pop: Population, alloc: AllocationState, model: Mod
     only on the upload shares, so each simplex face (shares summing to 1;
     times only improve with more bandwidth) is searched on its own grid.
     Offload fractions, CPU fractions, and multipliers are taken from
-    ``alloc`` and held fixed.
+    ``alloc`` and held fixed. Each face is scored as one stacked candidate
+    allocation, so memory grows with its composition count,
+    (steps+1)(steps+2)/2 at 3 users for steps = round(1 / resolution).
     """
     n = pop.n_users
     if n > 3:
         raise InstanceTooLarge(f"simplex_minimize_maxtime: {n} users (max 3)")
+    if not (math.isfinite(resolution) and 0 < resolution <= 1):
+        raise ValidationError("simplex_minimize_maxtime: resolution must be finite, > 0 "
+                              f"and <= 1, got {resolution!r}")
     steps = int(round(1.0 / resolution))
-    if steps < 1:
-        raise ValidationError("simplex_minimize_maxtime: resolution must be <= 1")
-
-    best_offload, best_offload_time = None, np.inf
-    best_upload, best_upload_time = None, np.inf
-    for combo in _compositions(steps, n):
-        shares = np.array(combo, dtype=float) / steps
-        worst = _max_time(costs.edge_time_user, pop, replace(alloc, uplink_offload=shares), cfg)
-        if worst < best_offload_time:
-            best_offload, best_offload_time = shares, worst
-        worst = _max_time(costs.local_time, pop, replace(alloc, uplink_weight=shares), model, cfg)
-        if worst < best_upload_time:
-            best_upload, best_upload_time = shares, worst
-    if best_offload is None or not np.isfinite(best_upload_time):
+    shares = np.array(list(_compositions(steps, n)), dtype=float) / steps
+    starved = shares <= 0.0
+    best_offload = _fastest(
+        shares, starved & (alloc.delta > 0.0),
+        lambda s: costs.edge_time_user(pop, replace(alloc, uplink_offload=s), cfg))
+    best_upload = _fastest(
+        shares, starved,
+        lambda s: costs.local_time(pop, replace(alloc, uplink_weight=s), model, cfg))
+    if best_offload is None or best_upload is None:
         raise NoFeasiblePoint("simplex_minimize_maxtime: every grid point was degenerate")
-    return best_offload, best_upload
+    offload, upload = shares[[best_offload, best_upload]]
+    return offload, upload

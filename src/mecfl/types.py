@@ -5,6 +5,12 @@ construction, so instances are immutable value objects that can be shared
 across workers without synchronization. Invalid states cannot be built:
 constructors validate their invariants and raise :class:`ValidationError`
 (or a subclass) on violation.
+
+An :class:`AllocationState` is one allocation of ``n`` users, or a stack of
+candidate allocations: its fields may be shaped ``(..., n)``. They are
+broadcast to one shape, stored once and validated in one pass along the
+last (user) axis, so the oracles can score a whole candidate grid with one
+call of the cost model.
 """
 
 from __future__ import annotations
@@ -115,6 +121,10 @@ class AllocationState:
     fraction, ``uplink_offload``/``uplink_weight`` the bandwidth shares for
     dataset offloading and weight upload, and the two multiplier vectors
     weight the proportional bandwidth allocation.
+
+    Each field is 1-d of length ``n_users``, or ``(..., n_users)`` for a
+    stack of candidates; the leading axes of all fields are broadcast to one
+    shape, and every candidate must be a valid allocation.
     """
 
     delta: np.ndarray
@@ -129,14 +139,22 @@ class AllocationState:
 
     def __post_init__(self):
         arrays = [np.asarray(getattr(self, name), dtype=float) for name in self._FIELDS]
-        n = arrays[0].size
+        n = arrays[0].shape[-1] if arrays[0].ndim else 1
         for name, arr in zip(self._FIELDS, arrays):
-            if arr.ndim != 1 or arr.size != n:
-                raise ValidationError(f"AllocationState: {name} must be 1-d of length {n}")
+            if arr.ndim == 0 or arr.shape[-1] != n:
+                where = " along its last axis" if arr.ndim > 1 else ""
+                raise ValidationError(f"AllocationState: {name} must be 1-d of length {n}{where}")
         if n == 0:
             raise ValidationError("AllocationState: at least one user required")
+        try:
+            shape = np.broadcast(*arrays).shape
+        except ValueError:
+            raise ValidationError("AllocationState: the candidate axes of shapes "
+                                  f"{[arr.shape for arr in arrays]} do not broadcast") from None
         # one read-only copy of all six fields; each field is a row of it
-        stacked = np.array(arrays)
+        stacked = np.empty((len(arrays),) + shape)
+        for i, arr in enumerate(arrays):
+            stacked[i] = arr
         stacked.flags.writeable = False
         for name, row in zip(self._FIELDS, stacked):
             object.__setattr__(self, name, row)
@@ -144,7 +162,7 @@ class AllocationState:
 
     @property
     def n_users(self) -> int:
-        return self.delta.size
+        return self.delta.shape[-1]
 
     @classmethod
     def uniform(cls, n_users: int, delta=0.0, gamma=1.0, multiplier=0.5) -> "AllocationState":
@@ -163,9 +181,9 @@ class AllocationState:
         )
 
 
-# Upper box bound of each AllocationState field, as a column: fractions and
-# shares lie in [0, 1], multipliers only need to be finite and >= 0.
-_FIELD_UPPER = np.array([[1.0 + CONSTRAINT_ATOL]] * 4 + [[np.finfo(float).max]] * 2)
+# Upper box bound of each AllocationState field, in _FIELDS order: fractions
+# and shares lie in [0, 1], multipliers only need to be finite and >= 0.
+_FIELD_UPPER = np.array([1.0 + CONSTRAINT_ATOL] * 4 + [np.finfo(float).max] * 2)
 
 
 def validate_allocation(alloc: AllocationState, n_users: int) -> AllocationState:
@@ -175,29 +193,33 @@ def validate_allocation(alloc: AllocationState, n_users: int) -> AllocationState
     :class:`OutOfRange` or :class:`SumExceedsOne` otherwise. Comparisons
     use an absolute slack of ``CONSTRAINT_ATOL``. Non-finite entries are
     reported first, then out-of-range ones, then an oversized share sum;
-    within one check the first field in ``_FIELDS`` order and then the
-    lowest user index is reported.
+    within one check the first field in ``_FIELDS`` order, then the first
+    candidate of a stack and then the lowest user index is reported.
     """
     names = AllocationState._FIELDS
     arrays = [getattr(alloc, name) for name in names]
     for name, arr in zip(names, arrays):
-        if arr.size != n_users:
+        if arr.shape[-1] != n_users:
             raise ValidationError(
-                f"AllocationState: {name} has length {arr.size}, expected {n_users}"
+                f"AllocationState: {name} has length {arr.shape[-1]}, expected {n_users}"
             )
     stacked = np.array(arrays)   # one row per field, in _FIELDS order
+    upper = _FIELD_UPPER.reshape((-1,) + (1,) * (stacked.ndim - 1))   # broadcast per field
     # Non-finite entries fail both comparisons, so one pass covers the boxes too.
-    inside = (stacked >= -CONSTRAINT_ATOL) & (stacked <= _FIELD_UPPER)
+    inside = (stacked >= -CONSTRAINT_ATOL) & (stacked <= upper)
     if not inside.all():
         finite = np.isfinite(stacked)
         if not finite.all():
-            row, i = divmod(int(finite.argmin()), n_users)
-            raise ValidationError(f"AllocationState: {names[row]}[{i}] is not finite")
-        row, i = divmod(int(inside.argmin()), n_users)
-        raise OutOfRange(i, names[row], float(stacked[row, i]))
-    for name, total in zip(names[2:4], stacked[2:4].sum(axis=1).tolist()):
-        if total > 1.0 + CONSTRAINT_ATOL:
-            raise SumExceedsOne(name, total - 1.0)
+            row, *where = np.unravel_index(int(finite.argmin()), stacked.shape)
+            raise ValidationError(f"AllocationState: {names[row]}[{', '.join(map(str, where))}]"
+                                  " is not finite")
+        where = np.unravel_index(int(inside.argmin()), stacked.shape)
+        raise OutOfRange(int(where[-1]), names[where[0]], float(stacked[where]))
+    totals = stacked[2:4].sum(axis=-1)
+    over = totals > 1.0 + CONSTRAINT_ATOL
+    if over.any():
+        first = np.unravel_index(int(over.argmax()), over.shape)
+        raise SumExceedsOne(names[2 + first[0]], float(totals[first]) - 1.0)
     return alloc
 
 

@@ -44,6 +44,10 @@ class CheckResult:
     passed: bool
     detail: str
 
+    def __post_init__(self):
+        # numpy bools are coerced so the result serializes as plain JSON
+        object.__setattr__(self, "passed", bool(self.passed))
+
 
 def _random_user(rng, index: int, dataset_size=None) -> UserProfile:
     return UserProfile(
@@ -295,9 +299,10 @@ def check_curvature_and_monotonicity(points_per_pair: int = 1000, seed: int = 41
             reference = _analytic_first_derivatives(user, alloc, model, cfg)[(quantity, variable)]
             cost = costs.total_energy if quantity == "energy" else costs.local_time
 
-            def evaluate(x, variable=variable, cost=cost, pop=Population.from_users([user]),
+            def evaluate(xs, variable=variable, cost=cost, pop=Population.from_users([user]),
                          alloc=alloc, model=model, cfg=cfg):
-                return cost(pop, replace(alloc, **{variable: [x]}), model, cfg)[0]
+                # one candidate allocation per stencil point, as one stack
+                return cost(pop, replace(alloc, **{variable: xs[:, None]}), model, cfg)[:, 0]
 
             x0 = float(getattr(alloc, variable)[0])
             fd1 = finite_diff(evaluate, x0, 1, FD_STEP_FIRST)

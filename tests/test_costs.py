@@ -252,8 +252,10 @@ def test_edge_time_convex_in_offload_share():
         share = rng.uniform(0.05, 0.95)
         alloc = make_alloc(1, delta=rng.uniform(0.1, 1.0), gamma=0.5, offload=[share])
 
-        def t_edge(x):
-            return costs.edge_time_total(pop_of(user), replace(alloc, uplink_offload=[x]), cfg)
+        def t_edge(xs):
+            # the slowest user's edge time at each stencil point, one candidate per point
+            stack = replace(alloc, uplink_offload=xs[:, None])
+            return costs.edge_time_user(pop_of(user), stack, cfg).max(axis=-1)
 
         assert finite_diff(t_edge, share, 2, 1e-4) >= -1e-6
 
@@ -272,6 +274,33 @@ def test_degenerate_divisors_raise():
         energy_of(user, make_alloc(1, delta=0.5, gamma=0.5, offload=[0.0]), model, cfg)
     with pytest.raises(DegenerateDivisor):
         costs.edge_time_total(pop_of(user), make_alloc(1, delta=0.5, offload=[0.0]), cfg)
+
+
+def test_round_costs_of_a_stack_equal_each_candidate_alone():
+    cfg = SystemConfig()
+    users = [make_user(uid=i, samples=400 + 500 * i, gain=10.0 ** -(6 + i)) for i in range(3)]
+    pop = pop_of(*users)
+    model = make_model(users, dim=300)
+    alloc = make_alloc(3, delta=[0.0, 0.3, 0.8], gamma=[1.0, 0.5, 0.2])
+    # user 0 offloads nothing, so a zero offload share (last row) is not degenerate for it
+    candidates = {"uplink_offload": [[0.2, 0.3, 0.5], [0.6, 0.3, 0.1], [0.0, 0.5, 0.5]],
+                  "uplink_weight": [[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]],
+                  "gamma": [[0.9, 0.4, 0.7], [0.1, 1.0, 0.5]],
+                  "delta": [[0.5, 0.0, 1.0], [0.0, 0.9, 0.2]]}
+    for field, rows in candidates.items():
+        stack = replace(alloc, **{field: rows})
+        for cost, args in ((costs.local_time, (model, cfg)), (costs.total_energy, (model, cfg)),
+                           (costs.edge_time_user, (cfg,))):
+            alone = [cost(pop, replace(alloc, **{field: row}), *args) for row in rows]
+            assert np.array_equal(cost(pop, stack, *args), alone)
+
+
+def test_degenerate_candidate_in_a_stack_names_its_user():
+    cfg = SystemConfig()
+    users = [make_user(uid=0), make_user(uid=1)]
+    stack = make_alloc(2, delta=0.5, offload=[[0.5, 0.5], [0.5, 0.0]])
+    with pytest.raises(DegenerateDivisor, match="^user 1: delta>0 needs a positive offload"):
+        costs.edge_time_user(pop_of(*users), stack, cfg)
 
 
 # ---------------------------------------------------------------- uplink base rate

@@ -150,7 +150,7 @@ FEASIBLE_TWO_USERS = dict(delta=[0.5, 0.5], gamma=[0.5, 0.5],
                           lambda_offload=[0.5, 0.5], lambda_local=[0.5, 0.5])
 
 
-@pytest.mark.parametrize("overrides, error, field, index", [
+PRECEDENCE_CASES = [
     # non-finite beats an out-of-range entry in an earlier field
     (dict(delta=[1.5, 0.5], lambda_local=[0.5, float("nan")]),
      ValidationError, "lambda_local", 1),
@@ -165,7 +165,10 @@ FEASIBLE_TWO_USERS = dict(delta=[0.5, 0.5], gamma=[0.5, 0.5],
     # both share sums too large: the offload simplex is reported
     (dict(uplink_offload=[0.6, 0.6], uplink_weight=[0.9, 0.9]),
      SumExceedsOne, "uplink_offload", None),
-])
+]
+
+
+@pytest.mark.parametrize("overrides, error, field, index", PRECEDENCE_CASES)
 def test_validation_precedence_when_violations_co_occur(overrides, error, field, index):
     with pytest.raises(ValidationError) as excinfo:
         AllocationState(**{**FEASIBLE_TWO_USERS, **overrides})
@@ -176,3 +179,44 @@ def test_validation_precedence_when_violations_co_occur(overrides, error, field,
         assert excinfo.value.simplex == field
     else:
         assert f"{field}[{index}] is not finite" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("overrides, error, field, index", PRECEDENCE_CASES)
+def test_bad_candidate_in_a_stack_raises_as_in_one_d(overrides, error, field, index):
+    # candidates 0 and 2 are feasible, candidate 1 carries the violations
+    stack = {name: np.array([value, overrides.get(name, value), value])
+             for name, value in FEASIBLE_TWO_USERS.items()}
+    with pytest.raises(ValidationError) as one_d:
+        AllocationState(**{**FEASIBLE_TWO_USERS, **overrides})
+    with pytest.raises(ValidationError) as stacked:
+        AllocationState(**stack)
+    assert type(stacked.value) is type(one_d.value) is error
+    if error is ValidationError:
+        assert f"{field}[1, {index}] is not finite" in str(stacked.value)
+    else:
+        assert str(stacked.value) == str(one_d.value)
+        assert vars(stacked.value) == vars(one_d.value)
+    if error is SumExceedsOne:
+        assert stacked.value.excess == pytest.approx(sum(overrides[field]) - 1.0)
+
+
+def test_stack_broadcasts_its_fields_to_one_read_only_shape():
+    shares = np.array([[0.2, 0.8], [0.5, 0.5], [1.0, 0.0]])
+    stack = AllocationState(**{**FEASIBLE_TWO_USERS, "uplink_offload": shares})
+    assert stack.n_users == 2
+    for name in AllocationState._FIELDS:
+        field = getattr(stack, name)
+        assert field.shape == (3, 2)
+        assert not field.flags.writeable
+    assert np.array_equal(stack.uplink_offload, shares)
+    assert np.array_equal(stack.delta, [[0.5, 0.5]] * 3)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(gamma=np.full((3, 3), 0.5)),          # last axis 3 against 2 users
+    dict(delta=np.full((3, 1), 0.5)),          # sets n = 1; the others have 2
+    dict(uplink_weight=np.full((4, 2), 0.3), lambda_local=np.full((3, 2), 0.5)),
+])
+def test_stack_with_mismatched_axes_rejected(overrides):
+    with pytest.raises(ValidationError):
+        AllocationState(**{**FEASIBLE_TWO_USERS, **overrides})
