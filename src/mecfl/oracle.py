@@ -11,15 +11,21 @@ Candidates are scored as one batch, not one at a time: the simplex search
 puts every composition of a simplex into one stacked
 :class:`AllocationState` and makes one cost-model call per simplex, and
 ``finite_diff`` evaluates its whole stencil in one call of ``f``.
+``grid_minimize`` scores its grid block by block, each block a slice of
+one ``linspace``, so a million-point grid builds no temporaries of its
+own size. ``bisect_root`` is scipy's bisection written out, with the
+same roots bit for bit, so importing the package does not load
+``scipy.optimize``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import replace
 
 import numpy as np
-from scipy.optimize import bisect as _scipy_bisect
 
 from . import costs
 from .errors import (
@@ -27,9 +33,25 @@ from .errors import (
     InstanceTooLarge,
     NoFeasiblePoint,
     NoSignChange,
+    SimulationError,
     ValidationError,
 )
 from .types import AllocationState, ModelState, Population, SystemConfig, _require_positive
+
+_GRID_BLOCK = 16384                       # grid points scored per call of f
+_BISECT_HALVINGS = 100                    # scipy's default maxiter
+_BISECT_RTOL = 4 * sys.float_info.epsilon  # scipy's default rtol
+
+
+def _on_grid(fn, xs: np.ndarray, dtype) -> np.ndarray:
+    """``fn`` on the vector ``xs``, or point by point if it does not broadcast."""
+    try:
+        values = np.asarray(fn(xs), dtype=dtype)
+        if values.shape == xs.shape:
+            return values
+    except (TypeError, ValueError):
+        pass
+    return np.array([dtype(fn(x)) for x in xs], dtype=dtype)
 
 
 def grid_minimize(f, lo: float, hi: float, points: int, constraint=None):
@@ -37,47 +59,68 @@ def grid_minimize(f, lo: float, hi: float, points: int, constraint=None):
 
     ``f`` (and ``constraint``, a boolean predicate) should broadcast over a
     numpy vector; scalar-only callables are evaluated pointwise as a
-    fallback. Ties take the smallest x. Resolution is (hi-lo)/(points-1).
+    fallback. Both run on one block of the grid at a time. NaN and
+    infeasible points score +inf; ties take the smallest x. Resolution is
+    (hi-lo)/(points-1).
     """
-    if points < 2:
-        raise ValidationError(f"grid_minimize: points must be >= 2, got {points}")
-    if not lo < hi:
-        raise ValidationError(f"grid_minimize: need lo < hi, got [{lo}, {hi}]")
+    if not isinstance(points, numbers.Integral) or points < 2:
+        raise ValidationError(f"grid_minimize: points must be an integer >= 2, got {points!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValidationError(f"grid_minimize: need finite lo < hi, got [{lo}, {hi}]")
     xs = np.linspace(lo, hi, points)
+    best_x, best_y = None, np.inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        try:
-            ys = np.asarray(f(xs), dtype=float)
-            if ys.shape != xs.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            ys = np.array([float(f(x)) for x in xs])
-        if constraint is None:
-            feasible = np.ones(points, dtype=bool)
-        else:
-            try:
-                feasible = np.asarray(constraint(xs), dtype=bool)
-                if feasible.shape != xs.shape:
-                    raise TypeError
-            except (TypeError, ValueError):
-                feasible = np.array([bool(constraint(x)) for x in xs])
-    ys = np.where(feasible & ~np.isnan(ys), ys, np.inf)
-    if not np.any(np.isfinite(ys)):
+        for start in range(0, points, _GRID_BLOCK):
+            block = xs[start:start + _GRID_BLOCK]
+            ys = _on_grid(f, block, float)
+            feasible = ~np.isnan(ys)
+            if constraint is not None:
+                feasible &= _on_grid(constraint, block, bool)
+            ys = np.where(feasible, ys, np.inf)
+            i = int(np.argmin(ys))
+            if ys[i] < best_y:
+                best_x, best_y = block[i], ys[i]
+    if best_x is None:
         raise NoFeasiblePoint("grid_minimize: no feasible grid point")
-    best = int(np.argmin(ys))
-    return float(xs[best]), float(ys[best])
+    return float(best_x), float(best_y)
 
 
 def bisect_root(g, lo: float, hi: float, tol: float) -> float:
-    """Root of ``g`` on [lo, hi], bracketed to interval width <= tol."""
+    """Root of ``g`` on [lo, hi], bracketed to interval width <= tol.
+
+    The loop is scipy's ``bisect`` (``Zeros/bisect.c``: relative tolerance
+    4 eps, at most 100 halvings), so the roots match it bit for bit. Signs
+    are compared, not the product ``g(mid) * g(lo)``, which can underflow to
+    zero. Each endpoint is evaluated once; a NaN value of ``g`` raises
+    :class:`ValidationError`.
+    """
     _require_positive("bisect_root", tol=tol)
-    g_lo, g_hi = g(lo), g(hi)
-    if g_lo * g_hi > 0:
-        raise NoSignChange(f"bisect_root: g({lo})={g_lo:g} and g({hi})={g_hi:g} share a sign")
+
+    def value(x: float) -> float:
+        y = float(g(x))
+        if math.isnan(y):
+            raise ValidationError(f"bisect_root: g({x!r}) is NaN")
+        return y
+
+    lo, hi = float(lo), float(hi)
+    g_lo, g_hi = value(lo), value(hi)
     if g_lo == 0.0:
-        return float(lo)
+        return lo
     if g_hi == 0.0:
-        return float(hi)
-    return float(_scipy_bisect(g, lo, hi, xtol=tol))
+        return hi
+    if (g_lo < 0.0) == (g_hi < 0.0):
+        raise NoSignChange(f"bisect_root: g({lo})={g_lo:g} and g({hi})={g_hi:g} share a sign")
+    a, step = lo, hi - lo
+    for _ in range(_BISECT_HALVINGS):
+        step *= 0.5
+        mid = a + step
+        g_mid = value(mid)
+        if (g_mid < 0.0) == (g_lo < 0.0):
+            a = mid
+        if g_mid == 0.0 or abs(step) < tol + _BISECT_RTOL * abs(mid):
+            return mid
+    raise SimulationError(f"bisect_root: no convergence to tol={tol!r} on [{lo}, {hi}] "
+                          f"after {_BISECT_HALVINGS} halvings")
 
 
 def finite_diff(f, x: float, order: int, h: float) -> float:

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from mecfl import costs, verify
+from mecfl import costs, oracle, verify
 from mecfl.errors import (
     DegenerateDivisor,
     InstanceTooLarge,
     NoFeasiblePoint,
     NoSignChange,
+    SimulationError,
     ValidationError,
 )
 from mecfl.costs import base_rate
@@ -272,3 +273,220 @@ def test_batched_simplex_scores_nan_as_infinite(monkeypatch):
     offload, _ = _assert_batched_equals_reference(pop_of(users), make_alloc(2), make_model(users),
                                                   SystemConfig(), 1e-2)
     assert list(offload) == [0.29, 0.71]
+
+
+# --------------------------------------------------------------------------
+# bisection: scipy's loop, written out
+# --------------------------------------------------------------------------
+
+def _counted(g):
+    def wrapped(x):
+        wrapped.calls += 1
+        return g(x)
+    wrapped.calls = 0
+    return wrapped
+
+
+def _delta_imbalance(seed):
+    """The time imbalance ``check_delta_closed_form`` bisects, on one instance."""
+    users, alloc, model, cfg = verify.random_delta_instance(np.random.default_rng(seed))
+    pop = pop_of(users)
+
+    def imbalance(d):
+        delta = alloc.delta.copy()
+        delta[1] = d
+        state = replace(alloc, delta=delta)
+        return (costs.local_time(pop, state, model, cfg)
+                - costs.edge_time_user(pop, state, cfg))[1]
+
+    return imbalance
+
+
+_BRACKETING_SEEDS = [s for s in range(12)
+                     if _delta_imbalance(s)(0.0) >= 0.0 >= _delta_imbalance(s)(1.0)]
+
+_ROOT_CASES = {
+    "linear": (lambda x: x - 0.3, 0.0, 1.0),
+    "linear-falling": (lambda x: 1.0 / 3.0 - x, -2.0, 5.0),
+    "cubic": (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    "cubic-flat-root": (lambda x: (x - 0.7) ** 3, 0.0, 1.0),
+    # products of two values underflow to zero; the signs still decide
+    "tiny-values": (lambda x: (x - 0.3) * 1e-160, 0.0, 1.0),
+    **{f"imbalance-{s}": (_delta_imbalance(s), 0.0, 1.0) for s in _BRACKETING_SEEDS[:4]},
+}
+_TOLS = [1e-14, 1e-12, 1e-10, 1e-8, 1e-5, 1e-2]
+
+
+def test_verify_style_cases_bracket_a_root():
+    assert len(_BRACKETING_SEEDS) >= 4
+
+
+@pytest.mark.parametrize("tol", _TOLS)
+@pytest.mark.parametrize("case", sorted(_ROOT_CASES))
+def test_bisect_root_equals_scipy_bisect(case, tol):
+    from scipy.optimize import bisect
+
+    g, lo, hi = _ROOT_CASES[case]
+    root = bisect_root(g, lo, hi, tol)
+    assert root == bisect(g, lo, hi, xtol=tol)
+    assert type(root) is float
+
+
+@pytest.mark.parametrize("lo, hi, want", [(0.3, 1.0, 0.3), (-1.0, 0.3, 0.3)])
+def test_bisect_root_at_an_endpoint_equals_scipy_bisect(lo, hi, want):
+    from scipy.optimize import bisect
+
+    g = _counted(lambda x: x - 0.3)
+    assert bisect_root(g, lo, hi, 1e-12) == bisect(g, lo, hi, xtol=1e-12) == want
+    assert g.calls == 2 + 2               # both ends, once in each
+
+
+@pytest.mark.parametrize("case", sorted(_ROOT_CASES))
+def test_bisect_root_evaluates_each_endpoint_once(case):
+    # the parent evaluated g at both ends itself and then again inside
+    # scipy's bisect: 2 calls more than scipy alone makes
+    from scipy.optimize import bisect
+
+    g, lo, hi = _ROOT_CASES[case]
+    ours, theirs = _counted(g), _counted(g)
+    bisect_root(ours, lo, hi, 1e-12)
+    bisect(theirs, lo, hi, xtol=1e-12)
+    assert ours.calls == theirs.calls
+    assert ours.calls > 2
+
+
+@pytest.mark.parametrize("g", [
+    lambda x: np.nan if x == 1.0 else x - 0.3,
+    lambda x: np.nan if x == 0.0 else x - 0.3,
+    lambda x: np.nan if 0.2 < x < 0.6 else x - 0.3,
+], ids=["at-hi", "at-lo", "mid-loop"])
+def test_bisect_root_rejects_nan_values(g):
+    with pytest.raises(ValidationError, match="is NaN"):
+        bisect_root(g, 0.0, 1.0, 1e-8)
+
+
+def test_bisect_root_raises_a_simulation_error_when_halvings_run_out():
+    # |dm| never drops below tol + 4 eps |xm| near x = 0 within 100 halvings
+    with pytest.raises(SimulationError, match="100 halvings"):
+        bisect_root(lambda x: x, -1.0, 2.0, 1e-300)
+
+
+def test_bisect_root_sign_check_does_not_underflow():
+    with pytest.raises(NoSignChange):
+        bisect_root(lambda x: 1e-200, 0.0, 1.0, 1e-8)
+
+
+# --------------------------------------------------------------------------
+# block-wise grid search against the full-grid search it replaced
+# --------------------------------------------------------------------------
+
+def _reference_grid(f, lo, hi, points, constraint=None):
+    """One call of ``f`` and ``constraint`` on the whole grid."""
+    xs = np.linspace(lo, hi, points)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        try:
+            ys = np.asarray(f(xs), dtype=float)
+            if ys.shape != xs.shape:
+                raise TypeError
+        except (TypeError, ValueError):
+            ys = np.array([float(f(x)) for x in xs])
+        if constraint is None:
+            feasible = np.ones(points, dtype=bool)
+        else:
+            try:
+                feasible = np.asarray(constraint(xs), dtype=bool)
+                if feasible.shape != xs.shape:
+                    raise TypeError
+            except (TypeError, ValueError):
+                feasible = np.array([bool(constraint(x)) for x in xs])
+    ys = np.where(feasible & ~np.isnan(ys), ys, np.inf)
+    if not np.any(np.isfinite(ys)):
+        raise NoFeasiblePoint("reference: no feasible grid point")
+    best = int(np.argmin(ys))
+    return float(xs[best]), float(ys[best])
+
+
+_BLOCK = oracle._GRID_BLOCK
+
+
+def _assert_grid_equals_reference(f, lo, hi, points, constraint=None):
+    """Same (x, f(x)) bits as the reference, or NoFeasiblePoint from both."""
+    try:
+        want = _reference_grid(f, lo, hi, points, constraint)
+    except NoFeasiblePoint:
+        with pytest.raises(NoFeasiblePoint):
+            grid_minimize(f, lo, hi, points, constraint)
+        return None
+    got = grid_minimize(f, lo, hi, points, constraint)
+    assert np.array_equal(got, want), (got, want)
+    return got
+
+
+@pytest.mark.parametrize("points", [2, _BLOCK - 1, _BLOCK, 3 * _BLOCK, 3 * _BLOCK + 7, 10**6])
+def test_block_grid_equals_full_grid(points):
+    _assert_grid_equals_reference(lambda x: (x - 0.3) ** 2 + 1e-3 * np.sin(40.0 * x),
+                                  0.0, 1.0, points)
+    _assert_grid_equals_reference(lambda x: 1.0 / x + x, 0.0, 3.0, points,
+                                  constraint=lambda x: x * x <= 0.6)
+
+
+def test_block_grid_tie_across_a_block_boundary_takes_the_smallest_x():
+    points = 2 * _BLOCK + 5
+    xs = np.linspace(-1.0, 1.0, points)
+    edge = xs[_BLOCK]                     # first point of the second block
+    step = xs[1] - xs[0]
+
+    def plateau(x):
+        return np.where(np.abs(x - edge) <= 3.5 * step, 0.0, 1.0 + x * x)
+
+    x, fx = _assert_grid_equals_reference(plateau, -1.0, 1.0, points)
+    assert (x, fx) == (xs[_BLOCK - 3], 0.0)
+
+
+def test_block_grid_skips_blocks_that_are_all_infeasible():
+    points = 4 * _BLOCK + 3
+    xs = np.linspace(0.0, 1.0, points)
+    floor = xs[2 * _BLOCK + 10]
+    x, _ = _assert_grid_equals_reference(lambda x: (x - 0.5) ** 2, 0.0, 1.0, points,
+                                         constraint=lambda x: x >= floor)
+    assert x == floor
+
+
+def test_block_grid_scores_nan_as_infinite():
+    points = 3 * _BLOCK + 1
+    x, _ = _assert_grid_equals_reference(
+        lambda x: np.where(x < 0.4, np.nan, (x - 0.3) ** 2), 0.0, 1.0, points)
+    assert x >= 0.4
+    assert _assert_grid_equals_reference(lambda x: np.full_like(x, np.nan),
+                                         0.0, 1.0, points) is None
+
+
+def test_block_grid_scalar_only_callables():
+    points = _BLOCK + 3
+    _assert_grid_equals_reference(lambda x: float(abs(x - 0.3)), 0.0, 1.0, points,
+                                  constraint=lambda x: bool(x >= 0.5))
+
+
+def test_block_grid_calls_f_and_constraint_once_per_block():
+    sizes = {"f": [], "constraint": []}
+
+    def f(x):
+        sizes["f"].append(len(x))
+        return x
+
+    def constraint(x):
+        sizes["constraint"].append(len(x))
+        return x >= 0.0
+
+    grid_minimize(f, 0.0, 1.0, 2 * _BLOCK + 1, constraint)
+    assert sizes == {"f": [_BLOCK, _BLOCK, 1], "constraint": [_BLOCK, _BLOCK, 1]}
+
+
+@pytest.mark.parametrize("lo, hi, points", [
+    (-np.inf, 1.0, 101),
+    (0.0, np.inf, 101),
+    (0.0, 1.0, 2.5),
+], ids=["lo-infinite", "hi-infinite", "points-not-integral"])
+def test_grid_rejects_infinite_bounds_and_fractional_points(lo, hi, points):
+    with pytest.raises(ValidationError):
+        grid_minimize(lambda x: (x - 0.3) ** 2, lo, hi, points)
