@@ -9,34 +9,40 @@ fraction, and an exhaustive simplex search for the bandwidth shares.
 """
 
 import numpy as np
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from mecfl import costs, verify
 from mecfl.oracle import bisect_root, grid_minimize, simplex_minimize_maxtime
 from mecfl.optimizer import solve_delta, solve_gamma, solve_uplink
-from mecfl.types import Population
 
 rng = np.random.default_rng(2024)
 
 # --- CPU fraction: minimize local time subject to the energy budget -------
-user, alloc, model, cfg, transmission = verify.random_gamma_instance(rng)
-(gamma,), _ = solve_gamma(Population.from_users([user]), alloc, model, cfg)
-data = (1.0 - alloc.delta[0]) * costs.dataset_bytes(user, cfg)
+pop, alloc, model, cfg, transmission = verify.random_gamma_instance(rng)
+(gamma,), _ = solve_gamma(pop, alloc, model, cfg)
+(data,) = (1.0 - alloc.delta[0]) * costs.dataset_bytes(pop, cfg)
+cpu, budget = pop.cpu_hz[0], pop.energy_budget[0]
 grid_gamma, _ = grid_minimize(
-    lambda g: costs.training_time(data, cfg.cycles_per_byte, g, user.cpu_hz),
+    lambda g: costs.training_time(data, cfg.cycles_per_byte, g, cpu),
     0.0, 1.0, 10**6,
     lambda g: costs.training_energy(cfg.chip_capacitance, data, cfg.cycles_per_byte,
-                                    g, user.cpu_hz) + transmission <= user.energy_budget,
+                                    g, cpu) + transmission <= budget,
 )
 print("CPU fraction")
 print(f"  closed form {gamma:.8f}   grid search {grid_gamma:.8f}   "
       f"gap {abs(gamma - grid_gamma):.2e}")
 
 # --- offload fraction: balance the local and edge completion times --------
-users, alloc, model, cfg = verify.random_delta_instance(rng)
-pop = Population.from_users(users)
-others = np.delete(alloc.delta * costs.dataset_bytes(pop, cfg), 1).sum()  # users 0 and 2
-delta = solve_delta(users[1], alloc, model, cfg, others)
+pop, alloc, model, cfg = verify.random_delta_instance(rng)
+
+
+def user_1_first(obj):
+    """The instance's arrays in the order [1, 0, 2]."""
+    return replace(obj, **{f.name: getattr(obj, f.name)[[1, 0, 2]] for f in fields(obj)})
+
+
+# The first user of the sweep answers the others' previous fractions.
+delta = solve_delta(user_1_first(pop), user_1_first(alloc), model, cfg)[0]
 
 
 def imbalance(d):
@@ -50,8 +56,7 @@ print("offload fraction")
 print(f"  closed form {delta:.10f}   bisection {root:.10f}   gap {abs(delta - root):.2e}")
 
 # --- bandwidth shares: minimize the slowest per-user completion time ------
-users, alloc, model, cfg = verify.random_uplink_instance(rng)
-pop = Population.from_users(users)
+pop, alloc, model, cfg = verify.random_uplink_instance(rng)
 closed_off, closed_up = solve_uplink(pop, alloc, model, cfg)
 oracle_off, oracle_up = simplex_minimize_maxtime(pop, alloc, model, cfg, 1e-3)
 print("bandwidth shares (offload side, then upload side)")

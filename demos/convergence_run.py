@@ -18,12 +18,12 @@ spec = io.ExperimentSpec(
     class_separation=8.0,
     system=SystemConfig(learning_rate=0.5, local_epochs=10),
 )
-users, datasets = io.synthesize_users(spec)
+pop, datasets = io.synthesize_users(spec)
 test = io.load_test_dataset(spec)
 cfg = io.effective_config(spec)
 
-proposed = run_proposed(users, datasets, cfg, spec.max_iterations, test_dataset=test)
-baseline = run_traditional(users, datasets, cfg, spec.max_iterations, test_dataset=test)
+proposed = run_proposed(pop, datasets, cfg, spec.max_iterations, test_dataset=test)
+baseline = run_traditional(pop, datasets, cfg, spec.max_iterations, test_dataset=test)
 
 print(f"{'round':>5} {'loss (adaptive)':>16} {'time (adaptive)':>16} "
       f"{'loss (baseline)':>16} {'time (baseline)':>16}")
@@ -42,6 +42,6 @@ last = proposed.trace[-1]
 print()
 print(f"adaptive run: converged={proposed.converged} after {proposed.iterations_used} rounds")
 print(f"final round time {last.t_total:.6f} s vs baseline {baseline.trace[-1].t_total:.6f} s")
-budget_ok = all(last.e_total[u.id] <= u.energy_budget for u in users)
+budget_ok = all(last.e_total <= pop.energy_budget)
 print(f"all users within their energy budgets: {budget_ok}")
 print(f"final offload fractions: {[round(float(d), 3) for d in proposed.final_alloc.delta]}")

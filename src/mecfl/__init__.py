@@ -30,7 +30,6 @@ from .types import (
     Population,
     RoundMetrics,
     SystemConfig,
-    UserProfile,
     project_unit_interval,
     validate_allocation,
 )

@@ -13,16 +13,17 @@ rate (rates are bit/s). The size of a dataset and of the weight vector are
 linear models: ``bytes_per_sample * samples`` and
 ``bytes_per_weight_element * dim``.
 
-The kernels (``training_time``, ``transmit_time``, ...) and the size and
-rate models (``base_rate``, ``dataset_bytes``) broadcast over numpy arrays
-and carry no guards, so they serve one :class:`UserProfile` as well as a
-:class:`Population`. The round costs (``local_time``, ``total_energy``,
-``edge_time_user``, ``edge_time_total``) take a whole :class:`Population`
-and return one value per user; all but ``edge_time_total`` also take a
-stack of candidate allocations, fields shaped ``(..., n)``, and return one
-row per candidate. A zero divisor (CPU share, bandwidth share)
-under a nonzero numerator raises :class:`DegenerateDivisor` rather than
-producing ``inf``; when the numerator is exactly zero the term is 0.
+The kernels (``training_time``, ``transmit_time``, ...) broadcast over
+numpy arrays and scalars alike, and the size and rate models
+(``base_rate``, ``dataset_bytes``) give one value per user of a
+:class:`Population`; none of them carry guards. The round costs
+(``local_time``, ``total_energy``, ``edge_time_user``, ``edge_time_total``)
+take a whole :class:`Population` and return one value per user; all but
+``edge_time_total`` also take a stack of candidate allocations, fields
+shaped ``(..., n)``, and return one row per candidate. A zero divisor (CPU
+share, bandwidth share) under a nonzero numerator raises
+:class:`DegenerateDivisor` rather than producing ``inf``; when the
+numerator is exactly zero the term is 0.
 """
 
 from __future__ import annotations
@@ -59,15 +60,15 @@ def transmit_energy(power_w, payload_bytes, share, rate_bps):
     return power_w * transmit_time(payload_bytes, share, rate_bps)
 
 
-def base_rate(users, cfg: SystemConfig):
-    """Full-bandwidth achievable rate, bit/s, of a user or of every user."""
-    snr = users.transmit_power * users.channel_gain / cfg.noise_power
+def base_rate(pop: Population, cfg: SystemConfig) -> np.ndarray:
+    """Full-bandwidth achievable rate, bit/s, of every user."""
+    snr = pop.transmit_power * pop.channel_gain / cfg.noise_power
     return cfg.bandwidth_hz * np.log2(1.0 + snr)
 
 
-def dataset_bytes(users, cfg: SystemConfig):
-    """Size of the full local dataset, bytes, of a user or of every user."""
-    return cfg.bytes_per_sample * users.dataset_size
+def dataset_bytes(pop: Population, cfg: SystemConfig) -> np.ndarray:
+    """Size of the full local dataset, bytes, of every user."""
+    return cfg.bytes_per_sample * pop.dataset_size
 
 
 def weights_bytes(model: ModelState, cfg: SystemConfig) -> float:

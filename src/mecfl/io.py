@@ -33,7 +33,7 @@ from .orchestrator import (
     run_proposed,
     run_traditional,
 )
-from .types import SystemConfig, UserProfile
+from .types import Population, SystemConfig
 
 SEED_ENV_VAR = "MECFL_SEED"
 
@@ -234,13 +234,13 @@ def synthesize_dataset(n_samples: int, n_features: int, n_classes: int, seed: in
     return Dataset((raw - lo) / span, labels, n_classes)
 
 
-def synthesize_users(spec: ExperimentSpec) -> tuple[list[UserProfile], list[Dataset]]:
+def synthesize_users(spec: ExperimentSpec) -> tuple[Population, list[Dataset]]:
     """Build the user population and shard the data pool across it.
 
     CPU rates and energy budgets are uniform over their configured ranges;
     gains follow the distance model (or ``channel_gain_range`` when set).
     The pool is shuffled and split into near-equal shards, remainders going
-    to the lowest user ids.
+    to the lowest user indices.
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.user_count
@@ -263,22 +263,12 @@ def synthesize_users(spec: ExperimentSpec) -> tuple[list[UserProfile], list[Data
                                   spec.class_separation)
     perm = rng.permutation(pool.sample_count)
     base, extra = divmod(pool.sample_count, n)
-    users, datasets = [], []
-    start = 0
-    for i in range(n):
-        size = base + (1 if i < extra else 0)
-        shard = pool.take(perm[start:start + size])
-        start += size
-        users.append(UserProfile(
-            id=i,
-            transmit_power=spec.transmit_power_w,
-            channel_gain=float(gains[i]),
-            cpu_hz=float(cpu[i]),
-            energy_budget=float(energy[i]),
-            dataset_size=shard.sample_count,
-        ))
-        datasets.append(shard)
-    return users, datasets
+    sizes = base + (np.arange(n) < extra)
+    ends = np.cumsum(sizes)
+    datasets = [pool.take(perm[end - size:end]) for size, end in zip(sizes, ends)]
+    pop = Population(transmit_power=np.full(n, spec.transmit_power_w), channel_gain=gains,
+                     cpu_hz=cpu, energy_budget=energy, dataset_size=sizes)
+    return pop, datasets
 
 
 def load_test_dataset(spec: ExperimentSpec) -> Dataset:
@@ -294,10 +284,14 @@ def load_test_dataset(spec: ExperimentSpec) -> Dataset:
                               spec.seed + 0x7E57, spec.class_separation)
 
 
-def representative_users(users) -> tuple[int, int]:
-    """(cell-center id, cell-edge id): the best- and worst-gain users."""
-    gains = [(u.channel_gain, u.id) for u in users]
-    return max(gains)[1], min(gains)[1]
+def representative_users(pop: Population) -> tuple[int, int]:
+    """(cell-center index, cell-edge index): the best- and worst-gain users.
+
+    Among equal best gains the highest index is the center; among equal
+    worst gains the lowest index is the cell edge.
+    """
+    gains = pop.channel_gain
+    return pop.n_users - 1 - int(gains[::-1].argmax()), int(gains.argmin())
 
 
 # --------------------------------------------------------------------------
@@ -306,15 +300,15 @@ def representative_users(users) -> tuple[int, int]:
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run a (non-sweep) scenario described by the spec."""
-    users, datasets = synthesize_users(spec)
+    pop, datasets = synthesize_users(spec)
     test = load_test_dataset(spec)
     cfg = effective_config(spec)
     if spec.scenario == "proposed":
-        return run_proposed(users, datasets, cfg, spec.max_iterations, test_dataset=test)
+        return run_proposed(pop, datasets, cfg, spec.max_iterations, test_dataset=test)
     if spec.scenario == "traditional":
-        return run_traditional(users, datasets, cfg, spec.max_iterations, test_dataset=test)
+        return run_traditional(pop, datasets, cfg, spec.max_iterations, test_dataset=test)
     if spec.scenario == "centralized":
-        return run_centralized(users, datasets, cfg, spec.max_iterations, test_dataset=test)
+        return run_centralized(pop, datasets, cfg, spec.max_iterations, test_dataset=test)
     raise ValidationError(f"run_experiment cannot handle scenario {spec.scenario!r}")
 
 
@@ -327,10 +321,10 @@ def run_sweep(spec: ExperimentSpec) -> list[dict]:
     """
     if spec.scenario not in ("sweep_offload", "sweep_gamma"):
         raise ValidationError(f"run_sweep cannot handle scenario {spec.scenario!r}")
-    users, datasets = synthesize_users(spec)
+    pop, datasets = synthesize_users(spec)
     test = load_test_dataset(spec)
     cfg = effective_config(spec)
-    center, edge = representative_users(users)
+    center, edge = representative_users(pop)
     grid = OFFLOAD_SWEEP_GRID if spec.scenario == "sweep_offload" else GAMMA_SWEEP_GRID
     rows = []
     for value in grid:
@@ -339,7 +333,7 @@ def run_sweep(spec: ExperimentSpec) -> list[dict]:
         else:
             delta, gamma = spec.sweep_delta, value
         result = run_proposed(
-            users, datasets, cfg, spec.sweep_rounds, test_dataset=test,
+            pop, datasets, cfg, spec.sweep_rounds, test_dataset=test,
             adapt=False, initial_delta=delta, initial_gamma=gamma,
             stop_on_convergence=False,
         )

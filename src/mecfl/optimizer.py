@@ -1,8 +1,8 @@
 """Closed-form best responses for the per-round resource game.
 
-``solve_gamma``, ``solve_uplink`` and ``update_multipliers`` answer for
-every user of a :class:`Population` at once; ``solve_delta`` is one
-player's move, made in turn by each user of the sweep:
+Each function answers for every user of a :class:`Population` in one
+call (``solve_delta`` as a Gauss-Seidel sweep, in which the users move in
+turn):
 
 * ``solve_gamma``    - CPU fraction that spends the whole energy budget,
 * ``solve_delta``    - offload fraction that balances the local and edge
@@ -18,23 +18,16 @@ from __future__ import annotations
 import numpy as np
 
 from .costs import (
-    BITS_PER_BYTE,
     base_rate,
     check_degenerate,
     dataset_bytes,
     training_time,
     transmit_energy,
+    transmit_time,
     weights_bytes,
 )
-from .errors import AllZeroWeights, DegenerateDivisor, ValidationError
-from .types import (
-    AllocationState,
-    ModelState,
-    Population,
-    SystemConfig,
-    UserProfile,
-    project_unit_interval,
-)
+from .errors import AllZeroWeights, ValidationError
+from .types import AllocationState, ModelState, Population, SystemConfig, project_unit_interval
 
 # Keeps both multipliers strictly positive; repeated penalty increments
 # would otherwise drive the upload-side multiplier to zero or below.
@@ -81,32 +74,50 @@ def solve_gamma(pop: Population, alloc: AllocationState, model: ModelState,
     return np.minimum(gamma, 1.0), exhausted
 
 
-def solve_delta(user: UserProfile, alloc: AllocationState, model: ModelState,
-                cfg: SystemConfig, others_offloaded_bytes: float) -> float:
-    """Offload fraction equating one user's local and edge completion times.
+def solve_delta(pop: Population, alloc: AllocationState, model: ModelState,
+                cfg: SystemConfig) -> np.ndarray:
+    """Offload fractions of one Gauss-Seidel sweep over the users in index order.
 
-    Both times are linear in delta with opposite slopes, so the balance
-    point is unique; it is projected onto [0, 1]. Other users' offload
-    decisions enter through the shared edge compute load, given as the
-    bytes they offload, sum_{j != i} delta_j * data_bytes_j.
+    Each user's fraction equates its local and edge completion times. Both
+    are linear in delta with opposite slopes, so the balance point is
+    unique; it is projected onto [0, 1]. Other users' offload decisions
+    enter through the shared edge compute load: user i answers the fresh
+    fractions of users j < i and the previous ones (``alloc.delta``) of
+    users j > i, so user 0 answers everyone else's previous fractions. A
+    user without offload share gets 0; otherwise a user without CPU budget
+    (gamma = 0) gets 1, the limit of the balance as its local time diverges.
     """
-    i = user.id
-    gamma, offload_share, upload_share = (
-        alloc.gamma[i], alloc.uplink_offload[i], alloc.uplink_weight[i])
-    if gamma <= 0.0 or offload_share <= 0.0 or upload_share <= 0.0:
-        raise DegenerateDivisor(
-            f"user {i}: solve_delta needs positive gamma and both uplink shares"
-        )
-    rate = base_rate(user, cfg)
-    data = dataset_bytes(user, cfg)
-    offload_per_unit = BITS_PER_BYTE * data / (offload_share * rate)
-    edge_compute_per_unit = data * cfg.cycles_per_byte / cfg.edge_cpu_hz
-    local_per_unit = training_time(data, cfg.cycles_per_byte, gamma, user.cpu_hz)
-    upload = BITS_PER_BYTE * weights_bytes(model, cfg) / (upload_share * rate)
-    others_compute = others_offloaded_bytes * cfg.cycles_per_byte / cfg.edge_cpu_hz
-    numerator = local_per_unit + upload - others_compute
-    denominator = offload_per_unit + edge_compute_per_unit + local_per_unit
-    return project_unit_interval(numerator / denominator)
+    gamma, offload_share, upload_share = alloc.gamma, alloc.uplink_offload, alloc.uplink_weight
+    forced_zero = offload_share <= 0.0
+    forced_one = ~forced_zero & (gamma <= 0.0)
+    check_degenerate(~forced_zero & ~forced_one & (upload_share <= 0.0),
+                     "solve_delta needs positive gamma and both uplink shares")
+    rate = base_rate(pop, cfg)
+    data = dataset_bytes(pop, cfg)
+    edge_per_unit = data * cfg.cycles_per_byte / cfg.edge_cpu_hz
+    # entries of forced users may divide by zero; the loop skips them
+    with np.errstate(divide="ignore", invalid="ignore"):
+        local_per_unit = training_time(data, cfg.cycles_per_byte, gamma, pop.cpu_hz)
+        own = local_per_unit + transmit_time(weights_bytes(model, cfg), upload_share, rate)
+        per_unit = (transmit_time(data, offload_share, rate) + edge_per_unit
+                    + local_per_unit)
+    suffix = np.cumsum((alloc.delta * data)[::-1])[::-1]   # previous bytes of users j >= i
+    later = np.append(suffix[1:], 0.0)                     # ... of users j > i
+    delta = []
+    earlier = 0.0                                          # fresh bytes of users j < i
+    for zero, one, own_i, per_unit_i, later_i, data_i in zip(
+            forced_zero.tolist(), forced_one.tolist(), own.tolist(), per_unit.tolist(),
+            later.tolist(), data.tolist()):
+        if zero:
+            d = 0.0
+        elif one:
+            d = 1.0
+        else:
+            edge_load = (earlier + later_i) * cfg.cycles_per_byte / cfg.edge_cpu_hz
+            d = project_unit_interval((own_i - edge_load) / per_unit_i)
+        delta.append(d)
+        earlier += d * data_i
+    return np.array(delta)
 
 
 def simplex_shares(weights: np.ndarray) -> np.ndarray:

@@ -6,15 +6,16 @@ splits its dataset, all users train locally on their kept rows in lockstep
 (one mini-batch step for every user at a time, read by index from the pool
 of all users' data) while the edge trains on the pooled offloaded rows, and
 the size-weighted aggregate forms the global model. From round 1 on, each
-round first runs the best-response sweep, at the previous round's
-bandwidth shares: every user's CPU fraction in one call, then the offload
-fractions one user at a time in user-id order, so later users see earlier
-users' fresh offload decisions (a Gauss-Seidel sweep; the CPU fractions
-need no order, because each reads only the user's own offload fraction).
-After splitting, training, and uploading, the edge updates the multipliers
-from the energies just spent, recomputes both bandwidth share vectors,
-trains on the offloaded pool, and aggregates. The loop stops once both the test loss and the round time move
-less than the configured tolerance between consecutive rounds.
+round first runs the best responses, at the previous round's bandwidth
+shares: every user's CPU fraction in one call, then every user's offload
+fraction in one Gauss-Seidel sweep in user order, so later users see
+earlier users' fresh offload decisions (the CPU fractions need no order,
+because each reads only the user's own offload fraction). After splitting,
+training, and uploading, the edge updates the multipliers from the
+energies just spent, recomputes both bandwidth share vectors, trains on
+the offloaded pool, and aggregates. The loop stops once both the test loss
+and the round time move less than the configured tolerance between
+consecutive rounds.
 
 Note the deliberate one-round lag: a round's dataset offload is priced at
 the previous round's offload shares, because the edge only reallocates
@@ -66,53 +67,19 @@ class ExperimentResult:
     iterations_used: int
 
 
-def _check_population(users, datasets) -> Population:
-    if not users or len(users) != len(datasets):
+def _check_population(pop: Population, datasets) -> None:
+    if len(datasets) != pop.n_users:
         raise ValidationError("need one dataset per user")
-    pop = Population.from_users(users)
-    for user, data in zip(users, datasets):
-        if user.dataset_size != data.sample_count:
-            raise ValidationError(
-                f"user {user.id}: profile says {user.dataset_size} samples, "
-                f"dataset holds {data.sample_count}"
-            )
+    held = np.array([d.sample_count for d in datasets])
+    wrong = held != pop.dataset_size
+    if wrong.any():
+        i = int(wrong.argmax())
+        raise ValidationError(f"user {i}: population says {pop.dataset_size[i]} samples, "
+                              f"dataset holds {held[i]}")
     n_features = datasets[0].n_features
     n_classes = datasets[0].n_classes
     if any(d.n_features != n_features or d.n_classes != n_classes for d in datasets):
         raise ValidationError("all user datasets must share feature and class counts")
-    return pop
-
-
-def _best_response_sweep(users, pop, alloc, model, cfg, force_delta):
-    """Every CPU fraction at once, then the offload fractions in user-id order.
-
-    User i answers the fresh offload fractions of users j < i and the
-    previous ones of users j > i; the edge load it sees is a running prefix
-    of fresh offloaded bytes plus a suffix sum of the previous ones.
-    """
-    gamma, _ = solve_gamma(pop, alloc, model, cfg)
-    alloc = replace(alloc, gamma=gamma)
-    if force_delta is not None:
-        return alloc
-    data = costs.dataset_bytes(pop, cfg)
-    suffix = np.cumsum((alloc.delta * data)[::-1])[::-1]   # previous bytes of users j >= i
-    later = np.append(suffix[1:], 0.0)                     # ... of users j > i
-    delta = alloc.delta.copy()
-    earlier = 0.0                                          # fresh bytes of users j < i
-    for user in users:
-        i = user.id
-        if alloc.uplink_offload[i] <= 0.0:
-            # No offload bandwidth assigned, so nothing can be shipped out.
-            delta[i] = 0.0
-        elif gamma[i] <= 0.0:
-            # No compute budget left (or already fully offloading): keeping
-            # any data local would take forever, and the time-balance
-            # response tends to full offloading in that limit.
-            delta[i] = 1.0
-        else:
-            delta[i] = solve_delta(user, alloc, model, cfg, earlier + later[i])
-        earlier += delta[i] * data[i]
-    return replace(alloc, delta=delta)
 
 
 def _round_metrics(pop, alloc, model, cfg, train_pool, test_dataset):
@@ -133,7 +100,7 @@ def _round_metrics(pop, alloc, model, cfg, train_pool, test_dataset):
     )
 
 
-def run_proposed(users, datasets, cfg: SystemConfig, max_iterations: int = 100, *,
+def run_proposed(pop: Population, datasets, cfg: SystemConfig, max_iterations: int = 100, *,
                  test_dataset: Dataset, force_delta: float | None = None,
                  adapt: bool = True, initial_delta: float | None = None,
                  initial_gamma: float | None = None,
@@ -143,11 +110,11 @@ def run_proposed(users, datasets, cfg: SystemConfig, max_iterations: int = 100, 
     ``force_delta`` pins every user's offload fraction for the whole run
     (the traditional and centralized baselines); ``adapt=False`` freezes
     the entire allocation, which is what the sweep scenarios use. The run
-    is fully reproducible from (users, datasets, cfg).
+    is fully reproducible from (pop, datasets, cfg).
     """
     if max_iterations < 1:
         raise ValidationError("max_iterations must be >= 1")
-    pop = _check_population(users, datasets)
+    _check_population(pop, datasets)
     n_features, n_classes = datasets[0].n_features, datasets[0].n_classes
     dim = weight_dim(n_features, n_classes)
     if test_dataset.n_features != n_features or test_dataset.n_classes != n_classes:
@@ -157,10 +124,10 @@ def run_proposed(users, datasets, cfg: SystemConfig, max_iterations: int = 100, 
     rng = np.random.default_rng(cfg.rng_seed)
     delta = force_delta if force_delta is not None else initial_delta
     if delta is None:
-        delta = rng.uniform(0.0, 1.0, len(users))
-    gamma = initial_gamma if initial_gamma is not None else rng.uniform(0.0, 1.0, len(users))
-    alloc = AllocationState.uniform(len(users), delta=delta, gamma=gamma)
-    model = ModelState.initial(len(users), dim, [u.dataset_size for u in users])
+        delta = rng.uniform(0.0, 1.0, pop.n_users)
+    gamma = initial_gamma if initial_gamma is not None else rng.uniform(0.0, 1.0, pop.n_users)
+    alloc = AllocationState.uniform(pop.n_users, delta=delta, gamma=gamma)
+    model = ModelState.initial(pop.n_users, dim, pop.dataset_size)
 
     trace: list[RoundMetrics] = []
     allocs: list[AllocationState] = []
@@ -168,7 +135,7 @@ def run_proposed(users, datasets, cfg: SystemConfig, max_iterations: int = 100, 
     for iteration in range(max_iterations):
         try:
             alloc, model = _run_one_round(
-                iteration, users, pop, datasets, train_pool, alloc, model, cfg, rng, adapt,
+                iteration, pop, datasets, train_pool, alloc, model, cfg, rng, adapt,
                 force_delta,
             )
             metrics = _round_metrics(pop, alloc, model, cfg, train_pool, test_dataset)
@@ -192,12 +159,15 @@ def run_proposed(users, datasets, cfg: SystemConfig, max_iterations: int = 100, 
     )
 
 
-def _run_one_round(iteration, users, pop, datasets, train_pool, alloc, model, cfg, rng,
-                   adapt, force_delta):
-    n_users = len(users)
+def _run_one_round(iteration, pop, datasets, train_pool, alloc, model, cfg, rng, adapt,
+                   force_delta):
+    n_users = pop.n_users
     update_resources = adapt and iteration > 0
     if update_resources:
-        alloc = _best_response_sweep(users, pop, alloc, model, cfg, force_delta)
+        gamma, _ = solve_gamma(pop, alloc, model, cfg)
+        alloc = replace(alloc, gamma=gamma)
+        if force_delta is None:
+            alloc = replace(alloc, delta=solve_delta(pop, alloc, model, cfg))
 
     split_seeds = rng.integers(_SEED_CAP, size=n_users)
     train_seeds = rng.integers(_SEED_CAP, size=n_users)
@@ -208,11 +178,10 @@ def _run_one_round(iteration, users, pop, datasets, train_pool, alloc, model, cf
     # offloading everything keep the global weights.
     starts = np.cumsum(pop.dataset_size) - pop.dataset_size
     kept_rows, offloaded_rows = [], []
-    for user, data in zip(users, datasets):
-        kept, offloaded = split_dataset(data, float(alloc.delta[user.id]),
-                                        int(split_seeds[user.id]))
-        kept_rows.append(starts[user.id] + kept)
-        offloaded_rows.append(starts[user.id] + offloaded)
+    for i, data in enumerate(datasets):
+        kept, offloaded = split_dataset(data, float(alloc.delta[i]), int(split_seeds[i]))
+        kept_rows.append(starts[i] + kept)
+        offloaded_rows.append(starts[i] + offloaded)
     local_sizes = np.array([rows.size for rows in kept_rows], dtype=np.int64)
     local_weights = train_users(model.global_weights, train_pool, kept_rows, cfg.local_epochs,
                                 cfg.learning_rate, train_seeds, cfg.batch_size)
@@ -252,15 +221,15 @@ def _run_one_round(iteration, users, pop, datasets, train_pool, alloc, model, cf
     return alloc, model
 
 
-def run_traditional(users, datasets, cfg: SystemConfig, rounds: int = 100, *,
+def run_traditional(pop: Population, datasets, cfg: SystemConfig, rounds: int = 100, *,
                     test_dataset: Dataset) -> ExperimentResult:
     """Baseline without dataset offloading: every sample stays local."""
-    return run_proposed(users, datasets, cfg, rounds, test_dataset=test_dataset,
+    return run_proposed(pop, datasets, cfg, rounds, test_dataset=test_dataset,
                         force_delta=0.0)
 
 
-def run_centralized(users, datasets, cfg: SystemConfig, rounds: int = 100, *,
+def run_centralized(pop: Population, datasets, cfg: SystemConfig, rounds: int = 100, *,
                     test_dataset: Dataset) -> ExperimentResult:
     """Opposite limit: everything is offloaded and trained at the edge."""
-    return run_proposed(users, datasets, cfg, rounds, test_dataset=test_dataset,
+    return run_proposed(pop, datasets, cfg, rounds, test_dataset=test_dataset,
                         force_delta=1.0)

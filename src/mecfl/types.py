@@ -1,4 +1,4 @@
-"""Core value types: system constants, user profiles, allocations, models, metrics.
+"""Core value types: system constants, the user population, allocations, models, metrics.
 
 All types are frozen dataclasses and every array field is made read-only at
 construction, so instances are immutable value objects that can be shared
@@ -86,31 +86,6 @@ class SystemConfig:
             raise ValidationError("SystemConfig: local_epochs must be >= 0")
         if self.batch_size < 1:
             raise ValidationError("SystemConfig: batch_size must be >= 1")
-
-
-@dataclass(frozen=True)
-class UserProfile:
-    """Physical state of one mobile user; fixed for a whole experiment."""
-
-    id: int
-    transmit_power: float   # W
-    channel_gain: float     # dimensionless uplink channel gain
-    cpu_hz: float           # CPU resources available for local training (cycles/s)
-    energy_budget: float    # J the user may spend in one communication round
-    dataset_size: int       # samples held locally
-
-    def __post_init__(self):
-        if self.id < 0:
-            raise ValidationError(f"UserProfile: id must be >= 0, got {self.id}")
-        _require_positive(
-            f"UserProfile[{self.id}]",
-            transmit_power=self.transmit_power,
-            channel_gain=self.channel_gain,
-            cpu_hz=self.cpu_hz,
-            energy_budget=self.energy_budget,
-        )
-        if self.dataset_size < 1:
-            raise ValidationError(f"UserProfile[{self.id}]: dataset_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -225,42 +200,44 @@ def validate_allocation(alloc: AllocationState, n_users: int) -> AllocationState
 
 @dataclass(frozen=True)
 class Population:
-    """The user profiles as one array per field, indexed by user id.
+    """The users, one array per field, indexed by position.
 
     Read-only struct of arrays that the cost model and the best responses
-    evaluate for every user at once. Build it with :meth:`from_users`,
-    which checks once that user ids equal list positions.
+    evaluate for every user at once; it is the only description of a user.
+    Each field is fixed for a whole experiment.
     """
 
-    transmit_power: np.ndarray
-    channel_gain: np.ndarray
-    cpu_hz: np.ndarray
-    energy_budget: np.ndarray
-    dataset_size: np.ndarray
+    transmit_power: np.ndarray   # W
+    channel_gain: np.ndarray     # dimensionless uplink channel gain
+    cpu_hz: np.ndarray           # CPU resources available for local training (cycles/s)
+    energy_budget: np.ndarray    # J a user may spend in one communication round
+    dataset_size: np.ndarray     # samples held locally
 
     _FIELDS = ("transmit_power", "channel_gain", "cpu_hz", "energy_budget", "dataset_size")
 
     def __post_init__(self):
-        arrays = [_frozen_array(self, name, getattr(self, name),
-                                dtype=np.int64 if name == "dataset_size" else float)
-                  for name in self._FIELDS]
+        arrays = [np.asarray(getattr(self, name), dtype=float) for name in self._FIELDS]
         n = arrays[0].size
         if n == 0 or any(arr.shape != (n,) for arr in arrays):
             raise ValidationError("Population: needs at least one user and one entry "
                                   "per user in every field")
+        values = np.array(arrays)   # one row per field, in _FIELDS order
+        ok = (values > 0) & (values < np.inf)                # NaN fails both
+        sizes = values[-1]
+        ok[-1] &= np.maximum(np.floor(sizes), 1.0) == sizes  # integers >= 1
+        if not ok.all():
+            row, i = np.unravel_index(int(ok.argmin()), ok.shape)
+            rule = "an integer >= 1" if self._FIELDS[row] == "dataset_size" else "finite and > 0"
+            raise ValidationError(f"Population: {self._FIELDS[row]}[{i}] must be {rule}, "
+                                  f"got {float(values[row, i])!r}")
+        values.flags.writeable = False
+        for name, row in zip(self._FIELDS, values):
+            object.__setattr__(self, name, row)
+        _frozen_array(self, "dataset_size", sizes, dtype=np.int64)
 
     @property
     def n_users(self) -> int:
         return self.dataset_size.size
-
-    @classmethod
-    def from_users(cls, users) -> "Population":
-        for position, user in enumerate(users):
-            if user.id != position:
-                raise ValidationError(
-                    f"users[{position}] has id {user.id}; ids must equal positions"
-                )
-        return cls(**{name: [getattr(u, name) for u in users] for name in cls._FIELDS})
 
 
 @dataclass(frozen=True)

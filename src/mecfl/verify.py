@@ -16,7 +16,7 @@ is nothing to compare against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from . import costs
 from .costs import base_rate
 from .oracle import bisect_root, finite_diff, grid_minimize, simplex_minimize_maxtime
 from .optimizer import solve_delta, solve_gamma, solve_uplink
-from .types import AllocationState, ModelState, Population, SystemConfig, UserProfile
+from .types import AllocationState, ModelState, Population, SystemConfig
 
 GRID_POINTS = 10**6          # gamma oracle resolution: one step is 1e-6
 DELTA_MATCH_TOL = 1e-8
@@ -49,20 +49,19 @@ class CheckResult:
         object.__setattr__(self, "passed", bool(self.passed))
 
 
-def _random_user(rng, index: int, dataset_size=None) -> UserProfile:
-    return UserProfile(
-        id=index,
-        transmit_power=float(rng.uniform(0.1, 0.5)),
-        channel_gain=float(10.0 ** rng.uniform(-8.0, -5.0)),
-        cpu_hz=float(rng.uniform(0.8e9, 3.0e9)),
-        energy_budget=1.0,  # placeholder; instance builders overwrite it
-        dataset_size=int(dataset_size if dataset_size is not None else rng.integers(100, 2001)),
-    )
+def _random_population(rng, n_users: int) -> Population:
+    """Per user in turn: transmit power, channel gain, CPU rate, dataset size."""
+    draws = [(rng.uniform(0.1, 0.5), 10.0 ** rng.uniform(-8.0, -5.0),
+              rng.uniform(0.8e9, 3.0e9), rng.integers(100, 2001)) for _ in range(n_users)]
+    power, gain, cpu, size = zip(*draws)
+    return Population(transmit_power=power, channel_gain=gain, cpu_hz=cpu,
+                      energy_budget=np.ones(n_users),  # placeholder; instance builders overwrite it
+                      dataset_size=size)
 
 
-def _random_model(rng, n_users: int, users) -> ModelState:
+def _random_model(rng, pop: Population) -> ModelState:
     dim = int(rng.integers(100, 8001))
-    return ModelState.initial(n_users, dim, [u.dataset_size for u in users])
+    return ModelState.initial(pop.n_users, dim, pop.dataset_size)
 
 
 def random_gamma_instance(rng):
@@ -73,7 +72,7 @@ def random_gamma_instance(rng):
     interior when u < 1, clamped at 1 otherwise.
     """
     cfg = SystemConfig()
-    user = _random_user(rng, 0)
+    pop = _random_population(rng, 1)
     delta = float(rng.uniform(0.05, 0.9))
     alloc = AllocationState(
         delta=[delta],
@@ -83,22 +82,20 @@ def random_gamma_instance(rng):
         lambda_offload=[0.5],
         lambda_local=[0.5],
     )
-    model = _random_model(rng, 1, [user])
-    rate = base_rate(user, cfg)
-    data = costs.dataset_bytes(user, cfg)
+    model = _random_model(rng, pop)
+    (rate,), (data,) = base_rate(pop, cfg), costs.dataset_bytes(pop, cfg)
+    power, cpu = float(pop.transmit_power[0]), float(pop.cpu_hz[0])
     transmission = (
-        costs.transmit_energy(user.transmit_power, delta * data,
-                              alloc.uplink_offload[0], rate)
-        + costs.transmit_energy(user.transmit_power, costs.weights_bytes(model, cfg),
+        costs.transmit_energy(power, delta * data, alloc.uplink_offload[0], rate)
+        + costs.transmit_energy(power, costs.weights_bytes(model, cfg),
                                 alloc.uplink_weight[0], rate)
     )
     target = float(rng.uniform(0.1, 1.5))
     compute_at_target = costs.training_energy(
-        cfg.chip_capacitance, (1.0 - delta) * data, cfg.cycles_per_byte,
-        target, user.cpu_hz,
+        cfg.chip_capacitance, (1.0 - delta) * data, cfg.cycles_per_byte, target, cpu,
     )
-    user = replace(user, energy_budget=transmission + compute_at_target)
-    return user, alloc, model, cfg, transmission
+    pop = replace(pop, energy_budget=[transmission + compute_at_target])
+    return pop, alloc, model, cfg, transmission
 
 
 def check_gamma_closed_form(n_instances: int = 200, seed: int = 11,
@@ -109,28 +106,27 @@ def check_gamma_closed_form(n_instances: int = 200, seed: int = 11,
     worst_gap = worst_energy = 0.0
     interior = 0
     for _ in range(n_instances):
-        user, alloc, model, cfg, transmission = random_gamma_instance(rng)
-        pop = Population.from_users([user])
+        pop, alloc, model, cfg, transmission = random_gamma_instance(rng)
         (solved,), (exhausted,) = solve_gamma(pop, alloc, model, cfg)
         if exhausted:
             return CheckResult("gamma-closed-form", False, "unexpected exhausted budget")
-        data = (1.0 - alloc.delta[0]) * costs.dataset_bytes(user, cfg)
+        (data,) = (1.0 - alloc.delta[0]) * costs.dataset_bytes(pop, cfg)
+        cpu, budget = pop.cpu_hz[0], pop.energy_budget[0]
 
-        def time_of(g, data=data, user=user, cfg=cfg):
-            return costs.training_time(data, cfg.cycles_per_byte, g, user.cpu_hz)
+        def time_of(g, data=data, cpu=cpu, cfg=cfg):
+            return costs.training_time(data, cfg.cycles_per_byte, g, cpu)
 
-        def feasible(g, data=data, user=user, cfg=cfg, tx=transmission):
+        def feasible(g, data=data, cpu=cpu, budget=budget, cfg=cfg, tx=transmission):
             energy = costs.training_energy(cfg.chip_capacitance, data,
-                                           cfg.cycles_per_byte, g, user.cpu_hz)
-            return energy + tx <= user.energy_budget
+                                           cfg.cycles_per_byte, g, cpu)
+            return energy + tx <= budget
 
         grid_best, _ = grid_minimize(time_of, 0.0, 1.0, grid_points, feasible)
         worst_gap = max(worst_gap, abs(solved - grid_best))
         if 0.0 < solved < 1.0:
             interior += 1
             (spent,) = costs.total_energy(pop, replace(alloc, gamma=[solved]), model, cfg)
-            worst_energy = max(worst_energy,
-                               abs(spent - user.energy_budget) / user.energy_budget)
+            worst_energy = max(worst_energy, abs(spent - budget) / budget)
     passed = worst_gap <= step + 1e-12 and worst_energy <= ENERGY_RTOL and interior > 0
     return CheckResult(
         "gamma-closed-form", passed,
@@ -141,7 +137,7 @@ def check_gamma_closed_form(n_instances: int = 200, seed: int = 11,
 
 def random_delta_instance(rng):
     cfg = SystemConfig()
-    users = [_random_user(rng, i) for i in range(3)]
+    pop = _random_population(rng, 3)
     shares_off = rng.dirichlet(np.ones(3)) * rng.uniform(0.7, 1.0)
     shares_up = rng.dirichlet(np.ones(3)) * rng.uniform(0.7, 1.0)
     alloc = AllocationState(
@@ -152,21 +148,28 @@ def random_delta_instance(rng):
         lambda_offload=np.full(3, 0.5),
         lambda_local=np.full(3, 0.5),
     )
-    model = _random_model(rng, 3, users)
-    return users, alloc, model, cfg
+    model = _random_model(rng, pop)
+    return pop, alloc, model, cfg
+
+
+def _reordered(obj, order):
+    """A Population or AllocationState with its users taken in ``order``."""
+    return replace(obj, **{f.name: getattr(obj, f.name)[order] for f in fields(obj)})
 
 
 def check_delta_closed_form(n_instances: int = 200, seed: int = 23) -> CheckResult:
-    """Offload-fraction closed form vs bisection on the time imbalance."""
+    """Offload-fraction closed form vs bisection on the time imbalance.
+
+    The sweep is ordered with the target user first, so its answer is the
+    one-player closed form against the others' previous fractions.
+    """
     rng = np.random.default_rng(seed)
-    target = 1
+    target, order = 1, [1, 0, 2]
     worst_gap = worst_balance = 0.0
     interior = 0
     for _ in range(n_instances):
-        users, alloc, model, cfg = random_delta_instance(rng)
-        pop = Population.from_users(users)
-        others = np.delete(alloc.delta * costs.dataset_bytes(pop, cfg), target).sum()
-        solved = solve_delta(users[target], alloc, model, cfg, others)
+        pop, alloc, model, cfg = random_delta_instance(rng)
+        solved = solve_delta(_reordered(pop, order), _reordered(alloc, order), model, cfg)[0]
 
         def imbalance(d, pop=pop, alloc=alloc, model=model, cfg=cfg):
             delta = alloc.delta.copy()
@@ -207,12 +210,10 @@ def check_delta_closed_form(n_instances: int = 200, seed: int = 23) -> CheckResu
 def random_uplink_instance(rng):
     """Two-user instance whose multipliers encode the max-time optimum."""
     cfg = SystemConfig()
-    users = [_random_user(rng, i) for i in range(2)]
-    model = _random_model(rng, 2, users)
+    pop = _random_population(rng, 2)
+    model = _random_model(rng, pop)
     delta = rng.uniform(0.2, 0.9, 2)
-    rates = np.array([base_rate(u, cfg) for u in users])
-    data = np.array([costs.dataset_bytes(u, cfg) for u in users])
-    cpu = np.array([u.cpu_hz for u in users])
+    rates, data, cpu = base_rate(pop, cfg), costs.dataset_bytes(pop, cfg), pop.cpu_hz
     # One shared local-compute time makes the upload-side optimum purely
     # proportional; gamma realizes it.
     compute_floor = (1.0 - delta) * data * cfg.cycles_per_byte / cpu
@@ -228,7 +229,7 @@ def random_uplink_instance(rng):
         lambda_offload=offload_load / offload_load.sum(),
         lambda_local=upload_load / upload_load.sum(),
     )
-    return users, alloc, model, cfg
+    return pop, alloc, model, cfg
 
 
 def check_uplink_closed_form(n_instances: int = 50, seed: int = 37,
@@ -237,8 +238,7 @@ def check_uplink_closed_form(n_instances: int = 50, seed: int = 37,
     rng = np.random.default_rng(seed)
     worst_gap = worst_sum = 0.0
     for _ in range(n_instances):
-        users, alloc, model, cfg = random_uplink_instance(rng)
-        pop = Population.from_users(users)
+        pop, alloc, model, cfg = random_uplink_instance(rng)
         closed_off, closed_up = solve_uplink(pop, alloc, model, cfg)
         oracle_off, oracle_up = simplex_minimize_maxtime(pop, alloc, model, cfg, resolution)
         worst_gap = max(
@@ -257,7 +257,7 @@ def check_uplink_closed_form(n_instances: int = 50, seed: int = 37,
 
 def _curvature_instance(rng):
     cfg = SystemConfig()
-    user = _random_user(rng, 0)
+    pop = _random_population(rng, 1)
     alloc = AllocationState(
         delta=[float(rng.uniform(0.1, 0.9))],
         gamma=[float(rng.uniform(0.05, 0.95))],
@@ -266,18 +266,17 @@ def _curvature_instance(rng):
         lambda_offload=[0.5],
         lambda_local=[0.5],
     )
-    model = _random_model(rng, 1, [user])
-    return user, alloc, model, cfg
+    model = _random_model(rng, pop)
+    return pop, alloc, model, cfg
 
 
-def _analytic_first_derivatives(user, alloc, model, cfg):
-    """Hand-coded first derivatives used as the sign reference."""
-    rate = base_rate(user, cfg)
-    data = costs.dataset_bytes(user, cfg)
+def _analytic_first_derivatives(pop, alloc, model, cfg):
+    """Hand-coded first derivatives of user 0, used as the sign reference."""
+    (rate,), (data,) = base_rate(pop, cfg).tolist(), costs.dataset_bytes(pop, cfg).tolist()
     weights = costs.weights_bytes(model, cfg)
     delta, gamma = alloc.delta[0], alloc.gamma[0]
     off, up = alloc.uplink_offload[0], alloc.uplink_weight[0]
-    p, cpu, tau = user.transmit_power, user.cpu_hz, cfg.cycles_per_byte
+    (p,), (cpu,), tau = pop.transmit_power.tolist(), pop.cpu_hz.tolist(), cfg.cycles_per_byte
     return {
         ("energy", "gamma"): 2.0 * cfg.chip_capacitance * (1.0 - delta) * data * tau
                              * gamma * cpu ** 2,
@@ -295,12 +294,12 @@ def check_curvature_and_monotonicity(points_per_pair: int = 1000, seed: int = 41
     min_fd2 = np.inf
     for quantity, variable in pairs:
         for _ in range(points_per_pair):
-            user, alloc, model, cfg = _curvature_instance(rng)
-            reference = _analytic_first_derivatives(user, alloc, model, cfg)[(quantity, variable)]
+            pop, alloc, model, cfg = _curvature_instance(rng)
+            reference = _analytic_first_derivatives(pop, alloc, model, cfg)[(quantity, variable)]
             cost = costs.total_energy if quantity == "energy" else costs.local_time
 
-            def evaluate(xs, variable=variable, cost=cost, pop=Population.from_users([user]),
-                         alloc=alloc, model=model, cfg=cfg):
+            def evaluate(xs, variable=variable, cost=cost, pop=pop, alloc=alloc, model=model,
+                         cfg=cfg):
                 # one candidate allocation per stencil point, as one stack
                 return cost(pop, replace(alloc, **{variable: xs[:, None]}), model, cfg)[:, 0]
 

@@ -1,9 +1,11 @@
 """Shared fixtures for the test suite."""
 
+from dataclasses import fields
+
 import numpy as np
 
 from mecfl.io import ExperimentSpec
-from mecfl.types import AllocationState, ModelState, SystemConfig, UserProfile
+from mecfl.types import AllocationState, ModelState, Population, SystemConfig
 
 # Desk-scale settings: 10 users x 200 synthetic samples, hyperparameters
 # chosen so training plateaus well inside the iteration cap.
@@ -15,9 +17,20 @@ def desk_spec(seed=0, **overrides) -> ExperimentSpec:
     return ExperimentSpec(seed=seed, class_separation=8.0, system=system, **overrides)
 
 
-def make_user(uid=0, power=0.2, gain=1e-6, cpu=1.2e9, budget=50.0, samples=1000) -> UserProfile:
-    return UserProfile(id=uid, transmit_power=power, channel_gain=gain, cpu_hz=cpu,
-                       energy_budget=budget, dataset_size=samples)
+def make_pop(n=1, power=0.2, gain=1e-6, cpu=1.2e9, budget=50.0, samples=1000) -> Population:
+    """``n`` users (or one per entry of a field given per user); each field
+    is one value for all of them or one value per user."""
+    power, gain, cpu, budget, samples, _ = np.broadcast_arrays(power, gain, cpu, budget,
+                                                               samples, np.empty(n))
+    return Population(transmit_power=power.ravel(), channel_gain=gain.ravel(), cpu_hz=cpu.ravel(),
+                      energy_budget=budget.ravel(), dataset_size=samples.ravel())
+
+
+def join(pops) -> Population:
+    """The users of several populations, in order, as one population."""
+    pops = list(pops)
+    return Population(**{f.name: np.concatenate([getattr(p, f.name) for p in pops])
+                         for f in fields(Population)})
 
 
 def make_alloc(n=1, delta=0.5, gamma=0.5, offload=None, upload=None,
@@ -35,5 +48,5 @@ def make_alloc(n=1, delta=0.5, gamma=0.5, offload=None, upload=None,
     )
 
 
-def make_model(users, dim=100) -> ModelState:
-    return ModelState.initial(len(users), dim, [u.dataset_size for u in users])
+def make_model(pop, dim=100) -> ModelState:
+    return ModelState.initial(pop.n_users, dim, pop.dataset_size)

@@ -10,7 +10,7 @@ import numpy as np
 from mecfl import io, verify
 from mecfl.learning import Dataset, aggregate, evaluate_loss, loss_gradient, weight_dim
 from mecfl.orchestrator import run_centralized, run_proposed, run_traditional
-from mecfl.types import ModelState, SystemConfig, UserProfile
+from mecfl.types import ModelState, Population, SystemConfig
 
 from helpers import desk_spec
 
@@ -24,8 +24,8 @@ def check(criterion: int, ok: bool, detail: str):
 
 def desk_population(seed, **overrides):
     spec = desk_spec(seed=seed, **overrides)
-    users, datasets = io.synthesize_users(spec)
-    return spec, users, datasets, io.load_test_dataset(spec), io.effective_config(spec)
+    pop, datasets = io.synthesize_users(spec)
+    return spec, pop, datasets, io.load_test_dataset(spec), io.effective_config(spec)
 
 
 def test_criterion_1_gamma_closed_form_vs_grid_oracle():
@@ -49,10 +49,10 @@ def test_criterion_4_convexity_and_monotonicity_suite():
 
 
 def test_criterion_5_baseline_equivalence():
-    _, users, datasets, test, cfg = desk_population(seed=1, user_count=4,
+    _, pop, datasets, test, cfg = desk_population(seed=1, user_count=4,
                                                     samples_per_user=60)
-    forced = run_proposed(users, datasets, cfg, 8, test_dataset=test, force_delta=0.0)
-    trad = run_traditional(users, datasets, cfg, 8, test_dataset=test)
+    forced = run_proposed(pop, datasets, cfg, 8, test_dataset=test, force_delta=0.0)
+    trad = run_traditional(pop, datasets, cfg, 8, test_dataset=test)
     identical = (
         len(forced.trace) == len(trad.trace)
         and all(
@@ -64,7 +64,7 @@ def test_criterion_5_baseline_equivalence():
         and np.array_equal(forced.final_model.global_weights,
                            trad.final_model.global_weights)
     )
-    cen = run_centralized(users, datasets, cfg, 8, test_dataset=test)
+    cen = run_centralized(pop, datasets, cfg, 8, test_dataset=test)
     edge_equal = np.array_equal(cen.final_model.global_weights,
                                 cen.final_model.edge_weights)
     check(5, identical and edge_equal,
@@ -76,10 +76,10 @@ def test_criterion_6_offload_sweep_trends():
     grid = (0.0, 0.25, 0.5, 0.75, 1.0)
     loss_hits = time_hits = 0
     for seed in SEEDS:
-        spec, users, datasets, test, cfg = desk_population(seed=seed)
+        spec, pop, datasets, test, cfg = desk_population(seed=seed)
         losses, times = [], []
         for value in grid:
-            run = run_proposed(users, datasets, cfg, spec.sweep_rounds,
+            run = run_proposed(pop, datasets, cfg, spec.sweep_rounds,
                                test_dataset=test, adapt=False, initial_delta=value,
                                initial_gamma=1.0, stop_on_convergence=False)
             losses.append(run.trace[-1].test_loss)
@@ -109,13 +109,12 @@ def test_criterion_8_convergence_energy_and_time():
     converged = energy_ok = faster = 0
     details = []
     for seed in SEEDS:
-        _, users, datasets, test, cfg = desk_population(seed=seed)
-        prop = run_proposed(users, datasets, cfg, 100, test_dataset=test)
-        trad = run_traditional(users, datasets, cfg, 100, test_dataset=test)
+        _, pop, datasets, test, cfg = desk_population(seed=seed)
+        prop = run_proposed(pop, datasets, cfg, 100, test_dataset=test)
+        trad = run_traditional(pop, datasets, cfg, 100, test_dataset=test)
         last = prop.trace[-1]
         converged += prop.converged
-        energy_ok += all(last.e_total[u.id] <= u.energy_budget * (1 + 1e-3)
-                         for u in users)
+        energy_ok += all(last.e_total <= pop.energy_budget * (1 + 1e-3))
         faster += last.t_total <= trad.trace[-1].t_total
         details.append(f"seed {seed}: {prop.iterations_used} iters")
     check(8, converged == 3 and energy_ok == 3 and faster == 3,
@@ -128,13 +127,10 @@ def test_criterion_9_cell_edge_allocation_profile():
     pool = io.synthesize_dataset(400, 16, 4, seed=42, separation=8.0)
     datasets = [pool.take(np.arange(0, 200)), pool.take(np.arange(200, 400))]
     test = io.synthesize_dataset(200, 16, 4, seed=43, separation=8.0)
-    users = [
-        UserProfile(id=0, transmit_power=0.2, channel_gain=1e-6, cpu_hz=1.35e9,
-                    energy_budget=50.0, dataset_size=200),
-        UserProfile(id=1, transmit_power=0.2, channel_gain=1e-8, cpu_hz=1.35e9,
-                    energy_budget=50.0, dataset_size=200),
-    ]
-    result = run_proposed(users, datasets, cfg, 100, test_dataset=test)
+    pop = Population(transmit_power=[0.2, 0.2], channel_gain=[1e-6, 1e-8],
+                     cpu_hz=[1.35e9, 1.35e9], energy_budget=[50.0, 50.0],
+                     dataset_size=[200, 200])
+    result = run_proposed(pop, datasets, cfg, 100, test_dataset=test)
     alloc = result.final_alloc
     smaller_delta = alloc.delta[1] < alloc.delta[0]
     larger_offload = alloc.uplink_offload[1] > alloc.uplink_offload[0]

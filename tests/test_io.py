@@ -128,43 +128,50 @@ def test_synthesize_dataset_range_and_classes():
 
 def test_synthesize_users_shard_sizes_and_ranges():
     spec = desk_spec(seed=0, user_count=50, samples_per_user=1200, n_features=4)
-    users, datasets = io.synthesize_users(spec)
-    assert len(users) == 50
+    pop, datasets = io.synthesize_users(spec)
+    assert pop.n_users == 50
     assert all(d.sample_count == 1200 for d in datasets)
-    assert all(u.dataset_size == 1200 for u in users)
+    assert all(pop.dataset_size == 1200)
     lo, hi = spec.cpu_hz_range
-    assert all(lo <= u.cpu_hz <= hi for u in users)
+    assert all((lo <= pop.cpu_hz) & (pop.cpu_hz <= hi))
     lo, hi = spec.energy_budget_range
-    assert all(lo <= u.energy_budget <= hi for u in users)
-    assert all(u.channel_gain > 0 for u in users)
+    assert all((lo <= pop.energy_budget) & (pop.energy_budget <= hi))
+    assert all(pop.channel_gain > 0)
 
 
 def test_synthesize_users_single_user_gets_everything():
     spec = desk_spec(seed=0, user_count=1, samples_per_user=123)
-    users, datasets = io.synthesize_users(spec)
-    assert users[0].dataset_size == 123
+    pop, datasets = io.synthesize_users(spec)
+    assert pop.dataset_size.tolist() == [123]
     assert datasets[0].sample_count == 123
 
 
 def test_synthesize_users_remainder_distribution():
     spec = desk_spec(seed=0, user_count=3, samples_per_user=34)  # pool 102 -> 34 each
-    users, _ = io.synthesize_users(spec)
-    assert sum(u.dataset_size for u in users) == 102
+    pop, _ = io.synthesize_users(spec)
+    assert pop.dataset_size.sum() == 102
 
 
 def test_channel_gain_range_override():
     spec = desk_spec(seed=0, channel_gain_range=(1e-7, 2e-7))
-    users, _ = io.synthesize_users(spec)
-    assert all(1e-7 <= u.channel_gain <= 2e-7 for u in users)
+    pop, _ = io.synthesize_users(spec)
+    assert all((1e-7 <= pop.channel_gain) & (pop.channel_gain <= 2e-7))
 
 
 def test_representative_users():
     spec = desk_spec(seed=0, user_count=20)
-    users, _ = io.synthesize_users(spec)
-    center, edge = io.representative_users(users)
-    gains = [u.channel_gain for u in users]
-    assert users[center].channel_gain == max(gains)
-    assert users[edge].channel_gain == min(gains)
+    pop, _ = io.synthesize_users(spec)
+    center, edge = io.representative_users(pop)
+    gains = pop.channel_gain
+    assert gains[center] == max(gains)
+    assert gains[edge] == min(gains)
+
+
+def test_representative_users_break_gain_ties_by_index():
+    # equal gains everywhere: the highest index is the center, the lowest the cell edge
+    spec = desk_spec(seed=0, user_count=5, channel_gain_range=(1e-7, 1e-7))
+    pop, _ = io.synthesize_users(spec)
+    assert io.representative_users(pop) == (spec.user_count - 1, 0)
 
 
 # ---------------------------------------------------------------- config
@@ -221,10 +228,10 @@ def test_offload_sweep_grid_shape():
 def test_offload_sweep_zero_matches_static_traditional_run():
     spec = sweep_spec(seed=3)
     rows = io.run_sweep(spec)
-    users, datasets = io.synthesize_users(spec)
+    pop, datasets = io.synthesize_users(spec)
     test = io.load_test_dataset(spec)
     cfg = io.effective_config(spec)
-    ref = run_proposed(users, datasets, cfg, spec.sweep_rounds, test_dataset=test,
+    ref = run_proposed(pop, datasets, cfg, spec.sweep_rounds, test_dataset=test,
                        adapt=False, initial_delta=0.0, initial_gamma=1.0,
                        stop_on_convergence=False)
     assert rows[0]["test_loss"] == ref.trace[-1].test_loss
@@ -234,16 +241,15 @@ def test_offload_sweep_zero_matches_static_traditional_run():
 def test_offload_sweep_full_delta_has_no_local_training_time():
     spec = sweep_spec(seed=2)
     rows = io.run_sweep(spec)
-    users, _ = io.synthesize_users(spec)
+    pop, _ = io.synthesize_users(spec)
     cfg = io.effective_config(spec)
-    center, _ = io.representative_users(users)
-    user = users[center]
+    center, _ = io.representative_users(pop)
     # at delta=1 the local path is the weight upload alone (uniform shares)
     from mecfl.costs import transmit_time
     from mecfl.costs import base_rate
     dim = weight_dim(spec.n_features, spec.n_classes)
-    upload = transmit_time(cfg.bytes_per_weight_element * dim, 1.0 / len(users),
-                           base_rate(user, cfg))
+    upload = transmit_time(cfg.bytes_per_weight_element * dim, 1.0 / pop.n_users,
+                           base_rate(pop, cfg)[center])
     assert rows[-1]["t_local_center"] == pytest.approx(upload, rel=1e-12)
     assert rows[-1]["t_local_center"] < rows[0]["t_local_center"]
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from mecfl import costs
 from mecfl.costs import base_rate
@@ -12,133 +12,143 @@ from mecfl.optimizer import (
     solve_uplink,
     update_multipliers,
 )
-from mecfl.types import Population, SystemConfig
+from mecfl.types import SystemConfig
 
-from helpers import make_alloc, make_model, make_user
+from helpers import join, make_alloc, make_model, make_pop
 
 
 def gamma_instance(target, delta=0.4, share=0.4):
-    """Budget placed so the unclamped CPU fraction equals ``target``."""
+    """One user, its budget placed so the unclamped CPU fraction equals ``target``."""
     cfg = SystemConfig()
-    user = make_user(samples=500)
+    pop = make_pop(samples=500)
     alloc = make_alloc(1, delta=delta, gamma=0.3, offload=[share], upload=[share])
-    model = make_model([user], dim=200)
-    rate = base_rate(user, cfg)
-    data = costs.dataset_bytes(user, cfg)
+    model = make_model(pop, dim=200)
+    (rate,), (data,) = base_rate(pop, cfg), costs.dataset_bytes(pop, cfg)
+    (power,), (cpu,) = pop.transmit_power, pop.cpu_hz
     transmission = (
-        costs.transmit_energy(user.transmit_power, delta * data, share, rate)
-        + costs.transmit_energy(user.transmit_power, costs.weights_bytes(model, cfg), share, rate)
+        costs.transmit_energy(power, delta * data, share, rate)
+        + costs.transmit_energy(power, costs.weights_bytes(model, cfg), share, rate)
     )
     compute = costs.training_energy(cfg.chip_capacitance, (1 - delta) * data,
-                                    cfg.cycles_per_byte, target, user.cpu_hz)
-    user = replace(user, energy_budget=transmission + compute)
-    return user, alloc, model, cfg
+                                    cfg.cycles_per_byte, target, cpu)
+    pop = replace(pop, energy_budget=[transmission + compute])
+    return pop, alloc, model, cfg
 
 
-def gamma_of(user, alloc, model, cfg):
+def gamma_of(pop, alloc, model, cfg):
     """solve_gamma on a one-user population, as plain (gamma, exhausted)."""
-    (gamma,), (exhausted,) = solve_gamma(Population.from_users([user]), alloc, model, cfg)
+    (gamma,), (exhausted,) = solve_gamma(pop, alloc, model, cfg)
     return gamma, exhausted
 
 
-def delta_of(index, users, alloc, model, cfg):
-    """solve_delta for one user, the others' offloaded bytes summed here."""
-    others = sum(alloc.delta[u.id] * costs.dataset_bytes(u, cfg) for u in users if u.id != index)
-    return solve_delta(users[index], alloc, model, cfg, others)
+def reordered(obj, order):
+    return replace(obj, **{f.name: getattr(obj, f.name)[order] for f in fields(obj)})
+
+
+def delta_of(index, pop, alloc, model, cfg):
+    """User ``index``'s answer to everyone else's previous offload fractions.
+
+    That is entry 0 of a sweep that visits the user first.
+    """
+    order = [index] + [j for j in range(pop.n_users) if j != index]
+    return solve_delta(reordered(pop, order), reordered(alloc, order), model, cfg)[0]
 
 
 def test_gamma_zero_remaining_budget():
-    user, alloc, model, cfg = gamma_instance(target=0.0)
-    assert gamma_of(user, alloc, model, cfg) == (0.0, False)
+    pop, alloc, model, cfg = gamma_instance(target=0.0)
+    assert gamma_of(pop, alloc, model, cfg) == (0.0, False)
 
 
 def test_gamma_clamps_at_one():
-    user, alloc, model, cfg = gamma_instance(target=2.0)
-    assert gamma_of(user, alloc, model, cfg) == (1.0, False)
+    pop, alloc, model, cfg = gamma_instance(target=2.0)
+    assert gamma_of(pop, alloc, model, cfg) == (1.0, False)
 
 
 def test_gamma_budget_exhausted_flag():
-    user, alloc, model, cfg = gamma_instance(target=0.5)
-    user = replace(user, energy_budget=user.energy_budget * 0.1)
-    gamma, exhausted = gamma_of(user, alloc, model, cfg)
+    pop, alloc, model, cfg = gamma_instance(target=0.5)
+    pop = replace(pop, energy_budget=pop.energy_budget * 0.1)
+    gamma, exhausted = gamma_of(pop, alloc, model, cfg)
     assert gamma == 0.0 and exhausted
 
 
 def test_gamma_interior_recovers_target_and_saturates_budget():
-    user, alloc, model, cfg = gamma_instance(target=0.7)
-    gamma, exhausted = gamma_of(user, alloc, model, cfg)
+    pop, alloc, model, cfg = gamma_instance(target=0.7)
+    gamma, exhausted = gamma_of(pop, alloc, model, cfg)
     assert not exhausted
     assert gamma == pytest.approx(0.7, rel=1e-12)
-    (spent,) = costs.total_energy(Population.from_users([user]),
-                                  replace(alloc, gamma=np.array([gamma])), model, cfg)
-    assert spent == pytest.approx(user.energy_budget, rel=1e-12)
+    (spent,) = costs.total_energy(pop, replace(alloc, gamma=np.array([gamma])), model, cfg)
+    assert spent == pytest.approx(pop.energy_budget[0], rel=1e-12)
 
 
 def test_gamma_full_offload_is_zero():
-    user, alloc, model, cfg = gamma_instance(target=0.7, delta=0.4)
-    assert gamma_of(user, replace(alloc, delta=np.array([1.0])), model, cfg) == (0.0, False)
+    pop, alloc, model, cfg = gamma_instance(target=0.7, delta=0.4)
+    assert gamma_of(pop, replace(alloc, delta=np.array([1.0])), model, cfg) == (0.0, False)
 
 
 def test_gamma_requires_positive_shares():
-    user, alloc, model, cfg = gamma_instance(target=0.5)
+    pop, alloc, model, cfg = gamma_instance(target=0.5)
     with pytest.raises(DegenerateDivisor):
-        gamma_of(user, replace(alloc, uplink_offload=np.array([0.0])), model, cfg)
+        gamma_of(pop, replace(alloc, uplink_offload=np.array([0.0])), model, cfg)
 
 
 def test_delta_limit_all_remote_costs_vanish():
     # Enormous edge CPU and uplink: only the local training term survives,
     # so offloading everything balances the times.
     cfg = SystemConfig(edge_cpu_hz=1e30)
-    user = make_user(gain=1e-2, samples=1, cpu=1e8)
+    pop = make_pop(gain=1e-2, samples=1, cpu=1e8)
     alloc = make_alloc(1, delta=0.3, gamma=1.0, offload=[0.5], upload=[0.5])
-    model = make_model([user], dim=10000)
-    assert delta_of(0, [user], alloc, model, cfg) == 1.0
+    model = make_model(pop, dim=10000)
+    assert delta_of(0, pop, alloc, model, cfg) == 1.0
 
 
 def test_delta_clamps_at_zero_when_edge_is_overloaded():
     cfg = SystemConfig(edge_cpu_hz=1e6)
-    users = [make_user(uid=0, samples=100), make_user(uid=1, samples=100000)]
+    pop = make_pop(samples=[100, 100000])
     alloc = make_alloc(2, delta=[0.5, 1.0], gamma=1.0, offload=[0.4, 0.4], upload=[0.4, 0.4])
-    model = make_model(users, dim=100)
-    assert delta_of(0, users, alloc, model, cfg) == 0.0
+    model = make_model(pop, dim=100)
+    assert delta_of(0, pop, alloc, model, cfg) == 0.0
 
 
 def test_delta_interior_balances_times():
     rng = np.random.default_rng(21)
     cfg = SystemConfig()
     for _ in range(20):
-        users = [make_user(uid=i, gain=rng.uniform(1e-8, 1e-6),
-                           samples=int(rng.integers(100, 2000))) for i in range(2)]
+        pop = join(make_pop(gain=rng.uniform(1e-8, 1e-6), samples=int(rng.integers(100, 2000)))
+                   for _ in range(2))
         alloc = make_alloc(2, delta=rng.uniform(0.1, 0.9, 2), gamma=rng.uniform(0.2, 1.0, 2),
                            offload=rng.dirichlet(np.ones(2)) * 0.9,
                            upload=rng.dirichlet(np.ones(2)) * 0.9)
-        model = make_model(users, dim=int(rng.integers(100, 2000)))
-        star = delta_of(0, users, alloc, model, cfg)
+        model = make_model(pop, dim=int(rng.integers(100, 2000)))
+        star = delta_of(0, pop, alloc, model, cfg)
         if not 0.0 < star < 1.0:
             continue
         state = replace(alloc, delta=np.array([star, alloc.delta[1]]))
-        pop = Population.from_users(users)
         t_local = costs.local_time(pop, state, model, cfg)[0]
         t_edge = costs.edge_time_user(pop, state, cfg)[0]
         assert abs(t_local - t_edge) <= 1e-6 * max(t_local, t_edge)
 
 
 def test_delta_requires_positive_allocations():
+    # A user without offload share is forced to 0, one without CPU budget
+    # to 1; any other user needs an upload share, and the lowest without
+    # one is named.
     cfg = SystemConfig()
-    user = make_user()
-    model = make_model([user], dim=10)
-    with pytest.raises(DegenerateDivisor):
-        delta_of(0, [user], make_alloc(1, gamma=0.0), model, cfg)
-    with pytest.raises(DegenerateDivisor):
-        delta_of(0, [user], make_alloc(1, offload=[0.0]), model, cfg)
+    pop = make_pop(3)
+    model = make_model(pop, dim=10)
+    with pytest.raises(DegenerateDivisor,
+                       match="user 1: solve_delta needs positive gamma and both uplink shares"):
+        solve_delta(pop, make_alloc(3, upload=[0.5, 0.0, 0.0]), model, cfg)
+    forced = make_alloc(3, gamma=[0.0, 0.5, 0.5], offload=[0.5, 0.0, 0.5],
+                        upload=[0.0, 0.0, 0.5])
+    assert solve_delta(pop, forced, model, cfg)[:2].tolist() == [1.0, 0.0]
 
 
 def test_uplink_symmetric_users_split_evenly():
     cfg = SystemConfig()
-    users = [make_user(uid=i) for i in range(4)]
+    pop = make_pop(4)
     alloc = make_alloc(4, delta=0.5, gamma=0.5)
-    model = make_model(users, dim=100)
-    offload, upload = solve_uplink(Population.from_users(users), alloc, model, cfg)
+    model = make_model(pop, dim=100)
+    offload, upload = solve_uplink(pop, alloc, model, cfg)
     assert np.allclose(offload, 0.25, rtol=0, atol=1e-15)
     assert np.allclose(upload, 0.25, rtol=0, atol=1e-15)
 
@@ -146,20 +156,20 @@ def test_uplink_symmetric_users_split_evenly():
 def test_uplink_square_root_proportionality():
     # weight terms in ratio 4:1 -> shares 2/3 and 1/3
     cfg = SystemConfig()
-    users = [make_user(uid=0), make_user(uid=1)]
+    pop = make_pop(2)
     alloc = make_alloc(2, delta=0.5, gamma=0.5, lam_offload=[0.8, 0.2])
-    model = make_model(users, dim=100)
-    offload, _ = solve_uplink(Population.from_users(users), alloc, model, cfg)
+    model = make_model(pop, dim=100)
+    offload, _ = solve_uplink(pop, alloc, model, cfg)
     assert offload[0] == pytest.approx(2.0 / 3.0, rel=1e-12)
     assert offload[1] == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 def test_uplink_zero_delta_user_is_excluded():
     cfg = SystemConfig()
-    users = [make_user(uid=i) for i in range(3)]
+    pop = make_pop(3)
     alloc = make_alloc(3, delta=[0.0, 0.5, 0.5], gamma=0.5)
-    model = make_model(users, dim=100)
-    offload, upload = solve_uplink(Population.from_users(users), alloc, model, cfg)
+    model = make_model(pop, dim=100)
+    offload, upload = solve_uplink(pop, alloc, model, cfg)
     assert offload[0] == 0.0
     assert offload[1] == pytest.approx(0.5) and offload[2] == pytest.approx(0.5)
     assert upload.sum() == pytest.approx(1.0, abs=1e-12)
@@ -170,26 +180,25 @@ def test_uplink_simplex_sums_are_exact():
     cfg = SystemConfig()
     for _ in range(30):
         n = int(rng.integers(2, 8))
-        users = [make_user(uid=i, gain=rng.uniform(1e-8, 1e-6),
-                           samples=int(rng.integers(50, 500))) for i in range(n)]
+        pop = join(make_pop(gain=rng.uniform(1e-8, 1e-6), samples=int(rng.integers(50, 500)))
+                   for _ in range(n))
         alloc = make_alloc(n, delta=rng.uniform(0.01, 1.0, n), gamma=0.5,
                            lam_offload=rng.uniform(0.05, 0.95, n),
                            lam_local=rng.uniform(0.05, 0.95, n))
-        model = make_model(users, dim=100)
-        offload, upload = solve_uplink(Population.from_users(users), alloc, model, cfg)
+        model = make_model(pop, dim=100)
+        offload, upload = solve_uplink(pop, alloc, model, cfg)
         assert abs(offload.sum() - 1.0) <= 1e-12
         assert abs(upload.sum() - 1.0) <= 1e-12
 
 
 def test_uplink_scale_invariance():
     cfg = SystemConfig()
-    users = [make_user(uid=i, gain=10.0 ** (-6 - i)) for i in range(3)]
-    model = make_model(users, dim=100)
+    pop = make_pop(gain=[10.0 ** (-6 - i) for i in range(3)])
+    model = make_model(pop, dim=100)
     base = make_alloc(3, delta=[0.2, 0.5, 0.9], gamma=0.5,
                       lam_offload=[0.1, 0.3, 0.6], lam_local=[0.2, 0.2, 0.6])
     scaled = replace(base, lambda_offload=base.lambda_offload * 37.0,
                      lambda_local=base.lambda_local * 37.0)
-    pop = Population.from_users(users)
     off_a, up_a = solve_uplink(pop, base, model, cfg)
     off_b, up_b = solve_uplink(pop, scaled, model, cfg)
     assert np.allclose(off_a, off_b, rtol=1e-14)
@@ -198,20 +207,20 @@ def test_uplink_scale_invariance():
 
 def test_uplink_all_zero_offload_weights():
     cfg = SystemConfig()
-    users = [make_user(uid=i) for i in range(2)]
+    pop = make_pop(2)
     alloc = make_alloc(2, delta=0.0, gamma=0.5)
-    model = make_model(users, dim=100)
+    model = make_model(pop, dim=100)
     with pytest.raises(AllZeroWeights):
-        solve_uplink(Population.from_users(users), alloc, model, cfg)
+        solve_uplink(pop, alloc, model, cfg)
 
 
 def test_uplink_rejects_nonpositive_multipliers():
     cfg = SystemConfig()
-    users = [make_user(uid=i) for i in range(2)]
+    pop = make_pop(2)
     alloc = make_alloc(2, delta=0.5, gamma=0.5, lam_offload=[0.0, 1.0])
-    model = make_model(users, dim=100)
+    model = make_model(pop, dim=100)
     with pytest.raises(ValidationError):
-        solve_uplink(Population.from_users(users), alloc, model, cfg)
+        solve_uplink(pop, alloc, model, cfg)
 
 
 def test_multipliers_unchanged_when_budget_is_met():
@@ -236,14 +245,14 @@ def test_multipliers_clamp_near_one():
 def test_gamma_population_matches_one_user_answers():
     # interior, clamped at 1, exhausted budget and full offload in one call
     cases = [gamma_instance(target, share=0.25) for target in (0.7, 2.0, 0.5, 0.3)]
-    users = [replace(user, id=i) for i, (user, *_) in enumerate(cases)]
+    users = [pop for pop, *_ in cases]
     users[2] = replace(users[2], energy_budget=users[2].energy_budget * 0.1)
     _, _, model, cfg = cases[0]
     alloc = make_alloc(4, delta=[0.4, 0.4, 0.4, 1.0], gamma=0.3)
-    gamma, exhausted = solve_gamma(Population.from_users(users), alloc, model, cfg)
+    gamma, exhausted = solve_gamma(join(users), alloc, model, cfg)
     for i, user in enumerate(users):
         alone = make_alloc(1, delta=alloc.delta[i], gamma=0.3, offload=[0.25], upload=[0.25])
-        assert (gamma[i], exhausted[i]) == gamma_of(replace(user, id=0), alone, model, cfg)
+        assert (gamma[i], exhausted[i]) == gamma_of(user, alone, model, cfg)
     assert gamma.tolist() == [pytest.approx(0.7, rel=1e-12), 1.0, 0.0, 0.0]
     assert exhausted.tolist() == [False, False, True, False]
 

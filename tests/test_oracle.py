@@ -12,14 +12,10 @@ from mecfl.errors import (
 )
 from mecfl.costs import base_rate
 from mecfl.oracle import bisect_root, finite_diff, grid_minimize, simplex_minimize_maxtime
-from mecfl.types import Population, SystemConfig
+from mecfl.types import SystemConfig
 from dataclasses import replace
 
-from helpers import make_alloc, make_model, make_user
-
-
-def pop_of(users):
-    return Population.from_users(users)
+from helpers import make_alloc, make_model, make_pop
 
 
 def test_grid_finds_quadratic_vertex():
@@ -85,28 +81,28 @@ def test_finite_diff_rejects_other_orders():
 def test_energy_curvature_in_offload_share_matches_analytic_expression():
     # d2 e / d share2 = 2 * p * 8 * delta * data_bytes / (share^3 * R)
     cfg = SystemConfig()
-    user = make_user(samples=700)
-    model = make_model([user], dim=300)
+    pop = make_pop(samples=700)
+    model = make_model(pop, dim=300)
     share = 0.37
     alloc = make_alloc(1, delta=0.6, gamma=0.5, offload=[share], upload=[0.4])
 
     def energy(xs):
         stack = replace(alloc, uplink_offload=xs[:, None])
-        return costs.total_energy(Population.from_users([user]), stack, model, cfg)[:, 0]
+        return costs.total_energy(pop, stack, model, cfg)[:, 0]
 
     fd2 = finite_diff(energy, share, 2, 1e-4)
-    analytic = (2.0 * user.transmit_power * 8.0 * 0.6 * costs.dataset_bytes(user, cfg)
-                / (share ** 3 * base_rate(user, cfg)))
+    (analytic,) = (2.0 * pop.transmit_power * 8.0 * 0.6 * costs.dataset_bytes(pop, cfg)
+                   / (share ** 3 * base_rate(pop, cfg)))
     assert fd2 == pytest.approx(analytic, rel=1e-3)
     assert fd2 >= 0.0
 
 
 def test_simplex_symmetric_two_users_split_evenly():
     cfg = SystemConfig()
-    users = [make_user(uid=0), make_user(uid=1)]
+    pop = make_pop(2)
     alloc = make_alloc(2, delta=0.5, gamma=0.5)
-    model = make_model(users, dim=100)
-    offload, upload = simplex_minimize_maxtime(pop_of(users), alloc, model, cfg, 1e-2)
+    model = make_model(pop, dim=100)
+    offload, upload = simplex_minimize_maxtime(pop, alloc, model, cfg, 1e-2)
     assert np.allclose(offload, [0.5, 0.5])
     assert np.allclose(upload, [0.5, 0.5])
 
@@ -114,38 +110,38 @@ def test_simplex_symmetric_two_users_split_evenly():
 def test_simplex_asymmetric_load_gets_proportional_share():
     # offload loads in ratio 2:1 (multiplier-weighted terms 4:1) -> shares (2/3, 1/3)
     cfg = SystemConfig()
-    users = [make_user(uid=0, samples=2000), make_user(uid=1, samples=1000)]
+    pop = make_pop(samples=[2000, 1000])
     alloc = make_alloc(2, delta=0.5, gamma=0.5)
-    model = make_model(users, dim=100)
-    offload, _ = simplex_minimize_maxtime(pop_of(users), alloc, model, cfg, 1e-3)
+    model = make_model(pop, dim=100)
+    offload, _ = simplex_minimize_maxtime(pop, alloc, model, cfg, 1e-3)
     assert offload[0] == pytest.approx(2.0 / 3.0, abs=1e-3)
     assert offload[1] == pytest.approx(1.0 / 3.0, abs=1e-3)
 
 
 def test_simplex_three_users_supported():
     cfg = SystemConfig()
-    users = [make_user(uid=i) for i in range(3)]
+    pop = make_pop(3)
     alloc = make_alloc(3, delta=0.5, gamma=0.5)
-    model = make_model(users, dim=100)
-    offload, upload = simplex_minimize_maxtime(pop_of(users), alloc, model, cfg, 5e-2)
+    model = make_model(pop, dim=100)
+    offload, upload = simplex_minimize_maxtime(pop, alloc, model, cfg, 5e-2)
     assert offload.sum() == pytest.approx(1.0)
     assert upload.sum() == pytest.approx(1.0)
 
 
 def test_simplex_guards_against_large_instances():
     cfg = SystemConfig()
-    users = [make_user(uid=i) for i in range(4)]
+    pop = make_pop(4)
     alloc = make_alloc(4, delta=0.5, gamma=0.5)
-    model = make_model(users, dim=100)
+    model = make_model(pop, dim=100)
     with pytest.raises(InstanceTooLarge):
-        simplex_minimize_maxtime(pop_of(users), alloc, model, cfg, 1e-2)
+        simplex_minimize_maxtime(pop, alloc, model, cfg, 1e-2)
 
 
 @pytest.mark.parametrize("resolution", [0.0, float("nan"), -0.1, float("inf"), 1.5])
 def test_simplex_rejects_resolution_outside_unit_interval(resolution):
-    users = [make_user(uid=0), make_user(uid=1)]
+    pop = make_pop(2)
     with pytest.raises(ValidationError, match="resolution must be finite, > 0 and <= 1"):
-        simplex_minimize_maxtime(pop_of(users), make_alloc(2), make_model(users), SystemConfig(),
+        simplex_minimize_maxtime(pop, make_alloc(2), make_model(pop), SystemConfig(),
                                  resolution)
 
 
@@ -219,30 +215,30 @@ def _assert_batched_equals_reference(pop, alloc, model, cfg, resolution):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_batched_simplex_equals_reference_on_random_two_user_instances(seed):
-    users, alloc, model, cfg = verify.random_uplink_instance(np.random.default_rng(seed))
-    _assert_batched_equals_reference(pop_of(users), alloc, model, cfg, 1e-3)
+    pop, alloc, model, cfg = verify.random_uplink_instance(np.random.default_rng(seed))
+    _assert_batched_equals_reference(pop, alloc, model, cfg, 1e-3)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_batched_simplex_equals_reference_on_random_three_user_instances(seed):
-    users, alloc, model, cfg = verify.random_delta_instance(np.random.default_rng(seed))
-    _assert_batched_equals_reference(pop_of(users), alloc, model, cfg, 2e-2)
+    pop, alloc, model, cfg = verify.random_delta_instance(np.random.default_rng(seed))
+    _assert_batched_equals_reference(pop, alloc, model, cfg, 2e-2)
 
 
 def test_batched_simplex_gives_a_user_at_zero_delta_a_zero_offload_share():
     # user 0 offloads nothing, so a zero offload share is feasible for it and optimal
-    users = [make_user(uid=i, samples=600 + 300 * i) for i in range(3)]
+    pop = make_pop(samples=[600 + 300 * i for i in range(3)])
     alloc = make_alloc(3, delta=[0.0, 0.4, 0.7], gamma=[0.9, 0.6, 0.3])
-    offload, _ = _assert_batched_equals_reference(pop_of(users), alloc, make_model(users),
+    offload, _ = _assert_batched_equals_reference(pop, alloc, make_model(pop),
                                                   SystemConfig(), 2e-2)
     assert offload[0] == 0.0
 
 
 def test_batched_simplex_ties_take_the_first_composition():
     # nobody offloads: every offload composition scores the same
-    users = [make_user(uid=i) for i in range(3)]
+    pop = make_pop(3)
     alloc = make_alloc(3, delta=0.0, gamma=0.5)
-    offload, _ = _assert_batched_equals_reference(pop_of(users), alloc, make_model(users),
+    offload, _ = _assert_batched_equals_reference(pop, alloc, make_model(pop),
                                                   SystemConfig(), 0.1)
     assert list(offload) == [0.0, 0.0, 1.0]
 
@@ -250,13 +246,13 @@ def test_batched_simplex_ties_take_the_first_composition():
 def test_batched_simplex_rejects_a_gamma_degenerate_instance():
     # user 1 has local data but no CPU: every upload candidate is degenerate
     cfg = SystemConfig()
-    users = [make_user(uid=0), make_user(uid=1)]
+    pop = make_pop(2)
     alloc = make_alloc(2, delta=0.5, gamma=[0.5, 0.0])
-    model = make_model(users)
+    model = make_model(pop)
     with pytest.raises(NoFeasiblePoint):
-        _reference_simplex(pop_of(users), alloc, model, cfg, 1e-2)
+        _reference_simplex(pop, alloc, model, cfg, 1e-2)
     with pytest.raises(NoFeasiblePoint):
-        simplex_minimize_maxtime(pop_of(users), alloc, model, cfg, 1e-2)
+        simplex_minimize_maxtime(pop, alloc, model, cfg, 1e-2)
 
 
 def test_batched_simplex_scores_nan_as_infinite(monkeypatch):
@@ -269,8 +265,8 @@ def test_batched_simplex_scores_nan_as_infinite(monkeypatch):
         return np.where(alloc.uplink_offload[..., :1] >= 0.3, np.nan, times)
 
     monkeypatch.setattr(costs, "edge_time_user", nan_above_share)
-    users = [make_user(uid=0), make_user(uid=1)]
-    offload, _ = _assert_batched_equals_reference(pop_of(users), make_alloc(2), make_model(users),
+    pop = make_pop(2)
+    offload, _ = _assert_batched_equals_reference(pop, make_alloc(2), make_model(pop),
                                                   SystemConfig(), 1e-2)
     assert list(offload) == [0.29, 0.71]
 
@@ -289,8 +285,7 @@ def _counted(g):
 
 def _delta_imbalance(seed):
     """The time imbalance ``check_delta_closed_form`` bisects, on one instance."""
-    users, alloc, model, cfg = verify.random_delta_instance(np.random.default_rng(seed))
-    pop = pop_of(users)
+    pop, alloc, model, cfg = verify.random_delta_instance(np.random.default_rng(seed))
 
     def imbalance(d):
         delta = alloc.delta.copy()

@@ -6,51 +6,45 @@ from mecfl import costs, io
 from mecfl.costs import base_rate
 from mecfl.errors import SimulationError, ValidationError
 from mecfl.learning import Dataset, concat_datasets, split_dataset, train, weight_dim
+from mecfl.optimizer import solve_delta, solve_gamma
 from mecfl.orchestrator import (
     _SEED_CAP,
-    _best_response_sweep,
     _run_one_round,
     run_centralized,
     run_proposed,
     run_traditional,
 )
-from mecfl.types import (
-    AllocationState,
-    ModelState,
-    Population,
-    SystemConfig,
-    validate_allocation,
-)
+from mecfl.types import AllocationState, ModelState, SystemConfig, validate_allocation
 
-from helpers import desk_spec, make_alloc, make_model, make_user
+from helpers import desk_spec, make_alloc, make_model, make_pop
 
 
 def tiny_population(seed=0, **overrides):
     spec = desk_spec(seed=seed, user_count=4, samples_per_user=60, **overrides)
-    users, datasets = io.synthesize_users(spec)
-    return users, datasets, io.load_test_dataset(spec), io.effective_config(spec)
+    pop, datasets = io.synthesize_users(spec)
+    return pop, datasets, io.load_test_dataset(spec), io.effective_config(spec)
 
 
 def test_single_iteration_trace():
-    users, datasets, test, cfg = tiny_population()
-    result = run_proposed(users, datasets, cfg, 1, test_dataset=test)
+    pop, datasets, test, cfg = tiny_population()
+    result = run_proposed(pop, datasets, cfg, 1, test_dataset=test)
     assert result.iterations_used == 1
     assert len(result.trace) == 1
     assert not result.converged
 
 
 def test_infinite_tolerance_converges_at_two():
-    users, datasets, test, cfg = tiny_population()
+    pop, datasets, test, cfg = tiny_population()
     cfg = replace(cfg, convergence_tol=float("inf"))
-    result = run_proposed(users, datasets, cfg, 50, test_dataset=test)
+    result = run_proposed(pop, datasets, cfg, 50, test_dataset=test)
     assert result.converged
     assert result.iterations_used == 2
 
 
 def test_identical_seeds_reproduce_bitwise():
-    users, datasets, test, cfg = tiny_population(seed=3)
-    a = run_proposed(users, datasets, cfg, 8, test_dataset=test)
-    b = run_proposed(users, datasets, cfg, 8, test_dataset=test)
+    pop, datasets, test, cfg = tiny_population(seed=3)
+    a = run_proposed(pop, datasets, cfg, 8, test_dataset=test)
+    b = run_proposed(pop, datasets, cfg, 8, test_dataset=test)
     assert len(a.trace) == len(b.trace)
     for ma, mb in zip(a.trace, b.trace):
         assert ma.test_loss == mb.test_loss
@@ -61,9 +55,9 @@ def test_identical_seeds_reproduce_bitwise():
 
 
 def test_forced_zero_delta_is_bit_identical_to_traditional():
-    users, datasets, test, cfg = tiny_population(seed=4)
-    forced = run_proposed(users, datasets, cfg, 10, test_dataset=test, force_delta=0.0)
-    baseline = run_traditional(users, datasets, cfg, 10, test_dataset=test)
+    pop, datasets, test, cfg = tiny_population(seed=4)
+    forced = run_proposed(pop, datasets, cfg, 10, test_dataset=test, force_delta=0.0)
+    baseline = run_traditional(pop, datasets, cfg, 10, test_dataset=test)
     assert len(forced.trace) == len(baseline.trace)
     for mf, mb in zip(forced.trace, baseline.trace):
         assert mf.test_loss == mb.test_loss
@@ -76,8 +70,8 @@ def test_forced_zero_delta_is_bit_identical_to_traditional():
 
 
 def test_traditional_has_no_edge_time():
-    users, datasets, test, cfg = tiny_population(seed=5)
-    result = run_traditional(users, datasets, cfg, 6, test_dataset=test)
+    pop, datasets, test, cfg = tiny_population(seed=5)
+    result = run_traditional(pop, datasets, cfg, 6, test_dataset=test)
     assert all(m.t_edge == 0.0 for m in result.trace)
     assert all(np.all(alloc.delta == 0.0) for alloc in result.alloc_trace)
 
@@ -85,8 +79,8 @@ def test_traditional_has_no_edge_time():
 def test_traditional_loss_trace_non_increasing():
     hits = 0
     for seed in (1, 2, 3):
-        users, datasets, test, cfg = tiny_population(seed=seed)
-        result = run_traditional(users, datasets, cfg, 20, test_dataset=test)
+        pop, datasets, test, cfg = tiny_population(seed=seed)
+        result = run_traditional(pop, datasets, cfg, 20, test_dataset=test)
         losses = [m.train_loss for m in result.trace]
         if all(b <= a for a, b in zip(losses, losses[1:])):
             hits += 1
@@ -94,60 +88,60 @@ def test_traditional_loss_trace_non_increasing():
 
 
 def test_centralized_aggregate_equals_edge_model():
-    users, datasets, test, cfg = tiny_population(seed=6)
-    result = run_centralized(users, datasets, cfg, 6, test_dataset=test)
+    pop, datasets, test, cfg = tiny_population(seed=6)
+    result = run_centralized(pop, datasets, cfg, 6, test_dataset=test)
     assert np.array_equal(result.final_model.global_weights, result.final_model.edge_weights)
-    assert result.final_model.edge_trainset_size == sum(u.dataset_size for u in users)
+    assert result.final_model.edge_trainset_size == pop.dataset_size.sum()
 
 
 def test_centralized_local_time_is_upload_only():
-    users, datasets, test, cfg = tiny_population(seed=6)
-    result = run_centralized(users, datasets, cfg, 6, test_dataset=test)
+    pop, datasets, test, cfg = tiny_population(seed=6)
+    result = run_centralized(pop, datasets, cfg, 6, test_dataset=test)
     last, alloc = result.trace[-1], result.final_alloc
-    for u in users:
+    for i, rate in enumerate(base_rate(pop, cfg)):
         upload = costs.transmit_time(costs.weights_bytes(result.final_model, cfg),
-                                     alloc.uplink_weight[u.id], base_rate(u, cfg))
-        assert last.t_local[u.id] == pytest.approx(upload, rel=1e-12)
+                                     alloc.uplink_weight[i], rate)
+        assert last.t_local[i] == pytest.approx(upload, rel=1e-12)
 
 
 def test_centralized_loss_not_worse_than_traditional():
     wins = 0
     for seed in (1, 2, 3):
-        users, datasets, test, cfg = tiny_population(seed=seed)
-        cen = run_centralized(users, datasets, cfg, 15, test_dataset=test)
-        trad = run_traditional(users, datasets, cfg, 15, test_dataset=test)
+        pop, datasets, test, cfg = tiny_population(seed=seed)
+        cen = run_centralized(pop, datasets, cfg, 15, test_dataset=test)
+        trad = run_traditional(pop, datasets, cfg, 15, test_dataset=test)
         if cen.trace[-1].test_loss <= trad.trace[-1].test_loss:
             wins += 1
     assert wins >= 2
 
 
 def test_every_iteration_stays_feasible():
-    users, datasets, test, cfg = tiny_population(seed=7)
-    result = run_proposed(users, datasets, cfg, 15, test_dataset=test)
+    pop, datasets, test, cfg = tiny_population(seed=7)
+    result = run_proposed(pop, datasets, cfg, 15, test_dataset=test)
     for alloc in result.alloc_trace:
-        validate_allocation(alloc, len(users))
+        validate_allocation(alloc, pop.n_users)
         assert alloc.uplink_offload.sum() <= 1.0 + 1e-9
         assert alloc.uplink_weight.sum() <= 1.0 + 1e-9
 
 
 def test_trace_and_alloc_trace_lengths_match():
-    users, datasets, test, cfg = tiny_population(seed=8)
-    result = run_proposed(users, datasets, cfg, 5, test_dataset=test)
+    pop, datasets, test, cfg = tiny_population(seed=8)
+    result = run_proposed(pop, datasets, cfg, 5, test_dataset=test)
     assert len(result.trace) == len(result.alloc_trace) == result.iterations_used
 
 
 def test_errors_carry_iteration_context():
-    users, datasets, test, cfg = tiny_population(seed=9)
+    pop, datasets, test, cfg = tiny_population(seed=9)
     # budgets far below the transmission cost with offloading forbidden:
     # no CPU budget remains, local training time diverges
-    starved = [replace(u, energy_budget=1e-15) for u in users]
+    starved = replace(pop, energy_budget=np.full(pop.n_users, 1e-15))
     with pytest.raises(SimulationError, match="iteration 1"):
         run_proposed(starved, datasets, cfg, 5, test_dataset=test, force_delta=0.0)
 
 
 def test_starved_budget_degrades_to_full_offloading():
-    users, datasets, test, cfg = tiny_population(seed=9)
-    starved = [replace(u, energy_budget=1e-15) for u in users]
+    pop, datasets, test, cfg = tiny_population(seed=9)
+    starved = replace(pop, energy_budget=np.full(pop.n_users, 1e-15))
     result = run_proposed(starved, datasets, cfg, 5, test_dataset=test)
     assert np.all(result.final_alloc.delta == 1.0)
     assert np.all(result.final_alloc.gamma == 0.0)
@@ -155,25 +149,44 @@ def test_starved_budget_degrades_to_full_offloading():
 
 def test_desk_scale_seed7_converges_quickly_within_budget():
     spec = desk_spec(seed=7)
-    users, datasets = io.synthesize_users(spec)
+    pop, datasets = io.synthesize_users(spec)
     test = io.load_test_dataset(spec)
     cfg = io.effective_config(spec)
-    result = run_proposed(users, datasets, cfg, 100, test_dataset=test)
+    result = run_proposed(pop, datasets, cfg, 100, test_dataset=test)
     assert result.converged
     assert result.iterations_used <= 30
     last = result.trace[-1]
-    assert all(last.e_total[u.id] <= u.energy_budget * (1 + 1e-3) for u in users)
+    assert all(last.e_total <= pop.energy_budget * (1 + 1e-3))
 
 
 def test_population_validation():
-    users, datasets, test, cfg = tiny_population()
+    pop, datasets, test, cfg = tiny_population()
     with pytest.raises(ValidationError):
-        run_proposed(users[:2], datasets, cfg, 2, test_dataset=test)
+        run_proposed(pop, datasets[:2], cfg, 2, test_dataset=test)
     with pytest.raises(ValidationError):
-        run_proposed(users, datasets, cfg, 0, test_dataset=test)
-    with pytest.raises(ValidationError):
-        run_proposed(list(reversed(users)), list(reversed(datasets)), cfg, 2,
-                     test_dataset=test)
+        run_proposed(pop, datasets, cfg, 0, test_dataset=test)
+
+
+def test_run_rejects_a_dataset_count_that_differs_from_the_user_count():
+    pop, datasets, test, cfg = tiny_population()
+    with pytest.raises(ValidationError, match="need one dataset per user"):
+        run_proposed(pop, datasets + datasets[:1], cfg, 2, test_dataset=test)
+
+
+def test_run_names_the_user_whose_dataset_size_differs():
+    pop, datasets, test, cfg = tiny_population()
+    datasets[2] = datasets[2].take(np.arange(datasets[2].sample_count - 1))
+    with pytest.raises(ValidationError, match="user 2: population says 60 samples, "
+                                              "dataset holds 59"):
+        run_proposed(pop, datasets, cfg, 2, test_dataset=test)
+
+
+@pytest.mark.parametrize("n_features, n_classes", [(3, 4), (16, 5)])
+def test_run_rejects_datasets_of_different_shapes(n_features, n_classes):
+    pop, datasets, test, cfg = tiny_population()
+    datasets[1] = io.synthesize_dataset(datasets[1].sample_count, n_features, n_classes, seed=1)
+    with pytest.raises(ValidationError, match="must share feature and class counts"):
+        run_proposed(pop, datasets, cfg, 2, test_dataset=test)
 
 
 def sweep_instance():
@@ -181,17 +194,22 @@ def sweep_instance():
     cfg = SystemConfig()
     gains = [1e-6, 3e-7, 2e-6, 5e-7, 1e-6, 8e-7]
     budgets = [50.0, 50.0, 50.0, 1e-9, 50.0, 50.0]
-    users = [make_user(uid=i, gain=g, budget=b, samples=500 + 100 * i)
-             for i, (g, b) in enumerate(zip(gains, budgets))]
+    pop = make_pop(gain=gains, budget=budgets, samples=[500 + 100 * i for i in range(6)])
     alloc = make_alloc(6, delta=[0.9, 0.8, 0.0, 0.5, 0.9, 0.7], gamma=0.5,
                        offload=[0.2, 0.2, 0.0, 0.2, 0.2, 0.2], upload=np.full(6, 1 / 6))
-    return users, alloc, make_model(users, dim=100), cfg
+    return pop, alloc, make_model(pop, dim=100), cfg
+
+
+def best_responses(pop, alloc, model, cfg):
+    """Every CPU fraction, then the offload sweep, as one round begins."""
+    gamma, _ = solve_gamma(pop, alloc, model, cfg)
+    alloc = replace(alloc, gamma=gamma)
+    return replace(alloc, delta=solve_delta(pop, alloc, model, cfg))
 
 
 def test_sweep_is_sequential_in_user_id_order():
-    users, alloc, model, cfg = sweep_instance()
-    pop = Population.from_users(users)
-    new = _best_response_sweep(users, pop, alloc, model, cfg, None)
+    pop, alloc, model, cfg = sweep_instance()
+    new = best_responses(pop, alloc, model, cfg)
     assert new.delta[2] == 0.0
     assert new.gamma[3] == 0.0 and new.delta[3] == 1.0
     t_local = costs.local_time(pop, new, model, cfg)
@@ -207,22 +225,22 @@ def test_sweep_is_sequential_in_user_id_order():
 def round_inputs(n_users, delta, seed=11):
     """Arguments of one round of ``n_users`` desk users at offload fractions ``delta``."""
     spec = desk_spec(seed=seed, user_count=n_users, samples_per_user=45)
-    users, datasets = io.synthesize_users(spec)
+    pop, datasets = io.synthesize_users(spec)
     cfg = io.effective_config(spec)
     n_features, n_classes = datasets[0].n_features, datasets[0].n_classes
     dim = weight_dim(n_features, n_classes)
-    model = replace(ModelState.initial(n_users, dim, [u.dataset_size for u in users]),
+    model = replace(ModelState.initial(n_users, dim, pop.dataset_size),
                     global_weights=np.random.default_rng(seed).normal(size=dim))
     alloc = AllocationState.uniform(n_users, delta=delta, gamma=0.5)
     train_pool = concat_datasets(datasets, n_classes, n_features)
-    return (0, users, Population.from_users(users), datasets, train_pool, alloc, model, cfg,
-            np.random.default_rng(seed), False, None)
+    return (0, pop, datasets, train_pool, alloc, model, cfg, np.random.default_rng(seed),
+            False, None)
 
 
 def test_round_local_weights_equal_per_user_training():
     delta = [0.0, 1.0, 0.5, 0.3, 1.0, 0.77]
     args = round_inputs(6, delta)
-    datasets, before, cfg = args[3], args[6], args[7]
+    datasets, before, cfg = args[2], args[5], args[6]
     _, after = _run_one_round(*args)
     rng = np.random.default_rng(11)   # the round's seed draws, in its order
     split_seeds = rng.integers(_SEED_CAP, size=6)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,11 @@ from mecfl.types import (
     ModelState,
     RoundMetrics,
     SystemConfig,
-    UserProfile,
     project_unit_interval,
     validate_allocation,
 )
 
-from helpers import make_alloc
+from helpers import make_alloc, make_pop
 
 
 def test_project_clamps_above():
@@ -108,11 +109,42 @@ def test_system_config_rejects_nonpositive_constants():
 
 def test_user_profile_invariants():
     with pytest.raises(ValidationError):
-        UserProfile(id=0, transmit_power=0.0, channel_gain=1e-6, cpu_hz=1e9,
-                    energy_budget=1.0, dataset_size=10)
+        make_pop(power=0.0, gain=1e-6, cpu=1e9, budget=1.0, samples=10)
     with pytest.raises(ValidationError):
-        UserProfile(id=0, transmit_power=0.2, channel_gain=1e-6, cpu_hz=1e9,
-                    energy_budget=1.0, dataset_size=0)
+        make_pop(power=0.2, gain=1e-6, cpu=1e9, budget=1.0, samples=0)
+
+
+@pytest.mark.parametrize("field", ["transmit_power", "channel_gain", "cpu_hz", "energy_budget"])
+@pytest.mark.parametrize("bad", [-0.2, 0.0, float("nan"), float("inf")])
+def test_population_rejects_a_nonpositive_or_non_finite_physical_value(field, bad):
+    good = make_pop(4)
+    values = getattr(good, field).copy()
+    values[[1, 3]] = bad
+    with pytest.raises(ValidationError,
+                       match=rf"^Population: {field}\[1\] must be finite and > 0, got {bad!r}$"):
+        replace(good, **{field: values})
+
+
+@pytest.mark.parametrize("bad", [1.5, 0, -3, float("nan"), float("inf")])
+def test_population_rejects_a_dataset_size_that_is_not_a_positive_integer(bad):
+    with pytest.raises(ValidationError,
+                       match=rf"^Population: dataset_size\[2\] must be an integer >= 1, "
+                             rf"got {float(bad)!r}$"):
+        make_pop(samples=[10, 20, bad, bad])
+
+
+def test_population_holds_integral_sizes_as_integers():
+    pop = make_pop(samples=[10.0, 20])
+    assert pop.dataset_size.dtype == np.int64 and pop.dataset_size.tolist() == [10, 20]
+
+
+@pytest.mark.parametrize("fields", [dict(cpu_hz=[1e9]), dict(dataset_size=[[10, 20]]),
+                                    dict(transmit_power=[], channel_gain=[], cpu_hz=[],
+                                         energy_budget=[], dataset_size=[])])
+def test_population_needs_one_entry_per_user_in_every_field(fields):
+    good = make_pop(2)
+    with pytest.raises(ValidationError, match="one entry per user in every field"):
+        replace(good, **fields)
 
 
 def test_model_state_dimension_mismatch():
