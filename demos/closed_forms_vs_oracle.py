@@ -18,8 +18,8 @@ from mecfl.optimizer import solve_delta, solve_gamma, solve_uplink
 rng = np.random.default_rng(2024)
 
 # --- CPU fraction: minimize local time subject to the energy budget -------
-pop, alloc, model, cfg, transmission = verify.random_gamma_instance(rng)
-(gamma,), _ = solve_gamma(pop, alloc, model, cfg)
+pop, alloc, dim, cfg, transmission = verify.random_gamma_instance(rng)
+(gamma,), _ = solve_gamma(pop, alloc, dim, cfg)
 (data,) = (1.0 - alloc.delta[0]) * costs.dataset_bytes(pop, cfg)
 cpu, budget = pop.cpu_hz[0], pop.energy_budget[0]
 grid_gamma, _ = grid_minimize(
@@ -33,7 +33,7 @@ print(f"  closed form {gamma:.8f}   grid search {grid_gamma:.8f}   "
       f"gap {abs(gamma - grid_gamma):.2e}")
 
 # --- offload fraction: balance the local and edge completion times --------
-pop, alloc, model, cfg = verify.random_delta_instance(rng)
+pop, alloc, dim, cfg = verify.random_delta_instance(rng)
 
 
 def user_1_first(obj):
@@ -42,12 +42,12 @@ def user_1_first(obj):
 
 
 # The first user of the sweep answers the others' previous fractions.
-delta = solve_delta(user_1_first(pop), user_1_first(alloc), model, cfg)[0]
+delta = solve_delta(user_1_first(pop), user_1_first(alloc), dim, cfg)[0]
 
 
 def imbalance(d):
     state = replace(alloc, delta=np.where(np.arange(3) == 1, d, alloc.delta))
-    return (costs.local_time(pop, state, model, cfg)
+    return (costs.local_time(pop, state, dim, cfg)
             - costs.edge_time_user(pop, state, cfg))[1]
 
 
@@ -56,9 +56,9 @@ print("offload fraction")
 print(f"  closed form {delta:.10f}   bisection {root:.10f}   gap {abs(delta - root):.2e}")
 
 # --- bandwidth shares: minimize the slowest per-user completion time ------
-pop, alloc, model, cfg = verify.random_uplink_instance(rng)
-closed_off, closed_up = solve_uplink(pop, alloc, model, cfg)
-oracle_off, oracle_up = simplex_minimize_maxtime(pop, alloc, model, cfg, 1e-3)
+pop, alloc, dim, cfg = verify.random_uplink_instance(rng)
+closed_off, closed_up = solve_uplink(pop, alloc, dim, cfg)
+oracle_off, oracle_up = simplex_minimize_maxtime(pop, alloc, dim, cfg, 1e-3)
 print("bandwidth shares (offload side, then upload side)")
 print(f"  closed form {np.round(closed_off, 4)}   exhaustive {oracle_off}")
 print(f"  closed form {np.round(closed_up, 4)}   exhaustive {oracle_up}")

@@ -8,10 +8,14 @@ delta=0 column is plain federated training, delta=1 is fully centralized.
     python3 demos/offload_sweep.py [out.csv]
 """
 
-import sys
+import argparse
 
 from mecfl import io
 from mecfl.types import SystemConfig
+
+parser = argparse.ArgumentParser(description="Sweep the offload fraction on a frozen allocation.")
+parser.add_argument("csv_path", nargs="?", help="also write the sweep rows to this CSV file")
+args = parser.parse_args()
 
 spec = io.ExperimentSpec(
     scenario="sweep_offload",
@@ -27,6 +31,6 @@ for row in rows:
     print(f"{row['value']:6.1f} {row['test_loss']:10.5f} {row['t_total']:11.6f} "
           f"{row['t_local_center']:15.6f} {row['t_local_celledge']:13.6f}")
 
-if len(sys.argv) > 1:
-    io.write_sweep_csv(sys.argv[1], rows)
-    print(f"\nwritten to {sys.argv[1]}")
+if args.csv_path:
+    io.write_sweep_csv(args.csv_path, rows)
+    print(f"\nwritten to {args.csv_path}")

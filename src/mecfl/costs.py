@@ -11,7 +11,7 @@ the same time; sequencing them is the orchestrator's job.
 Sizes are carried in bytes and converted to bits only where they meet a
 rate (rates are bit/s). The size of a dataset and of the weight vector are
 linear models: ``bytes_per_sample * samples`` and
-``bytes_per_weight_element * dim``.
+``bytes_per_weight_element * dim``: the costs read the model only as ``dim``.
 
 The kernels (``training_time``, ``transmit_time``, ...) broadcast over
 numpy arrays and scalars alike, and the size and rate models
@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateDivisor
-from .types import AllocationState, ModelState, Population, SystemConfig
+from .types import AllocationState, Population, SystemConfig
 
 BITS_PER_BYTE = 8.0
 
@@ -71,8 +71,8 @@ def dataset_bytes(pop: Population, cfg: SystemConfig) -> np.ndarray:
     return cfg.bytes_per_sample * pop.dataset_size
 
 
-def weights_bytes(model: ModelState, cfg: SystemConfig) -> float:
-    return cfg.bytes_per_weight_element * model.dim
+def weights_bytes(dim: int, cfg: SystemConfig) -> float:
+    return cfg.bytes_per_weight_element * dim
 
 
 # --------------------------------------------------------------------------
@@ -88,9 +88,9 @@ def check_degenerate(bad, what: str) -> None:
         raise DegenerateDivisor(f"user {int(bad.argmax()) % bad.shape[-1]}: {what}")
 
 
-def _upload_time(alloc: AllocationState, model: ModelState, cfg: SystemConfig, rate):
+def _upload_time(alloc: AllocationState, dim: int, cfg: SystemConfig, rate):
     check_degenerate(alloc.uplink_weight <= 0.0, "zero uplink share for the weight upload")
-    return transmit_time(weights_bytes(model, cfg), alloc.uplink_weight, rate)
+    return transmit_time(weights_bytes(dim, cfg), alloc.uplink_weight, rate)
 
 
 def _offload_time(pop: Population, alloc: AllocationState, cfg: SystemConfig, rate):
@@ -102,7 +102,7 @@ def _offload_time(pop: Population, alloc: AllocationState, cfg: SystemConfig, ra
     return np.where(delta > 0.0, seconds, 0.0)
 
 
-def local_time(pop: Population, alloc: AllocationState, model: ModelState,
+def local_time(pop: Population, alloc: AllocationState, dim: int,
                cfg: SystemConfig) -> np.ndarray:
     """Local training time plus weight-upload time of every user.
 
@@ -115,10 +115,10 @@ def local_time(pop: Population, alloc: AllocationState, model: ModelState,
     with np.errstate(divide="ignore", invalid="ignore"):
         train = training_time(kept_bytes, cfg.cycles_per_byte, alloc.gamma, pop.cpu_hz)
     train = np.where(kept_bytes > 0.0, train, 0.0)
-    return train + _upload_time(alloc, model, cfg, base_rate(pop, cfg))
+    return train + _upload_time(alloc, dim, cfg, base_rate(pop, cfg))
 
 
-def total_energy(pop: Population, alloc: AllocationState, model: ModelState,
+def total_energy(pop: Population, alloc: AllocationState, dim: int,
                  cfg: SystemConfig) -> np.ndarray:
     """Per-round energy of every user: local training, weight upload, offloading.
 
@@ -131,7 +131,7 @@ def total_energy(pop: Population, alloc: AllocationState, model: ModelState,
                               alloc.gamma, pop.cpu_hz)
     rate = base_rate(pop, cfg)
     power = pop.transmit_power
-    return (compute + power * _upload_time(alloc, model, cfg, rate)
+    return (compute + power * _upload_time(alloc, dim, cfg, rate)
             + power * _offload_time(pop, alloc, cfg, rate))
 
 

@@ -33,7 +33,7 @@ from .orchestrator import (
     run_proposed,
     run_traditional,
 )
-from .types import Population, SystemConfig
+from .types import Population, SystemConfig, _require_field_types
 
 SEED_ENV_VAR = "MECFL_SEED"
 
@@ -87,6 +87,7 @@ class ExperimentSpec:
     system: SystemConfig = field(default_factory=SystemConfig)
 
     def __post_init__(self):
+        _require_field_types(self)
         if self.scenario not in SCENARIOS:
             raise ValidationError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if self.user_count < 1:
@@ -95,13 +96,6 @@ class ExperimentSpec:
             raise ValidationError("samples_per_user must be >= 1")
         if self.data_source not in ("synthetic", "idx"):
             raise ValidationError("data_source must be 'synthetic' or 'idx'")
-        for name in ("distance_range_m", "cpu_hz_range", "energy_budget_range",
-                     "channel_gain_range"):
-            bounds = getattr(self, name)
-            if bounds is None:
-                continue
-            if len(bounds) != 2 or not bounds[0] <= bounds[1]:
-                raise ValidationError(f"{name} must be (lo, hi) with lo <= hi")
         if not 0.0 <= self.sweep_delta <= 1.0:
             raise ValidationError("sweep_delta must lie in [0, 1]")
 
@@ -156,7 +150,11 @@ def load_config(path: str) -> ExperimentSpec:
         spec = parse_config(handle.read())
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
-        spec = replace(spec, seed=int(env_seed))
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise ValidationError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
+        spec = replace(spec, seed=seed)
     return spec
 
 

@@ -2,7 +2,7 @@
 
 Each function answers for every user of a :class:`Population` in one
 call (``solve_delta`` as a Gauss-Seidel sweep, in which the users move in
-turn):
+turn) and reads the model only as its weight dimension ``dim``:
 
 * ``solve_gamma``    - CPU fraction that spends the whole energy budget,
 * ``solve_delta``    - offload fraction that balances the local and edge
@@ -27,14 +27,14 @@ from .costs import (
     weights_bytes,
 )
 from .errors import AllZeroWeights, ValidationError
-from .types import AllocationState, ModelState, Population, SystemConfig, project_unit_interval
+from .types import AllocationState, Population, SystemConfig, project_unit_interval
 
 # Keeps both multipliers strictly positive; repeated penalty increments
 # would otherwise drive the upload-side multiplier to zero or below.
 LAMBDA_MIN = 1e-3
 
 
-def solve_gamma(pop: Population, alloc: AllocationState, model: ModelState,
+def solve_gamma(pop: Population, alloc: AllocationState, dim: int,
                 cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """CPU fraction of every user whose training energy exactly exhausts the budget.
 
@@ -64,7 +64,7 @@ def solve_gamma(pop: Population, alloc: AllocationState, model: ModelState,
     # entries of users that do not train may divide by zero; they are masked
     with np.errstate(divide="ignore", invalid="ignore"):
         offload = transmit_energy(power, delta * data, alloc.uplink_offload, rate)
-        upload = transmit_energy(power, weights_bytes(model, cfg), alloc.uplink_weight, rate)
+        upload = transmit_energy(power, weights_bytes(dim, cfg), alloc.uplink_weight, rate)
         remaining = pop.energy_budget - (np.where(offloading, offload, 0.0) + upload)
         ratio = remaining / curvature
     exhausted = training & (remaining < 0.0)
@@ -74,7 +74,7 @@ def solve_gamma(pop: Population, alloc: AllocationState, model: ModelState,
     return np.minimum(gamma, 1.0), exhausted
 
 
-def solve_delta(pop: Population, alloc: AllocationState, model: ModelState,
+def solve_delta(pop: Population, alloc: AllocationState, dim: int,
                 cfg: SystemConfig) -> np.ndarray:
     """Offload fractions of one Gauss-Seidel sweep over the users in index order.
 
@@ -98,7 +98,7 @@ def solve_delta(pop: Population, alloc: AllocationState, model: ModelState,
     # entries of forced users may divide by zero; the loop skips them
     with np.errstate(divide="ignore", invalid="ignore"):
         local_per_unit = training_time(data, cfg.cycles_per_byte, gamma, pop.cpu_hz)
-        own = local_per_unit + transmit_time(weights_bytes(model, cfg), upload_share, rate)
+        own = local_per_unit + transmit_time(weights_bytes(dim, cfg), upload_share, rate)
         per_unit = (transmit_time(data, offload_share, rate) + edge_per_unit
                     + local_per_unit)
     suffix = np.cumsum((alloc.delta * data)[::-1])[::-1]   # previous bytes of users j >= i
@@ -121,7 +121,7 @@ def solve_delta(pop: Population, alloc: AllocationState, model: ModelState,
 
 
 def simplex_shares(weights: np.ndarray) -> np.ndarray:
-    """Normalize nonnegative weights to sum exactly to 1."""
+    """Normalize nonnegative weights to sum to 1, up to rounding."""
     weights = np.asarray(weights, dtype=float)
     if np.any(weights < 0) or not np.all(np.isfinite(weights)):
         raise ValidationError("simplex_shares: weights must be finite and >= 0")
@@ -131,35 +131,23 @@ def simplex_shares(weights: np.ndarray) -> np.ndarray:
     return weights / total
 
 
-def offload_share_weights(pop: Population, alloc: AllocationState,
-                          cfg: SystemConfig) -> np.ndarray:
-    """Unnormalized offload-share weights: sqrt(multiplier * delta * bytes / rate)."""
-    lam = alloc.lambda_offload
-    if np.any(lam <= 0.0):
-        raise ValidationError("offload multipliers must be > 0")
-    return np.sqrt(lam * alloc.delta * dataset_bytes(pop, cfg) / base_rate(pop, cfg))
-
-
-def upload_share_weights(pop: Population, alloc: AllocationState, model: ModelState,
-                         cfg: SystemConfig) -> np.ndarray:
-    """Unnormalized upload-share weights: sqrt(multiplier * weight bytes / rate)."""
-    lam = alloc.lambda_local
-    if np.any(lam <= 0.0):
-        raise ValidationError("upload multipliers must be > 0")
-    return np.sqrt(lam * weights_bytes(model, cfg) / base_rate(pop, cfg))
-
-
-def solve_uplink(pop: Population, alloc: AllocationState, model: ModelState,
+def solve_uplink(pop: Population, alloc: AllocationState, dim: int,
                  cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Square-root proportional bandwidth shares for both uplink phases.
 
-    Users with delta = 0 get a zero offload share and drop out of that
-    normalization. Each returned vector sums to 1 exactly (every user
-    always uploads weights, so the upload side never degenerates).
+    A user's weight is sqrt(multiplier * bytes / rate) of its offloaded data
+    or of its weights. Users with delta = 0 get a zero offload share; when
+    no user offloads, the moot ``alloc.uplink_offload`` is kept. Each
+    computed vector sums to 1 up to rounding.
     """
-    offload = simplex_shares(offload_share_weights(pop, alloc, cfg))
-    upload = simplex_shares(upload_share_weights(pop, alloc, model, cfg))
-    return offload, upload
+    if np.any(alloc.lambda_offload <= 0.0) or np.any(alloc.lambda_local <= 0.0):
+        raise ValidationError("solve_uplink: multipliers must be > 0")
+    rate = base_rate(pop, cfg)
+    upload = simplex_shares(np.sqrt(alloc.lambda_local * weights_bytes(dim, cfg) / rate))
+    if not np.any(alloc.delta > 0.0):
+        return alloc.uplink_offload, upload
+    offload = np.sqrt(alloc.lambda_offload * alloc.delta * dataset_bytes(pop, cfg) / rate)
+    return simplex_shares(offload), upload
 
 
 def update_multipliers(e_total: np.ndarray, energy_budget: np.ndarray,

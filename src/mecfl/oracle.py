@@ -36,7 +36,7 @@ from .errors import (
     SimulationError,
     ValidationError,
 )
-from .types import AllocationState, ModelState, Population, SystemConfig, _require_positive
+from .types import AllocationState, Population, SystemConfig, _require_positive
 
 _GRID_BLOCK = 16384                       # grid points scored per call of f
 _BISECT_HALVINGS = 100                    # scipy's default maxiter
@@ -172,7 +172,7 @@ def _fastest(candidates: np.ndarray, refused: np.ndarray, per_user_time) -> int 
     return best if np.isfinite(scores[best]) else None
 
 
-def simplex_minimize_maxtime(pop: Population, alloc: AllocationState, model: ModelState,
+def simplex_minimize_maxtime(pop: Population, alloc: AllocationState, dim: int,
                              cfg: SystemConfig, resolution: float):
     """Exhaustive search certifying tiny bandwidth allocations (<= 3 users).
 
@@ -200,7 +200,7 @@ def simplex_minimize_maxtime(pop: Population, alloc: AllocationState, model: Mod
         lambda s: costs.edge_time_user(pop, replace(alloc, uplink_offload=s), cfg))
     best_upload = _fastest(
         shares, starved,
-        lambda s: costs.local_time(pop, replace(alloc, uplink_weight=s), model, cfg))
+        lambda s: costs.local_time(pop, replace(alloc, uplink_weight=s), dim, cfg))
     if best_offload is None or best_upload is None:
         raise NoFeasiblePoint("simplex_minimize_maxtime: every grid point was degenerate")
     offload, upload = shares[[best_offload, best_upload]]

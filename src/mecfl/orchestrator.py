@@ -1,21 +1,19 @@
 """Round loop joining model training and resource management.
 
-One run works as follows. Round 0 uses the initial allocation (random
-offload/CPU fractions, uniform bandwidth, multipliers at 0.5): every user
-splits its dataset, all users train locally on their kept rows in lockstep
-(one mini-batch step for every user at a time, read by index from the pool
-of all users' data) while the edge trains on the pooled offloaded rows, and
-the size-weighted aggregate forms the global model. From round 1 on, each
-round first runs the best responses, at the previous round's bandwidth
-shares: every user's CPU fraction in one call, then every user's offload
-fraction in one Gauss-Seidel sweep in user order, so later users see
-earlier users' fresh offload decisions (the CPU fractions need no order,
-because each reads only the user's own offload fraction). After splitting,
-training, and uploading, the edge updates the multipliers from the
-energies just spent, recomputes both bandwidth share vectors, trains on
-the offloaded pool, and aggregates. The loop stops once both the test loss
-and the round time move less than the configured tolerance between
-consecutive rounds.
+A round is the resource game, then a training step. ``resource_round``
+maps one allocation to the next and needs no training: the model enters
+it only through its weight dimension. It runs the best responses at the
+previous round's bandwidth shares (every user's CPU fraction, then the
+offload fractions in one Gauss-Seidel sweep in user order), then the edge
+updates the multipliers from the energies these fractions spend and
+recomputes both bandwidth share vectors. The training step reads only
+the offload fractions: every user splits its dataset, all users train
+in lockstep on their kept rows of the pooled data while the edge trains
+on the pooled offloaded rows, and the size-weighted aggregate forms the
+global model. Round 0 trains at the initial allocation (random
+offload/CPU fractions, uniform bandwidth, multipliers at 0.5). The loop
+stops once both the test loss and the round time move less than the
+configured tolerance between consecutive rounds.
 
 Note the deliberate one-round lag: a round's dataset offload is priced at
 the previous round's offload shares, because the edge only reallocates
@@ -42,14 +40,7 @@ from .learning import (
     train_users,
     weight_dim,
 )
-from .optimizer import (
-    solve_delta,
-    solve_gamma,
-    solve_uplink,
-    simplex_shares,
-    update_multipliers,
-    upload_share_weights,
-)
+from .optimizer import solve_delta, solve_gamma, solve_uplink, update_multipliers
 from .types import AllocationState, ModelState, Population, RoundMetrics, SystemConfig
 
 _SEED_CAP = 2**31
@@ -82,11 +73,11 @@ def _check_population(pop: Population, datasets) -> None:
         raise ValidationError("all user datasets must share feature and class counts")
 
 
-def _round_metrics(pop, alloc, model, cfg, train_pool, test_dataset):
-    t_local = costs.local_time(pop, alloc, model, cfg)
+def _round_metrics(pop, alloc, model, dim, cfg, train_pool, test_dataset):
+    t_local = costs.local_time(pop, alloc, dim, cfg)
     t_edge = costs.edge_time_total(pop, alloc, cfg)
     t_total = max(float(t_local.max()), t_edge)
-    e_total = costs.total_energy(pop, alloc, model, cfg)
+    e_total = costs.total_energy(pop, alloc, dim, cfg)
     train_loss = evaluate_loss(model.global_weights, train_pool)
     test_loss = evaluate_loss(model.global_weights, test_dataset)
     return RoundMetrics(
@@ -134,11 +125,10 @@ def run_proposed(pop: Population, datasets, cfg: SystemConfig, max_iterations: i
     converged = False
     for iteration in range(max_iterations):
         try:
-            alloc, model = _run_one_round(
-                iteration, pop, datasets, train_pool, alloc, model, cfg, rng, adapt,
-                force_delta,
-            )
-            metrics = _round_metrics(pop, alloc, model, cfg, train_pool, test_dataset)
+            if adapt and iteration > 0:
+                alloc = resource_round(pop, alloc, dim, cfg, delta_pinned=force_delta is not None)
+            model = _train_round(pop, datasets, train_pool, alloc.delta, model, cfg, rng)
+            metrics = _round_metrics(pop, alloc, model, dim, cfg, train_pool, test_dataset)
         except SimulationError as exc:
             raise SimulationError(f"iteration {iteration}: {exc}") from exc
         trace.append(metrics)
@@ -159,18 +149,29 @@ def run_proposed(pop: Population, datasets, cfg: SystemConfig, max_iterations: i
     )
 
 
-def _run_one_round(iteration, pop, datasets, train_pool, alloc, model, cfg, rng, adapt,
-                   force_delta):
-    n_users = pop.n_users
-    update_resources = adapt and iteration > 0
-    if update_resources:
-        gamma, _ = solve_gamma(pop, alloc, model, cfg)
-        alloc = replace(alloc, gamma=gamma)
-        if force_delta is None:
-            alloc = replace(alloc, delta=solve_delta(pop, alloc, model, cfg))
+def resource_round(pop: Population, alloc: AllocationState, dim: int, cfg: SystemConfig,
+                   delta_pinned: bool = False) -> AllocationState:
+    """The allocation one round of the resource game leads to from ``alloc``.
 
-    split_seeds = rng.integers(_SEED_CAP, size=n_users)
-    train_seeds = rng.integers(_SEED_CAP, size=n_users)
+    CPU fractions, the offload sweep (unless ``delta_pinned``), the
+    multiplier step on the energy spent at the previous bandwidth shares,
+    then both share vectors.
+    """
+    gamma, _ = solve_gamma(pop, alloc, dim, cfg)
+    alloc = replace(alloc, gamma=gamma)
+    if not delta_pinned:
+        alloc = replace(alloc, delta=solve_delta(pop, alloc, dim, cfg))
+    spent = costs.total_energy(pop, alloc, dim, cfg)
+    lam_off, lam_up = update_multipliers(spent, pop.energy_budget, alloc.lambda_offload, cfg)
+    alloc = replace(alloc, lambda_offload=lam_off, lambda_local=lam_up)
+    offload_shares, upload_shares = solve_uplink(pop, alloc, dim, cfg)
+    return replace(alloc, uplink_offload=offload_shares, uplink_weight=upload_shares)
+
+
+def _train_round(pop, datasets, train_pool, delta, model, cfg, rng):
+    """One round of training at offload fractions ``delta``: the next model."""
+    split_seeds = rng.integers(_SEED_CAP, size=pop.n_users)
+    train_seeds = rng.integers(_SEED_CAP, size=pop.n_users)
     edge_seed = int(rng.integers(_SEED_CAP))
 
     # Local phase: split, then every user trains on its kept rows of the
@@ -179,27 +180,12 @@ def _run_one_round(iteration, pop, datasets, train_pool, alloc, model, cfg, rng,
     starts = np.cumsum(pop.dataset_size) - pop.dataset_size
     kept_rows, offloaded_rows = [], []
     for i, data in enumerate(datasets):
-        kept, offloaded = split_dataset(data, float(alloc.delta[i]), int(split_seeds[i]))
+        kept, offloaded = split_dataset(data, float(delta[i]), int(split_seeds[i]))
         kept_rows.append(starts[i] + kept)
         offloaded_rows.append(starts[i] + offloaded)
     local_sizes = np.array([rows.size for rows in kept_rows], dtype=np.int64)
     local_weights = train_users(model.global_weights, train_pool, kept_rows, cfg.local_epochs,
                                 cfg.learning_rate, train_seeds, cfg.batch_size)
-
-    if update_resources:
-        # The edge reacts to the energy just spent (still at the previous
-        # bandwidth shares) before it reallocates the uplink.
-        spent = costs.total_energy(pop, alloc, model, cfg)
-        lam_off, lam_up = update_multipliers(spent, pop.energy_budget,
-                                             alloc.lambda_offload, cfg)
-        alloc = replace(alloc, lambda_offload=lam_off, lambda_local=lam_up)
-        if np.any(alloc.delta > 0.0):
-            offload_shares, upload_shares = solve_uplink(pop, alloc, model, cfg)
-        else:
-            # Nobody offloads: the offload shares are moot, keep them.
-            offload_shares = alloc.uplink_offload
-            upload_shares = simplex_shares(upload_share_weights(pop, alloc, model, cfg))
-        alloc = replace(alloc, uplink_offload=offload_shares, uplink_weight=upload_shares)
 
     # Edge phase: train on the pooled offloaded rows, then aggregate.
     pooled_rows = np.concatenate(offloaded_rows)
@@ -217,8 +203,7 @@ def _run_one_round(iteration, pop, datasets, train_pool, alloc, model, cfg, rng,
         local_trainset_sizes=local_sizes,
         edge_trainset_size=pooled_rows.size,
     )
-    model = replace(model, global_weights=aggregate(model))
-    return alloc, model
+    return replace(model, global_weights=aggregate(model))
 
 
 def run_traditional(pop: Population, datasets, cfg: SystemConfig, rounds: int = 100, *,

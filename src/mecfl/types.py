@@ -16,7 +16,7 @@ call of the cost model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,6 +30,29 @@ def _require_positive(owner: str, **named: float) -> None:
     for name, value in named.items():
         if not math.isfinite(value) or value <= 0:
             raise ValidationError(f"{owner}: {name} must be finite and > 0, got {value!r}")
+
+
+_RANGE = "a range (lo, hi) of real numbers with lo <= hi"
+_FIELD_KINDS = {"int": "an integer", "float": "a real number", "tuple": _RANGE,
+                "tuple | None": _RANGE + ", or None"}
+_NUMBER_TYPES = {"int": (int, np.integer), "float": (int, float, np.integer, np.floating)}
+
+
+def _fits(value, kind: str) -> bool:
+    if kind.startswith("tuple"):
+        return (value is None and kind.endswith("None")) or (
+            isinstance(value, (tuple, list)) and len(value) == 2
+            and all(_fits(v, "float") for v in value) and value[0] <= value[1])
+    return isinstance(value, _NUMBER_TYPES[kind]) and not isinstance(value, bool)
+
+
+def _require_field_types(obj) -> None:
+    """Check each int, float and (lo, hi) range field by its annotation; a bool is no number."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in _FIELD_KINDS and not _fits(value, f.type):
+            raise ValidationError(f"{type(obj).__name__}: {f.name} must be "
+                                  f"{_FIELD_KINDS[f.type]}, got {value!r}")
 
 
 def _frozen_array(obj, name: str, value, dtype=float) -> np.ndarray:
@@ -65,6 +88,7 @@ class SystemConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        _require_field_types(self)
         _require_positive(
             "SystemConfig",
             bandwidth_hz=self.bandwidth_hz,
@@ -276,14 +300,6 @@ class ModelState:
             raise ValidationError("ModelState: local trainset sizes must lie in [0, dataset size]")
         if self.edge_trainset_size < 0:
             raise ValidationError("ModelState: edge_trainset_size must be >= 0")
-
-    @property
-    def n_users(self) -> int:
-        return self.local_weights.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.global_weights.size
 
     @classmethod
     def initial(cls, n_users: int, dim: int, dataset_sizes) -> "ModelState":

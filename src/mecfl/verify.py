@@ -24,7 +24,7 @@ from . import costs
 from .costs import base_rate
 from .oracle import bisect_root, finite_diff, grid_minimize, simplex_minimize_maxtime
 from .optimizer import solve_delta, solve_gamma, solve_uplink
-from .types import AllocationState, ModelState, Population, SystemConfig
+from .types import AllocationState, Population, SystemConfig
 
 GRID_POINTS = 10**6          # gamma oracle resolution: one step is 1e-6
 DELTA_MATCH_TOL = 1e-8
@@ -59,11 +59,6 @@ def _random_population(rng, n_users: int) -> Population:
                       dataset_size=size)
 
 
-def _random_model(rng, pop: Population) -> ModelState:
-    dim = int(rng.integers(100, 8001))
-    return ModelState.initial(pop.n_users, dim, pop.dataset_size)
-
-
 def random_gamma_instance(rng):
     """Single-user instance with the budget placed at a known CPU fraction.
 
@@ -82,20 +77,19 @@ def random_gamma_instance(rng):
         lambda_offload=[0.5],
         lambda_local=[0.5],
     )
-    model = _random_model(rng, pop)
+    dim = int(rng.integers(100, 8001))
     (rate,), (data,) = base_rate(pop, cfg), costs.dataset_bytes(pop, cfg)
     power, cpu = float(pop.transmit_power[0]), float(pop.cpu_hz[0])
     transmission = (
         costs.transmit_energy(power, delta * data, alloc.uplink_offload[0], rate)
-        + costs.transmit_energy(power, costs.weights_bytes(model, cfg),
-                                alloc.uplink_weight[0], rate)
+        + costs.transmit_energy(power, costs.weights_bytes(dim, cfg), alloc.uplink_weight[0], rate)
     )
     target = float(rng.uniform(0.1, 1.5))
     compute_at_target = costs.training_energy(
         cfg.chip_capacitance, (1.0 - delta) * data, cfg.cycles_per_byte, target, cpu,
     )
     pop = replace(pop, energy_budget=[transmission + compute_at_target])
-    return pop, alloc, model, cfg, transmission
+    return pop, alloc, dim, cfg, transmission
 
 
 def check_gamma_closed_form(n_instances: int = 200, seed: int = 11,
@@ -106,8 +100,8 @@ def check_gamma_closed_form(n_instances: int = 200, seed: int = 11,
     worst_gap = worst_energy = 0.0
     interior = 0
     for _ in range(n_instances):
-        pop, alloc, model, cfg, transmission = random_gamma_instance(rng)
-        (solved,), (exhausted,) = solve_gamma(pop, alloc, model, cfg)
+        pop, alloc, dim, cfg, transmission = random_gamma_instance(rng)
+        (solved,), (exhausted,) = solve_gamma(pop, alloc, dim, cfg)
         if exhausted:
             return CheckResult("gamma-closed-form", False, "unexpected exhausted budget")
         (data,) = (1.0 - alloc.delta[0]) * costs.dataset_bytes(pop, cfg)
@@ -125,7 +119,7 @@ def check_gamma_closed_form(n_instances: int = 200, seed: int = 11,
         worst_gap = max(worst_gap, abs(solved - grid_best))
         if 0.0 < solved < 1.0:
             interior += 1
-            (spent,) = costs.total_energy(pop, replace(alloc, gamma=[solved]), model, cfg)
+            (spent,) = costs.total_energy(pop, replace(alloc, gamma=[solved]), dim, cfg)
             worst_energy = max(worst_energy, abs(spent - budget) / budget)
     passed = worst_gap <= step + 1e-12 and worst_energy <= ENERGY_RTOL and interior > 0
     return CheckResult(
@@ -148,8 +142,8 @@ def random_delta_instance(rng):
         lambda_offload=np.full(3, 0.5),
         lambda_local=np.full(3, 0.5),
     )
-    model = _random_model(rng, pop)
-    return pop, alloc, model, cfg
+    dim = int(rng.integers(100, 8001))
+    return pop, alloc, dim, cfg
 
 
 def _reordered(obj, order):
@@ -168,14 +162,14 @@ def check_delta_closed_form(n_instances: int = 200, seed: int = 23) -> CheckResu
     worst_gap = worst_balance = 0.0
     interior = 0
     for _ in range(n_instances):
-        pop, alloc, model, cfg = random_delta_instance(rng)
-        solved = solve_delta(_reordered(pop, order), _reordered(alloc, order), model, cfg)[0]
+        pop, alloc, dim, cfg = random_delta_instance(rng)
+        solved = solve_delta(_reordered(pop, order), _reordered(alloc, order), dim, cfg)[0]
 
-        def imbalance(d, pop=pop, alloc=alloc, model=model, cfg=cfg):
+        def imbalance(d, pop=pop, alloc=alloc, dim=dim, cfg=cfg):
             delta = alloc.delta.copy()
             delta[target] = d
             state = replace(alloc, delta=delta)
-            return (costs.local_time(pop, state, model, cfg)
+            return (costs.local_time(pop, state, dim, cfg)
                     - costs.edge_time_user(pop, state, cfg))[target]
 
         lo, hi = imbalance(0.0), imbalance(1.0)
@@ -194,7 +188,7 @@ def check_delta_closed_form(n_instances: int = 200, seed: int = 23) -> CheckResu
         if 0.0 < solved < 1.0:
             interior += 1
             state = replace(alloc, delta=np.where(np.arange(3) == target, solved, alloc.delta))
-            t_loc = costs.local_time(pop, state, model, cfg)[target]
+            t_loc = costs.local_time(pop, state, dim, cfg)[target]
             t_edge = costs.edge_time_user(pop, state, cfg)[target]
             worst_balance = max(worst_balance,
                                 abs(t_loc - t_edge) / max(t_loc, t_edge))
@@ -211,7 +205,7 @@ def random_uplink_instance(rng):
     """Two-user instance whose multipliers encode the max-time optimum."""
     cfg = SystemConfig()
     pop = _random_population(rng, 2)
-    model = _random_model(rng, pop)
+    dim = int(rng.integers(100, 8001))
     delta = rng.uniform(0.2, 0.9, 2)
     rates, data, cpu = base_rate(pop, cfg), costs.dataset_bytes(pop, cfg), pop.cpu_hz
     # One shared local-compute time makes the upload-side optimum purely
@@ -220,7 +214,7 @@ def random_uplink_instance(rng):
     common_time = compute_floor.max() / rng.uniform(0.3, 0.95)
     gamma = (1.0 - delta) * data * cfg.cycles_per_byte / (common_time * cpu)
     offload_load = delta * data / rates
-    upload_load = costs.weights_bytes(model, cfg) / rates
+    upload_load = costs.weights_bytes(dim, cfg) / rates
     alloc = AllocationState(
         delta=delta,
         gamma=gamma,
@@ -229,7 +223,7 @@ def random_uplink_instance(rng):
         lambda_offload=offload_load / offload_load.sum(),
         lambda_local=upload_load / upload_load.sum(),
     )
-    return pop, alloc, model, cfg
+    return pop, alloc, dim, cfg
 
 
 def check_uplink_closed_form(n_instances: int = 50, seed: int = 37,
@@ -238,9 +232,9 @@ def check_uplink_closed_form(n_instances: int = 50, seed: int = 37,
     rng = np.random.default_rng(seed)
     worst_gap = worst_sum = 0.0
     for _ in range(n_instances):
-        pop, alloc, model, cfg = random_uplink_instance(rng)
-        closed_off, closed_up = solve_uplink(pop, alloc, model, cfg)
-        oracle_off, oracle_up = simplex_minimize_maxtime(pop, alloc, model, cfg, resolution)
+        pop, alloc, dim, cfg = random_uplink_instance(rng)
+        closed_off, closed_up = solve_uplink(pop, alloc, dim, cfg)
+        oracle_off, oracle_up = simplex_minimize_maxtime(pop, alloc, dim, cfg, resolution)
         worst_gap = max(
             worst_gap,
             float(np.abs(closed_off - oracle_off).max()),
@@ -266,14 +260,14 @@ def _curvature_instance(rng):
         lambda_offload=[0.5],
         lambda_local=[0.5],
     )
-    model = _random_model(rng, pop)
-    return pop, alloc, model, cfg
+    dim = int(rng.integers(100, 8001))
+    return pop, alloc, dim, cfg
 
 
-def _analytic_first_derivatives(pop, alloc, model, cfg):
+def _analytic_first_derivatives(pop, alloc, dim, cfg):
     """Hand-coded first derivatives of user 0, used as the sign reference."""
     (rate,), (data,) = base_rate(pop, cfg).tolist(), costs.dataset_bytes(pop, cfg).tolist()
-    weights = costs.weights_bytes(model, cfg)
+    weights = costs.weights_bytes(dim, cfg)
     delta, gamma = alloc.delta[0], alloc.gamma[0]
     off, up = alloc.uplink_offload[0], alloc.uplink_weight[0]
     (p,), (cpu,), tau = pop.transmit_power.tolist(), pop.cpu_hz.tolist(), cfg.cycles_per_byte
@@ -294,14 +288,13 @@ def check_curvature_and_monotonicity(points_per_pair: int = 1000, seed: int = 41
     min_fd2 = np.inf
     for quantity, variable in pairs:
         for _ in range(points_per_pair):
-            pop, alloc, model, cfg = _curvature_instance(rng)
-            reference = _analytic_first_derivatives(pop, alloc, model, cfg)[(quantity, variable)]
+            pop, alloc, dim, cfg = _curvature_instance(rng)
+            reference = _analytic_first_derivatives(pop, alloc, dim, cfg)[(quantity, variable)]
             cost = costs.total_energy if quantity == "energy" else costs.local_time
 
-            def evaluate(xs, variable=variable, cost=cost, pop=pop, alloc=alloc, model=model,
-                         cfg=cfg):
+            def evaluate(xs, variable=variable, cost=cost, pop=pop, alloc=alloc, dim=dim, cfg=cfg):
                 # one candidate allocation per stencil point, as one stack
-                return cost(pop, replace(alloc, **{variable: xs[:, None]}), model, cfg)[:, 0]
+                return cost(pop, replace(alloc, **{variable: xs[:, None]}), dim, cfg)[:, 0]
 
             x0 = float(getattr(alloc, variable)[0])
             fd1 = finite_diff(evaluate, x0, 1, FD_STEP_FIRST)

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 
 from mecfl.io import ExperimentSpec
-from mecfl.types import AllocationState, ModelState, Population, SystemConfig
+from mecfl.types import AllocationState, Population, SystemConfig
 
 # Desk-scale settings: 10 users x 200 synthetic samples, hyperparameters
 # chosen so training plateaus well inside the iteration cap.
@@ -46,7 +46,3 @@ def make_alloc(n=1, delta=0.5, gamma=0.5, offload=None, upload=None,
         lambda_local=np.full(n, lam_local, float) if np.isscalar(lam_local)
         else np.asarray(lam_local, float),
     )
-
-
-def make_model(pop, dim=100) -> ModelState:
-    return ModelState.initial(pop.n_users, dim, pop.dataset_size)

@@ -9,7 +9,7 @@ from mecfl.errors import DegenerateDivisor
 from mecfl.orchestrator import run_proposed, run_traditional
 from mecfl.types import SystemConfig
 
-from helpers import desk_spec, join, make_alloc, make_model, make_pop
+from helpers import desk_spec, join, make_alloc, make_pop
 
 # Unit-SNR user: R = bandwidth = 20e6 bit/s.
 UNIT_SNR_GAIN = 5e-9
@@ -19,13 +19,13 @@ def unit_rate_users(n=1, cpu=1e9, samples=10000, budget=50.0):
     return make_pop(n, power=0.2, gain=UNIT_SNR_GAIN, cpu=cpu, budget=budget, samples=samples)
 
 
-def energy_of(pop, alloc, model, cfg):
-    (energy,) = costs.total_energy(pop, alloc, model, cfg)
+def energy_of(pop, alloc, dim, cfg):
+    (energy,) = costs.total_energy(pop, alloc, dim, cfg)
     return energy
 
 
-def time_of(pop, alloc, model, cfg):
-    (seconds,) = costs.local_time(pop, alloc, model, cfg)
+def time_of(pop, alloc, dim, cfg):
+    (seconds,) = costs.local_time(pop, alloc, dim, cfg)
     return seconds
 
 
@@ -33,67 +33,67 @@ def test_local_time_full_offload_leaves_upload_term():
     # delta=1: no local training, only the weight upload remains
     cfg = SystemConfig(bytes_per_sample=100.0)
     pop = unit_rate_users()
-    model = make_model(pop, dim=6250)          # 50 kB of weights -> 4e5 bits
+    dim = 6250   # 50 kB of weights -> 4e5 bits
     alloc = make_alloc(1, delta=1.0, gamma=0.0, upload=[0.4])
-    assert time_of(pop, alloc, model, cfg) == pytest.approx(0.05)
+    assert time_of(pop, alloc, dim, cfg) == pytest.approx(0.05)
 
 
 def test_local_time_hand_evaluated_instance():
     # 1e6 B of data at 100 cyc/B over 1e9 cyc/s -> 0.1 s, plus a 0.05 s upload
     cfg = SystemConfig(bytes_per_sample=100.0)
     pop = unit_rate_users()
-    model = make_model(pop, dim=6250)
+    dim = 6250
     alloc = make_alloc(1, delta=0.0, gamma=1.0, upload=[0.4])
-    assert time_of(pop, alloc, model, cfg) == pytest.approx(0.15)
+    assert time_of(pop, alloc, dim, cfg) == pytest.approx(0.15)
 
 
 def test_local_time_doubling_gamma_halves_training_term():
     cfg = SystemConfig(bytes_per_sample=100.0)
     pop = unit_rate_users()
-    model = make_model(pop, dim=6250)
+    dim = 6250
     slow = make_alloc(1, delta=0.0, gamma=0.25, upload=[0.4])
     fast = make_alloc(1, delta=0.0, gamma=0.5, upload=[0.4])
     upload = 0.05
-    t_slow = time_of(pop, slow, model, cfg) - upload
-    t_fast = time_of(pop, fast, model, cfg) - upload
+    t_slow = time_of(pop, slow, dim, cfg) - upload
+    t_fast = time_of(pop, fast, dim, cfg) - upload
     assert t_fast == pytest.approx(t_slow / 2)
 
 
 def test_local_energy_zero_gamma_is_upload_only():
     cfg = SystemConfig(bytes_per_sample=100.0)
     pop = unit_rate_users()
-    model = make_model(pop, dim=6250)
+    dim = 6250
     alloc = make_alloc(1, delta=0.0, gamma=0.0, upload=[0.4])
-    assert energy_of(pop, alloc, model, cfg) == pytest.approx(0.2 * 0.05)
+    assert energy_of(pop, alloc, dim, cfg) == pytest.approx(0.2 * 0.05)
 
 
 def test_local_energy_full_offload_drops_compute_term():
     # upload 0.2 W x 0.05 s plus offload 0.2 W x 8e6 bits / 2e7 bit/s; no compute
     cfg = SystemConfig(bytes_per_sample=100.0)
     pop = unit_rate_users()
-    model = make_model(pop, dim=6250)
+    dim = 6250
     alloc = make_alloc(1, delta=1.0, gamma=1.0, upload=[0.4])
-    assert energy_of(pop, alloc, model, cfg) == pytest.approx(0.2 * 0.05 + 0.2 * 0.4)
+    assert energy_of(pop, alloc, dim, cfg) == pytest.approx(0.2 * 0.05 + 0.2 * 0.4)
 
 
 def test_local_energy_compute_term_hand_evaluated():
     # 1e-28 * 1e6 B * 100 cyc/B * (1.2e9)^2 = 1e-28 * 1e8 * 1.44e18 = 0.0144 J
     cfg = SystemConfig(bytes_per_sample=100.0)
     pop = unit_rate_users(cpu=1.2e9)
-    model = make_model(pop, dim=6250)
+    dim = 6250
     alloc = make_alloc(1, delta=0.0, gamma=1.0, upload=[0.4])
     upload_energy = 0.2 * 0.05
-    energy = energy_of(pop, alloc, model, cfg)
+    energy = energy_of(pop, alloc, dim, cfg)
     assert energy - upload_energy == pytest.approx(0.0144)
 
 
 def test_offload_energy_zero_delta_is_zero_even_without_share():
     cfg = SystemConfig(bytes_per_sample=100.0)
     pop = unit_rate_users()
-    model = make_model(pop, dim=6250)
+    dim = 6250
     no_share = make_alloc(1, delta=0.0, gamma=0.5, offload=[0.0])
     full_share = make_alloc(1, delta=0.0, gamma=0.5, offload=[1.0])
-    assert energy_of(pop, no_share, model, cfg) == energy_of(pop, full_share, model, cfg)
+    assert energy_of(pop, no_share, dim, cfg) == energy_of(pop, full_share, dim, cfg)
 
 
 # With delta = 1 nothing is trained locally, and the 50 kB weight upload at
@@ -102,7 +102,7 @@ UPLOAD_ENERGY = 0.2 * 0.05
 
 
 def offload_energy_of(pop, alloc, cfg):
-    return energy_of(pop, alloc, make_model(pop, dim=6250), cfg) - UPLOAD_ENERGY
+    return energy_of(pop, alloc, 6250, cfg) - UPLOAD_ENERGY
 
 
 def test_offload_energy_power_times_transmit_time():
@@ -201,8 +201,9 @@ def desk_run(runner, rounds=4):
 
 def test_total_time_is_max_of_paths():
     pop, cfg, result = desk_run(run_proposed)
+    dim = result.final_model.global_weights.size
     for metrics, alloc in zip(result.trace, result.alloc_trace):
-        t_local = costs.local_time(pop, alloc, result.final_model, cfg)
+        t_local = costs.local_time(pop, alloc, dim, cfg)
         t_edge = costs.edge_time_total(pop, alloc, cfg)
         assert np.array_equal(metrics.t_local, t_local)
         assert metrics.t_edge == t_edge
@@ -223,13 +224,13 @@ def test_total_energy_additivity():
         pop = make_pop(gain=rng.uniform(1e-8, 1e-6), samples=int(rng.integers(50, 500)))
         alloc = make_alloc(1, delta=rng.uniform(0.01, 0.99), gamma=rng.uniform(0.1, 1.0),
                            offload=[rng.uniform(0.1, 0.9)], upload=[rng.uniform(0.1, 0.9)])
-        model = make_model(pop, dim=int(rng.integers(10, 500)))
-        total = energy_of(pop, alloc, model, cfg)
+        dim = int(rng.integers(10, 500))
+        total = energy_of(pop, alloc, dim, cfg)
         (data,), (rate,) = costs.dataset_bytes(pop, cfg), costs.base_rate(pop, cfg)
         (power,), (cpu,) = pop.transmit_power, pop.cpu_hz
         parts = (costs.training_energy(cfg.chip_capacitance, (1.0 - alloc.delta[0]) * data,
                                        cfg.cycles_per_byte, alloc.gamma[0], cpu)
-                 + costs.transmit_energy(power, costs.weights_bytes(model, cfg),
+                 + costs.transmit_energy(power, costs.weights_bytes(dim, cfg),
                                          alloc.uplink_weight[0], rate)
                  + costs.transmit_energy(power, alloc.delta[0] * data,
                                          alloc.uplink_offload[0], rate))
@@ -257,15 +258,15 @@ def test_edge_time_convex_in_offload_share():
 def test_degenerate_divisors_raise():
     cfg = SystemConfig()
     pop = unit_rate_users()
-    model = make_model(pop, dim=100)
+    dim = 100
     with pytest.raises(DegenerateDivisor):
-        time_of(pop, make_alloc(1, delta=0.5, gamma=0.0), model, cfg)
+        time_of(pop, make_alloc(1, delta=0.5, gamma=0.0), dim, cfg)
     with pytest.raises(DegenerateDivisor):
-        time_of(pop, make_alloc(1, delta=0.5, gamma=0.5, upload=[0.0]), model, cfg)
+        time_of(pop, make_alloc(1, delta=0.5, gamma=0.5, upload=[0.0]), dim, cfg)
     with pytest.raises(DegenerateDivisor):
-        energy_of(pop, make_alloc(1, delta=0.5, gamma=0.5, upload=[0.0]), model, cfg)
+        energy_of(pop, make_alloc(1, delta=0.5, gamma=0.5, upload=[0.0]), dim, cfg)
     with pytest.raises(DegenerateDivisor):
-        energy_of(pop, make_alloc(1, delta=0.5, gamma=0.5, offload=[0.0]), model, cfg)
+        energy_of(pop, make_alloc(1, delta=0.5, gamma=0.5, offload=[0.0]), dim, cfg)
     with pytest.raises(DegenerateDivisor):
         costs.edge_time_total(pop, make_alloc(1, delta=0.5, offload=[0.0]), cfg)
 
@@ -274,7 +275,7 @@ def test_round_costs_of_a_stack_equal_each_candidate_alone():
     cfg = SystemConfig()
     pop = make_pop(samples=[400 + 500 * i for i in range(3)],
                    gain=[10.0 ** -(6 + i) for i in range(3)])
-    model = make_model(pop, dim=300)
+    dim = 300
     alloc = make_alloc(3, delta=[0.0, 0.3, 0.8], gamma=[1.0, 0.5, 0.2])
     # user 0 offloads nothing, so a zero offload share (last row) is not degenerate for it
     candidates = {"uplink_offload": [[0.2, 0.3, 0.5], [0.6, 0.3, 0.1], [0.0, 0.5, 0.5]],
@@ -283,7 +284,7 @@ def test_round_costs_of_a_stack_equal_each_candidate_alone():
                   "delta": [[0.5, 0.0, 1.0], [0.0, 0.9, 0.2]]}
     for field, rows in candidates.items():
         stack = replace(alloc, **{field: rows})
-        for cost, args in ((costs.local_time, (model, cfg)), (costs.total_energy, (model, cfg)),
+        for cost, args in ((costs.local_time, (dim, cfg)), (costs.total_energy, (dim, cfg)),
                            (costs.edge_time_user, (cfg,))):
             alone = [cost(pop, replace(alloc, **{field: row}), *args) for row in rows]
             assert np.array_equal(cost(pop, stack, *args), alone)

@@ -24,3 +24,18 @@ def test_demo_runs(demo, capsys, monkeypatch):
     out = capsys.readouterr().out
     for text in EXPECTED.get(demo.stem, ()):
         assert text in out
+
+
+def test_offload_sweep_takes_one_csv_path(tmp_path, monkeypatch):
+    demo = str(DEMOS / "offload_sweep.py")
+    monkeypatch.chdir(tmp_path)
+    for argv in (["-q"], ["out.csv", "extra.csv"]):
+        monkeypatch.setattr(sys, "argv", [demo, *argv])
+        with pytest.raises(SystemExit) as stop:
+            runpy.run_path(demo, run_name="__main__")
+        assert stop.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+    monkeypatch.setattr(sys, "argv", [demo, "out.csv"])
+    runpy.run_path(demo, run_name="__main__")
+    lines = (tmp_path / "out.csv").read_text().splitlines()
+    assert len(lines) == 12 and lines[0].startswith("scenario,value,")

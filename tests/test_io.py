@@ -210,6 +210,41 @@ def test_spec_validation():
         desk_spec(cpu_hz_range=(2.0, 1.0))
 
 
+# config entries of the wrong type, and the field or variable the error names
+WRONG_TYPES = {
+    "experiment.user_count = 'ten'": "user_count",
+    "system.batch_size = 'x'": "batch_size",
+    "system.bandwidth_hz = 'a'": "bandwidth_hz",
+    "experiment.cpu_hz_range = 5": "cpu_hz_range",
+    "system.local_epochs = 2.5": "local_epochs",
+    "experiment.seed = 1.5": "seed",
+    "experiment.samples_per_user = 2.5": "samples_per_user",
+    "experiment.energy_budget_range = ('a', 'b')": "energy_budget_range",
+    "system.rng_seed = True": "rng_seed",
+    f"{io.SEED_ENV_VAR}=abc": io.SEED_ENV_VAR,
+}
+
+
+@pytest.mark.parametrize("entry", list(WRONG_TYPES))
+def test_config_rejects_a_value_of_the_wrong_type(entry, tmp_path, monkeypatch):
+    path = tmp_path / "exp.cfg"
+    if entry.startswith(io.SEED_ENV_VAR):
+        path.write_text(io.emit_config(desk_spec()))
+        monkeypatch.setenv(io.SEED_ENV_VAR, entry.split("=", 1)[1])
+    else:
+        path.write_text(entry + "\n")
+        monkeypatch.delenv(io.SEED_ENV_VAR, raising=False)
+    with pytest.raises(ValidationError, match=WRONG_TYPES[entry]):
+        io.load_config(str(path))
+
+
+def test_config_takes_an_integer_for_a_real_and_a_list_for_a_range():
+    spec = io.parse_config("system.bandwidth_hz = 20000000\n"
+                           "experiment.cpu_hz_range = [1e9, 2e9]\n"
+                           "experiment.channel_gain_range = None\n")
+    assert spec.system.bandwidth_hz == 2e7 and spec.cpu_hz_range == [1e9, 2e9]
+
+
 # ---------------------------------------------------------------- sweeps
 
 def sweep_spec(seed=0, scenario="sweep_offload"):

@@ -15,7 +15,7 @@ from mecfl.oracle import bisect_root, finite_diff, grid_minimize, simplex_minimi
 from mecfl.types import SystemConfig
 from dataclasses import replace
 
-from helpers import make_alloc, make_model, make_pop
+from helpers import make_alloc, make_pop
 
 
 def test_grid_finds_quadratic_vertex():
@@ -82,13 +82,13 @@ def test_energy_curvature_in_offload_share_matches_analytic_expression():
     # d2 e / d share2 = 2 * p * 8 * delta * data_bytes / (share^3 * R)
     cfg = SystemConfig()
     pop = make_pop(samples=700)
-    model = make_model(pop, dim=300)
+    dim = 300
     share = 0.37
     alloc = make_alloc(1, delta=0.6, gamma=0.5, offload=[share], upload=[0.4])
 
     def energy(xs):
         stack = replace(alloc, uplink_offload=xs[:, None])
-        return costs.total_energy(pop, stack, model, cfg)[:, 0]
+        return costs.total_energy(pop, stack, dim, cfg)[:, 0]
 
     fd2 = finite_diff(energy, share, 2, 1e-4)
     (analytic,) = (2.0 * pop.transmit_power * 8.0 * 0.6 * costs.dataset_bytes(pop, cfg)
@@ -101,8 +101,8 @@ def test_simplex_symmetric_two_users_split_evenly():
     cfg = SystemConfig()
     pop = make_pop(2)
     alloc = make_alloc(2, delta=0.5, gamma=0.5)
-    model = make_model(pop, dim=100)
-    offload, upload = simplex_minimize_maxtime(pop, alloc, model, cfg, 1e-2)
+    dim = 100
+    offload, upload = simplex_minimize_maxtime(pop, alloc, dim, cfg, 1e-2)
     assert np.allclose(offload, [0.5, 0.5])
     assert np.allclose(upload, [0.5, 0.5])
 
@@ -112,8 +112,8 @@ def test_simplex_asymmetric_load_gets_proportional_share():
     cfg = SystemConfig()
     pop = make_pop(samples=[2000, 1000])
     alloc = make_alloc(2, delta=0.5, gamma=0.5)
-    model = make_model(pop, dim=100)
-    offload, _ = simplex_minimize_maxtime(pop, alloc, model, cfg, 1e-3)
+    dim = 100
+    offload, _ = simplex_minimize_maxtime(pop, alloc, dim, cfg, 1e-3)
     assert offload[0] == pytest.approx(2.0 / 3.0, abs=1e-3)
     assert offload[1] == pytest.approx(1.0 / 3.0, abs=1e-3)
 
@@ -122,8 +122,8 @@ def test_simplex_three_users_supported():
     cfg = SystemConfig()
     pop = make_pop(3)
     alloc = make_alloc(3, delta=0.5, gamma=0.5)
-    model = make_model(pop, dim=100)
-    offload, upload = simplex_minimize_maxtime(pop, alloc, model, cfg, 5e-2)
+    dim = 100
+    offload, upload = simplex_minimize_maxtime(pop, alloc, dim, cfg, 5e-2)
     assert offload.sum() == pytest.approx(1.0)
     assert upload.sum() == pytest.approx(1.0)
 
@@ -132,16 +132,16 @@ def test_simplex_guards_against_large_instances():
     cfg = SystemConfig()
     pop = make_pop(4)
     alloc = make_alloc(4, delta=0.5, gamma=0.5)
-    model = make_model(pop, dim=100)
+    dim = 100
     with pytest.raises(InstanceTooLarge):
-        simplex_minimize_maxtime(pop, alloc, model, cfg, 1e-2)
+        simplex_minimize_maxtime(pop, alloc, dim, cfg, 1e-2)
 
 
 @pytest.mark.parametrize("resolution", [0.0, float("nan"), -0.1, float("inf"), 1.5])
 def test_simplex_rejects_resolution_outside_unit_interval(resolution):
     pop = make_pop(2)
     with pytest.raises(ValidationError, match="resolution must be finite, > 0 and <= 1"):
-        simplex_minimize_maxtime(pop, make_alloc(2), make_model(pop), SystemConfig(),
+        simplex_minimize_maxtime(pop, make_alloc(2), 100, SystemConfig(),
                                  resolution)
 
 
@@ -181,7 +181,7 @@ def _reference_compositions(total, parts):
             for rest in _reference_compositions(total - head, parts - 1)]
 
 
-def _reference_simplex(pop, alloc, model, cfg, resolution):
+def _reference_simplex(pop, alloc, dim, cfg, resolution):
     """One AllocationState and one cost call per composition and simplex."""
     def worst(per_user_time, *args):
         try:
@@ -197,7 +197,7 @@ def _reference_simplex(pop, alloc, model, cfg, resolution):
         t = worst(costs.edge_time_user, pop, replace(alloc, uplink_offload=shares), cfg)
         if t < best_offload_time:
             best_offload, best_offload_time = shares, t
-        t = worst(costs.local_time, pop, replace(alloc, uplink_weight=shares), model, cfg)
+        t = worst(costs.local_time, pop, replace(alloc, uplink_weight=shares), dim, cfg)
         if t < best_upload_time:
             best_upload, best_upload_time = shares, t
     if best_offload is None or not np.isfinite(best_upload_time):
@@ -205,9 +205,9 @@ def _reference_simplex(pop, alloc, model, cfg, resolution):
     return best_offload, best_upload
 
 
-def _assert_batched_equals_reference(pop, alloc, model, cfg, resolution):
-    batched = simplex_minimize_maxtime(pop, alloc, model, cfg, resolution)
-    reference = _reference_simplex(pop, alloc, model, cfg, resolution)
+def _assert_batched_equals_reference(pop, alloc, dim, cfg, resolution):
+    batched = simplex_minimize_maxtime(pop, alloc, dim, cfg, resolution)
+    reference = _reference_simplex(pop, alloc, dim, cfg, resolution)
     for got, want in zip(batched, reference):
         assert np.array_equal(got, want), (got, want)
     return batched
@@ -215,21 +215,21 @@ def _assert_batched_equals_reference(pop, alloc, model, cfg, resolution):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_batched_simplex_equals_reference_on_random_two_user_instances(seed):
-    pop, alloc, model, cfg = verify.random_uplink_instance(np.random.default_rng(seed))
-    _assert_batched_equals_reference(pop, alloc, model, cfg, 1e-3)
+    pop, alloc, dim, cfg = verify.random_uplink_instance(np.random.default_rng(seed))
+    _assert_batched_equals_reference(pop, alloc, dim, cfg, 1e-3)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_batched_simplex_equals_reference_on_random_three_user_instances(seed):
-    pop, alloc, model, cfg = verify.random_delta_instance(np.random.default_rng(seed))
-    _assert_batched_equals_reference(pop, alloc, model, cfg, 2e-2)
+    pop, alloc, dim, cfg = verify.random_delta_instance(np.random.default_rng(seed))
+    _assert_batched_equals_reference(pop, alloc, dim, cfg, 2e-2)
 
 
 def test_batched_simplex_gives_a_user_at_zero_delta_a_zero_offload_share():
     # user 0 offloads nothing, so a zero offload share is feasible for it and optimal
     pop = make_pop(samples=[600 + 300 * i for i in range(3)])
     alloc = make_alloc(3, delta=[0.0, 0.4, 0.7], gamma=[0.9, 0.6, 0.3])
-    offload, _ = _assert_batched_equals_reference(pop, alloc, make_model(pop),
+    offload, _ = _assert_batched_equals_reference(pop, alloc, 100,
                                                   SystemConfig(), 2e-2)
     assert offload[0] == 0.0
 
@@ -238,7 +238,7 @@ def test_batched_simplex_ties_take_the_first_composition():
     # nobody offloads: every offload composition scores the same
     pop = make_pop(3)
     alloc = make_alloc(3, delta=0.0, gamma=0.5)
-    offload, _ = _assert_batched_equals_reference(pop, alloc, make_model(pop),
+    offload, _ = _assert_batched_equals_reference(pop, alloc, 100,
                                                   SystemConfig(), 0.1)
     assert list(offload) == [0.0, 0.0, 1.0]
 
@@ -248,11 +248,11 @@ def test_batched_simplex_rejects_a_gamma_degenerate_instance():
     cfg = SystemConfig()
     pop = make_pop(2)
     alloc = make_alloc(2, delta=0.5, gamma=[0.5, 0.0])
-    model = make_model(pop)
+    dim = 100
     with pytest.raises(NoFeasiblePoint):
-        _reference_simplex(pop, alloc, model, cfg, 1e-2)
+        _reference_simplex(pop, alloc, dim, cfg, 1e-2)
     with pytest.raises(NoFeasiblePoint):
-        simplex_minimize_maxtime(pop, alloc, model, cfg, 1e-2)
+        simplex_minimize_maxtime(pop, alloc, dim, cfg, 1e-2)
 
 
 def test_batched_simplex_scores_nan_as_infinite(monkeypatch):
@@ -266,7 +266,7 @@ def test_batched_simplex_scores_nan_as_infinite(monkeypatch):
 
     monkeypatch.setattr(costs, "edge_time_user", nan_above_share)
     pop = make_pop(2)
-    offload, _ = _assert_batched_equals_reference(pop, make_alloc(2), make_model(pop),
+    offload, _ = _assert_batched_equals_reference(pop, make_alloc(2), 100,
                                                   SystemConfig(), 1e-2)
     assert list(offload) == [0.29, 0.71]
 
@@ -285,13 +285,13 @@ def _counted(g):
 
 def _delta_imbalance(seed):
     """The time imbalance ``check_delta_closed_form`` bisects, on one instance."""
-    pop, alloc, model, cfg = verify.random_delta_instance(np.random.default_rng(seed))
+    pop, alloc, dim, cfg = verify.random_delta_instance(np.random.default_rng(seed))
 
     def imbalance(d):
         delta = alloc.delta.copy()
         delta[1] = d
         state = replace(alloc, delta=delta)
-        return (costs.local_time(pop, state, model, cfg)
+        return (costs.local_time(pop, state, dim, cfg)
                 - costs.edge_time_user(pop, state, cfg))[1]
 
     return imbalance

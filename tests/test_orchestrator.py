@@ -9,14 +9,15 @@ from mecfl.learning import Dataset, concat_datasets, split_dataset, train, weigh
 from mecfl.optimizer import solve_delta, solve_gamma
 from mecfl.orchestrator import (
     _SEED_CAP,
-    _run_one_round,
+    _train_round,
+    resource_round,
     run_centralized,
     run_proposed,
     run_traditional,
 )
 from mecfl.types import AllocationState, ModelState, SystemConfig, validate_allocation
 
-from helpers import desk_spec, make_alloc, make_model, make_pop
+from helpers import desk_spec, make_alloc, make_pop
 
 
 def tiny_population(seed=0, **overrides):
@@ -98,9 +99,9 @@ def test_centralized_local_time_is_upload_only():
     pop, datasets, test, cfg = tiny_population(seed=6)
     result = run_centralized(pop, datasets, cfg, 6, test_dataset=test)
     last, alloc = result.trace[-1], result.final_alloc
+    weight_bytes = costs.weights_bytes(result.final_model.global_weights.size, cfg)
     for i, rate in enumerate(base_rate(pop, cfg)):
-        upload = costs.transmit_time(costs.weights_bytes(result.final_model, cfg),
-                                     alloc.uplink_weight[i], rate)
+        upload = costs.transmit_time(weight_bytes, alloc.uplink_weight[i], rate)
         assert last.t_local[i] == pytest.approx(upload, rel=1e-12)
 
 
@@ -197,22 +198,22 @@ def sweep_instance():
     pop = make_pop(gain=gains, budget=budgets, samples=[500 + 100 * i for i in range(6)])
     alloc = make_alloc(6, delta=[0.9, 0.8, 0.0, 0.5, 0.9, 0.7], gamma=0.5,
                        offload=[0.2, 0.2, 0.0, 0.2, 0.2, 0.2], upload=np.full(6, 1 / 6))
-    return pop, alloc, make_model(pop, dim=100), cfg
+    return pop, alloc, 100, cfg
 
 
-def best_responses(pop, alloc, model, cfg):
+def best_responses(pop, alloc, dim, cfg):
     """Every CPU fraction, then the offload sweep, as one round begins."""
-    gamma, _ = solve_gamma(pop, alloc, model, cfg)
+    gamma, _ = solve_gamma(pop, alloc, dim, cfg)
     alloc = replace(alloc, gamma=gamma)
-    return replace(alloc, delta=solve_delta(pop, alloc, model, cfg))
+    return replace(alloc, delta=solve_delta(pop, alloc, dim, cfg))
 
 
 def test_sweep_is_sequential_in_user_id_order():
-    pop, alloc, model, cfg = sweep_instance()
-    new = best_responses(pop, alloc, model, cfg)
+    pop, alloc, dim, cfg = sweep_instance()
+    new = best_responses(pop, alloc, dim, cfg)
     assert new.delta[2] == 0.0
     assert new.gamma[3] == 0.0 and new.delta[3] == 1.0
-    t_local = costs.local_time(pop, new, model, cfg)
+    t_local = costs.local_time(pop, new, dim, cfg)
     for i in (0, 1, 4, 5):
         assert 0.0 < new.delta[i] < 1.0
         # user i answered the fresh offload fractions of lower ids and the
@@ -223,7 +224,7 @@ def test_sweep_is_sequential_in_user_id_order():
 
 
 def round_inputs(n_users, delta, seed=11):
-    """Arguments of one round of ``n_users`` desk users at offload fractions ``delta``."""
+    """Arguments of one training step of ``n_users`` desk users at offload fractions ``delta``."""
     spec = desk_spec(seed=seed, user_count=n_users, samples_per_user=45)
     pop, datasets = io.synthesize_users(spec)
     cfg = io.effective_config(spec)
@@ -233,15 +234,14 @@ def round_inputs(n_users, delta, seed=11):
                     global_weights=np.random.default_rng(seed).normal(size=dim))
     alloc = AllocationState.uniform(n_users, delta=delta, gamma=0.5)
     train_pool = concat_datasets(datasets, n_classes, n_features)
-    return (0, pop, datasets, train_pool, alloc, model, cfg, np.random.default_rng(seed),
-            False, None)
+    return pop, datasets, train_pool, alloc.delta, model, cfg, np.random.default_rng(seed)
 
 
 def test_round_local_weights_equal_per_user_training():
     delta = [0.0, 1.0, 0.5, 0.3, 1.0, 0.77]
     args = round_inputs(6, delta)
-    datasets, before, cfg = args[2], args[5], args[6]
-    _, after = _run_one_round(*args)
+    datasets, before, cfg = args[1], args[4], args[5]
+    after = _train_round(*args)
     rng = np.random.default_rng(11)   # the round's seed draws, in its order
     split_seeds = rng.integers(_SEED_CAP, size=6)
     train_seeds = rng.integers(_SEED_CAP, size=6)
@@ -271,6 +271,58 @@ def test_round_builds_at_most_two_datasets(monkeypatch, n_users):
         original(self)
 
     monkeypatch.setattr(Dataset, "__post_init__", counting)
-    _run_one_round(*args)
+    _train_round(*args)
     # the edge pool and its shuffled copy, whatever the user count
     assert len(built) <= 2
+
+
+FIELDS = ("delta", "gamma", "uplink_offload", "uplink_weight", "lambda_offload", "lambda_local")
+
+
+def assert_same_allocations(got, expected):
+    assert len(got) == len(expected)
+    for k, (a, b) in enumerate(zip(got, expected)):
+        for name in FIELDS:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), (k, name)
+
+
+def run_case(case):
+    """(pop, dim, cfg, result, delta pinned) of one run whose allocations are replayed."""
+    if case == "binding":
+        spec = desk_spec(seed=0, user_count=50, samples_per_user=200,
+                         energy_budget_range=(5e-3, 2e-2))
+    else:
+        spec = desk_spec(seed=7)
+    pop, datasets = io.synthesize_users(spec)
+    test, cfg = io.load_test_dataset(spec), io.effective_config(spec)
+    dim = weight_dim(datasets[0].n_features, datasets[0].n_classes)
+    if case == "traditional":
+        return pop, dim, cfg, run_traditional(pop, datasets, cfg, 15, test_dataset=test), True
+    if case == "centralized":
+        return pop, dim, cfg, run_centralized(pop, datasets, cfg, 15, test_dataset=test), True
+    rounds = 8 if case == "binding" else 30
+    result = run_proposed(pop, datasets, cfg, rounds, test_dataset=test,
+                          stop_on_convergence=False)
+    return pop, dim, cfg, result, False
+
+
+@pytest.mark.parametrize("case", ["proposed", "traditional", "centralized", "binding"])
+def test_resource_round_alone_replays_the_allocation_trace(case):
+    # The allocation trace is a function of the population, the first
+    # allocation and the weight dimension alone: no training is needed.
+    pop, dim, cfg, result, pinned = run_case(case)
+    allocs = [result.alloc_trace[0]]
+    for _ in result.alloc_trace[1:]:
+        allocs.append(resource_round(pop, allocs[-1], dim, cfg, delta_pinned=pinned))
+    assert_same_allocations(allocs, result.alloc_trace)
+
+
+def test_sgd_settings_leave_the_allocation_trace_unchanged():
+    spec = desk_spec(seed=7, user_count=20, samples_per_user=100)
+    pop, datasets = io.synthesize_users(spec)
+    test, cfg = io.load_test_dataset(spec), io.effective_config(spec)
+    runs = [run_proposed(pop, datasets, settings, 8, test_dataset=test,
+                         stop_on_convergence=False)
+            for settings in (cfg, replace(cfg, learning_rate=0.01, local_epochs=2, batch_size=7))]
+    assert runs[0].trace[-1].test_loss != runs[1].trace[-1].test_loss
+    assert_same_allocations(runs[0].alloc_trace, runs[1].alloc_trace)
