@@ -32,6 +32,14 @@ The bits match because:
 - a step with no short batch divides by the scalar ``batch_size``, the same
   float as every user's row count; other steps divide by each user's count;
 - the bias gradient sums the rows in order, as ``sum(axis=0)`` does.
+
+A round draws two random streams per user, one for its split and one for
+its epoch orders, each that of ``np.random.default_rng(seed)``. Building a
+generator that way runs numpy's ``SeedSequence`` hash once per seed, which
+costs more than the user's split itself. :func:`_generators` gives the same
+streams for many seeds at once: it hashes all seeds in one vectorized pass
+of ``SeedSequence``'s mixing (O'Neill's ``seed_seq_fe``), derives PCG64's
+state from the hash as numpy does, and sets it on one reused generator.
 """
 
 from __future__ import annotations
@@ -46,6 +54,30 @@ from .errors import EmptyDataset, InconsistentSizes, ValidationError
 from .types import ModelState
 
 _RANGE_ATOL = 1e-9
+_SEED_LIMIT = 2**63
+# Fewer seeds than this get one default_rng each: the vectorized hash of
+# _generators has a fixed cost of about 10 default_rng calls (measured
+# break-even 9-10 seeds, each drawing a permutation of 50).
+_VECTOR_SEEDS_MIN = 12
+
+# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding constants.
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """Constants of ``count`` successive hash calls, one per row: call k uses rows k and k + 1."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _M32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+_MIX_CONST = _hash_constants(0x43B0D7E5, 0x931E8875, 16)    # 4 to fill, 12 to mix the pool
+_STATE_CONST = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)   # 8 state words
 
 
 @dataclass(frozen=True)
@@ -91,12 +123,16 @@ def weight_dim(n_features: int, n_classes: int) -> int:
     return (n_features + 1) * n_classes
 
 
-def split_dataset(d: Dataset, delta: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def split_dataset(d: Dataset, delta: float,
+                  seed: int | np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Uniform random partition of the rows of ``d`` as ``(kept_rows, offloaded_rows)``.
 
     round(delta * n) row indices go to the edge; ties round half-up and the
     remainder stays local, so the two index arrays always partition
-    ``range(n)`` exactly. Deterministic for a fixed seed.
+    ``range(n)`` exactly. ``seed`` is an integer or a ``Generator``, which is
+    drawn from as given: a generator with the stream of
+    ``np.random.default_rng(s)`` gives the same split as the seed ``s``.
+    Deterministic for a fixed seed.
     """
     if not 0.0 <= delta <= 1.0:
         raise ValidationError(f"split_dataset: delta must lie in [0, 1], got {delta}")
@@ -120,6 +156,80 @@ def concat_datasets(parts, n_classes: int, n_features: int) -> Dataset:
 
 def shuffle_dataset(d: Dataset, seed: int) -> Dataset:
     return d.take(np.random.default_rng(seed).permutation(d.sample_count))
+
+
+def _seed_array(seeds) -> np.ndarray:
+    """The seeds as uint64; ValidationError names the first that is no integer in [0, 2**63)."""
+    if isinstance(seeds, np.ndarray) and seeds.ndim == 1 and seeds.dtype.kind in "iu":
+        ok = (seeds >= 0) & (seeds < _SEED_LIMIT)
+    else:
+        seeds = list(seeds)
+        ok = np.array([isinstance(s, (int, np.integer)) and 0 <= s < _SEED_LIMIT
+                       for s in seeds], dtype=bool)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValidationError(f"train: seed {i} must be an integer in [0, 2**63), "
+                              f"got {seeds[i]!r}")
+    return np.array(seeds, dtype=np.uint64)
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of each row of ``value`` with the constants of its call."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    value ^= value >> _SHIFT
+    return value
+
+
+def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
+    """``(state, inc)`` of ``PCG64(s)`` for each uint64 seed ``s`` below 2**64.
+
+    ``SeedSequence(s)`` fills its pool of 4 uint32 words by hashing the low
+    and the high word of ``s`` and two zeros (below 2**32 the high word is
+    0, which is what numpy hashes past the end of a one-word entropy), then
+    mixes every word into the 3 others in turn, and
+    ``generate_state(4, uint64)`` hashes the pool twice over. Each step is
+    one uint32 op on all seeds; uint32 products wrap modulo 2**32, as in
+    numpy's C code. ``pcg64_set_seed`` then takes the words as (initstate,
+    initseq), high word first, and steps the generator twice from state 0.
+    """
+    pool = np.zeros((4, seeds.size), dtype=np.uint32)
+    pool[0] = seeds & np.uint64(_M32)
+    pool[1] = seeds >> np.uint64(32)
+    pool = _hashmix(pool, _MIX_CONST[:5])
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        hashed = _hashmix(pool[src], _MIX_CONST[4 + 3 * src:8 + 3 * src])
+        mixed = pool[dst] * _MIX_L - hashed * _MIX_R
+        mixed ^= mixed >> _SHIFT
+        pool[dst] = mixed
+    words = _hashmix(np.concatenate([pool, pool]), _STATE_CONST).astype(np.uint64)
+    state_words = (words[0::2] | words[1::2] << np.uint64(32)).tolist()
+    states = []
+    for high, low, seq_high, seq_low in zip(*state_words):
+        inc = ((seq_high << 64 | seq_low) << 1 | 1) & _M128
+        states.append((((inc + (high << 64 | low)) * _PCG64_MULT + inc) & _M128, inc))
+    return states
+
+
+def _generators(seeds):
+    """For each seed ``s`` in turn, a generator with the stream of ``np.random.default_rng(s)``.
+
+    Seeds are integers in [0, 2**63). From ``_VECTOR_SEEDS_MIN`` seeds on,
+    every item is one reused ``Generator``, set to the next seed's state:
+    draw from it before taking the next item.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    if seeds.size < _VECTOR_SEEDS_MIN:
+        for s in seeds.tolist():
+            yield np.random.default_rng(s)
+        return
+    bit_gen = np.random.PCG64(0)
+    gen = np.random.Generator(bit_gen)
+    inner: dict = {}
+    state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
+    for inner["state"], inner["inc"] in _pcg64_states(seeds):
+        bit_gen.state = state
+        yield gen
 
 
 def _logits(w: np.ndarray, features: np.ndarray, n_classes: int) -> np.ndarray:
@@ -161,10 +271,15 @@ def train_users(w_init: np.ndarray, pool: Dataset, rows, epochs: int, lr: float,
     with seed ``seeds[u]``: a fresh ``default_rng(seeds[u]).permutation``
     each epoch, cut into ``batch_size`` chunks. All epochs of a user are
     drawn in one ``Generator.permuted`` call, which gives the same orders.
+    The generators have the streams of ``default_rng(seeds[u])``; from
+    ``_VECTOR_SEEDS_MIN`` training users on they come from one vectorized
+    hash of all seeds (:func:`_generators`), whose fixed cost is about that
+    of 10 ``default_rng`` calls, so fewer users call ``default_rng`` each.
     Step k updates every user on its own k-th batch; a user out of batches
     (or with no rows at all) keeps its weights. Returns the weights, shape
     (users, dim), with the same bits as training each user alone (see the
-    module docstring for why). Needs one seed per row set.
+    module docstring for why). Needs one seed per row set, each an integer
+    in [0, 2**63).
     """
     if not (lr > 0 and epochs >= 0 and batch_size >= 1):
         raise ValidationError("train: need lr > 0, epochs >= 0 and batch_size >= 1, got "
@@ -178,6 +293,7 @@ def train_users(w_init: np.ndarray, pool: Dataset, rows, epochs: int, lr: float,
     if len(seeds) != len(rows) or any(r.ndim != 1 for r in rows):
         raise ValidationError(f"train: need one seed per row set and 1-d row sets, got "
                               f"{len(seeds)} seeds for {len(rows)} row sets")
+    seeds = _seed_array(seeds)
     flat = np.concatenate([np.zeros(0, dtype=np.int64), *rows])
     if flat.size and (flat.min() < 0 or flat.max() >= pool.sample_count):
         raise ValidationError(f"train: row indices must lie in [0, {pool.sample_count})")
@@ -192,10 +308,10 @@ def train_users(w_init: np.ndarray, pool: Dataset, rows, epochs: int, lr: float,
     # batches[slot, k] holds the pool rows of that user's k-th batch, padded
     # with -1; each user's epochs are one contiguous block of its slot.
     batches = np.full((len(order), len(active), batch_size), -1, dtype=np.intp)
-    for slot, u in enumerate(order):
+    for slot, (u, gen) in enumerate(zip(order, _generators(seeds[order]))):
         block = batches[slot, :steps[u]].reshape(epochs, -1)[:, :sizes[u]]
         block[:] = rows[u]
-        np.random.default_rng(seeds[u]).permuted(block, axis=1, out=block)
+        gen.permuted(block, axis=1, out=block)
     labels = pool.labels.take(batches)
     pad = batches < 0
     counts = batch_size - pad.sum(axis=2)                   # (slots, steps)

@@ -31,6 +31,7 @@ from . import costs
 from .errors import SimulationError, ValidationError
 from .learning import (
     Dataset,
+    _generators,
     aggregate,
     concat_datasets,
     evaluate_loss,
@@ -179,8 +180,8 @@ def _train_round(pop, datasets, train_pool, delta, model, cfg, rng):
     # offloading everything keep the global weights.
     starts = np.cumsum(pop.dataset_size) - pop.dataset_size
     kept_rows, offloaded_rows = [], []
-    for i, data in enumerate(datasets):
-        kept, offloaded = split_dataset(data, float(delta[i]), int(split_seeds[i]))
+    for i, (data, gen) in enumerate(zip(datasets, _generators(split_seeds))):
+        kept, offloaded = split_dataset(data, float(delta[i]), gen)
         kept_rows.append(starts[i] + kept)
         offloaded_rows.append(starts[i] + offloaded)
     local_sizes = np.array([rows.size for rows in kept_rows], dtype=np.int64)

@@ -36,6 +36,7 @@ CURVATURE_FLOOR = -1e-6
 FD_STEP_FIRST = 1e-6
 FD_STEP_SECOND = 1e-4
 SIGN_MARGIN = 1e-12
+_DEFAULT_CONFIG = SystemConfig()   # every instance uses the defaults; the type is frozen
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ def random_gamma_instance(rng):
     fraction u ~ U(0.1, 1.5), so the unclamped solution is exactly u:
     interior when u < 1, clamped at 1 otherwise.
     """
-    cfg = SystemConfig()
+    cfg = _DEFAULT_CONFIG
     pop = _random_population(rng, 1)
     delta = float(rng.uniform(0.05, 0.9))
     alloc = AllocationState(
@@ -130,7 +131,7 @@ def check_gamma_closed_form(n_instances: int = 200, seed: int = 11,
 
 
 def random_delta_instance(rng):
-    cfg = SystemConfig()
+    cfg = _DEFAULT_CONFIG
     pop = _random_population(rng, 3)
     shares_off = rng.dirichlet(np.ones(3)) * rng.uniform(0.7, 1.0)
     shares_up = rng.dirichlet(np.ones(3)) * rng.uniform(0.7, 1.0)
@@ -203,7 +204,7 @@ def check_delta_closed_form(n_instances: int = 200, seed: int = 23) -> CheckResu
 
 def random_uplink_instance(rng):
     """Two-user instance whose multipliers encode the max-time optimum."""
-    cfg = SystemConfig()
+    cfg = _DEFAULT_CONFIG
     pop = _random_population(rng, 2)
     dim = int(rng.integers(100, 8001))
     delta = rng.uniform(0.2, 0.9, 2)
@@ -250,7 +251,7 @@ def check_uplink_closed_form(n_instances: int = 50, seed: int = 37,
 
 
 def _curvature_instance(rng):
-    cfg = SystemConfig()
+    cfg = _DEFAULT_CONFIG
     pop = _random_population(rng, 1)
     alloc = AllocationState(
         delta=[float(rng.uniform(0.1, 0.9))],

@@ -5,7 +5,9 @@ import pytest
 
 from mecfl.errors import EmptyDataset, InconsistentSizes, ValidationError
 from mecfl.learning import (
+    _VECTOR_SEEDS_MIN,
     Dataset,
+    _generators,
     aggregate,
     evaluate_loss,
     loss_gradient,
@@ -285,6 +287,25 @@ def test_train_users_rejects_mismatched_seeds_and_row_sets(seeds, rows):
                     epochs=1, lr=0.1, seeds=seeds, batch_size=4)
 
 
+@pytest.mark.parametrize("n_users", [1, 2 * _VECTOR_SEEDS_MIN])
+@pytest.mark.parametrize("seeds", [
+    pytest.param(lambda n: [*range(n - 1), -1], id="negative"),
+    pytest.param(lambda n: np.append(np.arange(n - 1), -1), id="negative-int64-array"),
+    pytest.param(lambda n: [*range(n - 1), 2**63], id="2**63"),
+    pytest.param(lambda n: np.append(np.arange(n - 1, dtype=np.uint64), np.uint64(2**63)),
+                 id="2**63-uint64-array"),
+    pytest.param(lambda n: [*range(n - 1), 1.5], id="fraction"),
+])
+def test_train_users_rejects_seeds_outside_0_to_2_63(n_users, seeds):
+    # on both sides of the cutoff of the vectorized generators, and before
+    # numpy could wrap a negative seed to uint32 or raise its own error
+    pool = random_dataset(np.random.default_rng(24))
+    rows = [np.arange(3)] * n_users
+    with pytest.raises(ValidationError, match=f"seed {n_users - 1} "):
+        train_users(np.zeros(weight_dim(pool.n_features, pool.n_classes)), pool, rows,
+                    epochs=1, lr=0.1, seeds=seeds(n_users), batch_size=4)
+
+
 def test_train_users_padded_step_means_over_its_rows_alone():
     # one epoch of one batch: 8, 5 and 1 rows padded to a batch of 8; each user
     # steps by the mean gradient over its own rows, padding adds nothing
@@ -319,6 +340,34 @@ def test_permuted_epochs_equal_sequential_permutations(n, seed):
     np.random.default_rng(seed).permuted(view, axis=1, out=view)
     assert np.array_equal(view, expected + 100), message
     assert np.all(table[:, n:] == -1)
+
+
+_PIN_SEEDS = np.concatenate([
+    np.array([0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**63 - 1], dtype=np.uint64),
+    np.random.default_rng(25).integers(2**31, size=5000).astype(np.uint64),
+    np.random.default_rng(26).integers(2**63, size=5000).astype(np.uint64),
+])
+
+
+@pytest.mark.parametrize("count", [1, _VECTOR_SEEDS_MIN - 1, _VECTOR_SEEDS_MIN,
+                                   _PIN_SEEDS.size])
+def test_generators_equal_default_rng(count):
+    # the split and epoch generators of a round must draw what
+    # np.random.default_rng(seed) draws, on both sides of the cutoff
+    seeds = _PIN_SEEDS[:count]
+    message = (f"_generators no longer matches np.random.default_rng: SeedSequence or PCG64 "
+               f"seeding changed on numpy {np.__version__}, seed")
+    for s, gen in zip(seeds.tolist(), _generators(seeds)):
+        assert np.array_equal(gen.permutation(50), np.random.default_rng(s).permutation(50)), \
+            f"{message} {s}"
+    for s, gen in zip(seeds.tolist(), _generators(seeds)):
+        # as the kernel draws epochs: in place, in a strided view of a table
+        table, expected = np.full((5, 9), -1), np.full((5, 9), -1)
+        for out, rng in ((table, gen), (expected, np.random.default_rng(s))):
+            view = out[:, :7]
+            view[:] = np.arange(7)
+            rng.permuted(view, axis=1, out=view)
+        assert np.array_equal(table, expected), f"{message} {s}"
 
 
 def _model(local_weights, edge_weights, sizes, kept, edge_size):

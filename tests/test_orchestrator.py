@@ -5,7 +5,14 @@ from dataclasses import replace
 from mecfl import costs, io
 from mecfl.costs import base_rate
 from mecfl.errors import SimulationError, ValidationError
-from mecfl.learning import Dataset, concat_datasets, split_dataset, train, weight_dim
+from mecfl.learning import (
+    _VECTOR_SEEDS_MIN,
+    Dataset,
+    concat_datasets,
+    split_dataset,
+    train,
+    weight_dim,
+)
 from mecfl.optimizer import solve_delta, solve_gamma
 from mecfl.orchestrator import (
     _SEED_CAP,
@@ -237,14 +244,22 @@ def round_inputs(n_users, delta, seed=11):
     return pop, datasets, train_pool, alloc.delta, model, cfg, np.random.default_rng(seed)
 
 
-def test_round_local_weights_equal_per_user_training():
-    delta = [0.0, 1.0, 0.5, 0.3, 1.0, 0.77]
-    args = round_inputs(6, delta)
+@pytest.mark.parametrize("delta", [
+    pytest.param([0.0, 1.0, 0.5, 0.3, 1.0, 0.77], id="6-users"),
+    # at least twice _VECTOR_SEEDS_MIN users, most of them training, so the
+    # splits and the epoch orders take the vectorized generators
+    pytest.param([0.0, 1.0, *np.linspace(0.02, 0.98, 35).tolist(), 1.0, 0.0, 0.5],
+                 id="40-users"),
+])
+def test_round_local_weights_equal_per_user_training(delta):
+    n_users = len(delta)
+    assert n_users < _VECTOR_SEEDS_MIN or n_users - delta.count(1.0) >= 2 * _VECTOR_SEEDS_MIN
+    args = round_inputs(n_users, delta)
     datasets, before, cfg = args[1], args[4], args[5]
     after = _train_round(*args)
     rng = np.random.default_rng(11)   # the round's seed draws, in its order
-    split_seeds = rng.integers(_SEED_CAP, size=6)
-    train_seeds = rng.integers(_SEED_CAP, size=6)
+    split_seeds = rng.integers(_SEED_CAP, size=n_users)
+    train_seeds = rng.integers(_SEED_CAP, size=n_users)
     for i, data in enumerate(datasets):
         kept, _ = split_dataset(data, delta[i], int(split_seeds[i]))
         assert after.local_trainset_sizes[i] == kept.size
@@ -255,7 +270,9 @@ def test_round_local_weights_equal_per_user_training():
             expected = before.global_weights    # offloads everything: keeps the global model
         assert np.array_equal(after.local_weights[i], expected)
     assert after.local_trainset_sizes[0] == datasets[0].sample_count
-    assert np.array_equal(after.local_weights[[1, 4]], np.tile(before.global_weights, (2, 1)))
+    offload_all = [i for i, d in enumerate(delta) if d == 1.0]
+    assert np.array_equal(after.local_weights[offload_all],
+                          np.tile(before.global_weights, (len(offload_all), 1)))
     assert after.edge_trainset_size == sum(d.sample_count for d in datasets) - sum(
         after.local_trainset_sizes)
 
