@@ -9,7 +9,7 @@ fraction, and an exhaustive simplex search for the bandwidth shares.
 """
 
 import numpy as np
-from dataclasses import fields, replace
+from dataclasses import replace
 
 from mecfl import costs, verify
 from mecfl.oracle import bisect_root, grid_minimize, simplex_minimize_maxtime
@@ -17,32 +17,32 @@ from mecfl.optimizer import solve_delta, solve_gamma, solve_uplink
 
 rng = np.random.default_rng(2024)
 
+# verify draws its instances as stacks: fields shaped (instances, users) and
+# one weight dimension per instance; here each stack holds one instance.
+
 # --- CPU fraction: minimize local time subject to the energy budget -------
-pop, alloc, dim, cfg, transmission = verify.random_gamma_instance(rng)
-(gamma,), _ = solve_gamma(pop, alloc, dim, cfg)
-(data,) = (1.0 - alloc.delta[0]) * costs.dataset_bytes(pop, cfg)
-cpu, budget = pop.cpu_hz[0], pop.energy_budget[0]
+pop, alloc, dims, cfg, transmission = verify.random_gamma_instances(rng, 1)
+gamma = solve_gamma(pop, alloc, dims, cfg)[0][0, 0]
+data = ((1.0 - alloc.delta) * costs.dataset_bytes(pop, cfg))[0, 0]
+cpu, budget, tx = pop.cpu_hz[0, 0], pop.energy_budget[0, 0], transmission[0, 0]
 grid_gamma, _ = grid_minimize(
     lambda g: costs.training_time(data, cfg.cycles_per_byte, g, cpu),
     0.0, 1.0, 10**6,
     lambda g: costs.training_energy(cfg.chip_capacitance, data, cfg.cycles_per_byte,
-                                    g, cpu) + transmission <= budget,
+                                    g, cpu) + tx <= budget,
 )
 print("CPU fraction")
 print(f"  closed form {gamma:.8f}   grid search {grid_gamma:.8f}   "
       f"gap {abs(gamma - grid_gamma):.2e}")
 
 # --- offload fraction: balance the local and edge completion times --------
-pop, alloc, dim, cfg = verify.random_delta_instance(rng)
-
-
-def user_1_first(obj):
-    """The instance's arrays in the order [1, 0, 2]."""
-    return replace(obj, **{f.name: getattr(obj, f.name)[[1, 0, 2]] for f in fields(obj)})
-
+pop, alloc, dims, cfg = verify.random_delta_instances(rng, 1)
+pop, alloc, dim = verify.instance(pop, 0), verify.instance(alloc, 0), int(dims[0, 0])
 
 # The first user of the sweep answers the others' previous fractions.
-delta = solve_delta(user_1_first(pop), user_1_first(alloc), dim, cfg)[0]
+user_1_first = [1, 0, 2]
+delta = solve_delta(verify.instance(pop, user_1_first), verify.instance(alloc, user_1_first),
+                    dim, cfg)[0]
 
 
 def imbalance(d):
@@ -56,7 +56,8 @@ print("offload fraction")
 print(f"  closed form {delta:.10f}   bisection {root:.10f}   gap {abs(delta - root):.2e}")
 
 # --- bandwidth shares: minimize the slowest per-user completion time ------
-pop, alloc, dim, cfg = verify.random_uplink_instance(rng)
+pop, alloc, dims, cfg = verify.random_uplink_instances(rng, 1)
+pop, alloc, dim = verify.instance(pop, 0), verify.instance(alloc, 0), int(dims[0, 0])
 closed_off, closed_up = solve_uplink(pop, alloc, dim, cfg)
 oracle_off, oracle_up = simplex_minimize_maxtime(pop, alloc, dim, cfg, 1e-3)
 print("bandwidth shares (offload side, then upload side)")

@@ -19,9 +19,10 @@ numpy arrays and scalars alike, and the size and rate models
 :class:`Population`; none of them carry guards. The round costs
 (``local_time``, ``total_energy``, ``edge_time_user``, ``edge_time_total``)
 take a whole :class:`Population` and return one value per user; all but
-``edge_time_total`` also take a stack of candidate allocations, fields
-shaped ``(..., n)``, and return one row per candidate. A zero divisor (CPU
-share, bandwidth share) under a nonzero numerator raises
+``edge_time_total`` also take stacks of candidate allocations or of
+instances, fields shaped ``(..., n)`` (``dim`` then broadcasts, e.g. one
+per instance as ``(instances, 1)``), and return one row each. A zero
+divisor (CPU share, bandwidth share) under a nonzero numerator raises
 :class:`DegenerateDivisor` rather than producing ``inf``; when the
 numerator is exactly zero the term is 0.
 """

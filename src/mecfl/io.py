@@ -9,8 +9,9 @@ The config file format is plain text with flat dotted key paths::
 
 Keys are ``experiment.<field>`` for :class:`ExperimentSpec` fields and
 ``system.<field>`` for :class:`SystemConfig` fields; values are Python
-literals. The environment variable ``MECFL_SEED`` overrides the seed when
-a config file is loaded from disk.
+literals. ``experiment.seed`` is a run's one seed (``system.rng_seed`` is
+set from it, so a file may not set that). The environment variable
+``MECFL_SEED`` overrides the seed when a config file is loaded from disk.
 """
 
 from __future__ import annotations
@@ -116,7 +117,8 @@ def emit_config(spec: ExperimentSpec) -> str:
             continue
         lines.append(f"experiment.{f.name} = {getattr(spec, f.name)!r}")
     for f in fields(SystemConfig):
-        lines.append(f"system.{f.name} = {getattr(spec.system, f.name)!r}")
+        if f.name != "rng_seed":   # set from experiment.seed
+            lines.append(f"system.{f.name} = {getattr(spec.system, f.name)!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -138,6 +140,9 @@ def parse_config(text: str) -> ExperimentSpec:
         scope, _, name = key.partition(".")
         if scope == "experiment" and name in exp_fields:
             exp_kwargs[name] = value
+        elif key == "system.rng_seed":
+            raise ValidationError(f"config line {lineno}: system.rng_seed is not read; "
+                                  "set the run's seed with experiment.seed")
         elif scope == "system" and name in sys_fields:
             sys_kwargs[name] = value
         else:

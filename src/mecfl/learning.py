@@ -132,10 +132,12 @@ def split_dataset(d: Dataset, delta: float,
     ``range(n)`` exactly. ``seed`` is an integer or a ``Generator``, which is
     drawn from as given: a generator with the stream of
     ``np.random.default_rng(s)`` gives the same split as the seed ``s``.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed, an integer in [0, 2**63).
     """
     if not 0.0 <= delta <= 1.0:
         raise ValidationError(f"split_dataset: delta must lie in [0, 1], got {delta}")
+    if not isinstance(seed, np.random.Generator):
+        _check_seed("split_dataset", seed)
     n = d.sample_count
     n_offload = int(math.floor(delta * n + 0.5))
     perm = np.random.default_rng(seed).permutation(n)
@@ -155,7 +157,17 @@ def concat_datasets(parts, n_classes: int, n_features: int) -> Dataset:
 
 
 def shuffle_dataset(d: Dataset, seed: int) -> Dataset:
+    _check_seed("shuffle_dataset", seed)
     return d.take(np.random.default_rng(seed).permutation(d.sample_count))
+
+
+def _is_seed(s) -> bool:
+    return isinstance(s, (int, np.integer)) and 0 <= s < _SEED_LIMIT
+
+
+def _check_seed(owner: str, seed) -> None:
+    if not _is_seed(seed):
+        raise ValidationError(f"{owner}: seed must be an integer in [0, 2**63), got {seed!r}")
 
 
 def _seed_array(seeds) -> np.ndarray:
@@ -164,8 +176,7 @@ def _seed_array(seeds) -> np.ndarray:
         ok = (seeds >= 0) & (seeds < _SEED_LIMIT)
     else:
         seeds = list(seeds)
-        ok = np.array([isinstance(s, (int, np.integer)) and 0 <= s < _SEED_LIMIT
-                       for s in seeds], dtype=bool)
+        ok = np.array([_is_seed(s) for s in seeds], dtype=bool)
     if not ok.all():
         i = int(np.argmin(ok))
         raise ValidationError(f"train: seed {i} must be an integer in [0, 2**63), "

@@ -9,13 +9,13 @@ step itself.
 
 Candidates are scored as one batch, not one at a time: the simplex search
 puts every composition of a simplex into one stacked
-:class:`AllocationState` and makes one cost-model call per simplex, and
-``finite_diff`` evaluates its whole stencil in one call of ``f``.
+:class:`AllocationState` and makes one cost-model call per simplex,
+``finite_diff`` evaluates its stencil at an array of points in one call of
+``f``, and ``bisect_root`` bisects an array of lanes at once.
 ``grid_minimize`` scores its grid block by block, each block a slice of
 one ``linspace``, so a million-point grid builds no temporaries of its
-own size. ``bisect_root`` is scipy's bisection written out, with the
-same roots bit for bit, so importing the package does not load
-``scipy.optimize``.
+own size. ``bisect_root`` is scipy's bisection written out, with the same
+roots bit for bit, so importing the package does not load ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -43,25 +43,14 @@ _BISECT_HALVINGS = 100                    # scipy's default maxiter
 _BISECT_RTOL = 4 * sys.float_info.epsilon  # scipy's default rtol
 
 
-def _on_grid(fn, xs: np.ndarray, dtype) -> np.ndarray:
-    """``fn`` on the vector ``xs``, or point by point if it does not broadcast."""
-    try:
-        values = np.asarray(fn(xs), dtype=dtype)
-        if values.shape == xs.shape:
-            return values
-    except (TypeError, ValueError):
-        pass
-    return np.array([dtype(fn(x)) for x in xs], dtype=dtype)
-
-
 def grid_minimize(f, lo: float, hi: float, points: int, constraint=None):
     """Feasible grid point minimizing ``f`` on [lo, hi].
 
-    ``f`` (and ``constraint``, a boolean predicate) should broadcast over a
-    numpy vector; scalar-only callables are evaluated pointwise as a
-    fallback. Both run on one block of the grid at a time. NaN and
-    infeasible points score +inf; ties take the smallest x. Resolution is
-    (hi-lo)/(points-1).
+    ``f`` (and ``constraint``, a boolean predicate) must broadcast over a
+    numpy vector of grid points and return one value per point; anything
+    else raises :class:`ValidationError`. Both run on one block of the grid
+    at a time. NaN and infeasible points score +inf; ties take the smallest
+    x. Resolution is (hi-lo)/(points-1).
     """
     if not isinstance(points, numbers.Integral) or points < 2:
         raise ValidationError(f"grid_minimize: points must be an integer >= 2, got {points!r}")
@@ -72,11 +61,13 @@ def grid_minimize(f, lo: float, hi: float, points: int, constraint=None):
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, points, _GRID_BLOCK):
             block = xs[start:start + _GRID_BLOCK]
-            ys = _on_grid(f, block, float)
-            feasible = ~np.isnan(ys)
-            if constraint is not None:
-                feasible &= _on_grid(constraint, block, bool)
-            ys = np.where(feasible, ys, np.inf)
+            ys = np.asarray(f(block), dtype=float)
+            feasible = (np.ones(block.shape, dtype=bool) if constraint is None
+                        else np.asarray(constraint(block), dtype=bool))
+            if ys.shape != block.shape or feasible.shape != block.shape:
+                raise ValidationError("grid_minimize: f and constraint must return one value "
+                                      "per grid point")
+            ys = np.where(feasible & ~np.isnan(ys), ys, np.inf)
             i = int(np.argmin(ys))
             if ys[i] < best_y:
                 best_x, best_y = block[i], ys[i]
@@ -85,59 +76,74 @@ def grid_minimize(f, lo: float, hi: float, points: int, constraint=None):
     return float(best_x), float(best_y)
 
 
-def bisect_root(g, lo: float, hi: float, tol: float) -> float:
-    """Root of ``g`` on [lo, hi], bracketed to interval width <= tol.
+def bisect_root(g, lo, hi, tol: float):
+    """Root of ``g`` on [lo, hi] in every lane, bracketed to width <= tol.
 
-    The loop is scipy's ``bisect`` (``Zeros/bisect.c``: relative tolerance
-    4 eps, at most 100 halvings), so the roots match it bit for bit. Signs
-    are compared, not the product ``g(mid) * g(lo)``, which can underflow to
-    zero. Each endpoint is evaluated once; a NaN value of ``g`` raises
-    :class:`ValidationError`.
+    ``lo`` and ``hi`` broadcast to the lane shape; ``g`` maps one point per
+    lane to one value per lane. Each lane runs scipy's ``bisect``
+    (``Zeros/bisect.c``: relative tolerance 4 eps, at most 100 halvings) and
+    gets its root bit for bit; a lane that has its root stays there. Signs
+    are compared, not the product ``g(mid) * g(lo)``, which can underflow.
+    Each end is evaluated once. The first lane with a NaN value while it
+    searches raises :class:`ValidationError`, the first with ends of one
+    sign :class:`NoSignChange`, each naming its values. Scalar ends are one
+    0-d lane, root a float.
     """
     _require_positive("bisect_root", tol=tol)
+    lo, hi = (np.array(end, dtype=float) for end in np.broadcast_arrays(lo, hi))
 
-    def value(x: float) -> float:
-        y = float(g(x))
-        if math.isnan(y):
-            raise ValidationError(f"bisect_root: g({x!r}) is NaN")
+    def value(x: np.ndarray, searching: np.ndarray) -> np.ndarray:
+        y = np.asarray(g(x), dtype=float)
+        if y.shape != lo.shape:
+            raise ValidationError(f"bisect_root: g must return one value per lane, got shape "
+                                  f"{y.shape} for {lo.shape}")
+        nan = searching & np.isnan(y)
+        if nan.any():
+            raise ValidationError(f"bisect_root: g({float(x.flat[nan.argmax()])!r}) is NaN")
         return y
 
-    lo, hi = float(lo), float(hi)
-    g_lo, g_hi = value(lo), value(hi)
-    if g_lo == 0.0:
-        return lo
-    if g_hi == 0.0:
-        return hi
-    if (g_lo < 0.0) == (g_hi < 0.0):
-        raise NoSignChange(f"bisect_root: g({lo})={g_lo:g} and g({hi})={g_hi:g} share a sign")
+    searching = np.ones(lo.shape, dtype=bool)
+    g_lo, g_hi = value(lo, searching), value(hi, searching)
+    root = np.where(g_lo == 0.0, lo, hi)
+    searching = (g_lo != 0.0) & (g_hi != 0.0)
+    same_sign = searching & ((g_lo < 0.0) == (g_hi < 0.0))
+    if same_sign.any():
+        k = same_sign.argmax()
+        raise NoSignChange(f"bisect_root: g({lo.flat[k]})={g_lo.flat[k]:g} and "
+                           f"g({hi.flat[k]})={g_hi.flat[k]:g} share a sign")
     a, step = lo, hi - lo
     for _ in range(_BISECT_HALVINGS):
-        step *= 0.5
-        mid = a + step
-        g_mid = value(mid)
-        if (g_mid < 0.0) == (g_lo < 0.0):
-            a = mid
-        if g_mid == 0.0 or abs(step) < tol + _BISECT_RTOL * abs(mid):
-            return mid
-    raise SimulationError(f"bisect_root: no convergence to tol={tol!r} on [{lo}, {hi}] "
-                          f"after {_BISECT_HALVINGS} halvings")
+        if not searching.any():
+            break
+        step = step * 0.5
+        mid = np.where(searching, a + step, root)
+        g_mid = value(mid, searching)
+        a = np.where(searching & ((g_mid < 0.0) == (g_lo < 0.0)), mid, a)
+        found = searching & ((g_mid == 0.0) | (np.abs(step) < tol + _BISECT_RTOL * np.abs(mid)))
+        root = np.where(found, mid, root)
+        searching &= ~found
+    if searching.any():
+        k = searching.argmax()
+        raise SimulationError(f"bisect_root: no convergence to tol={tol!r} on [{lo.flat[k]}, "
+                              f"{hi.flat[k]}] after {_BISECT_HALVINGS} halvings")
+    return float(root) if root.ndim == 0 else root
 
 
-def finite_diff(f, x: float, order: int, h: float) -> float:
-    """Central finite difference of first or second order.
+def finite_diff(f, x, order: int, h: float):
+    """Central finite difference of first or second order at every point of ``x``.
 
-    ``f`` is called once, on the vector of stencil points (``[x+h, x-h]``,
-    or ``[x+h, x, x-h]`` for the second order), and must return one value
-    per point.
+    ``f`` is called once, on the stencil points stacked along a new first
+    axis (``[x+h, x-h]``, or ``[x+h, x, x-h]`` for the second order), and
+    must return one value per point. A scalar ``x`` gives a float.
     """
     if order not in (1, 2):
         raise ValidationError(f"finite_diff: order must be 1 or 2, got {order}")
     _require_positive("finite_diff", h=h)
-    if order == 1:
-        up, down = f(np.array([x + h, x - h]))
-        return float((up - down) / (2.0 * h))
-    up, mid, down = f(np.array([x + h, x, x - h]))
-    return float((up - 2.0 * mid + down) / (h * h))
+    x = np.asarray(x, dtype=float)
+    values = f(np.array([x + h, x - h] if order == 1 else [x + h, x, x - h]))
+    diff = ((values[0] - values[1]) / (2.0 * h) if order == 1
+            else (values[0] - 2.0 * values[1] + values[2]) / (h * h))
+    return float(diff) if x.ndim == 0 else diff
 
 
 def _compositions(total: int, parts: int):

@@ -60,6 +60,8 @@ class ExperimentResult:
 
 
 def _check_population(pop: Population, datasets) -> None:
+    if pop.dataset_size.ndim != 1:
+        raise ValidationError(f"a run takes 1-d population fields, not {pop.dataset_size.shape}")
     if len(datasets) != pop.n_users:
         raise ValidationError("need one dataset per user")
     held = np.array([d.sample_count for d in datasets])

@@ -10,7 +10,8 @@ An :class:`AllocationState` is one allocation of ``n`` users, or a stack of
 candidate allocations: its fields may be shaped ``(..., n)``. They are
 broadcast to one shape, stored once and validated in one pass along the
 last (user) axis, so the oracles can score a whole candidate grid with one
-call of the cost model.
+call of the cost model. A :class:`Population` may be a stack of instances
+too (fields of one shape ``(..., n)``); the round loop takes 1-d inputs.
 """
 
 from __future__ import annotations
@@ -228,7 +229,8 @@ class Population:
 
     Read-only struct of arrays that the cost model and the best responses
     evaluate for every user at once; it is the only description of a user.
-    Each field is fixed for a whole experiment.
+    Each field is fixed for a whole experiment. Fields are 1-d, or
+    ``(..., n_users)`` for a stack of instances, all of one shape.
     """
 
     transmit_power: np.ndarray   # W
@@ -241,19 +243,19 @@ class Population:
 
     def __post_init__(self):
         arrays = [np.asarray(getattr(self, name), dtype=float) for name in self._FIELDS]
-        n = arrays[0].size
-        if n == 0 or any(arr.shape != (n,) for arr in arrays):
+        shape = arrays[0].shape
+        if not shape or shape[-1] == 0 or any(arr.shape != shape for arr in arrays):
             raise ValidationError("Population: needs at least one user and one entry "
-                                  "per user in every field")
+                                  "per user in every field, all fields of one shape")
         values = np.array(arrays)   # one row per field, in _FIELDS order
         ok = (values > 0) & (values < np.inf)                # NaN fails both
         sizes = values[-1]
         ok[-1] &= np.maximum(np.floor(sizes), 1.0) == sizes  # integers >= 1
         if not ok.all():
-            row, i = np.unravel_index(int(ok.argmin()), ok.shape)
+            row, *where = np.unravel_index(int(ok.argmin()), ok.shape)
             rule = "an integer >= 1" if self._FIELDS[row] == "dataset_size" else "finite and > 0"
-            raise ValidationError(f"Population: {self._FIELDS[row]}[{i}] must be {rule}, "
-                                  f"got {float(values[row, i])!r}")
+            raise ValidationError(f"Population: {self._FIELDS[row]}[{', '.join(map(str, where))}]"
+                                  f" must be {rule}, got {float(values[(row, *where)])!r}")
         values.flags.writeable = False
         for name, row in zip(self._FIELDS, values):
             object.__setattr__(self, name, row)
@@ -261,7 +263,7 @@ class Population:
 
     @property
     def n_users(self) -> int:
-        return self.dataset_size.size
+        return self.dataset_size.shape[-1]
 
 
 @dataclass(frozen=True)

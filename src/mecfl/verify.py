@@ -4,6 +4,12 @@ Each check draws randomized instances, solves them twice (closed form and
 oracle), and reports one :class:`CheckResult`. The CLI ``verify`` command
 and the acceptance tests both run these.
 
+A check draws its instances one after another from its seeded stream and
+stacks them (fields ``(instances, users)``, weight dimensions
+``(instances, 1)``); the closed forms, the costs, the bisection and the
+finite differences then run once on the stack. Per instance stay the
+CPU-fraction grid search, the Gauss-Seidel sweep and the bandwidth check.
+
 The bandwidth check constructs instances whose multipliers are consistent
 with the optimum they encode (offload multipliers proportional to the
 per-user offload load, upload multipliers to the upload load, and one
@@ -37,6 +43,7 @@ FD_STEP_FIRST = 1e-6
 FD_STEP_SECOND = 1e-4
 SIGN_MARGIN = 1e-12
 _DEFAULT_CONFIG = SystemConfig()   # every instance uses the defaults; the type is frozen
+_TARGET, _TARGET_FIRST = 1, [1, 0, 2]   # the delta check's user, and its users target first
 
 
 @dataclass(frozen=True)
@@ -50,197 +57,182 @@ class CheckResult:
         object.__setattr__(self, "passed", bool(self.passed))
 
 
-def _random_population(rng, n_users: int) -> Population:
-    """Per user in turn: transmit power, channel gain, CPU rate, dataset size."""
-    draws = [(rng.uniform(0.1, 0.5), 10.0 ** rng.uniform(-8.0, -5.0),
-              rng.uniform(0.8e9, 3.0e9), rng.integers(100, 2001)) for _ in range(n_users)]
-    power, gain, cpu, size = zip(*draws)
-    return Population(transmit_power=power, channel_gain=gain, cpu_hz=cpu,
-                      energy_budget=np.ones(n_users),  # placeholder; instance builders overwrite it
-                      dataset_size=size)
+def _draw_instances(rng, count: int, n_users: int, draw_rest):
+    """``count`` instances, each drawing its users in turn (transmit power, channel
+    gain, CPU rate, dataset size), then ``draw_rest(rng)``; stacked, 1 J placeholder budgets."""
+    users, rest = [], []
+    for _ in range(count):
+        users.append([(rng.uniform(0.1, 0.5), 10.0 ** rng.uniform(-8.0, -5.0),
+                       rng.uniform(0.8e9, 3.0e9), rng.integers(100, 2001))
+                      for _ in range(n_users)])
+        rest.append(draw_rest(rng))
+    power, gain, cpu, size = np.moveaxis(np.array(users, dtype=float), -1, 0)
+    pop = Population(power, gain, cpu, np.ones_like(power), size)
+    return pop, [np.array(column) for column in zip(*rest)]
 
 
-def random_gamma_instance(rng):
-    """Single-user instance with the budget placed at a known CPU fraction.
+def _one_user_instances(rng, count: int, delta, gamma, share, *extra):
+    """``count`` one-user instances: each draws its user, delta, gamma and both shares
+    uniform on the given ranges, its weight dimension, then one uniform per ``extra``
+    range. Returns the population, the allocations, the dimensions and the extras."""
+    pop, (d, g, off, up, dims, *rest) = _draw_instances(rng, count, 1, lambda rng: (
+        rng.uniform(*delta), rng.uniform(*gamma), rng.uniform(*share), rng.uniform(*share),
+        rng.integers(100, 8001), *(rng.uniform(*bounds) for bounds in extra)))
+    alloc = AllocationState(delta=d[:, None], gamma=g[:, None], uplink_offload=off[:, None],
+                            uplink_weight=up[:, None], lambda_offload=[0.5], lambda_local=[0.5])
+    return pop, alloc, dims[:, None], rest
+
+
+def instance(stack, index):
+    """What ``index`` picks of a stacked Population or AllocationState, e.g. ``(k, users)``."""
+    return replace(stack, **{f.name: getattr(stack, f.name)[index] for f in fields(stack)})
+
+
+def random_gamma_instances(rng, count: int):
+    """``count`` single-user instances, each with its budget at a known CPU fraction.
 
     The budget is transmission energy plus the training energy of a target
     fraction u ~ U(0.1, 1.5), so the unclamped solution is exactly u:
-    interior when u < 1, clamped at 1 otherwise.
+    interior when u < 1, clamped at 1 otherwise. Returns
+    ``(pop, alloc, dims, cfg, transmission)``, every array ``(count, 1)``.
     """
     cfg = _DEFAULT_CONFIG
-    pop = _random_population(rng, 1)
-    delta = float(rng.uniform(0.05, 0.9))
-    alloc = AllocationState(
-        delta=[delta],
-        gamma=[float(rng.uniform(0.1, 1.0))],
-        uplink_offload=[float(rng.uniform(0.05, 0.9))],
-        uplink_weight=[float(rng.uniform(0.05, 0.9))],
-        lambda_offload=[0.5],
-        lambda_local=[0.5],
-    )
-    dim = int(rng.integers(100, 8001))
-    (rate,), (data,) = base_rate(pop, cfg), costs.dataset_bytes(pop, cfg)
-    power, cpu = float(pop.transmit_power[0]), float(pop.cpu_hz[0])
-    transmission = (
-        costs.transmit_energy(power, delta * data, alloc.uplink_offload[0], rate)
-        + costs.transmit_energy(power, costs.weights_bytes(dim, cfg), alloc.uplink_weight[0], rate)
-    )
-    target = float(rng.uniform(0.1, 1.5))
-    compute_at_target = costs.training_energy(
-        cfg.chip_capacitance, (1.0 - delta) * data, cfg.cycles_per_byte, target, cpu,
-    )
-    pop = replace(pop, energy_budget=[transmission + compute_at_target])
-    return pop, alloc, dim, cfg, transmission
+    pop, alloc, dims, (target,) = _one_user_instances(rng, count, (0.05, 0.9), (0.1, 1.0),
+                                                      (0.05, 0.9), (0.1, 1.5))
+    rate, data, power = base_rate(pop, cfg), costs.dataset_bytes(pop, cfg), pop.transmit_power
+    transmission = (costs.transmit_energy(power, alloc.delta * data, alloc.uplink_offload, rate)
+                    + costs.transmit_energy(power, costs.weights_bytes(dims, cfg),
+                                            alloc.uplink_weight, rate))
+    # Per instance in Python floats, whose ** is C's pow: numpy squares u * cpu by
+    # multiplying, which differs in the last bit for about one product in a thousand.
+    compute_at_target = [
+        costs.training_energy(cfg.chip_capacitance, kept, cfg.cycles_per_byte, u, cpu)
+        for kept, u, cpu in zip((1.0 - alloc.delta[:, 0]) * data[:, 0], target.tolist(),
+                                pop.cpu_hz[:, 0].tolist())]
+    pop = replace(pop, energy_budget=transmission + np.array(compute_at_target)[:, None])
+    return pop, alloc, dims, cfg, transmission
 
 
 def check_gamma_closed_form(n_instances: int = 200, seed: int = 11,
                             grid_points: int = GRID_POINTS) -> CheckResult:
-    """CPU-fraction closed form vs a constrained grid search."""
+    """CPU-fraction closed form vs a constrained grid search per instance."""
     rng = np.random.default_rng(seed)
     step = 1.0 / (grid_points - 1)
-    worst_gap = worst_energy = 0.0
-    interior = 0
-    for _ in range(n_instances):
-        pop, alloc, dim, cfg, transmission = random_gamma_instance(rng)
-        (solved,), (exhausted,) = solve_gamma(pop, alloc, dim, cfg)
-        if exhausted:
-            return CheckResult("gamma-closed-form", False, "unexpected exhausted budget")
-        (data,) = (1.0 - alloc.delta[0]) * costs.dataset_bytes(pop, cfg)
-        cpu, budget = pop.cpu_hz[0], pop.energy_budget[0]
-
-        def time_of(g, data=data, cpu=cpu, cfg=cfg):
-            return costs.training_time(data, cfg.cycles_per_byte, g, cpu)
-
-        def feasible(g, data=data, cpu=cpu, budget=budget, cfg=cfg, tx=transmission):
-            energy = costs.training_energy(cfg.chip_capacitance, data,
-                                           cfg.cycles_per_byte, g, cpu)
-            return energy + tx <= budget
-
-        grid_best, _ = grid_minimize(time_of, 0.0, 1.0, grid_points, feasible)
-        worst_gap = max(worst_gap, abs(solved - grid_best))
-        if 0.0 < solved < 1.0:
-            interior += 1
-            (spent,) = costs.total_energy(pop, replace(alloc, gamma=[solved]), dim, cfg)
-            worst_energy = max(worst_energy, abs(spent - budget) / budget)
-    passed = worst_gap <= step + 1e-12 and worst_energy <= ENERGY_RTOL and interior > 0
-    return CheckResult(
-        "gamma-closed-form", passed,
-        f"{n_instances} instances ({interior} interior): max |gap|={worst_gap:.3g} "
-        f"(grid step {step:.1g}), max budget mismatch={worst_energy:.3g}",
-    )
+    pop, alloc, dims, cfg, transmission = random_gamma_instances(rng, n_instances)
+    solved, exhausted = solve_gamma(pop, alloc, dims, cfg)
+    if exhausted.any():
+        return CheckResult("gamma-closed-form", False, "unexpected exhausted budget")
+    kept = (1.0 - alloc.delta) * costs.dataset_bytes(pop, cfg)
+    worst_gap = 0.0
+    for data, cpu, budget, tx, best in zip(kept[:, 0], pop.cpu_hz[:, 0], pop.energy_budget[:, 0],
+                                           transmission[:, 0], solved[:, 0]):
+        grid_best, _ = grid_minimize(
+            lambda g: costs.training_time(data, cfg.cycles_per_byte, g, cpu), 0.0, 1.0,
+            grid_points, lambda g: costs.training_energy(
+                cfg.chip_capacitance, data, cfg.cycles_per_byte, g, cpu) + tx <= budget)
+        worst_gap = max(worst_gap, abs(best - grid_best))
+    interior = (solved > 0.0) & (solved < 1.0)
+    spent = costs.total_energy(pop, replace(alloc, gamma=solved), dims, cfg)
+    mismatch = np.abs(spent - pop.energy_budget) / pop.energy_budget
+    worst_energy = mismatch[interior].max(initial=0.0)
+    passed = worst_gap <= step + 1e-12 and worst_energy <= ENERGY_RTOL and interior.any()
+    return CheckResult("gamma-closed-form", passed, f"{n_instances} instances ({interior.sum()} "
+                       f"interior): max |gap|={worst_gap:.3g} (grid step {step:.1g}), "
+                       f"max budget mismatch={worst_energy:.3g}")
 
 
-def random_delta_instance(rng):
-    cfg = _DEFAULT_CONFIG
-    pop = _random_population(rng, 3)
-    shares_off = rng.dirichlet(np.ones(3)) * rng.uniform(0.7, 1.0)
-    shares_up = rng.dirichlet(np.ones(3)) * rng.uniform(0.7, 1.0)
-    alloc = AllocationState(
-        delta=rng.uniform(0.05, 0.95, 3),
-        gamma=rng.uniform(0.2, 1.0, 3),
-        uplink_offload=shares_off,
-        uplink_weight=shares_up,
-        lambda_offload=np.full(3, 0.5),
-        lambda_local=np.full(3, 0.5),
-    )
-    dim = int(rng.integers(100, 8001))
-    return pop, alloc, dim, cfg
+def random_delta_instances(rng, count: int):
+    """``count`` three-user instances with random fractions and shares, stacked."""
+    pop, (offload, upload, delta, gamma, dims) = _draw_instances(
+        rng, count, 3, lambda rng: (rng.dirichlet(np.ones(3)) * rng.uniform(0.7, 1.0),
+                                    rng.dirichlet(np.ones(3)) * rng.uniform(0.7, 1.0),
+                                    rng.uniform(0.05, 0.95, 3), rng.uniform(0.2, 1.0, 3),
+                                    rng.integers(100, 8001)))
+    alloc = AllocationState(delta=delta, gamma=gamma, uplink_offload=offload,
+                            uplink_weight=upload, lambda_offload=np.full(3, 0.5),
+                            lambda_local=np.full(3, 0.5))
+    return pop, alloc, dims[:, None], _DEFAULT_CONFIG
 
 
-def _reordered(obj, order):
-    """A Population or AllocationState with its users taken in ``order``."""
-    return replace(obj, **{f.name: getattr(obj, f.name)[order] for f in fields(obj)})
+def _imbalance(pop, alloc, dims, cfg, d):
+    """Local minus edge completion time of each instance's target user at its
+    offload fraction ``d``, and the larger of the two times."""
+    state = replace(alloc, delta=np.where(np.arange(alloc.n_users) == _TARGET,
+                                          d[..., None], alloc.delta))
+    t_local = costs.local_time(pop, state, dims, cfg)[..., _TARGET]
+    t_edge = costs.edge_time_user(pop, state, cfg)[..., _TARGET]
+    return t_local - t_edge, np.maximum(t_local, t_edge)
 
 
 def check_delta_closed_form(n_instances: int = 200, seed: int = 23) -> CheckResult:
     """Offload-fraction closed form vs bisection on the time imbalance.
 
     The sweep is ordered with the target user first, so its answer is the
-    one-player closed form against the others' previous fractions.
+    one-player closed form against the others' previous fractions. All
+    instances that bracket a root are bisected together, one lane each.
     """
     rng = np.random.default_rng(seed)
-    target, order = 1, [1, 0, 2]
-    worst_gap = worst_balance = 0.0
-    interior = 0
-    for _ in range(n_instances):
-        pop, alloc, dim, cfg = random_delta_instance(rng)
-        solved = solve_delta(_reordered(pop, order), _reordered(alloc, order), dim, cfg)[0]
-
-        def imbalance(d, pop=pop, alloc=alloc, dim=dim, cfg=cfg):
-            delta = alloc.delta.copy()
-            delta[target] = d
-            state = replace(alloc, delta=delta)
-            return (costs.local_time(pop, state, dim, cfg)
-                    - costs.edge_time_user(pop, state, cfg))[target]
-
-        lo, hi = imbalance(0.0), imbalance(1.0)
-        if lo < 0.0:
-            if solved != 0.0:
-                return CheckResult("delta-closed-form", False,
-                                   f"expected clamp at 0, got {solved}")
-            continue
-        if hi > 0.0:
-            if solved != 1.0:
-                return CheckResult("delta-closed-form", False,
-                                   f"expected clamp at 1, got {solved}")
-            continue
-        root = bisect_root(imbalance, 0.0, 1.0, 1e-12)
-        worst_gap = max(worst_gap, abs(solved - root))
-        if 0.0 < solved < 1.0:
-            interior += 1
-            state = replace(alloc, delta=np.where(np.arange(3) == target, solved, alloc.delta))
-            t_loc = costs.local_time(pop, state, dim, cfg)[target]
-            t_edge = costs.edge_time_user(pop, state, cfg)[target]
-            worst_balance = max(worst_balance,
-                                abs(t_loc - t_edge) / max(t_loc, t_edge))
-    passed = (worst_gap <= DELTA_MATCH_TOL and worst_balance <= BALANCE_RTOL
-              and interior > 0)
-    return CheckResult(
-        "delta-closed-form", passed,
-        f"{n_instances} instances ({interior} interior): max |gap|={worst_gap:.3g}, "
-        f"max time imbalance={worst_balance:.3g}",
-    )
+    pop, alloc, dims, cfg = random_delta_instances(rng, n_instances)
+    solved = np.array([
+        solve_delta(instance(pop, (k, _TARGET_FIRST)), instance(alloc, (k, _TARGET_FIRST)),
+                    dim, cfg)[0] for k, dim in enumerate(dims[:, 0].tolist())])
+    lo, hi = _imbalance(pop, alloc, dims, cfg, np.array([[0.0], [1.0]]))[0]   # delta = 0, 1
+    clamp_zero = lo < 0.0
+    clamp_one = ~clamp_zero & (hi > 0.0)
+    wrong = (clamp_zero & (solved != 0.0)) | (clamp_one & (solved != 1.0))
+    if wrong.any():
+        k = int(wrong.argmax())
+        return CheckResult("delta-closed-form", False,
+                           f"expected clamp at {0 if clamp_zero[k] else 1}, got {solved[k]}")
+    bracketed = ~clamp_zero & ~clamp_one
+    inner = instance(pop, bracketed), instance(alloc, bracketed), dims[bracketed], cfg
+    ends = np.zeros(int(bracketed.sum()))
+    roots = bisect_root(lambda d: _imbalance(*inner, d)[0], ends, ends + 1.0, 1e-12)
+    solved = solved[bracketed]
+    worst_gap = np.abs(solved - roots).max(initial=0.0)
+    interior = (solved > 0.0) & (solved < 1.0)
+    gap, slower = _imbalance(*inner, solved)
+    worst_balance = (np.abs(gap) / slower)[interior].max(initial=0.0)
+    passed = worst_gap <= DELTA_MATCH_TOL and worst_balance <= BALANCE_RTOL and interior.any()
+    return CheckResult("delta-closed-form", passed, f"{n_instances} instances ({interior.sum()} "
+                       f"interior): max |gap|={worst_gap:.3g}, "
+                       f"max time imbalance={worst_balance:.3g}")
 
 
-def random_uplink_instance(rng):
-    """Two-user instance whose multipliers encode the max-time optimum."""
+def random_uplink_instances(rng, count: int):
+    """``count`` two-user instances whose multipliers encode the max-time optimum, stacked."""
     cfg = _DEFAULT_CONFIG
-    pop = _random_population(rng, 2)
-    dim = int(rng.integers(100, 8001))
-    delta = rng.uniform(0.2, 0.9, 2)
+    pop, (dims, delta, slack) = _draw_instances(
+        rng, count, 2, lambda rng: (rng.integers(100, 8001), rng.uniform(0.2, 0.9, 2),
+                                    rng.uniform(0.3, 0.95)))
+    dims = dims[:, None]
     rates, data, cpu = base_rate(pop, cfg), costs.dataset_bytes(pop, cfg), pop.cpu_hz
     # One shared local-compute time makes the upload-side optimum purely
     # proportional; gamma realizes it.
     compute_floor = (1.0 - delta) * data * cfg.cycles_per_byte / cpu
-    common_time = compute_floor.max() / rng.uniform(0.3, 0.95)
+    common_time = compute_floor.max(axis=-1, keepdims=True) / slack[:, None]
     gamma = (1.0 - delta) * data * cfg.cycles_per_byte / (common_time * cpu)
     offload_load = delta * data / rates
-    upload_load = costs.weights_bytes(dim, cfg) / rates
-    alloc = AllocationState(
-        delta=delta,
-        gamma=gamma,
-        uplink_offload=np.full(2, 0.5),
-        uplink_weight=np.full(2, 0.5),
-        lambda_offload=offload_load / offload_load.sum(),
-        lambda_local=upload_load / upload_load.sum(),
-    )
-    return pop, alloc, dim, cfg
+    upload_load = costs.weights_bytes(dims, cfg) / rates
+    alloc = AllocationState(delta=delta, gamma=gamma, uplink_offload=np.full(2, 0.5),
+                            uplink_weight=np.full(2, 0.5),
+                            lambda_offload=offload_load / offload_load.sum(-1, keepdims=True),
+                            lambda_local=upload_load / upload_load.sum(-1, keepdims=True))
+    return pop, alloc, dims, cfg
 
 
 def check_uplink_closed_form(n_instances: int = 50, seed: int = 37,
                              resolution: float = SIMPLEX_RESOLUTION) -> CheckResult:
-    """Bandwidth-share closed form vs the exhaustive simplex search."""
+    """Bandwidth-share closed form vs the exhaustive simplex search per instance."""
     rng = np.random.default_rng(seed)
+    pops, allocs, dims, cfg = random_uplink_instances(rng, n_instances)
     worst_gap = worst_sum = 0.0
-    for _ in range(n_instances):
-        pop, alloc, dim, cfg = random_uplink_instance(rng)
+    for k, dim in enumerate(dims[:, 0].tolist()):
+        pop, alloc = instance(pops, k), instance(allocs, k)
         closed_off, closed_up = solve_uplink(pop, alloc, dim, cfg)
         oracle_off, oracle_up = simplex_minimize_maxtime(pop, alloc, dim, cfg, resolution)
-        worst_gap = max(
-            worst_gap,
-            float(np.abs(closed_off - oracle_off).max()),
-            float(np.abs(closed_up - oracle_up).max()),
-        )
+        worst_gap = max(worst_gap, float(np.abs(closed_off - oracle_off).max()),
+                        float(np.abs(closed_up - oracle_up).max()))
         worst_sum = max(worst_sum, abs(closed_off.sum() - 1.0), abs(closed_up.sum() - 1.0))
     passed = worst_gap <= resolution + 1e-12 and worst_sum <= SIMPLEX_SUM_TOL
     return CheckResult(
@@ -250,28 +242,12 @@ def check_uplink_closed_form(n_instances: int = 50, seed: int = 37,
     )
 
 
-def _curvature_instance(rng):
-    cfg = _DEFAULT_CONFIG
-    pop = _random_population(rng, 1)
-    alloc = AllocationState(
-        delta=[float(rng.uniform(0.1, 0.9))],
-        gamma=[float(rng.uniform(0.05, 0.95))],
-        uplink_offload=[float(rng.uniform(0.05, 0.95))],
-        uplink_weight=[float(rng.uniform(0.05, 0.95))],
-        lambda_offload=[0.5],
-        lambda_local=[0.5],
-    )
-    dim = int(rng.integers(100, 8001))
-    return pop, alloc, dim, cfg
-
-
-def _analytic_first_derivatives(pop, alloc, dim, cfg):
-    """Hand-coded first derivatives of user 0, used as the sign reference."""
-    (rate,), (data,) = base_rate(pop, cfg).tolist(), costs.dataset_bytes(pop, cfg).tolist()
-    weights = costs.weights_bytes(dim, cfg)
-    delta, gamma = alloc.delta[0], alloc.gamma[0]
-    off, up = alloc.uplink_offload[0], alloc.uplink_weight[0]
-    (p,), (cpu,), tau = pop.transmit_power.tolist(), pop.cpu_hz.tolist(), cfg.cycles_per_byte
+def _analytic_first_derivatives(pop, alloc, dims, cfg):
+    """Hand-coded first derivatives of each instance's one user, used as the sign reference."""
+    rate, data = base_rate(pop, cfg), costs.dataset_bytes(pop, cfg)
+    weights = costs.weights_bytes(dims, cfg)
+    delta, gamma, off, up = alloc.delta, alloc.gamma, alloc.uplink_offload, alloc.uplink_weight
+    p, cpu, tau = pop.transmit_power, pop.cpu_hz, cfg.cycles_per_byte
     return {
         ("energy", "gamma"): 2.0 * cfg.chip_capacitance * (1.0 - delta) * data * tau
                              * gamma * cpu ** 2,
@@ -284,39 +260,34 @@ def _analytic_first_derivatives(pop, alloc, dim, cfg):
 
 def check_curvature_and_monotonicity(points_per_pair: int = 1000, seed: int = 41) -> CheckResult:
     """Finite-difference convexity and first-derivative signs of the costs."""
-    rng = np.random.default_rng(seed)
-    pairs = list(_analytic_first_derivatives(*_curvature_instance(rng)).keys())
+    rng, cfg = np.random.default_rng(seed), _DEFAULT_CONFIG
+    ranges = (0.1, 0.9), (0.05, 0.95), (0.05, 0.95)   # of delta, gamma and the shares
+    # The pairs are read off one instance that is then dropped: drawing it
+    # keeps every later point, and so the certificates, those of the seed.
+    pairs = list(_analytic_first_derivatives(*_one_user_instances(rng, 1, *ranges)[:3], cfg))
     min_fd2 = np.inf
     for quantity, variable in pairs:
-        for _ in range(points_per_pair):
-            pop, alloc, dim, cfg = _curvature_instance(rng)
-            reference = _analytic_first_derivatives(pop, alloc, dim, cfg)[(quantity, variable)]
-            cost = costs.total_energy if quantity == "energy" else costs.local_time
+        pop, alloc, dims, _ = _one_user_instances(rng, points_per_pair, *ranges)
+        reference = _analytic_first_derivatives(pop, alloc, dims, cfg)[(quantity, variable)][:, 0]
+        cost = costs.total_energy if quantity == "energy" else costs.local_time
 
-            def evaluate(xs, variable=variable, cost=cost, pop=pop, alloc=alloc, dim=dim, cfg=cfg):
-                # one candidate allocation per stencil point, as one stack
-                return cost(pop, replace(alloc, **{variable: xs[:, None]}), dim, cfg)[:, 0]
+        def evaluate(xs):   # one candidate per stencil point and instance, as one stack
+            return cost(pop, replace(alloc, **{variable: xs[..., None]}), dims, cfg)[..., 0]
 
-            x0 = float(getattr(alloc, variable)[0])
-            fd1 = finite_diff(evaluate, x0, 1, FD_STEP_FIRST)
-            if abs(fd1) <= SIGN_MARGIN or np.sign(fd1) != np.sign(reference):
-                return CheckResult(
-                    "curvature-monotonicity", False,
-                    f"sign mismatch for d({quantity})/d({variable}): "
-                    f"fd={fd1:.3g}, analytic={reference:.3g}",
-                )
-            fd2 = finite_diff(evaluate, x0, 2, FD_STEP_SECOND)
-            min_fd2 = min(min_fd2, fd2)
-            if fd2 < CURVATURE_FLOOR:
-                return CheckResult(
-                    "curvature-monotonicity", False,
-                    f"negative curvature for {quantity} in {variable}: {fd2:.3g}",
-                )
-    return CheckResult(
-        "curvature-monotonicity", True,
-        f"{len(pairs)} derivative pairs x {points_per_pair} points: "
-        f"signs match, min curvature {min_fd2:.3g}",
-    )
+        x0 = getattr(alloc, variable)[:, 0]
+        fd1 = finite_diff(evaluate, x0, 1, FD_STEP_FIRST)
+        fd2 = finite_diff(evaluate, x0, 2, FD_STEP_SECOND)
+        wrong_sign = (np.abs(fd1) <= SIGN_MARGIN) | (np.sign(fd1) != np.sign(reference))
+        failed = wrong_sign | (fd2 < CURVATURE_FLOOR)
+        if failed.any():   # the first failing point, its sign checked first
+            k = int(failed.argmax())
+            return CheckResult("curvature-monotonicity", False, (
+                f"sign mismatch for d({quantity})/d({variable}): fd={fd1[k]:.3g}, "
+                f"analytic={reference[k]:.3g}" if wrong_sign[k] else
+                f"negative curvature for {quantity} in {variable}: {fd2[k]:.3g}"))
+        min_fd2 = min(min_fd2, fd2.min())
+    return CheckResult("curvature-monotonicity", True, f"{len(pairs)} derivative pairs x "
+                       f"{points_per_pair} points: signs match, min curvature {min_fd2:.3g}")
 
 
 def run_all(fast: bool = False) -> list[CheckResult]:

@@ -1,11 +1,15 @@
 """Shared fixtures for the test suite."""
 
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 
 from mecfl.io import ExperimentSpec
 from mecfl.types import AllocationState, Population, SystemConfig
+
+# Recorded certificates of ``verify.run_all()`` at full counts (see test_golden_verify.py).
+GOLDEN_VERIFY_FULL = Path(__file__).parent / "data" / "golden_verify_full.json"
 
 # Desk-scale settings: 10 users x 200 synthetic samples, hyperparameters
 # chosen so training plateaus well inside the iteration cap.
@@ -46,3 +50,8 @@ def make_alloc(n=1, delta=0.5, gamma=0.5, offload=None, upload=None,
         lambda_local=np.full(n, lam_local, float) if np.isscalar(lam_local)
         else np.asarray(lam_local, float),
     )
+
+
+def record_certificates(checks) -> list[dict]:
+    """The name, verdict and detail line of each check, as the golden recordings hold them."""
+    return [{"name": c.name, "passed": bool(c.passed), "detail": c.detail} for c in checks]

@@ -1,9 +1,11 @@
-"""Golden certificates: ``verify.run_all(fast=True)`` against a stored recording.
+"""Golden certificates: ``verify.run_all`` against stored recordings.
 
-The recording holds the name, verdict and detail line of every check, so a
+Each recording holds the name, verdict and detail line of every check, so a
 change to an oracle, a closed form or an instance generator that moves any
-printed figure shows up here. Regenerate it (only for an intended change of
-the certificates) with
+printed figure shows up here. ``golden_verify_fast.json`` is checked below
+against ``run_all(fast=True)``; ``golden_verify_full.json`` holds the full
+counts, which the acceptance criteria 1-4 run and check against it.
+Regenerate both (only for an intended change of the certificates) with
 
     PYTHONPATH=src python tests/test_golden_verify.py
 """
@@ -15,22 +17,54 @@ from pathlib import Path
 import pytest
 
 from mecfl import verify
+from mecfl.types import AllocationState, Population
+
+from helpers import GOLDEN_VERIFY_FULL, record_certificates
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_verify_fast.json"
 
 
+def _counting_constructions(run):
+    """``run()`` and the number of AllocationState and Population objects it built."""
+    built = {AllocationState: 0, Population: 0}
+    with pytest.MonkeyPatch.context() as patch:
+        for cls in built:
+            def counted(self, build=cls.__post_init__, cls=cls):
+                built[cls] += 1
+                build(self)
+            patch.setattr(cls, "__post_init__", counted)
+        result = run()
+    return result, built
+
+
 @pytest.fixture(scope="module")
-def certificates():
-    return verify.run_all(fast=True)
+def fast_run():
+    return _counting_constructions(lambda: verify.run_all(fast=True))
 
 
-def record_certificates(checks) -> list[dict]:
-    return [{"name": c.name, "passed": bool(c.passed), "detail": c.detail} for c in checks]
+@pytest.fixture(scope="module")
+def certificates(fast_run):
+    return fast_run[0]
 
 
 def test_verify_fast_matches_golden_certificates(certificates):
     golden = json.loads(GOLDEN_PATH.read_text())
     assert record_certificates(certificates) == golden
+
+
+def test_verify_builds_one_stack_per_check_not_one_object_per_instance(fast_run):
+    # the checks certify each instance set as one stack: a per-instance,
+    # per-point or per-bisection-step object would cost thousands here
+    _, built = fast_run
+    assert built[AllocationState] <= 150 and built[Population] <= 80, built
+
+
+def test_curvature_check_builds_as_many_objects_at_any_point_count():
+    _, few = _counting_constructions(
+        lambda: verify.check_curvature_and_monotonicity(points_per_pair=10))
+    _, many = _counting_constructions(
+        lambda: verify.check_curvature_and_monotonicity(points_per_pair=300))
+    assert few == many
 
 
 def test_every_check_reports_a_plain_bool_and_serializes(certificates):
@@ -42,5 +76,6 @@ def test_every_check_reports_a_plain_bool_and_serializes(certificates):
 
 if __name__ == "__main__":
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
-    GOLDEN_PATH.write_text(
-        json.dumps(record_certificates(verify.run_all(fast=True)), indent=1) + "\n")
+    for path, fast in ((GOLDEN_PATH, True), (GOLDEN_VERIFY_FULL, False)):
+        path.write_text(json.dumps(record_certificates(verify.run_all(fast=fast)), indent=1)
+                        + "\n")

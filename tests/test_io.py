@@ -182,6 +182,13 @@ def test_config_round_trip():
     assert io.parse_config(io.emit_config(spec)) == spec
 
 
+def test_config_rejects_rng_seed_and_names_the_seed_to_set():
+    # experiment.seed is the run's one seed; a system.rng_seed would be overridden by it
+    with pytest.raises(ValidationError, match=r"line 1: .*experiment\.seed"):
+        io.parse_config("system.rng_seed = 5\nexperiment.seed = 3\n")
+    assert "rng_seed" not in io.emit_config(desk_spec(seed=5))
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValidationError):
         io.parse_config("experiment.not_a_field = 3\n")

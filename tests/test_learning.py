@@ -11,6 +11,7 @@ from mecfl.learning import (
     aggregate,
     evaluate_loss,
     loss_gradient,
+    shuffle_dataset,
     split_dataset,
     train,
     train_users,
@@ -76,6 +77,27 @@ def test_split_rejects_bad_delta():
     d = random_dataset(np.random.default_rng(0))
     with pytest.raises(ValidationError):
         split_dataset(d, 1.5, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2**63])
+@pytest.mark.parametrize("call", [lambda d, seed: split_dataset(d, 0.5, seed),
+                                  lambda d, seed: shuffle_dataset(d, seed)],
+                         ids=["split_dataset", "shuffle_dataset"])
+def test_split_and_shuffle_reject_seeds_outside_0_to_2_63(call, seed):
+    # numpy's own ValueError (-1, 2**63) and TypeError (1.5) do not leak
+    d = random_dataset(np.random.default_rng(0), n=4)
+    with pytest.raises(ValidationError, match=rf"seed must be an integer in \[0, 2\*\*63\), "
+                                              rf"got {seed!r}$"):
+        call(d, seed)
+
+
+def test_split_takes_a_generator_or_the_largest_seed():
+    d = random_dataset(np.random.default_rng(0), n=9)
+    for seed in (0, 2**63 - 1, np.int64(7)):
+        kept, offloaded = split_dataset(d, 0.5, seed)
+        generator_split = split_dataset(d, 0.5, np.random.default_rng(seed))
+        assert np.array_equal(kept, generator_split[0])
+        assert np.array_equal(offloaded, generator_split[1])
 
 
 def test_train_zero_epochs_returns_initial_weights():

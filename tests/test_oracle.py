@@ -34,12 +34,6 @@ def test_grid_no_feasible_point():
         grid_minimize(lambda x: x, 0.0, 1.0, 11, constraint=lambda x: x > 2.0)
 
 
-def test_grid_scalar_fallback():
-    # non-broadcasting callable still works
-    x, _ = grid_minimize(lambda x: float(abs(x - 0.25)), 0.0, 1.0, 5)
-    assert x == pytest.approx(0.25)
-
-
 def test_grid_argument_validation():
     with pytest.raises(ValidationError):
         grid_minimize(lambda x: x, 0.0, 1.0, 1)
@@ -213,16 +207,21 @@ def _assert_batched_equals_reference(pop, alloc, dim, cfg, resolution):
     return batched
 
 
+def _first_instance(pop, alloc, dims, cfg, *_):
+    """The first instance of a stack drawn by ``verify``, as 1-d inputs."""
+    return verify.instance(pop, 0), verify.instance(alloc, 0), int(dims[0, 0]), cfg
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_batched_simplex_equals_reference_on_random_two_user_instances(seed):
-    pop, alloc, dim, cfg = verify.random_uplink_instance(np.random.default_rng(seed))
-    _assert_batched_equals_reference(pop, alloc, dim, cfg, 1e-3)
+    instance = _first_instance(*verify.random_uplink_instances(np.random.default_rng(seed), 1))
+    _assert_batched_equals_reference(*instance, 1e-3)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_batched_simplex_equals_reference_on_random_three_user_instances(seed):
-    pop, alloc, dim, cfg = verify.random_delta_instance(np.random.default_rng(seed))
-    _assert_batched_equals_reference(pop, alloc, dim, cfg, 2e-2)
+    instance = _first_instance(*verify.random_delta_instances(np.random.default_rng(seed), 1))
+    _assert_batched_equals_reference(*instance, 2e-2)
 
 
 def test_batched_simplex_gives_a_user_at_zero_delta_a_zero_offload_share():
@@ -283,18 +282,25 @@ def _counted(g):
     return wrapped
 
 
-def _delta_imbalance(seed):
-    """The time imbalance ``check_delta_closed_form`` bisects, on one instance."""
-    pop, alloc, dim, cfg = verify.random_delta_instance(np.random.default_rng(seed))
+def _lane_imbalance(pop, alloc, dims, cfg):
+    """The time imbalance ``check_delta_closed_form`` bisects, of user 1 of each instance.
 
+    Takes one instance (1-d fields, a scalar ``d``) or a stack of them (one
+    lane of ``d`` per instance).
+    """
     def imbalance(d):
-        delta = alloc.delta.copy()
-        delta[1] = d
+        delta = np.where(np.arange(3) == 1, np.asarray(d)[..., None], alloc.delta)
         state = replace(alloc, delta=delta)
-        return (costs.local_time(pop, state, dim, cfg)
-                - costs.edge_time_user(pop, state, cfg))[1]
+        return (costs.local_time(pop, state, dims, cfg)
+                - costs.edge_time_user(pop, state, cfg))[..., 1]
 
     return imbalance
+
+
+def _delta_imbalance(seed):
+    """The time imbalance ``check_delta_closed_form`` bisects, on one instance."""
+    return _lane_imbalance(*_first_instance(
+        *verify.random_delta_instances(np.random.default_rng(seed), 1)))
 
 
 _BRACKETING_SEEDS = [s for s in range(12)
@@ -372,6 +378,129 @@ def test_bisect_root_sign_check_does_not_underflow():
 
 
 # --------------------------------------------------------------------------
+# lanes: many bisections at once, each as if run on its own
+# --------------------------------------------------------------------------
+
+def test_lanewise_bisect_root_equals_per_lane_calls_on_the_delta_check_instances():
+    # the instances of the full check_delta_closed_form, bisected in one call
+    pop, alloc, dims, cfg = verify.random_delta_instances(np.random.default_rng(23), 200)
+    whole = _lane_imbalance(pop, alloc, dims, cfg)
+    bracketed = (whole(np.zeros(200)) >= 0.0) & (whole(np.ones(200)) <= 0.0)
+    lanes = int(bracketed.sum())
+    assert lanes == 190
+    roots = bisect_root(_lane_imbalance(verify.instance(pop, bracketed),
+                                        verify.instance(alloc, bracketed), dims[bracketed], cfg),
+                        np.zeros(lanes), np.ones(lanes), 1e-12)
+    singles = [bisect_root(_lane_imbalance(verify.instance(pop, k), verify.instance(alloc, k),
+                                           int(dims[k, 0]), cfg), 0.0, 1.0, 1e-12)
+               for k in np.flatnonzero(bracketed)]
+    assert roots.shape == (lanes,)
+    assert np.array_equal(roots, singles)
+
+
+def test_lanewise_bisect_root_stops_a_lane_once_it_has_its_root():
+    # lanes 1 and 2 have their roots at lo and hi; they stay there while 0 and 3 search
+    offsets = np.array([0.3, 0.0, 1.0, 0.7])
+    seen = []
+
+    def g(x):
+        seen.append(x.copy())
+        return x - offsets
+
+    lo, hi = np.zeros(4), np.ones(4)
+    roots = bisect_root(g, lo, hi, 1e-12)
+    singles = [bisect_root(lambda x, r=r: x - r, 0.0, 1.0, 1e-12) for r in offsets]
+    assert np.array_equal(roots, singles)
+    assert (roots[1], roots[2]) == (0.0, 1.0)
+    assert all(x[1] == 0.0 and x[2] == 1.0 for x in seen[2:])
+
+
+def test_lanewise_bisect_root_with_ends_per_lane_equals_scipy_bisect():
+    from scipy.optimize import bisect
+
+    lo, hi = np.array([[0.0, -2.0], [2.0, 0.0]]), np.array([[1.0, 5.0], [3.0, 1.0]])
+    cases = [[lambda x: x - 0.3, lambda x: 1.0 / 3.0 - x],
+             [lambda x: x ** 3 - 2.0 * x - 5.0, lambda x: (x - 0.7) ** 3]]
+
+    def g(x):
+        return np.array([[case(v) for case, v in zip(row, xs)] for row, xs in zip(cases, x)])
+
+    roots = bisect_root(g, lo, hi, 1e-10)
+    assert roots.shape == (2, 2)
+    for i in range(2):
+        for j in range(2):
+            assert roots[i, j] == bisect(cases[i][j], lo[i, j], hi[i, j], xtol=1e-10)
+
+
+def test_lanewise_bisect_root_rejects_nan_in_a_lane_still_searching():
+    lane = np.arange(3)
+
+    def g(x):
+        return np.where((lane == 2) & (0.2 < x) & (x < 0.6), np.nan, x - 0.3)
+
+    with pytest.raises(ValidationError, match=r"g\(0\.5\) is NaN"):
+        bisect_root(g, np.zeros(3), np.ones(3), 1e-8)
+
+
+def test_lanewise_bisect_root_ignores_nan_in_a_finished_lane():
+    # lane 1 has its root at lo; g is NaN there at every point but its ends
+    def g(x):
+        lane_1 = np.where(x == 0.0, 0.0, np.where(x == 1.0, -1.0, np.nan))
+        return np.where(np.arange(2) == 1, lane_1, x - 0.3)
+
+    roots = bisect_root(g, np.zeros(2), np.ones(2), 1e-8)
+    assert roots[0] == bisect_root(lambda x: x - 0.3, 0.0, 1.0, 1e-8)
+    assert roots[1] == 0.0
+
+
+def test_lanewise_bisect_root_reports_the_first_lane_without_a_sign_change():
+    shift = np.array([0.3, -2.0, 0.5, -3.0])
+    with pytest.raises(NoSignChange, match=r"g\(0\.0\)=2 and g\(1\.0\)=3 share a sign"):
+        bisect_root(lambda x: x - shift, np.zeros(4), np.ones(4), 1e-8)
+
+
+def test_lanewise_bisect_root_needs_one_value_per_lane():
+    with pytest.raises(ValidationError, match="one value per lane"):
+        bisect_root(lambda x: x[0] - 0.3, np.zeros(3), np.ones(3), 1e-8)
+
+
+@pytest.mark.parametrize("order, h", [(1, 1e-6), (2, 1e-4)])
+def test_finite_diff_at_many_points_equals_per_point_calls(order, h):
+    # the energy of stacked one-user instances in their offload share, each
+    # point of the array against a scalar call on its own instance
+    pop, alloc, dims, cfg, _ = verify.random_gamma_instances(np.random.default_rng(5), 60)
+
+    def energy(pop, alloc, dims):
+        def f(xs):
+            stack = replace(alloc, uplink_offload=xs[..., None])
+            return costs.total_energy(pop, stack, dims, cfg)[..., 0]
+        return f
+
+    shares = alloc.uplink_offload[:, 0]
+    many = finite_diff(energy(pop, alloc, dims), shares, order, h)
+    singles = [finite_diff(energy(verify.instance(pop, k), verify.instance(alloc, k),
+                                  int(dims[k, 0])), float(shares[k]), order, h)
+               for k in range(60)]
+    assert many.shape == (60,)
+    assert np.array_equal(many, singles)
+    assert all(type(x) is float for x in singles)
+
+
+def test_finite_diff_at_many_points_stacks_the_stencil_first():
+    seen = []
+
+    def f(xs):
+        seen.append(xs.copy())
+        return xs ** 3
+
+    x = np.array([[1.0, 2.0], [3.0, 4.0]])
+    fd2 = finite_diff(f, x, 2, 0.5)
+    assert seen[0].shape == (3, 2, 2)
+    assert np.array_equal(seen[0][1], x)
+    assert np.array_equal(fd2, [[finite_diff(f, v, 2, 0.5) for v in row] for row in x])
+
+
+# --------------------------------------------------------------------------
 # block-wise grid search against the full-grid search it replaced
 # --------------------------------------------------------------------------
 
@@ -379,21 +508,9 @@ def _reference_grid(f, lo, hi, points, constraint=None):
     """One call of ``f`` and ``constraint`` on the whole grid."""
     xs = np.linspace(lo, hi, points)
     with np.errstate(divide="ignore", invalid="ignore"):
-        try:
-            ys = np.asarray(f(xs), dtype=float)
-            if ys.shape != xs.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            ys = np.array([float(f(x)) for x in xs])
-        if constraint is None:
-            feasible = np.ones(points, dtype=bool)
-        else:
-            try:
-                feasible = np.asarray(constraint(xs), dtype=bool)
-                if feasible.shape != xs.shape:
-                    raise TypeError
-            except (TypeError, ValueError):
-                feasible = np.array([bool(constraint(x)) for x in xs])
+        ys = np.asarray(f(xs), dtype=float)
+        feasible = (np.ones(points, dtype=bool) if constraint is None
+                    else np.asarray(constraint(xs), dtype=bool))
     ys = np.where(feasible & ~np.isnan(ys), ys, np.inf)
     if not np.any(np.isfinite(ys)):
         raise NoFeasiblePoint("reference: no feasible grid point")
@@ -456,10 +573,14 @@ def test_block_grid_scores_nan_as_infinite():
                                          0.0, 1.0, points) is None
 
 
-def test_block_grid_scalar_only_callables():
-    points = _BLOCK + 3
-    _assert_grid_equals_reference(lambda x: float(abs(x - 0.3)), 0.0, 1.0, points,
-                                  constraint=lambda x: bool(x >= 0.5))
+@pytest.mark.parametrize("f, constraint", [
+    (lambda x: 0.25, None),                       # one value for the whole block
+    (lambda x: x[:-1], None),                     # one value too few
+    (lambda x: x, lambda x: True),                # one verdict for the whole block
+], ids=["f-scalar", "f-short", "constraint-scalar"])
+def test_grid_rejects_callables_without_one_value_per_point(f, constraint):
+    with pytest.raises(ValidationError, match="must return one value per grid point"):
+        grid_minimize(f, 0.0, 1.0, _BLOCK + 3, constraint)
 
 
 def test_block_grid_calls_f_and_constraint_once_per_block():

@@ -181,6 +181,16 @@ def test_run_rejects_a_dataset_count_that_differs_from_the_user_count():
         run_proposed(pop, datasets + datasets[:1], cfg, 2, test_dataset=test)
 
 
+@pytest.mark.parametrize("run", [run_proposed, run_traditional, run_centralized])
+def test_run_rejects_a_stacked_population(run):
+    # a stack of instances is for the verification checks, never a round's input
+    pop, datasets, test, cfg = tiny_population()
+    stack = replace(pop, **{name: np.stack([getattr(pop, name)] * 2)
+                            for name in pop._FIELDS})
+    with pytest.raises(ValidationError, match=r"1-d population fields, not \(2, 4\)"):
+        run(stack, datasets, cfg, 2, test_dataset=test)
+
+
 def test_run_names_the_user_whose_dataset_size_differs():
     pop, datasets, test, cfg = tiny_population()
     datasets[2] = datasets[2].take(np.arange(datasets[2].sample_count - 1))

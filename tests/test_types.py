@@ -7,6 +7,7 @@ from mecfl.errors import OutOfRange, SumExceedsOne, ValidationError
 from mecfl.types import (
     AllocationState,
     ModelState,
+    Population,
     RoundMetrics,
     SystemConfig,
     project_unit_interval,
@@ -252,3 +253,78 @@ def test_stack_broadcasts_its_fields_to_one_read_only_shape():
 def test_stack_with_mismatched_axes_rejected(overrides):
     with pytest.raises(ValidationError):
         AllocationState(**{**FEASIBLE_TWO_USERS, **overrides})
+
+
+# --------------------------------------------------------------------------
+# a Population stack: instances along the leading axes, users along the last
+# --------------------------------------------------------------------------
+
+GOOD_TWO_USERS = dict(transmit_power=[0.2, 0.3], channel_gain=[1e-6, 2e-6],
+                      cpu_hz=[1e9, 2e9], energy_budget=[1.0, 2.0], dataset_size=[10, 20])
+
+POPULATION_PRECEDENCE_CASES = [
+    # the first field in field order wins, whatever the user index
+    (dict(cpu_hz=[1e9, 0.0], channel_gain=[1e-6, -1.0]), "channel_gain", 1),
+    (dict(energy_budget=[float("nan"), 1.0], transmit_power=[0.2, float("inf")]),
+     "transmit_power", 1),
+    (dict(dataset_size=[10, 2.5], energy_budget=[1.0, 0.0]), "energy_budget", 1),
+    # within one field the lowest user index wins
+    (dict(cpu_hz=[-1.0, 0.0]), "cpu_hz", 0),
+    (dict(dataset_size=[0, 2.5]), "dataset_size", 0),
+]
+
+
+def _population(**overrides):
+    return Population(**{**GOOD_TWO_USERS, **overrides})
+
+
+@pytest.mark.parametrize("overrides, field, index", POPULATION_PRECEDENCE_CASES)
+def test_bad_instance_in_a_population_stack_raises_as_in_one_d(overrides, field, index):
+    # instances 0 and 2 are valid, instance 1 carries the bad values
+    stack = {name: np.array([value, overrides.get(name, value), value])
+             for name, value in GOOD_TWO_USERS.items()}
+    with pytest.raises(ValidationError) as one_d:
+        _population(**overrides)
+    with pytest.raises(ValidationError) as stacked:
+        Population(**stack)
+    assert type(stacked.value) is type(one_d.value) is ValidationError
+    assert str(one_d.value).startswith(f"Population: {field}[{index}] must be ")
+    assert str(stacked.value) == str(one_d.value).replace(f"[{index}]", f"[1, {index}]", 1)
+
+
+def test_population_stack_names_the_first_instance_then_the_lowest_user():
+    # cpu_hz is bad in instance 2 (user 0) and instance 1 (user 1): instance 1 wins;
+    # an earlier field in a later instance still beats both
+    cpu = np.full((3, 2), 1e9)
+    cpu[2, 0] = cpu[1, 1] = 0.0
+    stack = {name: np.broadcast_to(value, (3, 2)) for name, value in GOOD_TWO_USERS.items()}
+    with pytest.raises(ValidationError, match=r"cpu_hz\[1, 1\] must be finite and > 0"):
+        Population(**{**stack, "cpu_hz": cpu})
+    gain = np.full((3, 2), 1e-6)
+    gain[2, 1] = -1.0
+    with pytest.raises(ValidationError, match=r"channel_gain\[2, 1\] must be finite and > 0"):
+        Population(**{**stack, "cpu_hz": cpu, "channel_gain": gain})
+
+
+def test_population_stack_keeps_its_shape_read_only():
+    stack = Population(**{name: np.broadcast_to(value, (4, 3, 2))
+                          for name, value in GOOD_TWO_USERS.items()})
+    assert stack.n_users == 2
+    for name in Population._FIELDS:
+        field = getattr(stack, name)
+        assert field.shape == (4, 3, 2)
+        assert not field.flags.writeable
+    assert stack.dataset_size.dtype == np.int64
+    assert np.array_equal(stack.dataset_size[2, 1], [10, 20])
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(cpu_hz=np.full((3, 2), 1e9)),                  # a stack among 1-d fields: no broadcast
+    dict(dataset_size=[[10, 20, 30]]),                   # last axis 3 against 2 users
+    {name: np.broadcast_to(value, (3, 2)) for name, value in GOOD_TWO_USERS.items()}
+    | dict(energy_budget=np.ones((4, 2))),               # instance axes of two lengths
+    {name: np.ones((3, 0)) for name in GOOD_TWO_USERS},   # instances without users
+])
+def test_population_stack_with_mismatched_shapes_rejected(overrides):
+    with pytest.raises(ValidationError, match="all fields of one shape"):
+        _population(**overrides)
