@@ -34,7 +34,8 @@ from .orchestrator import (
     run_proposed,
     run_traditional,
 )
-from .types import Population, SystemConfig, _require_field_types
+from .types import (AllocationState, Population, SystemConfig, _require_field_types,
+                    _require_seed)
 
 SEED_ENV_VAR = "MECFL_SEED"
 
@@ -89,6 +90,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         _require_field_types(self)
+        _require_seed("ExperimentSpec", "seed", self.seed)
         if self.scenario not in SCENARIOS:
             raise ValidationError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if self.user_count < 1:
@@ -384,8 +386,5 @@ def write_alloc_trace(path: str, result: ExperimentResult) -> None:
     """JSON-lines dump of the per-iteration allocation state."""
     with open(path, "w", encoding="utf-8") as handle:
         for k, alloc in enumerate(result.alloc_trace):
-            record = {"iteration": k}
-            for name in ("delta", "gamma", "uplink_offload", "uplink_weight",
-                         "lambda_offload", "lambda_local"):
-                record[name] = [float(v) for v in getattr(alloc, name)]
-            handle.write(json.dumps(record) + "\n")
+            record = {name: getattr(alloc, name).tolist() for name in AllocationState._FIELDS}
+            handle.write(json.dumps({"iteration": k, **record}) + "\n")

@@ -51,10 +51,9 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import EmptyDataset, InconsistentSizes, ValidationError
-from .types import ModelState
+from .types import ModelState, _SEED_LIMIT, _is_seed, _require_seed
 
 _RANGE_ATOL = 1e-9
-_SEED_LIMIT = 2**63
 # Fewer seeds than this get one default_rng each: the vectorized hash of
 # _generators has a fixed cost of about 10 default_rng calls (measured
 # break-even 9-10 seeds, each drawing a permutation of 50).
@@ -137,7 +136,7 @@ def split_dataset(d: Dataset, delta: float,
     if not 0.0 <= delta <= 1.0:
         raise ValidationError(f"split_dataset: delta must lie in [0, 1], got {delta}")
     if not isinstance(seed, np.random.Generator):
-        _check_seed("split_dataset", seed)
+        _require_seed("split_dataset", "seed", seed)
     n = d.sample_count
     n_offload = int(math.floor(delta * n + 0.5))
     perm = np.random.default_rng(seed).permutation(n)
@@ -157,17 +156,8 @@ def concat_datasets(parts, n_classes: int, n_features: int) -> Dataset:
 
 
 def shuffle_dataset(d: Dataset, seed: int) -> Dataset:
-    _check_seed("shuffle_dataset", seed)
+    _require_seed("shuffle_dataset", "seed", seed)
     return d.take(np.random.default_rng(seed).permutation(d.sample_count))
-
-
-def _is_seed(s) -> bool:
-    return isinstance(s, (int, np.integer)) and 0 <= s < _SEED_LIMIT
-
-
-def _check_seed(owner: str, seed) -> None:
-    if not _is_seed(seed):
-        raise ValidationError(f"{owner}: seed must be an integer in [0, 2**63), got {seed!r}")
 
 
 def _seed_array(seeds) -> np.ndarray:

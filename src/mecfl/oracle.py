@@ -12,10 +12,10 @@ puts every composition of a simplex into one stacked
 :class:`AllocationState` and makes one cost-model call per simplex,
 ``finite_diff`` evaluates its stencil at an array of points in one call of
 ``f``, and ``bisect_root`` bisects an array of lanes at once.
-``grid_minimize`` scores its grid block by block, each block a slice of
-one ``linspace``, so a million-point grid builds no temporaries of its
-own size. ``bisect_root`` is scipy's bisection written out, with the same
-roots bit for bit, so importing the package does not load ``scipy.optimize``.
+``grid_minimize`` builds its grid one block at a time with ``linspace``'s
+arithmetic, so a million-point grid holds no array of its own size.
+``bisect_root`` is scipy's bisection written out, with the same roots bit
+for bit, so importing the package does not load ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -50,17 +50,21 @@ def grid_minimize(f, lo: float, hi: float, points: int, constraint=None):
     numpy vector of grid points and return one value per point; anything
     else raises :class:`ValidationError`. Both run on one block of the grid
     at a time. NaN and infeasible points score +inf; ties take the smallest
-    x. Resolution is (hi-lo)/(points-1).
+    x. Resolution is (hi-lo)/(points-1); the points are ``np.linspace``'s.
     """
     if not isinstance(points, numbers.Integral) or points < 2:
         raise ValidationError(f"grid_minimize: points must be an integer >= 2, got {points!r}")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValidationError(f"grid_minimize: need finite lo < hi, got [{lo}, {hi}]")
-    xs = np.linspace(lo, hi, points)
+    step = (hi - lo) / (points - 1)
     best_x, best_y = None, np.inf
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, points, _GRID_BLOCK):
-            block = xs[start:start + _GRID_BLOCK]
+            # linspace's arithmetic, with its branch for a step that underflows to 0
+            block = np.arange(start, min(start + _GRID_BLOCK, points), dtype=float)
+            block = (block * step if step else block / (points - 1) * (hi - lo)) + lo
+            if start + _GRID_BLOCK >= points:
+                block[-1] = hi
             ys = np.asarray(f(block), dtype=float)
             feasible = (np.ones(block.shape, dtype=bool) if constraint is None
                         else np.asarray(constraint(block), dtype=bool))

@@ -25,12 +25,23 @@ from .errors import OutOfRange, SumExceedsOne, ValidationError
 
 # Absolute slack used when comparing allocations against box/simplex bounds.
 CONSTRAINT_ATOL = 1e-9
+_SEED_LIMIT = 2**63
 
 
 def _require_positive(owner: str, **named: float) -> None:
     for name, value in named.items():
         if not math.isfinite(value) or value <= 0:
             raise ValidationError(f"{owner}: {name} must be finite and > 0, got {value!r}")
+
+
+def _is_seed(s) -> bool:
+    """A seed is an integer in [0, 2**63); a bool is none."""
+    return isinstance(s, (int, np.integer)) and not isinstance(s, bool) and 0 <= s < _SEED_LIMIT
+
+
+def _require_seed(owner: str, name: str, value) -> None:
+    if not _is_seed(value):
+        raise ValidationError(f"{owner}: {name} must be an integer in [0, 2**63), got {value!r}")
 
 
 _RANGE = "a range (lo, hi) of real numbers with lo <= hi"
@@ -90,6 +101,7 @@ class SystemConfig:
 
     def __post_init__(self):
         _require_field_types(self)
+        _require_seed("SystemConfig", "rng_seed", self.rng_seed)
         _require_positive(
             "SystemConfig",
             bandwidth_hz=self.bandwidth_hz,
@@ -165,8 +177,8 @@ class AllocationState:
         return self.delta.shape[-1]
 
     @classmethod
-    def uniform(cls, n_users: int, delta=0.0, gamma=1.0, multiplier=0.5) -> "AllocationState":
-        """Allocation with equal bandwidth shares.
+    def uniform(cls, n_users: int, delta=0.0, gamma=1.0) -> "AllocationState":
+        """Allocation with equal bandwidth shares and both multipliers 0.5.
 
         ``delta`` and ``gamma`` are one value for every user or one per user.
         """
@@ -176,8 +188,8 @@ class AllocationState:
             gamma=np.full(n_users, gamma, dtype=float),
             uplink_offload=share,
             uplink_weight=share.copy(),
-            lambda_offload=np.full(n_users, float(multiplier)),
-            lambda_local=np.full(n_users, 1.0 - float(multiplier)),
+            lambda_offload=np.full(n_users, 0.5),
+            lambda_local=np.full(n_users, 0.5),
         )
 
 

@@ -1,8 +1,8 @@
 """Closed-form solutions checked against the brute-force oracles.
 
-Each check draws randomized instances, solves them twice (closed form and
-oracle), and reports one :class:`CheckResult`. The CLI ``verify`` command
-and the acceptance tests both run these.
+Each check draws randomized instances from its own fixed seed, solves them
+twice (closed form and oracle) and reports one :class:`CheckResult`; its
+one parameter is its count. The CLI and the acceptance tests run these.
 
 A check draws its instances one after another from its seeded stream and
 stacks them (fields ``(instances, users)``, weight dimensions
@@ -113,11 +113,10 @@ def random_gamma_instances(rng, count: int):
     return pop, alloc, dims, cfg, transmission
 
 
-def check_gamma_closed_form(n_instances: int = 200, seed: int = 11,
-                            grid_points: int = GRID_POINTS) -> CheckResult:
+def check_gamma_closed_form(n_instances: int = 200) -> CheckResult:
     """CPU-fraction closed form vs a constrained grid search per instance."""
-    rng = np.random.default_rng(seed)
-    step = 1.0 / (grid_points - 1)
+    rng = np.random.default_rng(11)
+    step = 1.0 / (GRID_POINTS - 1)
     pop, alloc, dims, cfg, transmission = random_gamma_instances(rng, n_instances)
     solved, exhausted = solve_gamma(pop, alloc, dims, cfg)
     if exhausted.any():
@@ -128,7 +127,7 @@ def check_gamma_closed_form(n_instances: int = 200, seed: int = 11,
                                            transmission[:, 0], solved[:, 0]):
         grid_best, _ = grid_minimize(
             lambda g: costs.training_time(data, cfg.cycles_per_byte, g, cpu), 0.0, 1.0,
-            grid_points, lambda g: costs.training_energy(
+            GRID_POINTS, lambda g: costs.training_energy(
                 cfg.chip_capacitance, data, cfg.cycles_per_byte, g, cpu) + tx <= budget)
         worst_gap = max(worst_gap, abs(best - grid_best))
     interior = (solved > 0.0) & (solved < 1.0)
@@ -164,14 +163,14 @@ def _imbalance(pop, alloc, dims, cfg, d):
     return t_local - t_edge, np.maximum(t_local, t_edge)
 
 
-def check_delta_closed_form(n_instances: int = 200, seed: int = 23) -> CheckResult:
+def check_delta_closed_form(n_instances: int = 200) -> CheckResult:
     """Offload-fraction closed form vs bisection on the time imbalance.
 
     The sweep is ordered with the target user first, so its answer is the
     one-player closed form against the others' previous fractions. All
     instances that bracket a root are bisected together, one lane each.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(23)
     pop, alloc, dims, cfg = random_delta_instances(rng, n_instances)
     solved = np.array([
         solve_delta(instance(pop, (k, _TARGET_FIRST)), instance(alloc, (k, _TARGET_FIRST)),
@@ -221,24 +220,23 @@ def random_uplink_instances(rng, count: int):
     return pop, alloc, dims, cfg
 
 
-def check_uplink_closed_form(n_instances: int = 50, seed: int = 37,
-                             resolution: float = SIMPLEX_RESOLUTION) -> CheckResult:
+def check_uplink_closed_form(n_instances: int = 50) -> CheckResult:
     """Bandwidth-share closed form vs the exhaustive simplex search per instance."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(37)
     pops, allocs, dims, cfg = random_uplink_instances(rng, n_instances)
     worst_gap = worst_sum = 0.0
     for k, dim in enumerate(dims[:, 0].tolist()):
         pop, alloc = instance(pops, k), instance(allocs, k)
         closed_off, closed_up = solve_uplink(pop, alloc, dim, cfg)
-        oracle_off, oracle_up = simplex_minimize_maxtime(pop, alloc, dim, cfg, resolution)
+        oracle_off, oracle_up = simplex_minimize_maxtime(pop, alloc, dim, cfg, SIMPLEX_RESOLUTION)
         worst_gap = max(worst_gap, float(np.abs(closed_off - oracle_off).max()),
                         float(np.abs(closed_up - oracle_up).max()))
         worst_sum = max(worst_sum, abs(closed_off.sum() - 1.0), abs(closed_up.sum() - 1.0))
-    passed = worst_gap <= resolution + 1e-12 and worst_sum <= SIMPLEX_SUM_TOL
+    passed = worst_gap <= SIMPLEX_RESOLUTION + 1e-12 and worst_sum <= SIMPLEX_SUM_TOL
     return CheckResult(
         "uplink-closed-form", passed,
         f"{n_instances} instances: max share gap={worst_gap:.3g} "
-        f"(resolution {resolution:g}), max |sum-1|={worst_sum:.3g}",
+        f"(resolution {SIMPLEX_RESOLUTION:g}), max |sum-1|={worst_sum:.3g}",
     )
 
 
@@ -258,9 +256,9 @@ def _analytic_first_derivatives(pop, alloc, dims, cfg):
     }
 
 
-def check_curvature_and_monotonicity(points_per_pair: int = 1000, seed: int = 41) -> CheckResult:
+def check_curvature_and_monotonicity(points_per_pair: int = 1000) -> CheckResult:
     """Finite-difference convexity and first-derivative signs of the costs."""
-    rng, cfg = np.random.default_rng(seed), _DEFAULT_CONFIG
+    rng, cfg = np.random.default_rng(41), _DEFAULT_CONFIG
     ranges = (0.1, 0.9), (0.05, 0.95), (0.05, 0.95)   # of delta, gamma and the shares
     # The pairs are read off one instance that is then dropped: drawing it
     # keeps every later point, and so the certificates, those of the seed.

@@ -245,6 +245,27 @@ def test_config_rejects_a_value_of_the_wrong_type(entry, tmp_path, monkeypatch):
         io.load_config(str(path))
 
 
+SEED_ENTRIES = {
+    "spec": lambda seed, path: io.run_experiment(desk_spec(seed=seed, user_count=2)),
+    "--seed": lambda seed, path: cli_main(["run", "--seed", str(seed), "--users", "2"]),
+    "experiment.seed": lambda seed, path: io.parse_config(f"experiment.seed = {seed}\n"),
+    io.SEED_ENV_VAR: lambda seed, path: io.load_config(str(path)),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 2**63])
+@pytest.mark.parametrize("entry", list(SEED_ENTRIES))
+def test_a_seed_outside_0_to_2_63_is_refused_where_it_enters(entry, seed, tmp_path, monkeypatch):
+    # not by numpy's default_rng, whose plain ValueError names no seed
+    path = tmp_path / "exp.cfg"
+    path.write_text(io.emit_config(desk_spec()))
+    monkeypatch.delenv(io.SEED_ENV_VAR, raising=False)
+    if entry == io.SEED_ENV_VAR:
+        monkeypatch.setenv(io.SEED_ENV_VAR, str(seed))
+    with pytest.raises(ValidationError, match=r"seed must be an integer in \[0, 2\*\*63\)"):
+        SEED_ENTRIES[entry](seed, path)
+
+
 def test_config_takes_an_integer_for_a_real_and_a_list_for_a_range():
     spec = io.parse_config("system.bandwidth_hz = 20000000\n"
                            "experiment.cpu_hz_range = [1e9, 2e9]\n"

@@ -79,12 +79,13 @@ def test_split_rejects_bad_delta():
         split_dataset(d, 1.5, seed=0)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, 2**63])
+@pytest.mark.parametrize("seed", [-1, 1.5, 2**63, True])
 @pytest.mark.parametrize("call", [lambda d, seed: split_dataset(d, 0.5, seed),
                                   lambda d, seed: shuffle_dataset(d, seed)],
                          ids=["split_dataset", "shuffle_dataset"])
 def test_split_and_shuffle_reject_seeds_outside_0_to_2_63(call, seed):
-    # numpy's own ValueError (-1, 2**63) and TypeError (1.5) do not leak
+    # numpy's own ValueError (-1, 2**63) and TypeError (1.5) do not leak, and a
+    # bool is no seed, though True == 1
     d = random_dataset(np.random.default_rng(0), n=4)
     with pytest.raises(ValidationError, match=rf"seed must be an integer in \[0, 2\*\*63\), "
                                               rf"got {seed!r}$"):
@@ -317,6 +318,7 @@ def test_train_users_rejects_mismatched_seeds_and_row_sets(seeds, rows):
     pytest.param(lambda n: np.append(np.arange(n - 1, dtype=np.uint64), np.uint64(2**63)),
                  id="2**63-uint64-array"),
     pytest.param(lambda n: [*range(n - 1), 1.5], id="fraction"),
+    pytest.param(lambda n: [*range(n - 1), True], id="bool"),
 ])
 def test_train_users_rejects_seeds_outside_0_to_2_63(n_users, seeds):
     # on both sides of the cutoff of the vectorized generators, and before

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -534,12 +536,30 @@ def _assert_grid_equals_reference(f, lo, hi, points, constraint=None):
     return got
 
 
-@pytest.mark.parametrize("points", [2, _BLOCK - 1, _BLOCK, 3 * _BLOCK, 3 * _BLOCK + 7, 10**6])
+@pytest.mark.parametrize("points", [2, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK,
+                                    3 * _BLOCK + 7, 10**6])
 def test_block_grid_equals_full_grid(points):
     _assert_grid_equals_reference(lambda x: (x - 0.3) ** 2 + 1e-3 * np.sin(40.0 * x),
                                   0.0, 1.0, points)
     _assert_grid_equals_reference(lambda x: 1.0 / x + x, 0.0, 3.0, points,
                                   constraint=lambda x: x * x <= 0.6)
+    # every point the blocks are scored at is linspace's, also on a subnormal
+    # span, where linspace's step (hi - lo) / (points - 1) underflows to 0
+    for lo, hi in (0.0, 1.0), (0.0, 5e-324):
+        seen = []
+        grid_minimize(lambda x: seen.append(x.copy()) or x, lo, hi, points)
+        assert np.concatenate(seen).tobytes() == np.linspace(lo, hi, points).tobytes()
+
+
+def test_grid_holds_one_block_of_points_at_a_time():
+    # the whole grid of 10**6 float64 points would be 8 MB
+    tracemalloc.start()
+    try:
+        grid_minimize(lambda x: (x - 0.3) ** 2, 0.0, 1.0, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6, peak
 
 
 def test_block_grid_tie_across_a_block_boundary_takes_the_smallest_x():

@@ -94,7 +94,13 @@ def test_uniform_constructor_is_feasible():
     alloc = AllocationState.uniform(7)
     assert alloc.n_users == 7
     assert alloc.uplink_offload.sum() == pytest.approx(1.0)
-    assert np.all(alloc.lambda_offload == 0.5)
+    assert np.all(alloc.lambda_offload == 0.5) and np.all(alloc.lambda_local == 0.5)
+
+
+@pytest.mark.parametrize("seed", [-3, 2**63, True])
+def test_system_config_rejects_a_seed_outside_0_to_2_63(seed):
+    with pytest.raises(ValidationError, match="rng_seed"):
+        SystemConfig(rng_seed=seed)
 
 
 def test_system_config_rejects_nonpositive_constants():
