@@ -7,6 +7,7 @@ import sys
 from dataclasses import replace
 
 from . import io
+from .errors import ValidationError
 from .verify import run_all
 
 
@@ -77,7 +78,8 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
+    """The mecfl parser; a subcommand's arguments carry its handler and its parser's ``error``."""
     parser = argparse.ArgumentParser(
         prog="mecfl",
         description="Simulator of edge-assisted federated learning with "
@@ -88,19 +90,26 @@ def main(argv=None) -> int:
     run_parser = sub.add_parser("run", help="run one scenario")
     _add_common_flags(run_parser)
     run_parser.add_argument("--trace", help="JSON-lines allocation trace path")
-    run_parser.set_defaults(handler=_cmd_run)
+    run_parser.set_defaults(handler=_cmd_run, error=run_parser.error)
 
     sweep_parser = sub.add_parser("sweep", help="sweep the offload or CPU fraction")
     _add_common_flags(sweep_parser)
-    sweep_parser.set_defaults(handler=_cmd_sweep)
+    sweep_parser.set_defaults(handler=_cmd_sweep, error=sweep_parser.error)
 
     verify_parser = sub.add_parser("verify", help="check closed forms against oracles")
     verify_parser.add_argument("--fast", action="store_true",
                                help="run a tenth of the usual instance counts")
-    verify_parser.set_defaults(handler=_cmd_verify)
+    verify_parser.set_defaults(handler=_cmd_verify, error=verify_parser.error)
+    return parser
 
-    args = parser.parse_args(argv)
-    return args.handler(args)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except ValidationError as err:
+        # a bad option or config value: argparse's usage and the message, exit status 2
+        args.error(str(err))
 
 
 if __name__ == "__main__":

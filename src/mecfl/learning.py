@@ -16,8 +16,11 @@ data.
 The kernel gives every user the same bits as :func:`loss_gradient` steps on
 that user's batches alone. Everything that does not change between steps is
 built once per call: the table of every user's batch rows (padded with -1)
-and their labels, the valid-row count of every batch, per-step flags for
-"some batch is short" and "some batch has one row", and the one-hot rows.
+and their labels, the valid-row count of every batch, the width of every
+step (the row count of its widest batch), per-step flags for "some batch is
+narrower than the step" and "some batch has one row", and the one-hot rows.
+A step computes only as many rows as its widest batch: on equal shards of
+50 rows in batches of 32, every second step is 18 rows wide, not 32.
 The bits match because:
 
 - the feature weights and the biases are held apart, as ``(users, classes,
@@ -27,10 +30,13 @@ The bits match because:
   order whatever the row stride; a batch of one row gets numpy's one-row
   product (gemv) as a one-user call does, and a one-feature product, which
   numpy would also take with gemv, is summed row by row in both;
+- score rows are independent, so a step computes each user's rows as its
+  batch alone would, however wide the step;
 - ``take`` reads the -1 padding as the last row of the pool; padding rows
   get a zero gradient, and a zero added to a sum leaves it unchanged;
-- a step with no short batch divides by the scalar ``batch_size``, the same
-  float as every user's row count; other steps divide by each user's count;
+- a step whose batches all have its width divides by the scalar width, the
+  same float as every user's row count; other steps divide by each user's
+  count;
 - the bias gradient sums the rows in order, as ``sum(axis=0)`` does.
 
 A round draws two random streams per user, one for its split and one for
@@ -276,11 +282,12 @@ def train_users(w_init: np.ndarray, pool: Dataset, rows, epochs: int, lr: float,
     ``_VECTOR_SEEDS_MIN`` training users on they come from one vectorized
     hash of all seeds (:func:`_generators`), whose fixed cost is about that
     of 10 ``default_rng`` calls, so fewer users call ``default_rng`` each.
-    Step k updates every user on its own k-th batch; a user out of batches
-    (or with no rows at all) keeps its weights. Returns the weights, shape
-    (users, dim), with the same bits as training each user alone (see the
-    module docstring for why). Needs one seed per row set, each an integer
-    in [0, 2**63).
+    Step k updates every user on its own k-th batch and computes as many
+    rows as the widest of those batches, not ``batch_size``; a user out of
+    batches (or with no rows at all) keeps its weights. Returns the weights,
+    shape (users, dim), with the same bits as training each user alone (see
+    the module docstring for why). Needs one seed per row set, each an
+    integer in [0, 2**63).
     """
     if not (lr > 0 and epochs >= 0 and batch_size >= 1):
         raise ValidationError("train: need lr > 0, epochs >= 0 and batch_size >= 1, got "
@@ -316,19 +323,20 @@ def train_users(w_init: np.ndarray, pool: Dataset, rows, epochs: int, lr: float,
     labels = pool.labels.take(batches)
     pad = batches < 0
     counts = batch_size - pad.sum(axis=2)                   # (slots, steps)
-    padded = ((counts > 0) & (counts < batch_size)).any(axis=0)
-    single = (counts == 1).any(axis=0) & (batch_size > 1)
+    width = counts.max(axis=0, initial=0)                   # widest batch of each step
+    padded = ((counts > 0) & (counts < width)).any(axis=0)
+    single = (counts == 1).any(axis=0) & (width > 1)
     onehot = np.eye(n_classes)
     w0 = w_init.reshape(n_classes, n_features + 1)
     w_feat = np.tile(w0[:, :-1], (len(order), 1, 1))        # (slots, classes, features)
     w_bias = np.tile(w0[:, -1], (len(order), 1))            # (slots, classes)
-    for k, (a, pads, singles) in enumerate(zip(active.tolist(), padded.tolist(),
-                                               single.tolist())):
-        x = pool.features.take(batches[:a, k], axis=0)      # (a, batch, features)
+    for k, (a, b, pads, singles) in enumerate(zip(active.tolist(), width.tolist(),
+                                                  padded.tolist(), single.tolist())):
+        x = pool.features.take(batches[:a, k, :b], axis=0)  # (a, b, features)
         wf, wb = w_feat[:a], w_bias[:a]
-        # Scores and their gradients are held batch-major, (batch, a, classes),
-        # so the bias add and the row sum run along one contiguous a * classes axis.
-        z = np.empty((batch_size, a, n_classes))
+        # Scores and their gradients are held batch-major, (b, a, classes), so
+        # the bias add and the row sum run along one contiguous a * classes axis.
+        z = np.empty((b, a, n_classes))
         np.matmul(x, wf.swapaxes(1, 2), out=z.swapaxes(0, 1))
         z += wb
         if singles:
@@ -338,12 +346,12 @@ def train_users(w_init: np.ndarray, pool: Dataset, rows, epochs: int, lr: float,
             s = np.flatnonzero(counts[:a, k] == 1)
             z[0, s] = (x[s, :1] @ wf[s].swapaxes(1, 2))[:, 0] + wb[s]
         p = expit(z)
-        dz = 2.0 * (p - onehot.take(labels[:a, k].T, axis=0)) * p * (1.0 - p)
+        dz = 2.0 * (p - onehot.take(labels[:a, k, :b].T, axis=0)) * p * (1.0 - p)
         if pads:
             dz /= counts[:a, k, None]
-            dz[pad[:a, k].T] = 0.0
+            dz[pad[:a, k, :b].T] = 0.0
         else:
-            dz /= batch_size
+            dz /= b
         if n_features > 1:
             wf -= lr * (dz.transpose(1, 2, 0) @ x)
         else:

@@ -1,9 +1,10 @@
+import re
 import struct
 
 import numpy as np
 import pytest
 
-from mecfl import io
+from mecfl import cli, io
 from mecfl.cli import main as cli_main
 from mecfl.errors import BadMagic, CountMismatch, TruncatedFile, ValidationError
 from mecfl.learning import train, accuracy, weight_dim
@@ -247,7 +248,8 @@ def test_config_rejects_a_value_of_the_wrong_type(entry, tmp_path, monkeypatch):
 
 SEED_ENTRIES = {
     "spec": lambda seed, path: io.run_experiment(desk_spec(seed=seed, user_count=2)),
-    "--seed": lambda seed, path: cli_main(["run", "--seed", str(seed), "--users", "2"]),
+    "--seed": lambda seed, path: cli._build_spec(
+        cli._parser().parse_args(["run", "--seed", str(seed), "--users", "2"]), "proposed"),
     "experiment.seed": lambda seed, path: io.parse_config(f"experiment.seed = {seed}\n"),
     io.SEED_ENV_VAR: lambda seed, path: io.load_config(str(path)),
 }
@@ -408,6 +410,26 @@ def test_cli_verify_fails_on_a_failing_check(monkeypatch, capsys):
                         lambda fast: [CheckResult("stub check", False, "forced failure")])
     assert cli_main(["verify", "--fast"]) == 1
     assert capsys.readouterr().out.startswith("[FAIL] stub check: forced failure")
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["run", "--seed", "-1"], r"seed must be an integer in \[0, 2\*\*63\), got -1",
+                 id="run-seed"),
+    pytest.param(["run", "--users", "0"], "user_count must be >= 1", id="run-users"),
+    pytest.param(["run", "--max-iter", "0"], "max_iterations must be >= 1", id="run-max-iter"),
+    pytest.param(["run", "--scenario", "sweep_offload"],
+                 "cannot handle scenario 'sweep_offload'", id="run-scenario"),
+    pytest.param(["sweep", "--scenario", "proposed"], "cannot handle scenario 'proposed'",
+                 id="sweep-scenario"),
+])
+def test_cli_reports_a_bad_value_as_a_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    # argparse's usage (wrapped to the terminal width), then one error line
+    assert err.startswith(f"usage: mecfl {argv[0]} ") and "Traceback" not in err
+    assert re.fullmatch(f"mecfl {argv[0]}: error: .*{message}", err.splitlines()[-1])
 
 
 def test_cli_run_with_config_file(tmp_path):

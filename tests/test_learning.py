@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
+from mecfl import learning
 from mecfl.errors import EmptyDataset, InconsistentSizes, ValidationError
 from mecfl.learning import (
     _VECTOR_SEEDS_MIN,
@@ -276,11 +278,30 @@ def test_train_users_equals_per_user_reference_loop():
     pytest.param((64, 50, 7, 1, 17), 16, 8, 2, 3, id="two-classes"),
     pytest.param((64, 50, 7, 1, 17), 16, 8, 3, 1, id="one-epoch"),
     pytest.param((64, 50, 7, 1, 17), 16, 8, 3, 5, id="five-epochs"),
+    pytest.param((50, 50, 50), 32, 8, 3, 3, id="short-step-no-padding"),
+    pytest.param((50, 49, 45), 32, 8, 3, 3, id="short-batches-of-different-widths"),
+    pytest.param((33, 33), 32, 8, 3, 3, id="one-row-step-of-all-users"),
+    pytest.param((50,), 32, 8, 3, 3, id="one-row-set-short-last-batch"),
 ])
 def test_train_users_equals_reference_at_branch_points(sizes, batch_size, n_features,
                                                        n_classes, epochs):
     _assert_equals_reference(np.random.default_rng(22), epochs, batch_size, sizes=sizes,
                              n_features=n_features, n_classes=n_classes)
+
+
+def test_train_users_step_is_as_wide_as_its_widest_batch(monkeypatch):
+    # 50 rows in batches of 32 are one 32-row and one 18-row batch per user:
+    # the second step computes 18 score rows, not 32
+    pool, rows, seeds, w0 = _mixed_users(np.random.default_rng(25), sizes=(50, 50, 50))
+    shapes = []
+
+    def recording(z):
+        shapes.append(z.shape)
+        return expit(z)
+
+    monkeypatch.setattr(learning, "expit", recording)
+    train_users(w0, pool, rows, epochs=1, lr=0.3, seeds=seeds, batch_size=32)
+    assert shapes == [(32, 3, pool.n_classes), (18, 3, pool.n_classes)]
 
 
 def test_train_users_zero_epochs_returns_initial_weights():
