@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import ExitStack
 from dataclasses import replace
 
 from . import io
@@ -38,13 +39,31 @@ def _build_spec(args, default_scenario: str) -> io.ExperimentSpec:
     return replace(spec, **overrides) if overrides else spec
 
 
+def _prepare(args, default_scenario: str, stack: ExitStack, trace: str | None = None):
+    """The spec, its open CSV output and its open trace file (None where no path is set).
+
+    ``--config`` is read and the outputs are opened before any simulation
+    starts, so a missing config or an unwritable path costs no run: its
+    ``OSError`` is reported as a usage error.
+    """
+    try:
+        spec = _build_spec(args, default_scenario)
+        out = spec.output_path and stack.enter_context(
+            open(spec.output_path, "w", newline="", encoding="utf-8"))
+        trace = trace and stack.enter_context(open(trace, "w", encoding="utf-8"))
+    except OSError as err:
+        args.error(str(err))
+    return spec, out, trace
+
+
 def _cmd_run(args) -> int:
-    spec = _build_spec(args, "proposed")
-    result = io.run_experiment(spec)
-    if spec.output_path:
-        io.write_metrics_csv(spec.output_path, result)
-    if args.trace:
-        io.write_alloc_trace(args.trace, result)
+    with ExitStack() as stack:
+        spec, out, trace = _prepare(args, "proposed", stack, args.trace)
+        result = io.run_experiment(spec)
+        if out:
+            io.write_metrics_csv(out, result)
+        if trace:
+            io.write_alloc_trace(trace, result)
     last = result.trace[-1]
     status = "converged" if result.converged else "not converged"
     print(f"{spec.scenario}: {status} after {result.iterations_used} iterations")
@@ -56,10 +75,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = _build_spec(args, "sweep_offload")
-    rows = io.run_sweep(spec)
+    with ExitStack() as stack:
+        spec, out, _ = _prepare(args, "sweep_offload", stack)
+        rows = io.run_sweep(spec)
+        if out:
+            io.write_sweep_csv(out, rows)
     if spec.output_path:
-        io.write_sweep_csv(spec.output_path, rows)
         print(f"{spec.scenario}: {len(rows)} rows written to {spec.output_path}")
     else:
         for row in rows:

@@ -17,6 +17,7 @@ set from it, so a file may not set that). The environment variable
 from __future__ import annotations
 
 import ast
+import contextlib
 import csv
 import json
 import math
@@ -97,6 +98,8 @@ class ExperimentSpec:
             raise ValidationError("user_count must be >= 1")
         if self.samples_per_user < 1:
             raise ValidationError("samples_per_user must be >= 1")
+        if self.max_iterations < 1:
+            raise ValidationError("max_iterations must be >= 1")
         if self.data_source not in ("synthetic", "idx"):
             raise ValidationError("data_source must be 'synthetic' or 'idx'")
         if not 0.0 <= self.sweep_delta <= 1.0:
@@ -305,16 +308,14 @@ def representative_users(pop: Population) -> tuple[int, int]:
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run a (non-sweep) scenario described by the spec."""
+    runs = {"proposed": run_proposed, "traditional": run_traditional,
+            "centralized": run_centralized}
+    if spec.scenario not in runs:
+        raise ValidationError(f"run_experiment cannot handle scenario {spec.scenario!r}")
     pop, datasets = synthesize_users(spec)
     test = load_test_dataset(spec)
-    cfg = effective_config(spec)
-    if spec.scenario == "proposed":
-        return run_proposed(pop, datasets, cfg, spec.max_iterations, test_dataset=test)
-    if spec.scenario == "traditional":
-        return run_traditional(pop, datasets, cfg, spec.max_iterations, test_dataset=test)
-    if spec.scenario == "centralized":
-        return run_centralized(pop, datasets, cfg, spec.max_iterations, test_dataset=test)
-    raise ValidationError(f"run_experiment cannot handle scenario {spec.scenario!r}")
+    return runs[spec.scenario](pop, datasets, effective_config(spec), spec.max_iterations,
+                               test_dataset=test)
 
 
 def run_sweep(spec: ExperimentSpec) -> list[dict]:
@@ -362,8 +363,18 @@ def run_sweep(spec: ExperimentSpec) -> list[dict]:
 # output writers
 # --------------------------------------------------------------------------
 
-def write_metrics_csv(path: str, result: ExperimentResult) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+def _text_out(target, newline: str | None = None):
+    """``target`` as a context to write in: an open text file as it is (left
+    open), or a path, opened for writing in UTF-8."""
+    if isinstance(target, (str, os.PathLike)):
+        return open(target, "w", newline=newline, encoding="utf-8")
+    return contextlib.nullcontext(target)
+
+
+def write_metrics_csv(path, result: ExperimentResult) -> None:
+    """One CSV row per iteration to ``path``: a file name, or a text file opened with
+    ``newline=''``."""
+    with _text_out(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(METRICS_HEADER)
         for k, m in enumerate(result.trace):
@@ -374,17 +385,19 @@ def write_metrics_csv(path: str, result: ExperimentResult) -> None:
             ])
 
 
-def write_sweep_csv(path: str, rows: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+def write_sweep_csv(path, rows: list[dict]) -> None:
+    """One CSV row per sweep point to ``path``: a file name, or a text file opened with
+    ``newline=''``."""
+    with _text_out(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(SWEEP_HEADER)
         for row in rows:
             writer.writerow([row["scenario"]] + [repr(row[key]) for key in SWEEP_HEADER[1:]])
 
 
-def write_alloc_trace(path: str, result: ExperimentResult) -> None:
-    """JSON-lines dump of the per-iteration allocation state."""
-    with open(path, "w", encoding="utf-8") as handle:
+def write_alloc_trace(path, result: ExperimentResult) -> None:
+    """JSON-lines dump of the per-iteration allocation state to a file name or a text file."""
+    with _text_out(path) as handle:
         for k, alloc in enumerate(result.alloc_trace):
             record = {name: getattr(alloc, name).tolist() for name in AllocationState._FIELDS}
             handle.write(json.dumps({"iteration": k, **record}) + "\n")

@@ -32,6 +32,10 @@ The bits match because:
   numpy would also take with gemv, is summed row by row in both;
 - score rows are independent, so a step computes each user's rows as its
   batch alone would, however wide the step;
+- the sigmoid (:func:`_sigmoid`) is elementwise, and numpy's ``exp`` gives
+  an entry the same bits at any offset, length or stride of the array;
+  below z = -log(DBL_MAX), about -709.78, ``exp(-z)`` overflows and the
+  sigmoid is 0, so the kernel silences that overflow for the whole call;
 - ``take`` reads the -1 padding as the last row of the pool; padding rows
   get a zero gradient, and a zero added to a sum leaves it unchanged;
 - a step whose batches all have its width divides by the scalar width, the
@@ -54,7 +58,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import EmptyDataset, InconsistentSizes, ValidationError
 from .types import ModelState, _SEED_LIMIT, _is_seed, _require_seed
@@ -245,9 +248,25 @@ def _logits(w: np.ndarray, features: np.ndarray, n_classes: int) -> np.ndarray:
     return features @ rows[:, :-1].T + rows[:, -1]
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-z))`` of every entry, computed in place in ``z``, which it returns.
+
+    Negate, exp, add 1, reciprocal: scipy's ``expit`` in the same steps, on
+    numpy's ``exp``. Below z = -log(DBL_MAX), about -709.78, ``exp(-z)``
+    overflows to inf and the sigmoid is 0 (the true value is below 5.6e-309):
+    callers run it under ``np.errstate(over="ignore")``.
+    """
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.reciprocal(z, out=z)
+
+
 def _scores(w: np.ndarray, features: np.ndarray, n_classes: int) -> np.ndarray:
     """Per-class sigmoid outputs, shape (samples, classes)."""
-    return expit(_logits(w, features, n_classes))
+    z = _logits(w, features, n_classes)
+    with np.errstate(over="ignore"):
+        return _sigmoid(z)
 
 
 def loss_gradient(w: np.ndarray, features: np.ndarray, labels: np.ndarray,
@@ -330,36 +349,39 @@ def train_users(w_init: np.ndarray, pool: Dataset, rows, epochs: int, lr: float,
     w0 = w_init.reshape(n_classes, n_features + 1)
     w_feat = np.tile(w0[:, :-1], (len(order), 1, 1))        # (slots, classes, features)
     w_bias = np.tile(w0[:, -1], (len(order), 1))            # (slots, classes)
-    for k, (a, b, pads, singles) in enumerate(zip(active.tolist(), width.tolist(),
-                                                  padded.tolist(), single.tolist())):
-        x = pool.features.take(batches[:a, k, :b], axis=0)  # (a, b, features)
-        wf, wb = w_feat[:a], w_bias[:a]
-        # Scores and their gradients are held batch-major, (b, a, classes), so
-        # the bias add and the row sum run along one contiguous a * classes axis.
-        z = np.empty((b, a, n_classes))
-        np.matmul(x, wf.swapaxes(1, 2), out=z.swapaxes(0, 1))
-        z += wb
-        if singles:
-            # numpy takes a one-row product with gemv, which sums in another
-            # order than gemm: a user whose batch is one row gets the one-row
-            # product, so a padded batch gives the same bits as its row alone.
-            s = np.flatnonzero(counts[:a, k] == 1)
-            z[0, s] = (x[s, :1] @ wf[s].swapaxes(1, 2))[:, 0] + wb[s]
-        p = expit(z)
-        dz = 2.0 * (p - onehot.take(labels[:a, k, :b].T, axis=0)) * p * (1.0 - p)
-        if pads:
-            dz /= counts[:a, k, None]
-            dz[pad[:a, k, :b].T] = 0.0
-        else:
-            dz /= b
-        if n_features > 1:
-            wf -= lr * (dz.transpose(1, 2, 0) @ x)
-        else:
-            # numpy would take a one-feature product with gemv, whose sum order
-            # depends on the row count and the stride: sum the rows in order.
-            wf -= lr * np.add.reduce(dz * x.swapaxes(0, 1), axis=0)[..., None]
-        wb -= lr * np.add.reduce(dz, axis=0)
-        del x, z, p, dz   # free this step's arrays before the next step allocates its own
+    # One errstate for every step: entering it costs about as much as a
+    # one-user step's sigmoid (see _sigmoid for the overflow it silences).
+    with np.errstate(over="ignore"):
+        for k, (a, b, pads, singles) in enumerate(zip(active.tolist(), width.tolist(),
+                                                      padded.tolist(), single.tolist())):
+            x = pool.features.take(batches[:a, k, :b], axis=0)  # (a, b, features)
+            wf, wb = w_feat[:a], w_bias[:a]
+            # Scores and their gradients are held batch-major, (b, a, classes), so
+            # the bias add and the row sum run along one contiguous a * classes axis.
+            z = np.empty((b, a, n_classes))
+            np.matmul(x, wf.swapaxes(1, 2), out=z.swapaxes(0, 1))
+            z += wb
+            if singles:
+                # numpy takes a one-row product with gemv, which sums in another
+                # order than gemm: a user whose batch is one row gets the one-row
+                # product, so a padded batch gives the same bits as its row alone.
+                s = np.flatnonzero(counts[:a, k] == 1)
+                z[0, s] = (x[s, :1] @ wf[s].swapaxes(1, 2))[:, 0] + wb[s]
+            p = _sigmoid(z)
+            dz = 2.0 * (p - onehot.take(labels[:a, k, :b].T, axis=0)) * p * (1.0 - p)
+            if pads:
+                dz /= counts[:a, k, None]
+                dz[pad[:a, k, :b].T] = 0.0
+            else:
+                dz /= b
+            if n_features > 1:
+                wf -= lr * (dz.transpose(1, 2, 0) @ x)
+            else:
+                # numpy would take a one-feature product with gemv, whose sum order
+                # depends on the row count and the stride: sum the rows in order.
+                wf -= lr * np.add.reduce(dz * x.swapaxes(0, 1), axis=0)[..., None]
+            wb -= lr * np.add.reduce(dz, axis=0)
+            del x, z, p, dz   # free this step's arrays before the next step allocates its own
     out = np.tile(w0, (len(rows), 1, 1))
     out[order, :, :-1] = w_feat
     out[order, :, -1] = w_bias

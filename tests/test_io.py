@@ -421,8 +421,24 @@ def test_cli_verify_fails_on_a_failing_check(monkeypatch, capsys):
                  "cannot handle scenario 'sweep_offload'", id="run-scenario"),
     pytest.param(["sweep", "--scenario", "proposed"], "cannot handle scenario 'proposed'",
                  id="sweep-scenario"),
+    pytest.param(["run", "--out", "{tmp}/no-dir/m.csv"], "No such file or directory: .*m.csv'",
+                 id="run-out"),
+    pytest.param(["run", "--users", "2", "--trace", "{tmp}/no-dir/t.jsonl"],
+                 "No such file or directory: .*t.jsonl'", id="run-trace"),
+    pytest.param(["run", "--out", "{tmp}"], "Is a directory: '.*'", id="run-out-directory"),
+    pytest.param(["run", "--config", "{tmp}/missing.cfg"],
+                 "No such file or directory: .*missing.cfg'", id="run-config"),
+    pytest.param(["sweep", "--out", "{tmp}/no-dir/s.csv"],
+                 "No such file or directory: .*s.csv'", id="sweep-out"),
+    pytest.param(["sweep", "--config", "{tmp}/missing.cfg"],
+                 "No such file or directory: .*missing.cfg'", id="sweep-config"),
 ])
-def test_cli_reports_a_bad_value_as_a_usage_error(argv, message, capsys):
+def test_cli_reports_a_bad_value_as_a_usage_error(argv, message, tmp_path, monkeypatch, capsys):
+    started = []
+    for name in ("run_experiment", "run_sweep"):
+        run = getattr(io, name)
+        monkeypatch.setattr(io, name, lambda spec, run=run: started.append(spec) or run(spec))
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     with pytest.raises(SystemExit) as exit_info:
         cli_main(argv)
     assert exit_info.value.code == 2
@@ -430,6 +446,9 @@ def test_cli_reports_a_bad_value_as_a_usage_error(argv, message, capsys):
     # argparse's usage (wrapped to the terminal width), then one error line
     assert err.startswith(f"usage: mecfl {argv[0]} ") and "Traceback" not in err
     assert re.fullmatch(f"mecfl {argv[0]}: error: .*{message}", err.splitlines()[-1])
+    # the run function refuses a scenario itself; a bad value, a missing
+    # config or an unwritable output is refused before any simulation starts
+    assert len(started) == ("--scenario" in argv)
 
 
 def test_cli_run_with_config_file(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from mecfl.learning import (
     _VECTOR_SEEDS_MIN,
     Dataset,
     _generators,
+    _scores,
+    _sigmoid,
     aggregate,
     evaluate_loss,
     loss_gradient,
@@ -294,12 +297,13 @@ def test_train_users_step_is_as_wide_as_its_widest_batch(monkeypatch):
     # the second step computes 18 score rows, not 32
     pool, rows, seeds, w0 = _mixed_users(np.random.default_rng(25), sizes=(50, 50, 50))
     shapes = []
+    sigmoid = learning._sigmoid
 
     def recording(z):
         shapes.append(z.shape)
-        return expit(z)
+        return sigmoid(z)
 
-    monkeypatch.setattr(learning, "expit", recording)
+    monkeypatch.setattr(learning, "_sigmoid", recording)
     train_users(w0, pool, rows, epochs=1, lr=0.3, seeds=seeds, batch_size=32)
     assert shapes == [(32, 3, pool.n_classes), (18, 3, pool.n_classes)]
 
@@ -413,6 +417,65 @@ def test_generators_equal_default_rng(count):
             view[:] = np.arange(7)
             rng.permuted(view, axis=1, out=view)
         assert np.array_equal(table, expected), f"{message} {s}"
+
+
+def _sigmoid_message(what):
+    return f"_sigmoid {what} on numpy {np.__version__}: np.exp's float64 loop changed"
+
+
+def test_sigmoid_is_within_2_ulp_of_expit():
+    # 1 / (1 + exp(-z)) in expit's steps, on numpy's exp instead of libm's
+    z = np.random.default_rng(31).normal(0.0, 3.0, 10**5)
+    ulps = np.abs(_sigmoid(z.copy()).view(np.int64) - expit(z).view(np.int64))
+    assert ulps.max() <= 2, _sigmoid_message(f"is {ulps.max()} ulp from expit")
+
+
+_EXTREMES = np.array([-1000.0, -710.0, 0.0, 710.0, 1000.0, np.inf, -np.inf, np.nan])
+
+
+def test_sigmoid_equals_expit_at_extremes_without_a_warning():
+    # below z = -709.78 exp(-z) overflows and the sigmoid is 0, as expit gives;
+    # _scores (loss, gradient, accuracy) and train_users silence that overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            direct = _sigmoid(_EXTREMES.copy())
+        # zero features and weights make each class's score its bias
+        n = _EXTREMES.size
+        w = np.stack([np.zeros(n), _EXTREMES], axis=1).ravel()
+        scored = _scores(w, np.zeros((1, 1)), n)[0]
+        pool = Dataset(np.full((6, 1), 0.5), np.arange(6) % 2, 2)
+        w0 = np.array([0.0, -1000.0, 0.0, 1000.0])
+        # every score is 0 or 1 exactly, so every gradient is 0
+        trained = train_users(w0, pool, [np.arange(6)], epochs=2, lr=0.5, seeds=[3],
+                              batch_size=4)
+    expected = expit(_EXTREMES)
+    assert np.array_equal(direct, expected, equal_nan=True), _sigmoid_message("moved")
+    assert np.array_equal(scored, expected, equal_nan=True), _sigmoid_message("moved")
+    assert np.isnan(direct[-1])
+    assert np.array_equal(trained[0], w0)
+
+
+def test_sigmoid_gives_every_layout_the_same_bits():
+    # train_users gives a user the bits of its batch alone only if an entry's
+    # sigmoid does not depend on where it sits in the array
+    z = np.concatenate([np.random.default_rng(32).normal(0.0, 3.0, 592), _EXTREMES])
+    grid = z.reshape(20, 30)
+    with np.errstate(over="ignore"):
+        expected = _sigmoid(grid.copy()).view(np.int64)
+        layouts = {"transposed": grid.T.copy().T,
+                   "strided": np.repeat(grid, 2, axis=1)[:, ::2]}
+        for name, arr in layouts.items():
+            assert np.array_equal(_sigmoid(arr).view(np.int64), expected), \
+                _sigmoid_message(f"gives a {name} array other bits")
+        buf = np.empty(33)
+        for offset in range(17):
+            for length in range(1, 18):
+                view = buf[offset:offset + length]
+                view[:] = z[-length:]
+                assert np.array_equal(_sigmoid(view).view(np.int64),
+                                      expected.ravel()[-length:]), \
+                    _sigmoid_message(f"bits depend on the offset {offset} or length {length}")
 
 
 def _model(local_weights, edge_weights, sizes, kept, edge_size):
