@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import ExitStack
 from dataclasses import replace
 
 from . import io
@@ -39,31 +38,34 @@ def _build_spec(args, default_scenario: str) -> io.ExperimentSpec:
     return replace(spec, **overrides) if overrides else spec
 
 
-def _prepare(args, default_scenario: str, stack: ExitStack, trace: str | None = None):
-    """The spec, its open CSV output and its open trace file (None where no path is set).
+def _prepare(args, default_scenario: str, scenarios: tuple[str, ...]) -> io.ExperimentSpec:
+    """The spec, once its scenario is one of ``scenarios``, ``--config`` is read
+    and ``--out`` and ``--trace`` can be written.
 
-    ``--config`` is read and the outputs are opened before any simulation
-    starts, so a missing config or an unwritable path costs no run: its
-    ``OSError`` is reported as a usage error.
+    All of it is checked before any simulation starts, so a refused value costs
+    no run: an ``OSError`` is reported as a usage error, as main reports a
+    ``ValidationError``.
     """
     try:
         spec = _build_spec(args, default_scenario)
-        out = spec.output_path and stack.enter_context(
-            open(spec.output_path, "w", newline="", encoding="utf-8"))
-        trace = trace and stack.enter_context(open(trace, "w", encoding="utf-8"))
+        if spec.scenario not in scenarios:
+            raise ValidationError(f"cannot handle scenario {spec.scenario!r}")
+        for path in (spec.output_path, getattr(args, "trace", None)):
+            if path:
+                # append mode: an existing file keeps its bytes until the run is done
+                open(path, "a", encoding="utf-8").close()
     except OSError as err:
         args.error(str(err))
-    return spec, out, trace
+    return spec
 
 
 def _cmd_run(args) -> int:
-    with ExitStack() as stack:
-        spec, out, trace = _prepare(args, "proposed", stack, args.trace)
-        result = io.run_experiment(spec)
-        if out:
-            io.write_metrics_csv(out, result)
-        if trace:
-            io.write_alloc_trace(trace, result)
+    spec = _prepare(args, "proposed", io.RUN_SCENARIOS)
+    result = io.run_experiment(spec)
+    if spec.output_path:
+        io.write_metrics_csv(spec.output_path, result)
+    if args.trace:
+        io.write_alloc_trace(args.trace, result)
     last = result.trace[-1]
     status = "converged" if result.converged else "not converged"
     print(f"{spec.scenario}: {status} after {result.iterations_used} iterations")
@@ -75,12 +77,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    with ExitStack() as stack:
-        spec, out, _ = _prepare(args, "sweep_offload", stack)
-        rows = io.run_sweep(spec)
-        if out:
-            io.write_sweep_csv(out, rows)
+    spec = _prepare(args, "sweep_offload", io.SWEEP_SCENARIOS)
+    rows = io.run_sweep(spec)
     if spec.output_path:
+        io.write_sweep_csv(spec.output_path, rows)
         print(f"{spec.scenario}: {len(rows)} rows written to {spec.output_path}")
     else:
         for row in rows:

@@ -17,7 +17,6 @@ set from it, so a file may not set that). The environment variable
 from __future__ import annotations
 
 import ast
-import contextlib
 import csv
 import json
 import math
@@ -40,7 +39,9 @@ from .types import (AllocationState, Population, SystemConfig, _require_field_ty
 
 SEED_ENV_VAR = "MECFL_SEED"
 
-SCENARIOS = ("proposed", "traditional", "centralized", "sweep_offload", "sweep_gamma")
+RUN_SCENARIOS = ("proposed", "traditional", "centralized")   # run_experiment's
+SWEEP_SCENARIOS = ("sweep_offload", "sweep_gamma")          # run_sweep's
+SCENARIOS = RUN_SCENARIOS + SWEEP_SCENARIOS
 
 OFFLOAD_SWEEP_GRID = tuple(round(0.1 * k, 1) for k in range(11))
 # gamma = 0 is degenerate whenever any data stays local, so its grid starts at 0.1
@@ -308,14 +309,13 @@ def representative_users(pop: Population) -> tuple[int, int]:
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run a (non-sweep) scenario described by the spec."""
-    runs = {"proposed": run_proposed, "traditional": run_traditional,
-            "centralized": run_centralized}
-    if spec.scenario not in runs:
+    if spec.scenario not in RUN_SCENARIOS:
         raise ValidationError(f"run_experiment cannot handle scenario {spec.scenario!r}")
+    run = {"proposed": run_proposed, "traditional": run_traditional,
+           "centralized": run_centralized}[spec.scenario]
     pop, datasets = synthesize_users(spec)
     test = load_test_dataset(spec)
-    return runs[spec.scenario](pop, datasets, effective_config(spec), spec.max_iterations,
-                               test_dataset=test)
+    return run(pop, datasets, effective_config(spec), spec.max_iterations, test_dataset=test)
 
 
 def run_sweep(spec: ExperimentSpec) -> list[dict]:
@@ -325,7 +325,7 @@ def run_sweep(spec: ExperimentSpec) -> list[dict]:
     held uniform and no per-round resource adaptation, isolating the swept
     variable. Rows come back in grid order.
     """
-    if spec.scenario not in ("sweep_offload", "sweep_gamma"):
+    if spec.scenario not in SWEEP_SCENARIOS:
         raise ValidationError(f"run_sweep cannot handle scenario {spec.scenario!r}")
     pop, datasets = synthesize_users(spec)
     test = load_test_dataset(spec)
@@ -363,18 +363,8 @@ def run_sweep(spec: ExperimentSpec) -> list[dict]:
 # output writers
 # --------------------------------------------------------------------------
 
-def _text_out(target, newline: str | None = None):
-    """``target`` as a context to write in: an open text file as it is (left
-    open), or a path, opened for writing in UTF-8."""
-    if isinstance(target, (str, os.PathLike)):
-        return open(target, "w", newline=newline, encoding="utf-8")
-    return contextlib.nullcontext(target)
-
-
-def write_metrics_csv(path, result: ExperimentResult) -> None:
-    """One CSV row per iteration to ``path``: a file name, or a text file opened with
-    ``newline=''``."""
-    with _text_out(path, newline="") as handle:
+def write_metrics_csv(path: str, result: ExperimentResult) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(METRICS_HEADER)
         for k, m in enumerate(result.trace):
@@ -385,19 +375,17 @@ def write_metrics_csv(path, result: ExperimentResult) -> None:
             ])
 
 
-def write_sweep_csv(path, rows: list[dict]) -> None:
-    """One CSV row per sweep point to ``path``: a file name, or a text file opened with
-    ``newline=''``."""
-    with _text_out(path, newline="") as handle:
+def write_sweep_csv(path: str, rows: list[dict]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(SWEEP_HEADER)
         for row in rows:
             writer.writerow([row["scenario"]] + [repr(row[key]) for key in SWEEP_HEADER[1:]])
 
 
-def write_alloc_trace(path, result: ExperimentResult) -> None:
-    """JSON-lines dump of the per-iteration allocation state to a file name or a text file."""
-    with _text_out(path) as handle:
+def write_alloc_trace(path: str, result: ExperimentResult) -> None:
+    """JSON-lines dump of the per-iteration allocation state."""
+    with open(path, "w", encoding="utf-8") as handle:
         for k, alloc in enumerate(result.alloc_trace):
             record = {name: getattr(alloc, name).tolist() for name in AllocationState._FIELDS}
             handle.write(json.dumps({"iteration": k, **record}) + "\n")

@@ -350,7 +350,11 @@ def train_users(w_init: np.ndarray, pool: Dataset, rows, epochs: int, lr: float,
     w_feat = np.tile(w0[:, :-1], (len(order), 1, 1))        # (slots, classes, features)
     w_bias = np.tile(w0[:, -1], (len(order), 1))            # (slots, classes)
     # One errstate for every step: entering it costs about as much as a
-    # one-user step's sigmoid (see _sigmoid for the overflow it silences).
+    # one-user step's sigmoid (see _sigmoid for the overflow it is for). It
+    # also covers the gradient and the updates, which cannot overflow from
+    # finite inputs: p lies in [0, 1], so |dz| <= 1/2 before the divide by the
+    # batch size, and a step moves a weight by at most lr * max|x| / 2. Invalid
+    # results (inf - inf) still warn.
     with np.errstate(over="ignore"):
         for k, (a, b, pads, singles) in enumerate(zip(active.tolist(), width.tolist(),
                                                       padded.tolist(), single.tolist())):

@@ -417,10 +417,10 @@ def test_cli_verify_fails_on_a_failing_check(monkeypatch, capsys):
                  id="run-seed"),
     pytest.param(["run", "--users", "0"], "user_count must be >= 1", id="run-users"),
     pytest.param(["run", "--max-iter", "0"], "max_iterations must be >= 1", id="run-max-iter"),
-    pytest.param(["run", "--scenario", "sweep_offload"],
+    pytest.param(["run", "--scenario", "sweep_offload", "--out", "{tmp}/kept.csv"],
                  "cannot handle scenario 'sweep_offload'", id="run-scenario"),
-    pytest.param(["sweep", "--scenario", "proposed"], "cannot handle scenario 'proposed'",
-                 id="sweep-scenario"),
+    pytest.param(["sweep", "--scenario", "proposed", "--out", "{tmp}/kept.csv"],
+                 "cannot handle scenario 'proposed'", id="sweep-scenario"),
     pytest.param(["run", "--out", "{tmp}/no-dir/m.csv"], "No such file or directory: .*m.csv'",
                  id="run-out"),
     pytest.param(["run", "--users", "2", "--trace", "{tmp}/no-dir/t.jsonl"],
@@ -438,6 +438,8 @@ def test_cli_reports_a_bad_value_as_a_usage_error(argv, message, tmp_path, monke
     for name in ("run_experiment", "run_sweep"):
         run = getattr(io, name)
         monkeypatch.setattr(io, name, lambda spec, run=run: started.append(spec) or run(spec))
+    kept = tmp_path / "kept.csv"
+    kept.write_bytes(b"an earlier run's output\n")
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     with pytest.raises(SystemExit) as exit_info:
         cli_main(argv)
@@ -446,9 +448,10 @@ def test_cli_reports_a_bad_value_as_a_usage_error(argv, message, tmp_path, monke
     # argparse's usage (wrapped to the terminal width), then one error line
     assert err.startswith(f"usage: mecfl {argv[0]} ") and "Traceback" not in err
     assert re.fullmatch(f"mecfl {argv[0]}: error: .*{message}", err.splitlines()[-1])
-    # the run function refuses a scenario itself; a bad value, a missing
-    # config or an unwritable output is refused before any simulation starts
-    assert len(started) == ("--scenario" in argv)
+    # a bad value or scenario, a missing config or an unwritable output is
+    # refused before any simulation starts and before any output is touched
+    assert not started
+    assert kept.read_bytes() == b"an earlier run's output\n"
 
 
 def test_cli_run_with_config_file(tmp_path):
