@@ -23,13 +23,17 @@ A step computes only as many rows as its widest batch: on equal shards of
 50 rows in batches of 32, every second step is 18 rows wide, not 32.
 The bits match because:
 
-- the feature weights and the biases are held apart, as ``(users, classes,
-  features)`` and ``(users, classes)`` blocks, and updated in place;
-  ``w - lr * g`` is elementwise, so the layout does not change its bits;
-- products stay ``@``, one gemm per user, which sums each entry in the same
-  order whatever the row stride; a batch of one row gets numpy's one-row
-  product (gemv) as a one-user call does, and a one-feature product, which
-  numpy would also take with gemv, is summed row by row in both;
+- the kernel gathers its batches from ``Dataset.rows``, which end in a 1,
+  and holds every user's weights as one ``(users, classes, features + 1)``
+  block, updated in place; ``w - lr * g`` is elementwise, so the layout does
+  not change its bits;
+- products stay ``@``, one gemm per user, which sums each entry in order
+  whatever the row stride, so a score ends in ``+ 1 * bias`` as in
+  ``_logits``, and the gradient's last column is the bias gradient's row sum
+  (a test pins both); a batch of one row, as in every step one row wide,
+  gets numpy's one-row product (gemv) over its features plus the bias, as a
+  one-user call does, and a one-feature gradient (a two-column product, not
+  summed in order) is summed row by row in both;
 - score rows are independent, so a step computes each user's rows as its
   batch alone would, however wide the step;
 - the sigmoid (:func:`_sigmoid`) is elementwise, and numpy's ``exp`` gives
@@ -40,8 +44,7 @@ The bits match because:
   get a zero gradient, and a zero added to a sum leaves it unchanged;
 - a step whose batches all have its width divides by the scalar width, the
   same float as every user's row count; other steps divide by each user's
-  count;
-- the bias gradient sums the rows in order, as ``sum(axis=0)`` does.
+  count.
 
 A round draws two random streams per user, one for its split and one for
 its epoch orders, each that of ``np.random.default_rng(seed)``. Building a
@@ -60,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyDataset, InconsistentSizes, ValidationError
-from .types import ModelState, _SEED_LIMIT, _is_seed, _require_seed
+from .types import ModelState, _SEED_LIMIT, _is_seed, _require_field_types, _require_seed
 
 _RANGE_ATOL = 1e-9
 # Fewer seeds than this get one default_rng each: the vectorized hash of
@@ -90,28 +93,37 @@ _STATE_CONST = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)   # 8 state words
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix in [0, 1] with integer class labels."""
+    """Feature matrix in [0, 1] with integer class labels.
+
+    Stored once, read-only, as ``rows`` (samples, features + 1): each feature
+    row, then a 1 for the bias. ``features`` is the view ``rows[:, :-1]``.
+    """
 
     features: np.ndarray  # (n_samples, n_features)
     labels: np.ndarray    # (n_samples,)
     n_classes: int
 
     def __post_init__(self):
-        feats = np.array(self.features, dtype=float)
+        feats = np.asarray(self.features, dtype=float)
         labels = np.array(self.labels, dtype=np.int64)
         if feats.ndim != 2:
             raise ValidationError("Dataset: features must be 2-d (samples, features)")
         if labels.shape != (feats.shape[0],):
             raise ValidationError("Dataset: one label per feature row required")
+        _require_field_types(self)
         if self.n_classes < 2:
             raise ValidationError("Dataset: n_classes must be >= 2")
         if feats.size and (feats.min() < -_RANGE_ATOL or feats.max() > 1.0 + _RANGE_ATOL):
             raise ValidationError("Dataset: features must be normalized to [0, 1]")
         if labels.size and (labels.min() < 0 or labels.max() >= self.n_classes):
             raise ValidationError("Dataset: labels must lie in [0, n_classes)")
-        feats.flags.writeable = False
+        rows = np.empty((feats.shape[0], feats.shape[1] + 1))
+        rows[:, :-1] = feats
+        rows[:, -1] = 1.0
+        rows.flags.writeable = False
         labels.flags.writeable = False
-        object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "features", rows[:, :-1])
         object.__setattr__(self, "labels", labels)
 
     @property
@@ -344,11 +356,10 @@ def train_users(w_init: np.ndarray, pool: Dataset, rows, epochs: int, lr: float,
     counts = batch_size - pad.sum(axis=2)                   # (slots, steps)
     width = counts.max(axis=0, initial=0)                   # widest batch of each step
     padded = ((counts > 0) & (counts < width)).any(axis=0)
-    single = (counts == 1).any(axis=0) & (width > 1)
+    single = (counts == 1).any(axis=0)
     onehot = np.eye(n_classes)
     w0 = w_init.reshape(n_classes, n_features + 1)
-    w_feat = np.tile(w0[:, :-1], (len(order), 1, 1))        # (slots, classes, features)
-    w_bias = np.tile(w0[:, -1], (len(order), 1))            # (slots, classes)
+    w = np.tile(w0, (len(order), 1, 1))                     # (slots, classes, features + 1)
     # One errstate for every step: entering it costs about as much as a
     # one-user step's sigmoid (see _sigmoid for the overflow it is for). It
     # also covers the gradient and the updates, which cannot overflow from
@@ -358,19 +369,20 @@ def train_users(w_init: np.ndarray, pool: Dataset, rows, epochs: int, lr: float,
     with np.errstate(over="ignore"):
         for k, (a, b, pads, singles) in enumerate(zip(active.tolist(), width.tolist(),
                                                       padded.tolist(), single.tolist())):
-            x = pool.features.take(batches[:a, k, :b], axis=0)  # (a, b, features)
-            wf, wb = w_feat[:a], w_bias[:a]
-            # Scores and their gradients are held batch-major, (b, a, classes), so
-            # the bias add and the row sum run along one contiguous a * classes axis.
+            x = pool.rows.take(batches[:a, k, :b], axis=0)   # (a, b, features + 1)
+            wa = w[:a]
+            # Scores and their gradients are held batch-major, (b, a, classes); each
+            # score ends in 1 * bias, and the gradient's last column is the bias's.
             z = np.empty((b, a, n_classes))
-            np.matmul(x, wf.swapaxes(1, 2), out=z.swapaxes(0, 1))
-            z += wb
+            np.matmul(x, wa.swapaxes(1, 2), out=z.swapaxes(0, 1))
             if singles:
                 # numpy takes a one-row product with gemv, which sums in another
                 # order than gemm: a user whose batch is one row gets the one-row
-                # product, so a padded batch gives the same bits as its row alone.
+                # product over its features plus the bias, as a batch of that row
+                # alone does in _logits.
                 s = np.flatnonzero(counts[:a, k] == 1)
-                z[0, s] = (x[s, :1] @ wf[s].swapaxes(1, 2))[:, 0] + wb[s]
+                ws = wa[s]
+                z[0, s] = (x[s, :1, :-1] @ ws[:, :, :-1].swapaxes(1, 2))[:, 0] + ws[:, :, -1]
             p = _sigmoid(z)
             dz = 2.0 * (p - onehot.take(labels[:a, k, :b].T, axis=0)) * p * (1.0 - p)
             if pads:
@@ -379,16 +391,14 @@ def train_users(w_init: np.ndarray, pool: Dataset, rows, epochs: int, lr: float,
             else:
                 dz /= b
             if n_features > 1:
-                wf -= lr * (dz.transpose(1, 2, 0) @ x)
+                wa -= lr * (dz.transpose(1, 2, 0) @ x)
             else:
-                # numpy would take a one-feature product with gemv, whose sum order
-                # depends on the row count and the stride: sum the rows in order.
-                wf -= lr * np.add.reduce(dz * x.swapaxes(0, 1), axis=0)[..., None]
-            wb -= lr * np.add.reduce(dz, axis=0)
+                # A product with two columns does not sum in gemm's order: sum the
+                # rows in order, for the feature and the bias alike.
+                wa -= lr * np.add.reduce(dz[..., None] * x.swapaxes(0, 1)[:, :, None], axis=0)
             del x, z, p, dz   # free this step's arrays before the next step allocates its own
     out = np.tile(w0, (len(rows), 1, 1))
-    out[order, :, :-1] = w_feat
-    out[order, :, -1] = w_bias
+    out[order] = w
     return out.reshape(len(rows), dim)
 
 

@@ -285,6 +285,11 @@ def test_train_users_equals_per_user_reference_loop():
     pytest.param((50, 49, 45), 32, 8, 3, 3, id="short-batches-of-different-widths"),
     pytest.param((33, 33), 32, 8, 3, 3, id="one-row-step-of-all-users"),
     pytest.param((50,), 32, 8, 3, 3, id="one-row-set-short-last-batch"),
+    # batch_size 1: every step is one row wide, so every user gets the one-row
+    # product over its features plus the bias, not the gemm over the ones column
+    pytest.param((9, 1, 0, 4), 1, 5, 3, 3, id="steps-one-row-wide-5-features"),
+    pytest.param((9, 1, 0, 4), 1, 16, 3, 3, id="steps-one-row-wide-16-features"),
+    pytest.param((33, 33), 32, 16, 4, 3, id="one-row-step-of-all-users-bench-shape"),
 ])
 def test_train_users_equals_reference_at_branch_points(sizes, batch_size, n_features,
                                                        n_classes, epochs):
@@ -417,6 +422,41 @@ def test_generators_equal_default_rng(count):
             view[:] = np.arange(7)
             rng.permuted(view, axis=1, out=view)
         assert np.array_equal(table, expected), f"{message} {s}"
+
+
+def _blas_build():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):   # numpy before 1.25 prints its config only
+        return "an unreported BLAS"
+    return f"{blas.get('name')} {blas.get('version')} ({blas.get('openblas configuration')})"
+
+
+def test_gemm_sums_the_ones_column_in_order():
+    # train_users multiplies rows that end in a 1 by weights that end in the
+    # bias, and relies on gemm summing each entry in order: the score then
+    # ends in + bias, and the last gradient column is the bias gradient's
+    # row sum, with the bits of the features-alone products loss_gradient
+    # takes. Shapes at bench sizes; a one-row forward product is gemv, which
+    # does not sum in that order, and the kernel computes it apart.
+    rng = np.random.default_rng(27)
+    message = (f"gemm no longer sums each entry in order on numpy {np.__version__} with "
+               f"{_blas_build()}, shape")
+    for n_features in [16, *rng.integers(2, 18, size=99)]:
+        users, rows, n_classes = (int(v) for v in rng.integers([1, 1, 2], [801, 33, 11]))
+        x = rng.uniform(0, 1, (users, rows, n_features))
+        x1 = np.concatenate([x, np.ones((users, rows, 1))], axis=2)
+        w = rng.normal(size=(users, n_classes, n_features + 1))
+        dz = rng.normal(scale=0.1, size=(users, rows, n_classes))
+        shape = (users, rows, n_features, n_classes)
+        if rows > 1:
+            assert np.array_equal(x1 @ w.swapaxes(1, 2),
+                                  x @ w[:, :, :-1].swapaxes(1, 2) + w[:, None, :, -1]), \
+                f"{message} {shape}"
+        assert np.array_equal(dz.swapaxes(1, 2) @ x1,
+                              np.concatenate([dz.swapaxes(1, 2) @ x,
+                                              dz.sum(axis=1)[..., None]], axis=2)), \
+            f"{message} {shape}"
 
 
 def _sigmoid_message(what):
@@ -577,3 +617,7 @@ def test_dataset_validation():
         Dataset([[0.5]], [2], 2)          # label out of range
     with pytest.raises(ValidationError):
         Dataset([[0.5]], [0], 1)          # too few classes
+    for n_classes in (3.0, 2.5, True):  # no integer class count
+        with pytest.raises(ValidationError):
+            Dataset([[0.5]], [0], n_classes)
+    assert Dataset([[0.5]], [0], np.int64(2)).n_classes == 2
