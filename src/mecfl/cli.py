@@ -39,8 +39,8 @@ def _build_spec(args, default_scenario: str) -> io.ExperimentSpec:
 
 
 def _prepare(args, default_scenario: str, scenarios: tuple[str, ...]) -> io.ExperimentSpec:
-    """The spec, once its scenario is one of ``scenarios``, ``--config`` is read
-    and ``--out`` and ``--trace`` can be written.
+    """The spec, once its scenario is one of ``scenarios``, ``--config`` is read,
+    the spec's IDX files can be read and ``--out`` and ``--trace`` written.
 
     All of it is checked before any simulation starts, so a refused value costs
     no run: an ``OSError`` is reported as a usage error, as main reports a
@@ -50,6 +50,9 @@ def _prepare(args, default_scenario: str, scenarios: tuple[str, ...]) -> io.Expe
         spec = _build_spec(args, default_scenario)
         if spec.scenario not in scenarios:
             raise ValidationError(f"cannot handle scenario {spec.scenario!r}")
+        idx_inputs = (spec.idx_images, spec.idx_labels, spec.idx_test_images, spec.idx_test_labels)
+        for path in filter(None, idx_inputs if spec.data_source == "idx" else ()):
+            open(path, "rb").close()
         for path in (spec.output_path, getattr(args, "trace", None)):
             if path:
                 # append mode: an existing file keeps its bytes until the run is done

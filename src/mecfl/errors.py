@@ -1,7 +1,14 @@
 """Exception types raised across the simulator.
 
-Everything derives from :class:`SimulationError` so callers can catch one
-base class. Validation failures additionally derive from ``ValueError``.
+Three classes cover what a caller can do about an error:
+
+- :class:`ValidationError`: a bad argument, config value or input file.
+  Fix the input; the CLI reports it as a usage error (exit status 2). It is
+  also a ``ValueError``.
+- :class:`DegenerateDivisor`: an allocation would make a time or energy
+  term infinite. A search scores that candidate as infeasible (+inf).
+- :class:`SimulationError`: the base of both, raised alone when a search
+  finds no answer or the run's bookkeeping breaks. Nothing to retry.
 """
 
 
@@ -10,26 +17,7 @@ class SimulationError(Exception):
 
 
 class ValidationError(SimulationError, ValueError):
-    """A value violates a documented domain invariant."""
-
-
-class OutOfRange(ValidationError):
-    """A per-user allocation entry lies outside its box bounds."""
-
-    def __init__(self, index: int, field: str, value: float):
-        self.index = index
-        self.field = field
-        self.value = value
-        super().__init__(f"user {index}: {field}={value!r} outside its allowed range")
-
-
-class SumExceedsOne(ValidationError):
-    """An uplink share vector sums past the available bandwidth."""
-
-    def __init__(self, simplex: str, excess: float):
-        self.simplex = simplex
-        self.excess = excess
-        super().__init__(f"{simplex} shares sum to {1.0 + excess:.12g}, exceeding 1 by {excess:.6g}")
+    """A value or input file violates a documented domain invariant."""
 
 
 class DegenerateDivisor(SimulationError):
@@ -38,50 +26,3 @@ class DegenerateDivisor(SimulationError):
     Raised instead of returning ``inf`` so optimizers never propagate
     non-finite values silently.
     """
-
-
-class EmptyDataset(SimulationError):
-    """An operation that needs samples received none."""
-
-
-class InconsistentSizes(SimulationError):
-    """Dataset-size bookkeeping does not partition the full data pool."""
-
-
-class NoFeasiblePoint(SimulationError):
-    """No grid point satisfied the constraint predicate."""
-
-
-class NoSignChange(SimulationError):
-    """Root bracketing failed: the function has equal signs at both ends."""
-
-
-class AllZeroWeights(SimulationError):
-    """Every proportional-allocation weight in a simplex is zero."""
-
-
-class InstanceTooLarge(SimulationError):
-    """The exhaustive oracle only handles tiny instances."""
-
-
-class IdxFormatError(SimulationError):
-    """Base class for problems with IDX-encoded dataset files."""
-
-
-class BadMagic(IdxFormatError):
-    """The IDX magic number does not match the expected record type."""
-
-
-class CountMismatch(IdxFormatError):
-    """Image and label files disagree on the number of samples."""
-
-
-class TruncatedFile(IdxFormatError):
-    """An IDX file ended before the declared payload was read."""
-
-    def __init__(self, path: str, offset: int, wanted: int, got: int):
-        self.path = path
-        self.offset = offset
-        super().__init__(
-            f"{path}: truncated at byte {offset}: wanted {wanted} more bytes, got {got}"
-        )

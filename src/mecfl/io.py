@@ -3,15 +3,17 @@
 The config file format is plain text with flat dotted key paths::
 
     # comment
-    experiment.user_count = 50
+    experiment.user_count = 50   # a comment after the value
     experiment.cpu_hz_range = (1.2e9, 1.5e9)
     system.bandwidth_hz = 20e6
 
 Keys are ``experiment.<field>`` for :class:`ExperimentSpec` fields and
 ``system.<field>`` for :class:`SystemConfig` fields; values are Python
-literals. ``experiment.seed`` is a run's one seed (``system.rng_seed`` is
-set from it, so a file may not set that). The environment variable
-``MECFL_SEED`` overrides the seed when a config file is loaded from disk.
+literals. A line whose first non-blank character is ``#`` is a comment;
+elsewhere a ``#`` starts a comment unless it is inside a quoted string.
+``experiment.seed`` is a run's one seed (``system.rng_seed`` is set from it,
+so a file may not set that). The environment variable ``MECFL_SEED``
+overrides the seed when a config file is loaded from disk.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import BadMagic, CountMismatch, TruncatedFile, ValidationError
+from .errors import ValidationError
 from .learning import Dataset
 from .orchestrator import (
     ExperimentResult,
@@ -133,8 +135,8 @@ def parse_config(text: str) -> ExperimentSpec:
     sys_fields = {f.name for f in fields(SystemConfig)}
     exp_kwargs, sys_kwargs = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValidationError(f"config line {lineno}: expected 'key = value'")
@@ -181,7 +183,8 @@ def _read_exact(handle, count: int, path: str) -> bytes:
     offset = handle.tell()
     data = handle.read(count)
     if len(data) < count:
-        raise TruncatedFile(path, offset, count, len(data))
+        raise ValidationError(f"{path}: truncated at byte {offset}: wanted {count} more bytes, "
+                              f"got {len(data)}")
     return data
 
 
@@ -191,7 +194,7 @@ def _read_idx(path: str, magic: int) -> np.ndarray:
     with open(path, "rb") as handle:
         found, *shape = struct.unpack(f">{1 + n_dims}I", _read_exact(handle, 4 + 4 * n_dims, path))
         if found != magic:
-            raise BadMagic(f"{path}: magic {found:#010x}, expected {magic:#010x}")
+            raise ValidationError(f"{path}: magic {found:#010x}, expected {magic:#010x}")
         raw = _read_exact(handle, math.prod(shape), path)
     return np.frombuffer(raw, dtype=np.uint8).reshape(shape)
 
@@ -200,7 +203,7 @@ def _read_idx_pair(images_path: str, labels_path: str) -> tuple[np.ndarray, np.n
     images = _read_idx(images_path, _IDX_IMAGES_MAGIC)
     labels = _read_idx(labels_path, _IDX_LABELS_MAGIC).astype(np.int64)
     if len(images) != len(labels):
-        raise CountMismatch(f"{len(images)} images but {len(labels)} labels")
+        raise ValidationError(f"{len(images)} images but {len(labels)} labels")
     if not len(images):
         raise ValidationError(f"{images_path}: the IDX pair holds no images")
     return images.reshape(len(images), -1) / 255.0, labels

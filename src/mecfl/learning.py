@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDataset, InconsistentSizes, ValidationError
+from .errors import SimulationError, ValidationError
 from .types import ModelState, _SEED_LIMIT, _is_seed, _require_field_types, _require_seed
 
 _RANGE_ATOL = 1e-9
@@ -135,7 +135,12 @@ class Dataset:
         return self.features.shape[1]
 
     def take(self, indices) -> "Dataset":
-        return Dataset(self.features[indices], self.labels[indices], self.n_classes)
+        """The rows at ``indices`` (an index array, slice or boolean mask), not checked again."""
+        rows, labels = self.rows[indices], self.labels[indices]
+        rows.flags.writeable = labels.flags.writeable = False
+        out = object.__new__(Dataset)   # frozen: fill its __dict__ as __post_init__ would
+        vars(out).update(rows=rows, features=rows[:, :-1], labels=labels, n_classes=self.n_classes)
+        return out
 
 
 def weight_dim(n_features: int, n_classes: int) -> int:
@@ -290,7 +295,7 @@ def loss_gradient(w: np.ndarray, features: np.ndarray, labels: np.ndarray,
     gives the same bits as one call per batch.
     """
     if len(labels) == 0:
-        raise EmptyDataset("loss_gradient: no rows")
+        raise ValidationError("loss_gradient: no rows")
     probs = _scores(w, features, n_classes)
     dz = 2.0 * (probs - np.eye(n_classes)[labels]) * probs * (1.0 - probs) / len(labels)
     if features.shape[1] > 1:
@@ -406,7 +411,7 @@ def train(w_init: np.ndarray, d: Dataset, epochs: int, lr: float, seed: int,
           batch_size: int = 32) -> np.ndarray:
     """Mini-batch SGD on all rows of ``d``: :func:`train_users` for one user."""
     if d.sample_count == 0:
-        raise EmptyDataset("train: dataset has no samples")
+        raise ValidationError("train: dataset has no samples")
     return train_users(w_init, d, [np.arange(d.sample_count)], epochs, lr, [seed],
                        batch_size)[0]
 
@@ -414,14 +419,14 @@ def train(w_init: np.ndarray, d: Dataset, epochs: int, lr: float, seed: int,
 def evaluate_loss(w: np.ndarray, d: Dataset) -> float:
     """Mean over samples of the summed per-class squared sigmoid error."""
     if d.sample_count == 0:
-        raise EmptyDataset("evaluate_loss: dataset has no samples")
+        raise ValidationError("evaluate_loss: dataset has no samples")
     errors = _scores(w, d.features, d.n_classes) - np.eye(d.n_classes)[d.labels]
     return float(np.sum(errors ** 2) / d.sample_count)
 
 
 def accuracy(w: np.ndarray, d: Dataset) -> float:
     if d.sample_count == 0:
-        raise EmptyDataset("accuracy: dataset has no samples")
+        raise ValidationError("accuracy: dataset has no samples")
     predicted = np.argmax(_scores(w, d.features, d.n_classes), axis=1)
     return float(np.mean(predicted == d.labels))
 
@@ -437,11 +442,9 @@ def aggregate(model: ModelState) -> np.ndarray:
     total = int(model.dataset_sizes.sum())
     trained = int(model.local_trainset_sizes.sum()) + int(model.edge_trainset_size)
     if trained != total:
-        raise InconsistentSizes(
-            f"aggregate: trained on {trained} samples but the pool holds {total}"
-        )
+        raise SimulationError(f"aggregate: trained on {trained} samples but the pool holds {total}")
     coeffs = model.local_trainset_sizes / total
     edge_coeff = model.edge_trainset_size / total
     if abs(float(coeffs.sum()) + edge_coeff - 1.0) > 1e-12:
-        raise InconsistentSizes("aggregate: coefficients do not sum to 1")
+        raise SimulationError("aggregate: coefficients do not sum to 1")
     return coeffs @ model.local_weights + edge_coeff * model.edge_weights

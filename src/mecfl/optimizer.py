@@ -26,7 +26,7 @@ from .costs import (
     transmit_time,
     weights_bytes,
 )
-from .errors import AllZeroWeights, ValidationError
+from .errors import ValidationError
 from .types import AllocationState, Population, SystemConfig, project_unit_interval
 
 # Keeps both multipliers strictly positive; repeated penalty increments
@@ -127,7 +127,7 @@ def simplex_shares(weights: np.ndarray) -> np.ndarray:
         raise ValidationError("simplex_shares: weights must be finite and >= 0")
     total = weights.sum()
     if total <= 0.0:
-        raise AllZeroWeights("simplex_shares: every proportionality weight is zero")
+        raise ValidationError("simplex_shares: every proportionality weight is zero")
     return weights / total
 
 

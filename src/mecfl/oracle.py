@@ -28,14 +28,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import costs
-from .errors import (
-    DegenerateDivisor,
-    InstanceTooLarge,
-    NoFeasiblePoint,
-    NoSignChange,
-    SimulationError,
-    ValidationError,
-)
+from .errors import DegenerateDivisor, SimulationError, ValidationError
 from .types import AllocationState, Population, SystemConfig, _require_positive
 
 _GRID_BLOCK = 16384                       # grid points scored per call of f
@@ -76,7 +69,7 @@ def grid_minimize(f, lo: float, hi: float, points: int, constraint=None):
             if ys[i] < best_y:
                 best_x, best_y = block[i], ys[i]
     if best_x is None:
-        raise NoFeasiblePoint("grid_minimize: no feasible grid point")
+        raise SimulationError("grid_minimize: no feasible grid point")
     return float(best_x), float(best_y)
 
 
@@ -89,9 +82,9 @@ def bisect_root(g, lo, hi, tol: float):
     gets its root bit for bit; a lane that has its root stays there. Signs
     are compared, not the product ``g(mid) * g(lo)``, which can underflow.
     Each end is evaluated once. The first lane with a NaN value while it
-    searches raises :class:`ValidationError`, the first with ends of one
-    sign :class:`NoSignChange`, each naming its values. Scalar ends are one
-    0-d lane, root a float.
+    searches, or else the first with ends of one sign, raises
+    :class:`ValidationError` naming its values. Scalar ends are one 0-d
+    lane, root a float.
     """
     _require_positive("bisect_root", tol=tol)
     lo, hi = (np.array(end, dtype=float) for end in np.broadcast_arrays(lo, hi))
@@ -113,7 +106,7 @@ def bisect_root(g, lo, hi, tol: float):
     same_sign = searching & ((g_lo < 0.0) == (g_hi < 0.0))
     if same_sign.any():
         k = same_sign.argmax()
-        raise NoSignChange(f"bisect_root: g({lo.flat[k]})={g_lo.flat[k]:g} and "
+        raise ValidationError(f"bisect_root: g({lo.flat[k]})={g_lo.flat[k]:g} and "
                            f"g({hi.flat[k]})={g_hi.flat[k]:g} share a sign")
     a, step = lo, hi - lo
     for _ in range(_BISECT_HALVINGS):
@@ -198,7 +191,7 @@ def simplex_minimize_maxtime(pop: Population, alloc: AllocationState, dim: int,
     """
     n = pop.n_users
     if n > 3:
-        raise InstanceTooLarge(f"simplex_minimize_maxtime: {n} users (max 3)")
+        raise ValidationError(f"simplex_minimize_maxtime: {n} users (max 3)")
     if not (math.isfinite(resolution) and 0 < resolution <= 1):
         raise ValidationError("simplex_minimize_maxtime: resolution must be finite, > 0 "
                               f"and <= 1, got {resolution!r}")
@@ -212,6 +205,6 @@ def simplex_minimize_maxtime(pop: Population, alloc: AllocationState, dim: int,
         shares, starved,
         lambda s: costs.local_time(pop, replace(alloc, uplink_weight=s), dim, cfg))
     if best_offload is None or best_upload is None:
-        raise NoFeasiblePoint("simplex_minimize_maxtime: every grid point was degenerate")
+        raise SimulationError("simplex_minimize_maxtime: every grid point was degenerate")
     offload, upload = shares[[best_offload, best_upload]]
     return offload, upload

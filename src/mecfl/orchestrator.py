@@ -133,7 +133,7 @@ def run_proposed(pop: Population, datasets, cfg: SystemConfig, max_iterations: i
             model = _train_round(pop, datasets, train_pool, alloc.delta, model, cfg, rng)
             metrics = _round_metrics(pop, alloc, model, dim, cfg, train_pool, test_dataset)
         except SimulationError as exc:
-            raise SimulationError(f"iteration {iteration}: {exc}") from exc
+            raise type(exc)(f"iteration {iteration}: {exc}") from exc
         trace.append(metrics)
         allocs.append(alloc)
         if stop_on_convergence and iteration >= 1:

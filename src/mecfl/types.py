@@ -4,7 +4,7 @@ All types are frozen dataclasses and every array field is made read-only at
 construction, so instances are immutable value objects that can be shared
 across workers without synchronization. Invalid states cannot be built:
 constructors validate their invariants and raise :class:`ValidationError`
-(or a subclass) on violation.
+on violation.
 
 An :class:`AllocationState` is one allocation of ``n`` users, or a stack of
 candidate allocations: its fields may be shaped ``(..., n)``. They are
@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import OutOfRange, SumExceedsOne, ValidationError
+from .errors import ValidationError
 
 # Absolute slack used when comparing allocations against box/simplex bounds.
 CONSTRAINT_ATOL = 1e-9
@@ -202,7 +202,8 @@ def validate_allocation(alloc: AllocationState, n_users: int) -> AllocationState
     """Check an allocation against its box and simplex constraints.
 
     Returns the input unchanged when every invariant holds; raises
-    :class:`OutOfRange` or :class:`SumExceedsOne` otherwise. Comparisons
+    :class:`ValidationError` otherwise, naming the field, the user and the
+    value, or the share vector and its excess over 1. Comparisons
     use an absolute slack of ``CONSTRAINT_ATOL``. Non-finite entries are
     reported first, then out-of-range ones, then an oversized share sum;
     within one check the first field in ``_FIELDS`` order, then the first
@@ -226,12 +227,15 @@ def validate_allocation(alloc: AllocationState, n_users: int) -> AllocationState
             raise ValidationError(f"AllocationState: {names[row]}[{', '.join(map(str, where))}]"
                                   " is not finite")
         where = np.unravel_index(int(inside.argmin()), stacked.shape)
-        raise OutOfRange(int(where[-1]), names[where[0]], float(stacked[where]))
+        raise ValidationError(f"user {int(where[-1])}: {names[where[0]]}="
+                              f"{float(stacked[where])!r} outside its allowed range")
     totals = stacked[2:4].sum(axis=-1)
     over = totals > 1.0 + CONSTRAINT_ATOL
     if over.any():
         first = np.unravel_index(int(over.argmax()), over.shape)
-        raise SumExceedsOne(names[2 + first[0]], float(totals[first]) - 1.0)
+        excess = float(totals[first]) - 1.0
+        raise ValidationError(f"{names[2 + first[0]]} shares sum to {1.0 + excess:.12g}, "
+                              f"exceeding 1 by {excess:.6g}")
     return alloc
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from mecfl import cli, io
 from mecfl.cli import main as cli_main
-from mecfl.errors import BadMagic, CountMismatch, TruncatedFile, ValidationError
+from mecfl.errors import ValidationError
 from mecfl.learning import train, accuracy, weight_dim
 from mecfl.orchestrator import run_proposed
 from mecfl.verify import CheckResult
@@ -46,22 +46,21 @@ def test_load_idx_round_trip(tmp_path):
 def test_load_idx_bad_magic(tmp_path):
     img, lbl = write_idx_pair(tmp_path, np.zeros((2, 2, 2), np.uint8), [0, 1],
                               image_magic=0x801)
-    with pytest.raises(BadMagic):
+    with pytest.raises(ValidationError, match="magic 0x00000801, expected 0x00000803"):
         io.load_idx(img, lbl)
 
 
 def test_load_idx_count_mismatch(tmp_path):
     img, lbl = write_idx_pair(tmp_path, np.zeros((3, 2, 2), np.uint8), [0, 1])
-    with pytest.raises(CountMismatch):
+    with pytest.raises(ValidationError, match="3 images but 2 labels"):
         io.load_idx(img, lbl)
 
 
 def test_load_idx_truncated_reports_offset(tmp_path):
     img, lbl = write_idx_pair(tmp_path, np.zeros((3, 2, 2), np.uint8), [0, 1, 2],
                               truncate_images=5)
-    with pytest.raises(TruncatedFile) as excinfo:
+    with pytest.raises(ValidationError, match="truncated at byte 16: "):
         io.load_idx(img, lbl)
-    assert excinfo.value.offset == 16
 
 
 def test_load_idx_empty_pair_rejected(tmp_path):
@@ -178,9 +177,11 @@ def test_representative_users_break_gain_ties_by_index():
 # ---------------------------------------------------------------- config
 
 def test_config_round_trip():
-    spec = desk_spec(seed=42, scenario="sweep_gamma", user_count=7,
-                     channel_gain_range=(1e-8, 1e-6), output_path="out.csv")
-    assert io.parse_config(io.emit_config(spec)) == spec
+    for spec in (desk_spec(seed=42, scenario="sweep_gamma", user_count=7,
+                           channel_gain_range=(1e-8, 1e-6), output_path="out.csv"),
+                 # a '#' inside a quoted value is part of the value, not a comment
+                 desk_spec(data_source="idx", idx_images="data#1/img", output_path="run # 2.csv")):
+        assert io.parse_config(io.emit_config(spec)) == spec
 
 
 def test_config_rejects_rng_seed_and_names_the_seed_to_set():
@@ -270,7 +271,8 @@ def test_a_seed_outside_0_to_2_63_is_refused_where_it_enters(entry, seed, tmp_pa
 
 def test_config_takes_an_integer_for_a_real_and_a_list_for_a_range():
     spec = io.parse_config("system.bandwidth_hz = 20000000\n"
-                           "experiment.cpu_hz_range = [1e9, 2e9]\n"
+                           "experiment.cpu_hz_range = [1e9, 2e9]  # cycles/s, lo = 1e9\n"
+                           "  # an indented comment line\n"
                            "experiment.channel_gain_range = None\n")
     assert spec.system.bandwidth_hz == 2e7 and spec.cpu_hz_range == [1e9, 2e9]
 
@@ -452,6 +454,26 @@ def test_cli_reports_a_bad_value_as_a_usage_error(argv, message, tmp_path, monke
     # refused before any simulation starts and before any output is touched
     assert not started
     assert kept.read_bytes() == b"an earlier run's output\n"
+
+
+@pytest.mark.parametrize("command, scenario", [("run", "proposed"), ("sweep", "sweep_offload")])
+@pytest.mark.parametrize("fault", ["missing-file", "bad-magic"])
+def test_cli_reports_a_bad_idx_input_as_a_usage_error(command, scenario, fault, tmp_path, capsys):
+    images, labels = write_idx_pair(tmp_path, np.zeros((4, 2, 2), np.uint8), [0, 1, 0, 1],
+                                    image_magic=0x801 if fault == "bad-magic" else 0x803)
+    if fault == "missing-file":
+        images = str(tmp_path / "missing.idx3-ubyte")
+    config = tmp_path / "idx.cfg"
+    config.write_text(io.emit_config(desk_spec(
+        scenario=scenario, user_count=2, max_iterations=1, sweep_rounds=1, data_source="idx",
+        idx_images=images, idx_labels=labels, idx_test_images=images, idx_test_labels=labels)))
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main([command, "--config", str(config)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(f"mecfl {command}: error: ")
+    assert images in err.splitlines()[-1]
 
 
 def test_cli_run_with_config_file(tmp_path):

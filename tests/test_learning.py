@@ -6,7 +6,7 @@ import pytest
 from scipy.special import expit
 
 from mecfl import learning
-from mecfl.errors import EmptyDataset, InconsistentSizes, ValidationError
+from mecfl.errors import SimulationError, ValidationError
 from mecfl.learning import (
     _VECTOR_SEEDS_MIN,
     Dataset,
@@ -186,12 +186,12 @@ def test_train_loss_decreases():
 
 def test_train_rejects_empty_dataset():
     empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(ValidationError, match="train: dataset has no samples"):
         train(np.zeros(weight_dim(2, 2)), empty, epochs=1, lr=0.1, seed=0)
 
 
 def test_loss_gradient_rejects_no_rows():
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(ValidationError, match="loss_gradient: no rows"):
         loss_gradient(np.zeros(weight_dim(2, 2)), np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
 
 
@@ -571,7 +571,8 @@ def test_aggregate_coefficients_form_probability_vector():
 
 def test_aggregate_detects_inconsistent_sizes():
     model = _model(np.zeros((2, 3)), np.zeros(3), [100, 100], [50, 50], 40)
-    with pytest.raises(InconsistentSizes):
+    with pytest.raises(SimulationError, match="aggregate: trained on 140 samples but the pool "
+                                              "holds 200"):
         aggregate(model)
 
 
@@ -606,7 +607,7 @@ def test_loss_matches_naive_double_loop():
 
 def test_loss_rejects_empty_dataset():
     empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(ValidationError, match="evaluate_loss: dataset has no samples"):
         evaluate_loss(np.zeros(weight_dim(2, 2)), empty)
 
 
@@ -621,3 +622,18 @@ def test_dataset_validation():
         with pytest.raises(ValidationError):
             Dataset([[0.5]], [0], n_classes)
     assert Dataset([[0.5]], [0], np.int64(2)).n_classes == 2
+
+
+@pytest.mark.parametrize("pick", ["indices", "slice", "mask"])
+def test_take_equals_the_validating_constructor(pick):
+    rng = np.random.default_rng(17)
+    d = random_dataset(rng, n=30, n_features=5, n_classes=3)
+    indices = {"indices": rng.permutation(30)[:12], "slice": slice(3, 27, 4),
+               "mask": rng.random(30) < 0.5}[pick]
+    got = d.take(indices)
+    want = Dataset(d.features[indices], d.labels[indices], d.n_classes)
+    assert got.n_classes == want.n_classes
+    for name in ("rows", "features", "labels"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert not a.flags.writeable and not b.flags.writeable, name

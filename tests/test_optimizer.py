@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 
 from mecfl import costs
 from mecfl.costs import base_rate
-from mecfl.errors import AllZeroWeights, DegenerateDivisor, ValidationError
+from mecfl.errors import DegenerateDivisor, ValidationError
 from mecfl.optimizer import (
     LAMBDA_MIN,
     simplex_shares,
@@ -218,7 +218,7 @@ def test_uplink_all_zero_offload_weights():
 
 
 def test_simplex_shares_reject_all_zero_weights():
-    with pytest.raises(AllZeroWeights):
+    with pytest.raises(ValidationError, match="every proportionality weight is zero"):
         simplex_shares(np.zeros(3))
 
 

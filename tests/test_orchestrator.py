@@ -4,7 +4,7 @@ from dataclasses import replace
 
 from mecfl import costs, io
 from mecfl.costs import base_rate
-from mecfl.errors import SimulationError, ValidationError
+from mecfl.errors import DegenerateDivisor, SimulationError, ValidationError
 from mecfl.learning import (
     _VECTOR_SEEDS_MIN,
     Dataset,
@@ -143,8 +143,11 @@ def test_errors_carry_iteration_context():
     # budgets far below the transmission cost with offloading forbidden:
     # no CPU budget remains, local training time diverges
     starved = replace(pop, energy_budget=np.full(pop.n_users, 1e-15))
-    with pytest.raises(SimulationError, match="iteration 1"):
+    with pytest.raises(SimulationError, match="iteration 1") as excinfo:
         run_proposed(starved, datasets, cfg, 5, test_dataset=test, force_delta=0.0)
+    # the iteration prefix keeps the class of the error it wraps
+    assert type(excinfo.value) is DegenerateDivisor
+    assert type(excinfo.value.__cause__) is DegenerateDivisor
 
 
 def test_starved_budget_degrades_to_full_offloading():

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mecfl.errors import OutOfRange, SumExceedsOne, ValidationError
+from mecfl.errors import ValidationError
 from mecfl.types import (
     AllocationState,
     ModelState,
@@ -51,30 +51,33 @@ def test_validate_allocation_accepts_feasible_point():
     assert validate_allocation(alloc, 2) is alloc
 
 
+def _excess(error: ValidationError) -> float:
+    """The excess over 1 that a share-sum message reports."""
+    return float(str(error).split("exceeding 1 by ")[1])
+
+
 def test_offload_simplex_violation():
-    with pytest.raises(SumExceedsOne) as excinfo:
+    with pytest.raises(ValidationError, match="^uplink_offload shares sum to ") as excinfo:
         AllocationState(
             delta=[0.5, 0.5], gamma=[0.5, 0.5],
             uplink_offload=[0.7, 0.7], uplink_weight=[0.3, 0.3],
             lambda_offload=[0.5, 0.5], lambda_local=[0.5, 0.5],
         )
-    assert excinfo.value.simplex == "uplink_offload"
-    assert excinfo.value.excess == pytest.approx(0.4)
+    assert _excess(excinfo.value) == pytest.approx(0.4)
 
 
 def test_delta_out_of_range():
-    with pytest.raises(OutOfRange) as excinfo:
+    with pytest.raises(ValidationError, match=r"^user 0: delta=1\.2 outside its allowed range$"):
         AllocationState(
             delta=[1.2, 0.0], gamma=[0.5, 0.5],
             uplink_offload=[0.5, 0.5], uplink_weight=[0.3, 0.3],
             lambda_offload=[0.5, 0.5], lambda_local=[0.5, 0.5],
         )
-    assert excinfo.value.index == 0
-    assert excinfo.value.field == "delta"
 
 
 def test_negative_multiplier_rejected():
-    with pytest.raises(OutOfRange):
+    with pytest.raises(ValidationError, match="^user 0: lambda_offload=-0.1 outside its allowed "
+                                              "range$"):
         make_alloc(2, lam_offload=[-0.1, 0.5])
 
 
@@ -189,39 +192,50 @@ FEASIBLE_TWO_USERS = dict(delta=[0.5, 0.5], gamma=[0.5, 0.5],
                           lambda_offload=[0.5, 0.5], lambda_local=[0.5, 0.5])
 
 
+NOT_FINITE, OUT_OF_RANGE, SUM = "is not finite", "outside its allowed range", "shares sum to"
+# test ids: one word per violation, kept stable so that each case keeps its name
+_VIOLATION_IDS = {NOT_FINITE: "ValidationError", OUT_OF_RANGE: "OutOfRange", SUM: "SumExceedsOne"}
+
+
+def _case_id(value):
+    return _VIOLATION_IDS.get(value) if isinstance(value, str) else None
+
+
 PRECEDENCE_CASES = [
     # non-finite beats an out-of-range entry in an earlier field
     (dict(delta=[1.5, 0.5], lambda_local=[0.5, float("nan")]),
-     ValidationError, "lambda_local", 1),
+     NOT_FINITE, "lambda_local", 1),
     # out of range beats an oversized share sum
-    (dict(gamma=[0.5, -0.2], uplink_offload=[0.8, 0.8]), OutOfRange, "gamma", 1),
+    (dict(gamma=[0.5, -0.2], uplink_offload=[0.8, 0.8]), OUT_OF_RANGE, "gamma", 1),
     # the first field in field order wins, whatever the user index
-    (dict(delta=[0.5, 1.2], gamma=[-0.5, 0.5]), OutOfRange, "delta", 1),
+    (dict(delta=[0.5, 1.2], gamma=[-0.5, 0.5]), OUT_OF_RANGE, "delta", 1),
     (dict(uplink_weight=[0.3, 1.5], lambda_offload=[-1.0, 0.5]),
-     OutOfRange, "uplink_weight", 1),
+     OUT_OF_RANGE, "uplink_weight", 1),
     # within one field the lowest user index wins
-    (dict(gamma=[2.0, 3.0]), OutOfRange, "gamma", 0),
+    (dict(gamma=[2.0, 3.0]), OUT_OF_RANGE, "gamma", 0),
     # both share sums too large: the offload simplex is reported
     (dict(uplink_offload=[0.6, 0.6], uplink_weight=[0.9, 0.9]),
-     SumExceedsOne, "uplink_offload", None),
+     SUM, "uplink_offload", None),
 ]
 
 
-@pytest.mark.parametrize("overrides, error, field, index", PRECEDENCE_CASES)
-def test_validation_precedence_when_violations_co_occur(overrides, error, field, index):
+@pytest.mark.parametrize("overrides, violation, field, index", PRECEDENCE_CASES, ids=_case_id)
+def test_validation_precedence_when_violations_co_occur(overrides, violation, field, index):
     with pytest.raises(ValidationError) as excinfo:
         AllocationState(**{**FEASIBLE_TWO_USERS, **overrides})
-    assert type(excinfo.value) is error
-    if error is OutOfRange:
-        assert (excinfo.value.field, excinfo.value.index) == (field, index)
-    elif error is SumExceedsOne:
-        assert excinfo.value.simplex == field
+    assert type(excinfo.value) is ValidationError
+    message = str(excinfo.value)
+    assert violation in message
+    if violation == OUT_OF_RANGE:
+        assert message.startswith(f"user {index}: {field}=")
+    elif violation == SUM:
+        assert message.startswith(f"{field} {SUM} ")
     else:
-        assert f"{field}[{index}] is not finite" in str(excinfo.value)
+        assert f"{field}[{index}] {NOT_FINITE}" in message
 
 
-@pytest.mark.parametrize("overrides, error, field, index", PRECEDENCE_CASES)
-def test_bad_candidate_in_a_stack_raises_as_in_one_d(overrides, error, field, index):
+@pytest.mark.parametrize("overrides, violation, field, index", PRECEDENCE_CASES, ids=_case_id)
+def test_bad_candidate_in_a_stack_raises_as_in_one_d(overrides, violation, field, index):
     # candidates 0 and 2 are feasible, candidate 1 carries the violations
     stack = {name: np.array([value, overrides.get(name, value), value])
              for name, value in FEASIBLE_TWO_USERS.items()}
@@ -229,14 +243,14 @@ def test_bad_candidate_in_a_stack_raises_as_in_one_d(overrides, error, field, in
         AllocationState(**{**FEASIBLE_TWO_USERS, **overrides})
     with pytest.raises(ValidationError) as stacked:
         AllocationState(**stack)
-    assert type(stacked.value) is type(one_d.value) is error
-    if error is ValidationError:
-        assert f"{field}[1, {index}] is not finite" in str(stacked.value)
+    assert type(stacked.value) is type(one_d.value) is ValidationError
+    if violation == NOT_FINITE:
+        assert f"{field}[1, {index}] {NOT_FINITE}" in str(stacked.value)
     else:
+        assert violation in str(stacked.value)
         assert str(stacked.value) == str(one_d.value)
-        assert vars(stacked.value) == vars(one_d.value)
-    if error is SumExceedsOne:
-        assert stacked.value.excess == pytest.approx(sum(overrides[field]) - 1.0)
+    if violation == SUM:
+        assert _excess(stacked.value) == pytest.approx(sum(overrides[field]) - 1.0)
 
 
 def test_stack_broadcasts_its_fields_to_one_read_only_shape():
