@@ -6,12 +6,12 @@ weights plus a trailing bias, flattened into a single vector of length
 squared error between the per-class sigmoid outputs and the one-hot target.
 
 A :class:`Dataset` is validated once, where data enters the program (the
-``io`` loaders and synthesizers, or a public caller). SGD then reads rows by
-index from it. :func:`train_users` is the one SGD kernel: it trains many
-users at once, each on its own row set of one pool, one mini-batch step for
-all users at a time. :func:`train` is its one-row-set call, and
-:func:`split_dataset` returns row indices, so local training copies no user
-data.
+``io`` loaders and synthesizers, or a public caller); ``take`` and
+:func:`concat_datasets` do not check its rows again. SGD reads rows by index:
+:func:`train_users` is the one SGD kernel, training many users at once, each
+on its own row set of one pool. :func:`train` is its one-row-set call, and
+:func:`split_dataset` returns every user's pool rows, so local training copies
+no user data.
 
 The kernel gives every user the same bits as :func:`loss_gradient` steps on
 that user's batches alone. Everything that does not change between steps is
@@ -57,7 +57,6 @@ state from the hash as numpy does, and sets it on one reused generator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,11 +119,8 @@ class Dataset:
         rows = np.empty((feats.shape[0], feats.shape[1] + 1))
         rows[:, :-1] = feats
         rows[:, -1] = 1.0
-        rows.flags.writeable = False
-        labels.flags.writeable = False
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "features", rows[:, :-1])
-        object.__setattr__(self, "labels", labels)
+        rows.flags.writeable = labels.flags.writeable = False
+        vars(self).update(rows=rows, features=rows[:, :-1], labels=labels)   # frozen: fill __dict__
 
     @property
     def sample_count(self) -> int:
@@ -136,11 +132,15 @@ class Dataset:
 
     def take(self, indices) -> "Dataset":
         """The rows at ``indices`` (an index array, slice or boolean mask), not checked again."""
-        rows, labels = self.rows[indices], self.labels[indices]
-        rows.flags.writeable = labels.flags.writeable = False
-        out = object.__new__(Dataset)   # frozen: fill its __dict__ as __post_init__ would
-        vars(out).update(rows=rows, features=rows[:, :-1], labels=labels, n_classes=self.n_classes)
-        return out
+        return _unchecked(self.rows[indices], self.labels[indices], self.n_classes)
+
+
+def _unchecked(rows: np.ndarray, labels: np.ndarray, n_classes: int) -> Dataset:
+    """The ``Dataset`` of ``rows`` (each ending in a 1) and ``labels``, read-only, unchecked."""
+    rows.flags.writeable = labels.flags.writeable = False
+    out = object.__new__(Dataset)   # frozen: fill its __dict__ as __post_init__ would
+    vars(out).update(rows=rows, features=rows[:, :-1], labels=labels, n_classes=n_classes)
+    return out
 
 
 def weight_dim(n_features: int, n_classes: int) -> int:
@@ -148,37 +148,40 @@ def weight_dim(n_features: int, n_classes: int) -> int:
     return (n_features + 1) * n_classes
 
 
-def split_dataset(d: Dataset, delta: float,
-                  seed: int | np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform random partition of the rows of ``d`` as ``(kept_rows, offloaded_rows)``.
+def split_dataset(sizes, delta, seeds) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Every user's pool rows as ``(kept_rows, offloaded_rows)``, one index array per user each.
 
-    round(delta * n) row indices go to the edge; ties round half-up and the
-    remainder stays local, so the two index arrays always partition
-    ``range(n)`` exactly. ``seed`` is an integer or a ``Generator``, which is
-    drawn from as given: a generator with the stream of
-    ``np.random.default_rng(s)`` gives the same split as the seed ``s``.
-    Deterministic for a fixed seed, an integer in [0, 2**63).
+    User ``u`` holds the ``sizes[u]`` pool rows after those of the users
+    before it, ordered by the first ``permutation`` of
+    ``np.random.default_rng(seeds[u])`` (seeds in [0, 2**63)); the first
+    round(delta[u] * sizes[u]) of them, ties rounded up, go to the edge.
     """
-    if not 0.0 <= delta <= 1.0:
-        raise ValidationError(f"split_dataset: delta must lie in [0, 1], got {delta}")
-    if not isinstance(seed, np.random.Generator):
-        _require_seed("split_dataset", "seed", seed)
-    n = d.sample_count
-    n_offload = int(math.floor(delta * n + 0.5))
-    perm = np.random.default_rng(seed).permutation(n)
-    return perm[n_offload:], perm[:n_offload]
+    sizes, delta = np.asarray(sizes, dtype=np.int64), np.asarray(delta, dtype=float)
+    if not sizes.ndim == delta.ndim == 1 or not len(sizes) == len(delta) == len(seeds):
+        raise ValidationError(f"split_dataset: need one size, delta and seed per user, got "
+                              f"{sizes.size} sizes, {delta.size} deltas and {len(seeds)} seeds")
+    if (sizes < 0).any():
+        raise ValidationError(f"split_dataset: sizes must be >= 0, got {sizes.min()}")
+    outside = delta[~((delta >= 0.0) & (delta <= 1.0))]
+    if outside.size:
+        raise ValidationError(f"split_dataset: delta must lie in [0, 1], got {outside[0]}")
+    n_offload = np.floor(delta * sizes + 0.5).astype(np.int64).tolist()
+    starts = (np.cumsum(sizes) - sizes).tolist()
+    gens = _generators(_seed_array("split_dataset", seeds))
+    rows = [gen.permutation(n) + start for n, start, gen in zip(sizes.tolist(), starts, gens)]
+    return [r[k:] for r, k in zip(rows, n_offload)], [r[:k] for r, k in zip(rows, n_offload)]
 
 
 def concat_datasets(parts, n_classes: int, n_features: int) -> Dataset:
-    """Pool datasets in the given order (empty result allowed)."""
-    parts = [p for p in parts if p.sample_count]
-    if not parts:
-        return Dataset(np.zeros((0, n_features)), np.zeros(0, dtype=np.int64), n_classes)
-    return Dataset(
-        np.concatenate([p.features for p in parts]),
-        np.concatenate([p.labels for p in parts]),
-        n_classes,
-    )
+    """The parts in order as one dataset of their checked rows; checks widths and labels only."""
+    parts = list(parts)
+    if any(p.n_features != n_features for p in parts):
+        raise ValidationError(f"concat_datasets: every part must have {n_features} features")
+    labels = np.concatenate([np.zeros(0, dtype=np.int64), *(p.labels for p in parts)])
+    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+        raise ValidationError(f"concat_datasets: labels must lie in [0, {n_classes})")
+    rows = np.concatenate([np.empty((0, n_features + 1)), *(p.rows for p in parts)])
+    return _unchecked(rows, labels, n_classes)
 
 
 def shuffle_dataset(d: Dataset, seed: int) -> Dataset:
@@ -186,8 +189,8 @@ def shuffle_dataset(d: Dataset, seed: int) -> Dataset:
     return d.take(np.random.default_rng(seed).permutation(d.sample_count))
 
 
-def _seed_array(seeds) -> np.ndarray:
-    """The seeds as uint64; ValidationError names the first that is no integer in [0, 2**63)."""
+def _seed_array(caller: str, seeds) -> np.ndarray:
+    """The seeds as uint64; ValidationError names ``caller`` and the first that is no seed."""
     if isinstance(seeds, np.ndarray) and seeds.ndim == 1 and seeds.dtype.kind in "iu":
         ok = (seeds >= 0) & (seeds < _SEED_LIMIT)
     else:
@@ -195,7 +198,7 @@ def _seed_array(seeds) -> np.ndarray:
         ok = np.array([_is_seed(s) for s in seeds], dtype=bool)
     if not ok.all():
         i = int(np.argmin(ok))
-        raise ValidationError(f"train: seed {i} must be an integer in [0, 2**63), "
+        raise ValidationError(f"{caller}: seed {i} must be an integer in [0, 2**63), "
                               f"got {seeds[i]!r}")
     return np.array(seeds, dtype=np.uint64)
 
@@ -337,7 +340,7 @@ def train_users(w_init: np.ndarray, pool: Dataset, rows, epochs: int, lr: float,
     if len(seeds) != len(rows) or any(r.ndim != 1 for r in rows):
         raise ValidationError(f"train: need one seed per row set and 1-d row sets, got "
                               f"{len(seeds)} seeds for {len(rows)} row sets")
-    seeds = _seed_array(seeds)
+    seeds = _seed_array("train", seeds)
     flat = np.concatenate([np.zeros(0, dtype=np.int64), *rows])
     if flat.size and (flat.min() < 0 or flat.max() >= pool.sample_count):
         raise ValidationError(f"train: row indices must lie in [0, {pool.sample_count})")

@@ -52,7 +52,8 @@ def test_load_idx_bad_magic(tmp_path):
 
 def test_load_idx_count_mismatch(tmp_path):
     img, lbl = write_idx_pair(tmp_path, np.zeros((3, 2, 2), np.uint8), [0, 1])
-    with pytest.raises(ValidationError, match="3 images but 2 labels"):
+    with pytest.raises(ValidationError, match=re.escape(f"{img} holds 3 images but {lbl} "
+                                                        f"holds 2 labels")):
         io.load_idx(img, lbl)
 
 
@@ -457,23 +458,29 @@ def test_cli_reports_a_bad_value_as_a_usage_error(argv, message, tmp_path, monke
 
 
 @pytest.mark.parametrize("command, scenario", [("run", "proposed"), ("sweep", "sweep_offload")])
-@pytest.mark.parametrize("fault", ["missing-file", "bad-magic"])
+@pytest.mark.parametrize("fault", ["missing-file", "bad-magic", "count-mismatch"])
 def test_cli_reports_a_bad_idx_input_as_a_usage_error(command, scenario, fault, tmp_path, capsys):
     images, labels = write_idx_pair(tmp_path, np.zeros((4, 2, 2), np.uint8), [0, 1, 0, 1],
                                     image_magic=0x801 if fault == "bad-magic" else 0x803)
+    test_images, test_labels = images, labels
     if fault == "missing-file":
-        images = str(tmp_path / "missing.idx3-ubyte")
+        images = test_images = str(tmp_path / "missing.idx3-ubyte")
+    if fault == "count-mismatch":   # a good training pair, a test pair of 3 images, 2 labels
+        (tmp_path / "test").mkdir()
+        test_images, test_labels = write_idx_pair(tmp_path / "test", np.zeros((3, 2, 2), np.uint8),
+                                                  [0, 1])
     config = tmp_path / "idx.cfg"
     config.write_text(io.emit_config(desk_spec(
         scenario=scenario, user_count=2, max_iterations=1, sweep_rounds=1, data_source="idx",
-        idx_images=images, idx_labels=labels, idx_test_images=images, idx_test_labels=labels)))
+        idx_images=images, idx_labels=labels, idx_test_images=test_images,
+        idx_test_labels=test_labels)))
     with pytest.raises(SystemExit) as exit_info:
         cli_main([command, "--config", str(config)])
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith(f"mecfl {command}: error: ")
-    assert images in err.splitlines()[-1]
+    assert (test_images if fault == "count-mismatch" else images) in err.splitlines()[-1]
 
 
 def test_cli_run_with_config_file(tmp_path):

@@ -14,6 +14,7 @@ from mecfl.learning import (
     _scores,
     _sigmoid,
     aggregate,
+    concat_datasets,
     evaluate_loss,
     loss_gradient,
     shuffle_dataset,
@@ -34,44 +35,45 @@ def assert_partition(kept, offloaded, n):
     assert np.array_equal(np.sort(np.concatenate([kept, offloaded])), np.arange(n))
 
 
+def split_one(n, delta, seed):
+    """``(kept_rows, offloaded_rows)`` of one user holding ``n`` rows."""
+    kept, offloaded = split_dataset([n], [delta], [seed])
+    return kept[0], offloaded[0]
+
+
 def test_split_zero_delta_keeps_everything():
-    d = random_dataset(np.random.default_rng(0))
-    kept, offloaded = split_dataset(d, 0.0, seed=1)
+    kept, offloaded = split_one(40, 0.0, seed=1)
     assert offloaded.size == 0
-    assert_partition(kept, offloaded, d.sample_count)
+    assert_partition(kept, offloaded, 40)
 
 
 def test_split_full_delta_offloads_everything():
-    d = random_dataset(np.random.default_rng(0))
-    kept, offloaded = split_dataset(d, 1.0, seed=1)
+    kept, offloaded = split_one(40, 1.0, seed=1)
     assert kept.size == 0
-    assert_partition(kept, offloaded, d.sample_count)
+    assert_partition(kept, offloaded, 40)
 
 
 def test_split_half_of_1200_is_600_600_disjoint():
-    d = random_dataset(np.random.default_rng(1), n=1200)
-    kept, offloaded = split_dataset(d, 0.5, seed=5)
+    kept, offloaded = split_one(1200, 0.5, seed=5)
     assert kept.size == 600
     assert offloaded.size == 600
     assert_partition(kept, offloaded, 1200)
 
 
 def test_split_reproducible_and_seed_sensitive():
-    d = random_dataset(np.random.default_rng(2), n=100)
-    kept_a, a = split_dataset(d, 0.3, seed=7)
-    kept_b, b = split_dataset(d, 0.3, seed=7)
-    _, c = split_dataset(d, 0.3, seed=8)
+    kept_a, a = split_one(100, 0.3, seed=7)
+    kept_b, b = split_one(100, 0.3, seed=7)
+    _, c = split_one(100, 0.3, seed=8)
     assert np.array_equal(a, b) and np.array_equal(kept_a, kept_b)
     assert not np.array_equal(a, c)
 
 
 def test_split_complement_swaps_cardinalities():
-    d = random_dataset(np.random.default_rng(3), n=101)
     rng = np.random.default_rng(4)
-    assert split_dataset(d, 0.5, seed=1)[1].size == 51   # 50.5 rows round half-up
+    assert split_one(101, 0.5, seed=1)[1].size == 51   # 50.5 rows round half-up
     for delta in rng.uniform(0.01, 0.99, 20):
-        direct_kept, direct_offloaded = split_dataset(d, delta, seed=1)
-        flipped_kept, flipped_offloaded = split_dataset(d, 1.0 - delta, seed=1)
+        direct_kept, direct_offloaded = split_one(101, delta, seed=1)
+        flipped_kept, flipped_offloaded = split_one(101, 1.0 - delta, seed=1)
         assert direct_offloaded.size == math.floor(delta * 101 + 0.5)
         assert direct_offloaded.size == flipped_kept.size
         assert direct_kept.size == flipped_offloaded.size
@@ -79,31 +81,83 @@ def test_split_complement_swaps_cardinalities():
 
 
 def test_split_rejects_bad_delta():
-    d = random_dataset(np.random.default_rng(0))
-    with pytest.raises(ValidationError):
-        split_dataset(d, 1.5, seed=0)
+    for delta in (1.5, -0.1, np.nan):
+        with pytest.raises(ValidationError, match=r"^split_dataset: delta must lie in \[0, 1\]"):
+            split_dataset([40, 40], [0.5, delta], [0, 1])
+
+
+@pytest.mark.parametrize("sizes, delta, seeds, message", [
+    ([40, 40], [0.5], [0, 1], "need one size, delta and seed per user"),
+    ([40], [0.5], [0, 1], "need one size, delta and seed per user"),
+    ([40, 40], [0.5, 0.5], [0], "need one size, delta and seed per user"),
+    ([40, -1, 3], [0.5, 0.5, 0.5], [0, 1, 2], "sizes must be >= 0, got -1"),
+])
+def test_split_rejects_mismatched_lengths_and_negative_sizes(sizes, delta, seeds, message):
+    with pytest.raises(ValidationError, match=f"^split_dataset: {message}"):
+        split_dataset(sizes, delta, seeds)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, 2**63, True])
-@pytest.mark.parametrize("call", [lambda d, seed: split_dataset(d, 0.5, seed),
+@pytest.mark.parametrize("call", [lambda d, seed: split_dataset([d.sample_count], [0.5], [seed]),
                                   lambda d, seed: shuffle_dataset(d, seed)],
                          ids=["split_dataset", "shuffle_dataset"])
 def test_split_and_shuffle_reject_seeds_outside_0_to_2_63(call, seed):
     # numpy's own ValueError (-1, 2**63) and TypeError (1.5) do not leak, and a
-    # bool is no seed, though True == 1
+    # bool is no seed, though True == 1; split_dataset names the user's seed
     d = random_dataset(np.random.default_rng(0), n=4)
-    with pytest.raises(ValidationError, match=rf"seed must be an integer in \[0, 2\*\*63\), "
-                                              rf"got {seed!r}$"):
+    with pytest.raises(ValidationError, match=rf"seed( 0)? must be an integer in "
+                                              rf"\[0, 2\*\*63\), got {seed!r}$"):
         call(d, seed)
 
 
-def test_split_takes_a_generator_or_the_largest_seed():
-    d = random_dataset(np.random.default_rng(0), n=9)
-    for seed in (0, 2**63 - 1, np.int64(7)):
-        kept, offloaded = split_dataset(d, 0.5, seed)
-        generator_split = split_dataset(d, 0.5, np.random.default_rng(seed))
-        assert np.array_equal(kept, generator_split[0])
-        assert np.array_equal(offloaded, generator_split[1])
+@pytest.mark.parametrize("n_users", [5, 40])
+def test_split_equals_each_users_permutation_after_its_offset(n_users):
+    # 5 users take one default_rng each, 40 the vectorized _generators
+    assert 5 < _VECTOR_SEEDS_MIN <= 40
+    rng = np.random.default_rng(n_users)
+    sizes = rng.integers(0, 60, n_users)
+    delta = rng.uniform(0.0, 1.0, n_users)
+    delta[:3] = 0.0, 1.0, 0.5
+    sizes[2] = 7                                  # 3.5 rows: a tie, rounded up
+    seeds = rng.integers(2**63, size=n_users)
+    seeds[-1] = 2**63 - 1
+    kept, offloaded = split_dataset(sizes, delta, seeds)
+    start = 0
+    for u in range(n_users):
+        perm = start + np.random.default_rng(int(seeds[u])).permutation(sizes[u])
+        n_offload = math.floor(float(delta[u]) * int(sizes[u]) + 0.5)
+        assert np.array_equal(offloaded[u], perm[:n_offload])
+        assert np.array_equal(kept[u], perm[n_offload:])
+        start += sizes[u]
+    assert offloaded[2].size == 4
+
+
+@pytest.mark.parametrize("sizes", [[5, 0, 7], [0, 0], []],
+                         ids=["an-empty-part", "all-empty", "no-parts"])
+def test_concat_equals_the_validating_constructor(sizes):
+    rng = np.random.default_rng(8)
+    parts = [random_dataset(rng, n=n, n_features=3, n_classes=4) for n in sizes]
+    pooled = concat_datasets(parts, 4, 3)
+    expected = Dataset(np.concatenate([np.zeros((0, 3)), *(p.features for p in parts)]),
+                       np.concatenate([np.zeros(0, dtype=np.int64), *(p.labels for p in parts)]),
+                       4)
+    assert pooled.n_classes == 4
+    for name in ("rows", "features", "labels"):
+        got, want = getattr(pooled, name), getattr(expected, name)
+        assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides)
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable and not want.flags.writeable
+
+
+def test_concat_rejects_a_wrong_width_or_an_out_of_range_label():
+    rng = np.random.default_rng(9)
+    good = random_dataset(rng, n=4, n_features=3, n_classes=4)
+    narrow = random_dataset(rng, n=0, n_features=2, n_classes=4)
+    with pytest.raises(ValidationError, match="every part must have 3 features"):
+        concat_datasets([good, narrow], 4, 3)
+    three = Dataset(np.full((2, 3), 0.5), [0, 3], 4)
+    with pytest.raises(ValidationError, match=r"labels must lie in \[0, 3\)"):
+        concat_datasets([good, three], 3, 3)
 
 
 def test_train_zero_epochs_returns_initial_weights():

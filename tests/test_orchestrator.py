@@ -49,6 +49,21 @@ def test_infinite_tolerance_converges_at_two():
     assert result.iterations_used == 2
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_stop_rule_waits_on_the_test_loss_on_the_default_desk_spec(seed):
+    # one absolute tolerance compares seconds and MSE: the round time settles
+    # within it after one round change, the test loss does not in 30 rounds
+    spec = io.ExperimentSpec(seed=seed)
+    pop, datasets = io.synthesize_users(spec)
+    cfg = io.effective_config(spec)
+    result = run_proposed(pop, datasets, cfg, 30, test_dataset=io.load_test_dataset(spec))
+    assert not result.converged and result.iterations_used == 30
+    t_total = np.array([m.t_total for m in result.trace])
+    test_loss = np.array([m.test_loss for m in result.trace])
+    assert np.all(np.abs(np.diff(t_total))[1:] <= cfg.convergence_tol)
+    assert np.all(np.abs(np.diff(test_loss)) > cfg.convergence_tol)
+
+
 def test_identical_seeds_reproduce_bitwise():
     pop, datasets, test, cfg = tiny_population(seed=3)
     a = run_proposed(pop, datasets, cfg, 8, test_dataset=test)
@@ -244,7 +259,7 @@ def test_sweep_is_sequential_in_user_id_order():
 
 
 def round_inputs(n_users, delta, seed=11):
-    """Arguments of one training step of ``n_users`` desk users at offload fractions ``delta``."""
+    """The datasets of ``n_users`` desk users and their ``_train_round`` arguments at ``delta``."""
     spec = desk_spec(seed=seed, user_count=n_users, samples_per_user=45)
     pop, datasets = io.synthesize_users(spec)
     cfg = io.effective_config(spec)
@@ -254,7 +269,7 @@ def round_inputs(n_users, delta, seed=11):
                     global_weights=np.random.default_rng(seed).normal(size=dim))
     alloc = AllocationState.uniform(n_users, delta=delta, gamma=0.5)
     train_pool = concat_datasets(datasets, n_classes, n_features)
-    return pop, datasets, train_pool, alloc.delta, model, cfg, np.random.default_rng(seed)
+    return datasets, (pop, train_pool, alloc.delta, model, cfg, np.random.default_rng(seed))
 
 
 @pytest.mark.parametrize("delta", [
@@ -267,17 +282,18 @@ def round_inputs(n_users, delta, seed=11):
 def test_round_local_weights_equal_per_user_training(delta):
     n_users = len(delta)
     assert n_users < _VECTOR_SEEDS_MIN or n_users - delta.count(1.0) >= 2 * _VECTOR_SEEDS_MIN
-    args = round_inputs(n_users, delta)
-    datasets, before, cfg = args[1], args[4], args[5]
+    datasets, args = round_inputs(n_users, delta)
+    pop, before, cfg = args[0], args[3], args[4]
     after = _train_round(*args)
     rng = np.random.default_rng(11)   # the round's seed draws, in its order
     split_seeds = rng.integers(_SEED_CAP, size=n_users)
     train_seeds = rng.integers(_SEED_CAP, size=n_users)
-    for i, data in enumerate(datasets):
-        kept, _ = split_dataset(data, delta[i], int(split_seeds[i]))
+    kept_rows, _ = split_dataset(pop.dataset_size, delta, split_seeds)
+    starts = np.cumsum(pop.dataset_size) - pop.dataset_size
+    for i, (data, kept) in enumerate(zip(datasets, kept_rows)):
         assert after.local_trainset_sizes[i] == kept.size
-        if kept.size:
-            expected = train(before.global_weights, data.take(kept), cfg.local_epochs,
+        if kept.size:   # the user's own rows, at its offset in the pool
+            expected = train(before.global_weights, data.take(kept - starts[i]), cfg.local_epochs,
                              cfg.learning_rate, int(train_seeds[i]), cfg.batch_size)
         else:
             expected = before.global_weights    # offloads everything: keeps the global model
@@ -292,7 +308,7 @@ def test_round_local_weights_equal_per_user_training(delta):
 
 @pytest.mark.parametrize("n_users", [3, 12])
 def test_round_builds_at_most_two_datasets(monkeypatch, n_users):
-    args = round_inputs(n_users, 0.4)
+    _, args = round_inputs(n_users, 0.4)
     built = []
     original = Dataset.__post_init__
 
