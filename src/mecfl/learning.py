@@ -21,19 +21,30 @@ step (the row count of its widest batch), per-step flags for "some batch is
 narrower than the step" and "some batch has one row", and the one-hot rows.
 A step computes only as many rows as its widest batch: on equal shards of
 50 rows in batches of 32, every second step is 18 rows wide, not 32.
+Scores and their gradients are held user-major, ``(users, rows, classes)``,
+the forward product's own output. A call of one row set (the edge's
+:func:`train`, and ``verify``'s runs) gathers that row set's batch rows and
+one-hot targets 64 steps at a time and steps on 2-D views of them, ``(rows,
+features + 1)`` by the one ``(classes, features + 1)`` weight block, with
+the same expressions as the 3-D step but ``np.dot`` for ``np.matmul``: a
+gather of the whole call would hold all its epochs' rows at once, and
+per-step gathers and a stacked product of one matrix cost more numpy
+dispatch than the step's arithmetic.
 The bits match because:
 
 - the kernel gathers its batches from ``Dataset.rows``, which end in a 1,
   and holds every user's weights as one ``(users, classes, features + 1)``
   block, updated in place; ``w - lr * g`` is elementwise, so the layout does
   not change its bits;
-- products stay ``@``, one gemm per user, which sums each entry in order
-  whatever the row stride, so a score ends in ``+ 1 * bias`` as in
-  ``_logits``, and the gradient's last column is the bias gradient's row sum
-  (a test pins both); a batch of one row, as in every step one row wide,
-  gets numpy's one-row product (gemv) over its features plus the bias, as a
-  one-user call does, and a one-feature gradient (a two-column product, not
-  summed in order) is summed row by row in both;
+- products stay one gemm per user, which sums each entry in order whatever
+  the strides of its operands and output, so a score ends in ``+ 1 * bias``
+  as in ``_logits``, and the gradient's last column is the bias gradient's
+  row sum; ``np.dot`` of 2-D arrays calls the same gemm as one matrix of a
+  stacked ``matmul``, so the one-row-set step gives the bits of a one-user
+  3-D step (tests pin all three); a batch of one row, as in every step one
+  row wide, gets numpy's one-row product (gemv) over its features plus the
+  bias, as a one-user call does, and a one-feature gradient (a two-column
+  product, not summed in order) is summed row by row in both;
 - score rows are independent, so a step computes each user's rows as its
   batch alone would, however wide the step;
 - the sigmoid (:func:`_sigmoid`) is elementwise, and numpy's ``exp`` gives
@@ -51,29 +62,34 @@ its epoch orders, each that of ``np.random.default_rng(seed)``. Building a
 generator that way runs numpy's ``SeedSequence`` hash once per seed, which
 costs more than the user's split itself. :func:`_generators` gives the same
 streams for many seeds at once: it hashes all seeds in one vectorized pass
-of ``SeedSequence``'s mixing (O'Neill's ``seed_seq_fe``), derives PCG64's
-state from the hash as numpy does, and sets it on one reused generator.
+of ``SeedSequence``'s mixing (O'Neill's ``seed_seq_fe``) into the 4 uint64
+words ``SeedSequence`` would hand ``PCG64``, and seeds each generator from
+its words through ``_Words``, an ``ISeedSequence`` (numpy's protocol for
+seed sources), so ``PCG64`` derives its state from them as numpy does.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import SimulationError, ValidationError
-from .types import ModelState, _SEED_LIMIT, _is_seed, _require_field_types, _require_seed
+from .types import (ModelState, _SEED_LIMIT, _fits, _is_seed, _require_field_types,
+                    _require_seed)
 
 _RANGE_ATOL = 1e-9
 # Fewer seeds than this get one default_rng each: the vectorized hash of
-# _generators has a fixed cost of about 10 default_rng calls (measured
-# break-even 9-10 seeds, each drawing a permutation of 50).
-_VECTOR_SEEDS_MIN = 12
+# _generators has a fixed cost of about 6 default_rng calls (measured
+# break-even 7-8 seeds, each drawing a permutation of 50).
+_VECTOR_SEEDS_MIN = 8
+# A one-row-set call gathers the rows of this many steps at once.
+_GATHER_STEPS = 64
 
-# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding constants.
+# numpy's SeedSequence constants (pool of 4 uint32 words).
 _M32 = 0xFFFFFFFF
-_M128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _SHIFT = np.uint32(16)
 
@@ -156,6 +172,12 @@ def split_dataset(sizes, delta, seeds) -> tuple[list[np.ndarray], list[np.ndarra
     ``np.random.default_rng(seeds[u])`` (seeds in [0, 2**63)); the first
     round(delta[u] * sizes[u]) of them, ties rounded up, go to the edge.
     """
+    if not (isinstance(sizes, np.ndarray) and sizes.dtype.kind in "iu"):
+        sizes = list(sizes)
+        bad = [u for u, n in enumerate(sizes) if not _fits(n, "int")]
+        if bad:
+            raise ValidationError(f"split_dataset: user {bad[0]}'s size must be an integer, "
+                                  f"got {sizes[bad[0]]!r}")
     sizes, delta = np.asarray(sizes, dtype=np.int64), np.asarray(delta, dtype=float)
     if not sizes.ndim == delta.ndim == 1 or not len(sizes) == len(delta) == len(seeds):
         raise ValidationError(f"split_dataset: need one size, delta and seed per user, got "
@@ -210,17 +232,16 @@ def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
     return value
 
 
-def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
-    """``(state, inc)`` of ``PCG64(s)`` for each uint64 seed ``s`` below 2**64.
+def _state_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for each uint64 seed ``s``, one row each.
 
     ``SeedSequence(s)`` fills its pool of 4 uint32 words by hashing the low
     and the high word of ``s`` and two zeros (below 2**32 the high word is
     0, which is what numpy hashes past the end of a one-word entropy), then
     mixes every word into the 3 others in turn, and
-    ``generate_state(4, uint64)`` hashes the pool twice over. Each step is
-    one uint32 op on all seeds; uint32 products wrap modulo 2**32, as in
-    numpy's C code. ``pcg64_set_seed`` then takes the words as (initstate,
-    initseq), high word first, and steps the generator twice from state 0.
+    ``generate_state(4, uint64)`` hashes the pool twice over into 8 uint32
+    words, read in pairs, low word first. Each step is one uint32 op on all
+    seeds; uint32 products wrap modulo 2**32, as in numpy's C code.
     """
     pool = np.zeros((4, seeds.size), dtype=np.uint32)
     pool[0] = seeds & np.uint64(_M32)
@@ -233,33 +254,30 @@ def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
         mixed ^= mixed >> _SHIFT
         pool[dst] = mixed
     words = _hashmix(np.concatenate([pool, pool]), _STATE_CONST).astype(np.uint64)
-    state_words = (words[0::2] | words[1::2] << np.uint64(32)).tolist()
-    states = []
-    for high, low, seq_high, seq_low in zip(*state_words):
-        inc = ((seq_high << 64 | seq_low) << 1 | 1) & _M128
-        states.append((((inc + (high << 64 | low)) * _PCG64_MULT + inc) & _M128, inc))
-    return states
+    return np.ascontiguousarray((words[0::2] | words[1::2] << np.uint64(32)).T)
+
+
+class _Words(ISeedSequence):
+    """A seed sequence that hands ``PCG64`` one row of :func:`_state_words`: 4 uint64 words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words   # PCG64 asks for generate_state(4, np.uint64)
 
 
 def _generators(seeds):
     """For each seed ``s`` in turn, a generator with the stream of ``np.random.default_rng(s)``.
 
     Seeds are integers in [0, 2**63). From ``_VECTOR_SEEDS_MIN`` seeds on,
-    every item is one reused ``Generator``, set to the next seed's state:
-    draw from it before taking the next item.
+    the words that ``default_rng(s)``'s ``SeedSequence`` would give ``PCG64``
+    come from one vectorized hash of all seeds (:func:`_state_words`).
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     if seeds.size < _VECTOR_SEEDS_MIN:
-        for s in seeds.tolist():
-            yield np.random.default_rng(s)
-        return
-    bit_gen = np.random.PCG64(0)
-    gen = np.random.Generator(bit_gen)
-    inner: dict = {}
-    state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
-    for inner["state"], inner["inc"] in _pcg64_states(seeds):
-        bit_gen.state = state
-        yield gen
+        return map(np.random.default_rng, seeds.tolist())
+    return (np.random.Generator(np.random.PCG64(_Words(row))) for row in _state_words(seeds))
 
 
 def _logits(w: np.ndarray, features: np.ndarray, n_classes: int) -> np.ndarray:
@@ -320,7 +338,7 @@ def train_users(w_init: np.ndarray, pool: Dataset, rows, epochs: int, lr: float,
     The generators have the streams of ``default_rng(seeds[u])``; from
     ``_VECTOR_SEEDS_MIN`` training users on they come from one vectorized
     hash of all seeds (:func:`_generators`), whose fixed cost is about that
-    of 10 ``default_rng`` calls, so fewer users call ``default_rng`` each.
+    of 6 ``default_rng`` calls, so fewer users call ``default_rng`` each.
     Step k updates every user on its own k-th batch and computes as many
     rows as the widest of those batches, not ``batch_size``; a user out of
     batches (or with no rows at all) keeps its weights. Returns the weights,
@@ -328,9 +346,11 @@ def train_users(w_init: np.ndarray, pool: Dataset, rows, epochs: int, lr: float,
     the module docstring for why). Needs one seed per row set, each an
     integer in [0, 2**63).
     """
-    if not (lr > 0 and epochs >= 0 and batch_size >= 1):
-        raise ValidationError("train: need lr > 0, epochs >= 0 and batch_size >= 1, got "
-                              f"lr={lr}, epochs={epochs}, batch_size={batch_size}")
+    if not (_fits(epochs, "int") and _fits(batch_size, "int") and lr > 0 and math.isfinite(lr)
+            and epochs >= 0 and batch_size >= 1):
+        raise ValidationError("train: need a finite lr > 0 and integers epochs >= 0 and "
+                              f"batch_size >= 1, got lr={lr!r}, epochs={epochs!r}, "
+                              f"batch_size={batch_size!r}")
     w_init = np.asarray(w_init, dtype=float)
     n_classes, n_features = pool.n_classes, pool.n_features
     dim = weight_dim(n_features, n_classes)
@@ -368,6 +388,15 @@ def train_users(w_init: np.ndarray, pool: Dataset, rows, epochs: int, lr: float,
     onehot = np.eye(n_classes)
     w0 = w_init.reshape(n_classes, n_features + 1)
     w = np.tile(w0, (len(order), 1, 1))                     # (slots, classes, features + 1)
+    # A call of one row set (the edge's train) gathers its rows and targets
+    # _GATHER_STEPS steps at a time and steps on 2-D views of them and of its
+    # weights, multiplied with np.dot: a stacked product of one matrix costs
+    # more numpy dispatch than the step's own work, and a whole call's gather
+    # would hold all its epochs' rows at once.
+    one = len(order) == 1
+    mm = np.dot if one else np.matmul
+    if one:
+        wa, wt = w[0], w[0].T                               # views, updated in place
     # One errstate for every step: entering it costs about as much as a
     # one-user step's sigmoid (see _sigmoid for the overflow it is for). It
     # also covers the gradient and the updates, which cannot overflow from
@@ -377,34 +406,51 @@ def train_users(w_init: np.ndarray, pool: Dataset, rows, epochs: int, lr: float,
     with np.errstate(over="ignore"):
         for k, (a, b, pads, singles) in enumerate(zip(active.tolist(), width.tolist(),
                                                       padded.tolist(), single.tolist())):
-            x = pool.rows.take(batches[:a, k, :b], axis=0)   # (a, b, features + 1)
-            wa = w[:a]
-            # Scores and their gradients are held batch-major, (b, a, classes); each
-            # score ends in 1 * bias, and the gradient's last column is the bias's.
-            z = np.empty((b, a, n_classes))
-            np.matmul(x, wa.swapaxes(1, 2), out=z.swapaxes(0, 1))
+            if one:
+                j = k % _GATHER_STEPS
+                if j == 0:
+                    xs = pool.rows.take(batches[0, k:k + _GATHER_STEPS], axis=0)
+                    ts = onehot.take(labels[0, k:k + _GATHER_STEPS], axis=0)
+                x, t = xs[j, :b], ts[j, :b]                      # (b, features + 1)
+            else:
+                x = pool.rows.take(batches[:a, k, :b], axis=0)   # (a, b, features + 1)
+                t = onehot.take(labels[:a, k, :b], axis=0)
+                wa = w[:a]
+                wt = wa.swapaxes(1, 2)
+            # Scores and their gradients are held user-major, (a, b, classes) or
+            # (b, classes); each score ends in 1 * bias, and the gradient's last
+            # column is the bias's.
+            z = mm(x, wt)
             if singles:
                 # numpy takes a one-row product with gemv, which sums in another
                 # order than gemm: a user whose batch is one row gets the one-row
                 # product over its features plus the bias, as a batch of that row
-                # alone does in _logits.
+                # alone does in _logits. z is the product's fresh contiguous
+                # array, so its (users, rows, classes) reshape is a view.
                 s = np.flatnonzero(counts[:a, k] == 1)
-                ws = wa[s]
-                z[0, s] = (x[s, :1, :-1] @ ws[:, :, :-1].swapaxes(1, 2))[:, 0] + ws[:, :, -1]
+                ws = w[s]
+                z.reshape(-1, b, n_classes)[s, 0] = (
+                    x.reshape(-1, b, n_features + 1)[s, :1, :-1]
+                    @ ws[:, :, :-1].swapaxes(1, 2))[:, 0] + ws[:, :, -1]
             p = _sigmoid(z)
-            dz = 2.0 * (p - onehot.take(labels[:a, k, :b].T, axis=0)) * p * (1.0 - p)
+            dz = np.subtract(p, t, out=t)   # no later step reads t: dz takes its buffer
+            dz *= 2.0
+            dz *= p
+            dz *= 1.0 - p
             if pads:
-                dz /= counts[:a, k, None]
-                dz[pad[:a, k, :b].T] = 0.0
+                dz /= counts[:a, k, None, None]
+                dz[pad[:a, k, :b]] = 0.0
             else:
                 dz /= b
             if n_features > 1:
-                wa -= lr * (dz.transpose(1, 2, 0) @ x)
+                g = mm(dz.swapaxes(-1, -2), x)
             else:
                 # A product with two columns does not sum in gemm's order: sum the
                 # rows in order, for the feature and the bias alike.
-                wa -= lr * np.add.reduce(dz[..., None] * x.swapaxes(0, 1)[:, :, None], axis=0)
-            del x, z, p, dz   # free this step's arrays before the next step allocates its own
+                g = np.add.reduce(dz[..., None] * x[..., None, :], axis=-3)
+            g *= lr
+            wa -= g
+            del x, t, z, p, dz, g   # free this step's arrays before the next allocates its own
     out = np.tile(w0, (len(rows), 1, 1))
     out[order] = w
     return out.reshape(len(rows), dim)

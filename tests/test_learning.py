@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -91,6 +92,10 @@ def test_split_rejects_bad_delta():
     ([40], [0.5], [0, 1], "need one size, delta and seed per user"),
     ([40, 40], [0.5, 0.5], [0], "need one size, delta and seed per user"),
     ([40, -1, 3], [0.5, 0.5, 0.5], [0, 1, 2], "sizes must be >= 0, got -1"),
+    # a non-integer size used to be truncated, a bool taken as 1
+    ([2.5], [0.5], [0], "user 0's size must be an integer, got 2.5$"),
+    ([40, 3, True], [0.5, 0.5, 0.5], [0, 1, 2], "user 2's size must be an integer, got True$"),
+    (np.array([40.0, 3.0]), [0.5, 0.5], [0, 1], "user 0's size must be an integer, got "),
 ])
 def test_split_rejects_mismatched_lengths_and_negative_sizes(sizes, delta, seeds, message):
     with pytest.raises(ValidationError, match=f"^split_dataset: {message}"):
@@ -254,10 +259,18 @@ def test_loss_gradient_rejects_no_rows():
     (1, 0.1, -3),
     (-1, 0.1, 8),     # epochs < 0 used to return w_init silently
     (1, 0.0, 8),
+    # a float or bool count used to escape as a bare TypeError from slicing
+    (1.0, 0.1, 8),
+    (True, 0.1, 8),
+    (1, 0.1, 8.0),
+    (1, 0.1, True),
+    (1, math.inf, 8),  # used to return NaN weights with a RuntimeWarning
+    (1, math.nan, 8),
 ])
 def test_train_rejects_bad_arguments(epochs, lr, batch_size):
+    # train_users makes the check, for train and every lockstep call
     d = random_dataset(np.random.default_rng(14))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^train: need a finite lr > 0 and integers"):
         train(np.zeros(weight_dim(d.n_features, d.n_classes)), d, epochs=epochs, lr=lr,
               seed=0, batch_size=batch_size)
 
@@ -274,18 +287,41 @@ def _reference_train(w_init, d, epochs, lr, seed, batch_size):
     return w
 
 
-@pytest.mark.parametrize("n, batch_size", [
-    (64, 16),     # whole batches only
-    (50, 16),     # ragged last batch of 2
-    (7, 32),      # batch_size > n: one batch per epoch
-    (1, 1),
+@pytest.mark.parametrize("n, batch_size, epochs, n_features", [
+    pytest.param(64, 16, 3, 5, id="64-16"),     # whole batches only
+    pytest.param(50, 16, 3, 5, id="50-16"),     # ragged last batch of 2
+    pytest.param(7, 32, 3, 5, id="7-32"),       # batch_size > n: one batch per epoch
+    pytest.param(1, 1, 3, 5, id="1-1"),
+    # every last batch is one row; one-row-set calls gather 64 steps at a time
+    pytest.param(249, 4, 1, 5, id="63-steps"),
+    pytest.param(253, 4, 1, 5, id="64-steps"),
+    pytest.param(257, 4, 1, 5, id="65-steps"),
+    pytest.param(513, 4, 1, 5, id="129-steps"),
+    pytest.param(169, 4, 3, 5, id="129-steps-over-3-epochs"),
+    pytest.param(257, 4, 1, 1, id="65-steps-one-feature"),
+    pytest.param(2049, 32, 1, 16, id="65-steps-bench-shape"),
 ])
-def test_train_equals_per_batch_dataset_loop(n, batch_size):
+def test_train_equals_per_batch_dataset_loop(n, batch_size, epochs, n_features):
     rng = np.random.default_rng(15)
-    d = random_dataset(rng, n=n, n_features=5, n_classes=3)
-    w0 = rng.normal(size=weight_dim(5, 3))
-    out = train(w0, d, epochs=3, lr=0.3, seed=21, batch_size=batch_size)
-    assert np.array_equal(out, _reference_train(w0, d, 3, 0.3, 21, batch_size))
+    d = random_dataset(rng, n=n, n_features=n_features, n_classes=3)
+    w0 = rng.normal(size=weight_dim(n_features, 3))
+    out = train(w0, d, epochs=epochs, lr=0.3, seed=21, batch_size=batch_size)
+    assert np.array_equal(out, _reference_train(w0, d, epochs, 0.3, 21, batch_size))
+
+
+def test_train_gathers_its_batches_a_chunk_at_a_time():
+    # 30,000 rows x 5 epochs: gathering the call's batches at once would hold
+    # about 28 MB of rows and one-hot targets; the batch table itself is 2.4 MB
+    rng = np.random.default_rng(30)
+    d = Dataset(rng.uniform(0, 1, (30_000, 16)), rng.integers(0, 4, 30_000), 4)
+    w0 = np.zeros(weight_dim(16, 4))
+    tracemalloc.start()
+    try:
+        train(w0, d, epochs=5, lr=0.1, seed=3, batch_size=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, f"train allocated {peak / 2**20:.1f} MB at its peak"
 
 
 def test_train_builds_no_dataset(monkeypatch):
@@ -364,7 +400,7 @@ def test_train_users_step_is_as_wide_as_its_widest_batch(monkeypatch):
 
     monkeypatch.setattr(learning, "_sigmoid", recording)
     train_users(w0, pool, rows, epochs=1, lr=0.3, seeds=seeds, batch_size=32)
-    assert shapes == [(32, 3, pool.n_classes), (18, 3, pool.n_classes)]
+    assert shapes == [(3, 32, pool.n_classes), (3, 18, pool.n_classes)]
 
 
 def test_train_users_zero_epochs_returns_initial_weights():
@@ -511,6 +547,34 @@ def test_gemm_sums_the_ones_column_in_order():
                               np.concatenate([dz.swapaxes(1, 2) @ x,
                                               dz.sum(axis=1)[..., None]], axis=2)), \
             f"{message} {shape}"
+
+
+def test_user_major_products_equal_batch_major_ones():
+    # train_users holds scores user-major, (users, rows, classes), as the
+    # product's own output, and steps a one-row-set call on 2-D views with
+    # np.dot; the scores used to be written batch-major through a transposed
+    # out=, and the gradient taken from batch-major dz. gemm sums each entry in
+    # the same order whatever the strides, and np.dot calls the same gemm as
+    # matmul, so all give the same bits. Shapes at bench sizes.
+    rng = np.random.default_rng(31)
+    message = (f"the user-major products no longer equal the batch-major ones on numpy "
+               f"{np.__version__} with {_blas_build()}, shape")
+    for n_features in [16, *rng.integers(1, 18, size=299)]:
+        users, rows, n_classes = (int(v) for v in rng.integers([1, 1, 2], [801, 33, 11]))
+        x = np.concatenate([rng.uniform(0, 1, (users, rows, n_features)),
+                            np.ones((users, rows, 1))], axis=2)
+        w = rng.normal(size=(users, n_classes, n_features + 1))
+        dz = rng.normal(scale=0.1, size=(users, rows, n_classes))
+        shape = (users, rows, n_features, n_classes)
+        z = x @ w.swapaxes(-1, -2)
+        batch_major = np.empty((rows, users, n_classes))
+        np.matmul(x, w.swapaxes(1, 2), out=batch_major.swapaxes(0, 1))
+        assert np.array_equal(z, batch_major.swapaxes(0, 1)), f"{message} {shape}"
+        grad = dz.swapaxes(-1, -2) @ x
+        assert np.array_equal(grad, np.ascontiguousarray(dz.swapaxes(0, 1)).transpose(1, 2, 0)
+                              @ x), f"{message} {shape}"
+        assert np.array_equal(np.dot(x[0], w[0].T), z[0]), f"{message} {shape}"
+        assert np.array_equal(np.dot(dz[0].T, x[0]), grad[0]), f"{message} {shape}"
 
 
 def _sigmoid_message(what):
