@@ -430,7 +430,8 @@ def test_train_users_rejects_mismatched_seeds_and_row_sets(seeds, rows):
                     epochs=1, lr=0.1, seeds=seeds, batch_size=4)
 
 
-@pytest.mark.parametrize("n_users", [1, 2 * _VECTOR_SEEDS_MIN])
+# 24 users: the vectorized path when its cutoff was 12, kept past the cutoff now
+@pytest.mark.parametrize("n_users", [1, 2 * _VECTOR_SEEDS_MIN, 24])
 @pytest.mark.parametrize("seeds", [
     pytest.param(lambda n: [*range(n - 1), -1], id="negative"),
     pytest.param(lambda n: np.append(np.arange(n - 1), -1), id="negative-int64-array"),
@@ -493,7 +494,8 @@ _PIN_SEEDS = np.concatenate([
 ])
 
 
-@pytest.mark.parametrize("count", [1, _VECTOR_SEEDS_MIN - 1, _VECTOR_SEEDS_MIN,
+# 11 and 12 seeds: both sides of the cutoff when it was 12, vectorized now
+@pytest.mark.parametrize("count", [1, _VECTOR_SEEDS_MIN - 1, _VECTOR_SEEDS_MIN, 11, 12,
                                    _PIN_SEEDS.size])
 def test_generators_equal_default_rng(count):
     # the split and epoch generators of a round must draw what
