@@ -22,7 +22,7 @@ pop = Population(transmit_power=[0.2, 0.2], channel_gain=[1e-6, 1e-8], cpu_hz=[1
                  energy_budget=[50.0, 50.0], dataset_size=[200, 200])
 
 result = run_proposed(pop, datasets, cfg, 100, test_dataset=test)
-alloc = result.final_alloc
+alloc = result.alloc_trace[-1]
 
 print(f"converged after {result.iterations_used} rounds\n")
 print(f"{'':>22} {'cell-center':>12} {'cell-edge':>12}")

@@ -44,4 +44,4 @@ print(f"adaptive run: converged={proposed.converged} after {proposed.iterations_
 print(f"final round time {last.t_total:.6f} s vs baseline {baseline.trace[-1].t_total:.6f} s")
 budget_ok = all(last.e_total <= pop.energy_budget)
 print(f"all users within their energy budgets: {budget_ok}")
-print(f"final offload fractions: {[round(float(d), 3) for d in proposed.final_alloc.delta]}")
+print(f"final offload fractions: {[round(float(d), 3) for d in proposed.alloc_trace[-1].delta]}")

@@ -37,7 +37,7 @@ from .orchestrator import (
     run_traditional,
 )
 from .types import (AllocationState, Population, SystemConfig, _require_field_types,
-                    _require_seed)
+                    _require_positive, _require_seed)
 
 SEED_ENV_VAR = "MECFL_SEED"
 
@@ -53,6 +53,12 @@ METRICS_HEADER = ("iteration", "train_loss", "test_loss", "t_total", "t_edge",
                   "t_local_max", "e_total_max", "weighted_score")
 SWEEP_HEADER = ("scenario", "value", "train_loss", "test_loss", "t_total", "t_edge",
                 "t_local_center", "t_local_celledge", "e_total_center", "e_total_celledge")
+
+# ExperimentSpec's counts and their least values, and its ranges that must lie in (0, inf)
+_SPEC_MINIMA = {"user_count": 1, "samples_per_user": 1, "max_iterations": 1, "test_samples": 1,
+                "sweep_rounds": 1, "n_features": 1, "n_classes": 2}
+_POSITIVE_RANGES = ("cpu_hz_range", "energy_budget_range", "distance_range_m",
+                    "channel_gain_range")
 
 
 @dataclass(frozen=True)
@@ -97,12 +103,17 @@ class ExperimentSpec:
         _require_seed("ExperimentSpec", "seed", self.seed)
         if self.scenario not in SCENARIOS:
             raise ValidationError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        if self.user_count < 1:
-            raise ValidationError("user_count must be >= 1")
-        if self.samples_per_user < 1:
-            raise ValidationError("samples_per_user must be >= 1")
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be >= 1")
+        for name, low in _SPEC_MINIMA.items():
+            if getattr(self, name) < low:
+                raise ValidationError(f"{name} must be >= {low}")
+        _require_positive("ExperimentSpec", transmit_power_w=self.transmit_power_w)
+        if not 0.0 <= self.shadowing_sigma_db < math.inf:
+            raise ValidationError(f"shadowing_sigma_db must be finite and >= 0, "
+                                  f"got {self.shadowing_sigma_db!r}")
+        for name in _POSITIVE_RANGES:
+            value = getattr(self, name)
+            if value is not None and not (value[0] > 0 and math.isfinite(value[1])):
+                raise ValidationError(f"{name} must lie in (0, inf), got {value!r}")
         if self.data_source not in ("synthetic", "idx"):
             raise ValidationError("data_source must be 'synthetic' or 'idx'")
         if not 0.0 <= self.sweep_delta <= 1.0:
@@ -344,7 +355,7 @@ def run_sweep(spec: ExperimentSpec) -> list[dict]:
             delta, gamma = spec.sweep_delta, value
         result = run_proposed(
             pop, datasets, cfg, spec.sweep_rounds, test_dataset=test,
-            adapt=False, initial_delta=delta, initial_gamma=gamma,
+            adapt=False, force_delta=delta, initial_gamma=gamma,
             stop_on_convergence=False,
         )
         last = result.trace[-1]

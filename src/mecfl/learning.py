@@ -23,13 +23,12 @@ A step computes only as many rows as its widest batch: on equal shards of
 50 rows in batches of 32, every second step is 18 rows wide, not 32.
 Scores and their gradients are held user-major, ``(users, rows, classes)``,
 the forward product's own output. A call of one row set (the edge's
-:func:`train`, and ``verify``'s runs) gathers that row set's batch rows and
-one-hot targets 64 steps at a time and steps on 2-D views of them, ``(rows,
-features + 1)`` by the one ``(classes, features + 1)`` weight block, with
-the same expressions as the 3-D step but ``np.dot`` for ``np.matmul``: a
-gather of the whole call would hold all its epochs' rows at once, and
-per-step gathers and a stacked product of one matrix cost more numpy
-dispatch than the step's arithmetic.
+:func:`train`) gathers that row set's batch rows and one-hot targets 64
+steps at a time and steps on 2-D views of them, ``(rows, features + 1)`` by
+the one ``(classes, features + 1)`` weight block, with the same expressions
+as the 3-D step but ``np.dot`` for ``np.matmul``: a gather of the whole call
+would hold all its epochs' rows at once, and per-step gathers and a stacked
+product of one matrix cost more numpy dispatch than the step's arithmetic.
 The bits match because:
 
 - the kernel gathers its batches from ``Dataset.rows``, which end in a 1,
@@ -57,15 +56,10 @@ The bits match because:
   same float as every user's row count; other steps divide by each user's
   count.
 
-A round draws two random streams per user, one for its split and one for
-its epoch orders, each that of ``np.random.default_rng(seed)``. Building a
-generator that way runs numpy's ``SeedSequence`` hash once per seed, which
-costs more than the user's split itself. :func:`_generators` gives the same
-streams for many seeds at once: it hashes all seeds in one vectorized pass
-of ``SeedSequence``'s mixing (O'Neill's ``seed_seq_fe``) into the 4 uint64
-words ``SeedSequence`` would hand ``PCG64``, and seeds each generator from
-its words through ``_Words``, an ``ISeedSequence`` (numpy's protocol for
-seed sources), so ``PCG64`` derives its state from them as numpy does.
+Each randomized call takes one seed, an integer in [0, 2**63), and draws
+from one ``np.random.default_rng(seed)``: :func:`split_dataset` draws every
+user's row order in user order, and :func:`train_users` draws the epoch
+orders of the row sets that train, in index order.
 """
 
 from __future__ import annotations
@@ -74,36 +68,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import SimulationError, ValidationError
-from .types import (ModelState, _SEED_LIMIT, _fits, _is_seed, _require_field_types,
-                    _require_seed)
+from .types import ModelState, _fits, _require_field_types, _require_seed
 
 _RANGE_ATOL = 1e-9
-# Fewer seeds than this get one default_rng each: the vectorized hash of
-# _generators has a fixed cost of about 6 default_rng calls (measured
-# break-even 7-8 seeds, each drawing a permutation of 50).
-_VECTOR_SEEDS_MIN = 8
 # A one-row-set call gathers the rows of this many steps at once.
 _GATHER_STEPS = 64
-
-# numpy's SeedSequence constants (pool of 4 uint32 words).
-_M32 = 0xFFFFFFFF
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_SHIFT = np.uint32(16)
-
-
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """Constants of ``count`` successive hash calls, one per row: call k uses rows k and k + 1."""
-    out = [init]
-    for _ in range(count):
-        out.append(out[-1] * mult & _M32)
-    return np.array(out, dtype=np.uint32)[:, None]
-
-
-_MIX_CONST = _hash_constants(0x43B0D7E5, 0x931E8875, 16)    # 4 to fill, 12 to mix the pool
-_STATE_CONST = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)   # 8 state words
 
 
 @dataclass(frozen=True)
@@ -164,12 +135,12 @@ def weight_dim(n_features: int, n_classes: int) -> int:
     return (n_features + 1) * n_classes
 
 
-def split_dataset(sizes, delta, seeds) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def split_dataset(sizes, delta, seed) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Every user's pool rows as ``(kept_rows, offloaded_rows)``, one index array per user each.
 
     User ``u`` holds the ``sizes[u]`` pool rows after those of the users
-    before it, ordered by the first ``permutation`` of
-    ``np.random.default_rng(seeds[u])`` (seeds in [0, 2**63)); the first
+    before it, ordered by the ``u``-th ``permutation`` drawn from
+    ``np.random.default_rng(seed)`` (a seed in [0, 2**63)); the first
     round(delta[u] * sizes[u]) of them, ties rounded up, go to the edge.
     """
     if not (isinstance(sizes, np.ndarray) and sizes.dtype.kind in "iu"):
@@ -179,9 +150,10 @@ def split_dataset(sizes, delta, seeds) -> tuple[list[np.ndarray], list[np.ndarra
             raise ValidationError(f"split_dataset: user {bad[0]}'s size must be an integer, "
                                   f"got {sizes[bad[0]]!r}")
     sizes, delta = np.asarray(sizes, dtype=np.int64), np.asarray(delta, dtype=float)
-    if not sizes.ndim == delta.ndim == 1 or not len(sizes) == len(delta) == len(seeds):
-        raise ValidationError(f"split_dataset: need one size, delta and seed per user, got "
-                              f"{sizes.size} sizes, {delta.size} deltas and {len(seeds)} seeds")
+    if not sizes.ndim == delta.ndim == 1 or len(sizes) != len(delta):
+        raise ValidationError(f"split_dataset: need one size and one delta per user, got "
+                              f"{sizes.size} sizes and {delta.size} deltas")
+    _require_seed("split_dataset", "seed", seed)
     if (sizes < 0).any():
         raise ValidationError(f"split_dataset: sizes must be >= 0, got {sizes.min()}")
     outside = delta[~((delta >= 0.0) & (delta <= 1.0))]
@@ -189,8 +161,8 @@ def split_dataset(sizes, delta, seeds) -> tuple[list[np.ndarray], list[np.ndarra
         raise ValidationError(f"split_dataset: delta must lie in [0, 1], got {outside[0]}")
     n_offload = np.floor(delta * sizes + 0.5).astype(np.int64).tolist()
     starts = (np.cumsum(sizes) - sizes).tolist()
-    gens = _generators(_seed_array("split_dataset", seeds))
-    rows = [gen.permutation(n) + start for n, start, gen in zip(sizes.tolist(), starts, gens)]
+    rng = np.random.default_rng(seed)
+    rows = [rng.permutation(n) + start for n, start in zip(sizes.tolist(), starts)]
     return [r[k:] for r, k in zip(rows, n_offload)], [r[:k] for r, k in zip(rows, n_offload)]
 
 
@@ -209,75 +181,6 @@ def concat_datasets(parts, n_classes: int, n_features: int) -> Dataset:
 def shuffle_dataset(d: Dataset, seed: int) -> Dataset:
     _require_seed("shuffle_dataset", "seed", seed)
     return d.take(np.random.default_rng(seed).permutation(d.sample_count))
-
-
-def _seed_array(caller: str, seeds) -> np.ndarray:
-    """The seeds as uint64; ValidationError names ``caller`` and the first that is no seed."""
-    if isinstance(seeds, np.ndarray) and seeds.ndim == 1 and seeds.dtype.kind in "iu":
-        ok = (seeds >= 0) & (seeds < _SEED_LIMIT)
-    else:
-        seeds = list(seeds)
-        ok = np.array([_is_seed(s) for s in seeds], dtype=bool)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise ValidationError(f"{caller}: seed {i} must be an integer in [0, 2**63), "
-                              f"got {seeds[i]!r}")
-    return np.array(seeds, dtype=np.uint64)
-
-
-def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """SeedSequence's hash of each row of ``value`` with the constants of its call."""
-    value = (value ^ consts[:-1]) * consts[1:]
-    value ^= value >> _SHIFT
-    return value
-
-
-def _state_words(seeds: np.ndarray) -> np.ndarray:
-    """``SeedSequence(s).generate_state(4, np.uint64)`` for each uint64 seed ``s``, one row each.
-
-    ``SeedSequence(s)`` fills its pool of 4 uint32 words by hashing the low
-    and the high word of ``s`` and two zeros (below 2**32 the high word is
-    0, which is what numpy hashes past the end of a one-word entropy), then
-    mixes every word into the 3 others in turn, and
-    ``generate_state(4, uint64)`` hashes the pool twice over into 8 uint32
-    words, read in pairs, low word first. Each step is one uint32 op on all
-    seeds; uint32 products wrap modulo 2**32, as in numpy's C code.
-    """
-    pool = np.zeros((4, seeds.size), dtype=np.uint32)
-    pool[0] = seeds & np.uint64(_M32)
-    pool[1] = seeds >> np.uint64(32)
-    pool = _hashmix(pool, _MIX_CONST[:5])
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        hashed = _hashmix(pool[src], _MIX_CONST[4 + 3 * src:8 + 3 * src])
-        mixed = pool[dst] * _MIX_L - hashed * _MIX_R
-        mixed ^= mixed >> _SHIFT
-        pool[dst] = mixed
-    words = _hashmix(np.concatenate([pool, pool]), _STATE_CONST).astype(np.uint64)
-    return np.ascontiguousarray((words[0::2] | words[1::2] << np.uint64(32)).T)
-
-
-class _Words(ISeedSequence):
-    """A seed sequence that hands ``PCG64`` one row of :func:`_state_words`: 4 uint64 words."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words   # PCG64 asks for generate_state(4, np.uint64)
-
-
-def _generators(seeds):
-    """For each seed ``s`` in turn, a generator with the stream of ``np.random.default_rng(s)``.
-
-    Seeds are integers in [0, 2**63). From ``_VECTOR_SEEDS_MIN`` seeds on,
-    the words that ``default_rng(s)``'s ``SeedSequence`` would give ``PCG64``
-    come from one vectorized hash of all seeds (:func:`_state_words`).
-    """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    if seeds.size < _VECTOR_SEEDS_MIN:
-        return map(np.random.default_rng, seeds.tolist())
-    return (np.random.Generator(np.random.PCG64(_Words(row))) for row in _state_words(seeds))
 
 
 def _logits(w: np.ndarray, features: np.ndarray, n_classes: int) -> np.ndarray:
@@ -326,25 +229,22 @@ def loss_gradient(w: np.ndarray, features: np.ndarray, labels: np.ndarray,
     return np.concatenate([grad_feat, dz.sum(axis=0)[:, None]], axis=1).ravel()
 
 
-def train_users(w_init: np.ndarray, pool: Dataset, rows, epochs: int, lr: float, seeds,
+def train_users(w_init: np.ndarray, pool: Dataset, rows, epochs: int, lr: float, seed: int,
                 batch_size: int = 32) -> np.ndarray:
     """Mini-batch SGD of every user at once, each from ``w_init`` on its own rows.
 
     User ``u`` trains on the rows ``rows[u]`` of ``pool`` (a 1-d index array,
-    in that order) with the batches that :func:`train` would draw for them
-    with seed ``seeds[u]``: a fresh ``default_rng(seeds[u]).permutation``
-    each epoch, cut into ``batch_size`` chunks. All epochs of a user are
-    drawn in one ``Generator.permuted`` call, which gives the same orders.
-    The generators have the streams of ``default_rng(seeds[u])``; from
-    ``_VECTOR_SEEDS_MIN`` training users on they come from one vectorized
-    hash of all seeds (:func:`_generators`), whose fixed cost is about that
-    of 6 ``default_rng`` calls, so fewer users call ``default_rng`` each.
+    in that order), cut into ``batch_size`` chunks after a fresh permutation
+    each epoch. The permutations come from one ``np.random.default_rng(seed)``
+    (a seed in [0, 2**63)): the row sets that train go in index order, each
+    drawing all its epochs in one ``Generator.permuted`` call, which gives the
+    orders of one ``permutation`` per epoch; a row set that makes no step
+    draws nothing. One row set thus trains as :func:`train` does at ``seed``.
     Step k updates every user on its own k-th batch and computes as many
     rows as the widest of those batches, not ``batch_size``; a user out of
     batches (or with no rows at all) keeps its weights. Returns the weights,
-    shape (users, dim), with the same bits as training each user alone (see
-    the module docstring for why). Needs one seed per row set, each an
-    integer in [0, 2**63).
+    shape (users, dim), with the same bits as training each user alone on
+    those orders (see the module docstring for why).
     """
     if not (_fits(epochs, "int") and _fits(batch_size, "int") and lr > 0 and math.isfinite(lr)
             and epochs >= 0 and batch_size >= 1):
@@ -357,10 +257,9 @@ def train_users(w_init: np.ndarray, pool: Dataset, rows, epochs: int, lr: float,
     if w_init.shape != (dim,):
         raise ValidationError(f"train: weight length {w_init.size} does not match {dim}")
     rows = [np.asarray(r, dtype=np.int64) for r in rows]
-    if len(seeds) != len(rows) or any(r.ndim != 1 for r in rows):
-        raise ValidationError(f"train: need one seed per row set and 1-d row sets, got "
-                              f"{len(seeds)} seeds for {len(rows)} row sets")
-    seeds = _seed_array("train", seeds)
+    if any(r.ndim != 1 for r in rows):
+        raise ValidationError("train: every row set must be a 1-d index array")
+    _require_seed("train", "seed", seed)
     flat = np.concatenate([np.zeros(0, dtype=np.int64), *rows])
     if flat.size and (flat.min() < 0 or flat.max() >= pool.sample_count):
         raise ValidationError(f"train: row indices must lie in [0, {pool.sample_count})")
@@ -375,10 +274,12 @@ def train_users(w_init: np.ndarray, pool: Dataset, rows, epochs: int, lr: float,
     # batches[slot, k] holds the pool rows of that user's k-th batch, padded
     # with -1; each user's epochs are one contiguous block of its slot.
     batches = np.full((len(order), len(active), batch_size), -1, dtype=np.intp)
-    for slot, (u, gen) in enumerate(zip(order, _generators(seeds[order]))):
+    rng = np.random.default_rng(seed)
+    for slot in np.argsort(order).tolist():                 # row sets in index order
+        u = order[slot]
         block = batches[slot, :steps[u]].reshape(epochs, -1)[:, :sizes[u]]
         block[:] = rows[u]
-        gen.permuted(block, axis=1, out=block)
+        rng.permuted(block, axis=1, out=block)
     labels = pool.labels.take(batches)
     pad = batches < 0
     counts = batch_size - pad.sum(axis=2)                   # (slots, steps)
@@ -461,8 +362,7 @@ def train(w_init: np.ndarray, d: Dataset, epochs: int, lr: float, seed: int,
     """Mini-batch SGD on all rows of ``d``: :func:`train_users` for one user."""
     if d.sample_count == 0:
         raise ValidationError("train: dataset has no samples")
-    return train_users(w_init, d, [np.arange(d.sample_count)], epochs, lr, [seed],
-                       batch_size)[0]
+    return train_users(w_init, d, [np.arange(d.sample_count)], epochs, lr, seed, batch_size)[0]
 
 
 def evaluate_loss(w: np.ndarray, d: Dataset) -> float:

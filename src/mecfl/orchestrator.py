@@ -50,13 +50,12 @@ class ExperimentResult:
 
     trace: tuple[RoundMetrics, ...]
     alloc_trace: tuple[AllocationState, ...]
-    final_alloc: AllocationState
     final_model: ModelState
     converged: bool
     iterations_used: int
 
 
-def _check_population(pop: Population, datasets) -> None:
+def _check_population(pop: Population, datasets, cfg: SystemConfig) -> None:
     if pop.dataset_size.ndim != 1:
         raise ValidationError(f"a run takes 1-d population fields, not {pop.dataset_size.shape}")
     if len(datasets) != pop.n_users:
@@ -69,6 +68,12 @@ def _check_population(pop: Population, datasets) -> None:
                               f"dataset holds {held[i]}")
     if len({(d.n_features, d.n_classes) for d in datasets}) > 1:
         raise ValidationError("all user datasets must share feature and class counts")
+    # 1 + SNR rounds to 1 below an SNR of about 1.1e-16: no bit would ever arrive
+    silent = ~(costs.base_rate(pop, cfg) > 0)
+    if silent.any():
+        i = int(silent.argmax())
+        snr = pop.transmit_power[i] * pop.channel_gain[i] / cfg.noise_power
+        raise ValidationError(f"user {i}: uplink rate is 0 at SNR {snr:.3g}")
 
 
 def _round_metrics(pop, alloc, model, dim, cfg, train_pool, test_dataset):
@@ -91,15 +96,15 @@ def _round_metrics(pop, alloc, model, dim, cfg, train_pool, test_dataset):
 
 def run_proposed(pop: Population, datasets, cfg: SystemConfig, max_iterations: int = 100, *,
                  test_dataset: Dataset, force_delta: float | None = None,
-                 adapt: bool = True, initial_delta: float | None = None,
-                 initial_gamma: float | None = None,
+                 adapt: bool = True, initial_gamma: float | None = None,
                  stop_on_convergence: bool = True) -> ExperimentResult:
     """Run the joint training / resource-management loop.
 
     ``force_delta`` pins every user's offload fraction for the whole run
     (the traditional and centralized baselines); ``adapt=False`` freezes
-    the entire allocation, which is what the sweep scenarios use. The run
-    is fully reproducible from (pop, datasets, cfg).
+    the entire allocation where it starts (``force_delta`` and
+    ``initial_gamma`` set it), which is what the sweep scenarios use. The
+    run is fully reproducible from (pop, datasets, cfg).
 
     With ``stop_on_convergence`` the run stops once the test loss (MSE) and
     ``t_total`` (seconds) both move by at most ``cfg.convergence_tol`` in a
@@ -108,7 +113,7 @@ def run_proposed(pop: Population, datasets, cfg: SystemConfig, max_iterations: i
     """
     if max_iterations < 1:
         raise ValidationError("max_iterations must be >= 1")
-    _check_population(pop, datasets)
+    _check_population(pop, datasets, cfg)
     n_features, n_classes = datasets[0].n_features, datasets[0].n_classes
     dim = weight_dim(n_features, n_classes)
     if test_dataset.n_features != n_features or test_dataset.n_classes != n_classes:
@@ -116,9 +121,7 @@ def run_proposed(pop: Population, datasets, cfg: SystemConfig, max_iterations: i
     train_pool = concat_datasets(datasets, n_classes, n_features)
 
     rng = np.random.default_rng(cfg.rng_seed)
-    delta = force_delta if force_delta is not None else initial_delta
-    if delta is None:
-        delta = rng.uniform(0.0, 1.0, pop.n_users)
+    delta = force_delta if force_delta is not None else rng.uniform(0.0, 1.0, pop.n_users)
     gamma = initial_gamma if initial_gamma is not None else rng.uniform(0.0, 1.0, pop.n_users)
     alloc = AllocationState.uniform(pop.n_users, delta=delta, gamma=gamma)
     model = ModelState.initial(pop.n_users, dim, pop.dataset_size)
@@ -145,7 +148,6 @@ def run_proposed(pop: Population, datasets, cfg: SystemConfig, max_iterations: i
     return ExperimentResult(
         trace=tuple(trace),
         alloc_trace=tuple(allocs),
-        final_alloc=alloc,
         final_model=model,
         converged=converged,
         iterations_used=len(trace),
@@ -173,17 +175,15 @@ def resource_round(pop: Population, alloc: AllocationState, dim: int, cfg: Syste
 
 def _train_round(pop, train_pool, delta, model, cfg, rng):
     """One round of training at offload fractions ``delta``: the next model."""
-    split_seeds = rng.integers(_SEED_CAP, size=pop.n_users)
-    train_seeds = rng.integers(_SEED_CAP, size=pop.n_users)
-    edge_seed = int(rng.integers(_SEED_CAP))
+    split_seed, train_seed, edge_seed = rng.integers(_SEED_CAP, size=3).tolist()
 
     # Local phase: split, then every user trains on its kept rows of the
     # pool at once, warm-started from the current global model. Users
     # offloading everything keep the global weights.
-    kept_rows, offloaded_rows = split_dataset(pop.dataset_size, delta, split_seeds)
+    kept_rows, offloaded_rows = split_dataset(pop.dataset_size, delta, split_seed)
     local_sizes = np.array([rows.size for rows in kept_rows], dtype=np.int64)
     local_weights = train_users(model.global_weights, train_pool, kept_rows, cfg.local_epochs,
-                                cfg.learning_rate, train_seeds, cfg.batch_size)
+                                cfg.learning_rate, train_seed, cfg.batch_size)
 
     # Edge phase: train on the pooled offloaded rows, then aggregate.
     pooled_rows = np.concatenate(offloaded_rows)

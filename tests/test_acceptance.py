@@ -85,7 +85,7 @@ def test_criterion_6_offload_sweep_trends():
         losses, times = [], []
         for value in grid:
             run = run_proposed(pop, datasets, cfg, spec.sweep_rounds,
-                               test_dataset=test, adapt=False, initial_delta=value,
+                               test_dataset=test, adapt=False, force_delta=value,
                                initial_gamma=1.0, stop_on_convergence=False)
             losses.append(run.trace[-1].test_loss)
             times.append(run.trace[-1].t_total)
@@ -136,7 +136,7 @@ def test_criterion_9_cell_edge_allocation_profile():
                      cpu_hz=[1.35e9, 1.35e9], energy_budget=[50.0, 50.0],
                      dataset_size=[200, 200])
     result = run_proposed(pop, datasets, cfg, 100, test_dataset=test)
-    alloc = result.final_alloc
+    alloc = result.alloc_trace[-1]
     smaller_delta = alloc.delta[1] < alloc.delta[0]
     larger_offload = alloc.uplink_offload[1] > alloc.uplink_offload[0]
     larger_upload = alloc.uplink_weight[1] > alloc.uplink_weight[0]

@@ -211,6 +211,22 @@ def test_config_env_seed_override(tmp_path, monkeypatch):
     assert io.load_config(str(path)).seed == 1
 
 
+# spec values that synthesis used to refuse late, under another name or with
+# numpy's bare error, and the message that now names the field
+BAD_SPEC_VALUES = {
+    "test_samples": (0, "test_samples must be >= 1"),
+    "sweep_rounds": (0, "sweep_rounds must be >= 1"),
+    "n_features": (0, "n_features must be >= 1"),
+    "n_classes": (1, "n_classes must be >= 2"),
+    "transmit_power_w": (0.0, "transmit_power_w must be finite and > 0, got 0.0"),
+    "shadowing_sigma_db": (-1.0, "shadowing_sigma_db must be finite and >= 0, got -1.0"),
+    "cpu_hz_range": ((0.0, 1e9), r"cpu_hz_range must lie in \(0, inf\)"),
+    "energy_budget_range": ((-1.0, -0.5), r"energy_budget_range must lie in \(0, inf\)"),
+    "distance_range_m": ((0.0, 500.0), r"distance_range_m must lie in \(0, inf\)"),
+    "channel_gain_range": ((0.0, 1e-6), r"channel_gain_range must lie in \(0, inf\)"),
+}
+
+
 def test_spec_validation():
     with pytest.raises(ValidationError):
         desk_spec(scenario="nope")
@@ -218,6 +234,10 @@ def test_spec_validation():
         desk_spec(user_count=0)
     with pytest.raises(ValidationError):
         desk_spec(cpu_hz_range=(2.0, 1.0))
+    for name, (value, message) in BAD_SPEC_VALUES.items():
+        with pytest.raises(ValidationError, match=message):
+            desk_spec(**{name: value})
+    desk_spec(channel_gain_range=None, shadowing_sigma_db=0.0)   # no gain range, no shadowing
 
 
 # config entries of the wrong type, and the field or variable the error names
@@ -300,7 +320,7 @@ def test_offload_sweep_zero_matches_static_traditional_run():
     test = io.load_test_dataset(spec)
     cfg = io.effective_config(spec)
     ref = run_proposed(pop, datasets, cfg, spec.sweep_rounds, test_dataset=test,
-                       adapt=False, initial_delta=0.0, initial_gamma=1.0,
+                       adapt=False, force_delta=0.0, initial_gamma=1.0,
                        stop_on_convergence=False)
     assert rows[0]["test_loss"] == ref.trace[-1].test_loss
     assert rows[0]["t_total"] == ref.trace[-1].t_total
@@ -374,7 +394,7 @@ def test_alloc_trace_jsonl(tmp_path):
     records = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(records) == result.iterations_used
     assert records[0]["iteration"] == 0
-    assert records[-1]["delta"] == [float(v) for v in result.final_alloc.delta]
+    assert records[-1]["delta"] == [float(v) for v in result.alloc_trace[-1].delta]
 
 
 def test_cli_run_writes_outputs(tmp_path):
@@ -455,6 +475,30 @@ def test_cli_reports_a_bad_value_as_a_usage_error(argv, message, tmp_path, monke
     # refused before any simulation starts and before any output is touched
     assert not started
     assert kept.read_bytes() == b"an earlier run's output\n"
+
+
+@pytest.mark.parametrize("command, entry, message", [
+    ("run", "experiment.test_samples = 0", "test_samples must be >= 1"),
+    ("run", "experiment.energy_budget_range = (-1.0, -0.5)",
+     r"energy_budget_range must lie in \(0, inf\), got \(-1.0, -0.5\)"),
+    ("sweep", "experiment.shadowing_sigma_db = -1.0", "shadowing_sigma_db must be finite"),
+    ("sweep", "experiment.sweep_rounds = 0", "sweep_rounds must be >= 1"),
+])
+def test_cli_refuses_a_bad_config_value_before_the_run(command, entry, message, tmp_path,
+                                                       monkeypatch, capsys):
+    started = []
+    for name in ("run_experiment", "run_sweep"):
+        monkeypatch.setattr(io, name, lambda spec: started.append(spec))
+    config = tmp_path / "exp.cfg"
+    config.write_text(entry + "\n")
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main([command, "--config", str(config), "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert re.fullmatch(f"mecfl {command}: error: {message}.*",
+                        capsys.readouterr().err.splitlines()[-1])
+    # refused before any simulation starts and before --out is created
+    assert not started and not out.exists()
 
 
 @pytest.mark.parametrize("command, scenario", [("run", "proposed"), ("sweep", "sweep_offload")])

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -9,9 +10,7 @@ from scipy.special import expit
 from mecfl import learning
 from mecfl.errors import SimulationError, ValidationError
 from mecfl.learning import (
-    _VECTOR_SEEDS_MIN,
     Dataset,
-    _generators,
     _scores,
     _sigmoid,
     aggregate,
@@ -38,7 +37,7 @@ def assert_partition(kept, offloaded, n):
 
 def split_one(n, delta, seed):
     """``(kept_rows, offloaded_rows)`` of one user holding ``n`` rows."""
-    kept, offloaded = split_dataset([n], [delta], [seed])
+    kept, offloaded = split_dataset([n], [delta], seed)
     return kept[0], offloaded[0]
 
 
@@ -84,13 +83,13 @@ def test_split_complement_swaps_cardinalities():
 def test_split_rejects_bad_delta():
     for delta in (1.5, -0.1, np.nan):
         with pytest.raises(ValidationError, match=r"^split_dataset: delta must lie in \[0, 1\]"):
-            split_dataset([40, 40], [0.5, delta], [0, 1])
+            split_dataset([40, 40], [0.5, delta], 0)
 
 
 @pytest.mark.parametrize("sizes, delta, seeds, message", [
-    ([40, 40], [0.5], [0, 1], "need one size, delta and seed per user"),
-    ([40], [0.5], [0, 1], "need one size, delta and seed per user"),
-    ([40, 40], [0.5, 0.5], [0], "need one size, delta and seed per user"),
+    ([40, 40], [0.5], [0, 1], "need one size and one delta per user, got 2 sizes and 1 deltas"),
+    ([40], [0.5, 0.5], [0, 1], "need one size and one delta per user, got 1 sizes and 2 deltas"),
+    ([40, 40], [[0.5, 0.5]], [0], "need one size and one delta per user"),
     ([40, -1, 3], [0.5, 0.5, 0.5], [0, 1, 2], "sizes must be >= 0, got -1"),
     # a non-integer size used to be truncated, a bool taken as 1
     ([2.5], [0.5], [0], "user 0's size must be an integer, got 2.5$"),
@@ -98,38 +97,42 @@ def test_split_rejects_bad_delta():
     (np.array([40.0, 3.0]), [0.5, 0.5], [0, 1], "user 0's size must be an integer, got "),
 ])
 def test_split_rejects_mismatched_lengths_and_negative_sizes(sizes, delta, seeds, message):
-    with pytest.raises(ValidationError, match=f"^split_dataset: {message}"):
-        split_dataset(sizes, delta, seeds)
+    # refused at every seed given, before anything is drawn
+    for seed in seeds:
+        with pytest.raises(ValidationError, match=f"^split_dataset: {message}"):
+            split_dataset(sizes, delta, seed)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, 2**63, True])
-@pytest.mark.parametrize("call", [lambda d, seed: split_dataset([d.sample_count], [0.5], [seed]),
+@pytest.mark.parametrize("seed", [-1, 1.5, 2**63, True, np.int64(-1)])
+@pytest.mark.parametrize("call", [lambda d, seed: split_dataset([d.sample_count], [0.5], seed),
                                   lambda d, seed: shuffle_dataset(d, seed)],
                          ids=["split_dataset", "shuffle_dataset"])
 def test_split_and_shuffle_reject_seeds_outside_0_to_2_63(call, seed):
     # numpy's own ValueError (-1, 2**63) and TypeError (1.5) do not leak, and a
-    # bool is no seed, though True == 1; split_dataset names the user's seed
+    # bool is no seed, though True == 1
     d = random_dataset(np.random.default_rng(0), n=4)
-    with pytest.raises(ValidationError, match=rf"seed( 0)? must be an integer in "
-                                              rf"\[0, 2\*\*63\), got {seed!r}$"):
+    with pytest.raises(ValidationError, match=rf"^(split|shuffle)_dataset: seed must be an "
+                                              rf"integer in \[0, 2\*\*63\), "
+                                              rf"got {re.escape(repr(seed))}$"):
         call(d, seed)
 
 
 @pytest.mark.parametrize("n_users", [5, 40])
 def test_split_equals_each_users_permutation_after_its_offset(n_users):
-    # 5 users take one default_rng each, 40 the vectorized _generators
-    assert 5 < _VECTOR_SEEDS_MIN <= 40
+    # user u's rows are ordered by the u-th permutation of one generator;
+    # a user without rows (size 0) draws nothing
     rng = np.random.default_rng(n_users)
     sizes = rng.integers(0, 60, n_users)
     delta = rng.uniform(0.0, 1.0, n_users)
     delta[:3] = 0.0, 1.0, 0.5
     sizes[2] = 7                                  # 3.5 rows: a tie, rounded up
-    seeds = rng.integers(2**63, size=n_users)
-    seeds[-1] = 2**63 - 1
-    kept, offloaded = split_dataset(sizes, delta, seeds)
+    sizes[3] = 0
+    seed = 2**63 - n_users                        # near the top of the seed range
+    kept, offloaded = split_dataset(sizes, delta, seed)
+    draws = np.random.default_rng(seed)
     start = 0
     for u in range(n_users):
-        perm = start + np.random.default_rng(int(seeds[u])).permutation(sizes[u])
+        perm = start + draws.permutation(sizes[u])
         n_offload = math.floor(float(delta[u]) * int(sizes[u]) + 0.5)
         assert np.array_equal(offloaded[u], perm[:n_offload])
         assert np.array_equal(kept[u], perm[n_offload:])
@@ -276,7 +279,8 @@ def test_train_rejects_bad_arguments(epochs, lr, batch_size):
 
 
 def _reference_train(w_init, d, epochs, lr, seed, batch_size):
-    # the per-batch loop train() replaced: one validated Dataset per mini-batch
+    # the per-batch loop train() replaced: one validated Dataset per mini-batch;
+    # a Generator for seed passes through default_rng, so calls can share one
     w = np.array(w_init, dtype=float)
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
@@ -345,19 +349,35 @@ def _mixed_users(rng, sizes=(64, 50, 7, 0, 1, 1, 17, 33, 49), n_features=8, n_cl
     # 49), which numpy multiplies by another BLAS routine than a batch of several rows
     pool = random_dataset(rng, n=200, n_features=n_features, n_classes=n_classes)
     rows = [rng.choice(200, size=n, replace=False) for n in sizes]
-    return (pool, rows, rng.integers(2**31, size=len(rows)),
+    return (pool, rows, int(rng.integers(2**31)),
             rng.normal(size=weight_dim(n_features, n_classes)))
 
 
+def _reference_weights(w0, pool, rows, epochs, batch_size, seed, draw_for_empty=False):
+    # every user trained alone, in index order, on the epoch orders one shared
+    # default_rng(seed) gives; a user without rows draws nothing, unless
+    # draw_for_empty has it draw a permutation of the largest row count, as a
+    # padded table of every user's rows would
+    shared = np.random.default_rng(seed)
+    widest = max(r.size for r in rows)
+    out = []
+    for r in rows:
+        if r.size:
+            out.append(_reference_train(w0, pool.take(r), epochs, 0.3, shared, batch_size))
+        else:
+            if draw_for_empty:
+                shared.permutation(widest)
+            out.append(w0)
+    return out
+
+
 def _assert_equals_reference(rng, epochs=3, batch_size=16, **users):
-    pool, rows, seeds, w0 = _mixed_users(rng, **users)
-    out = train_users(w0, pool, rows, epochs=epochs, lr=0.3, seeds=seeds,
-                      batch_size=batch_size)
+    pool, rows, seed, w0 = _mixed_users(rng, **users)
+    out = train_users(w0, pool, rows, epochs=epochs, lr=0.3, seed=seed, batch_size=batch_size)
     assert out.shape == (len(rows), w0.size)
+    expected = _reference_weights(w0, pool, rows, epochs, batch_size, seed)
     for u, r in enumerate(rows):
-        expected = (_reference_train(w0, pool.take(r), epochs, 0.3, seeds[u], batch_size)
-                    if r.size else w0)
-        assert np.array_equal(out[u], expected), f"user {u} with {r.size} rows"
+        assert np.array_equal(out[u], expected[u]), f"user {u} with {r.size} rows"
 
 
 def test_train_users_equals_per_user_reference_loop():
@@ -387,10 +407,23 @@ def test_train_users_equals_reference_at_branch_points(sizes, batch_size, n_feat
                              n_features=n_features, n_classes=n_classes)
 
 
+def test_train_users_draws_nothing_for_a_user_without_rows():
+    # the empty user sits between two training users: the second trains on
+    # the draws that follow the first's, and a reference that draws for the
+    # empty user gives it other orders
+    pool, rows, seed, w0 = _mixed_users(np.random.default_rng(26), sizes=(17, 0, 33))
+    out = train_users(w0, pool, rows, epochs=3, lr=0.3, seed=seed, batch_size=16)
+    expected = _reference_weights(w0, pool, rows, 3, 16, seed)
+    drawing = _reference_weights(w0, pool, rows, 3, 16, seed, draw_for_empty=True)
+    assert all(np.array_equal(a, b) for a, b in zip(out, expected))
+    assert np.array_equal(out[1], w0)
+    assert np.array_equal(drawing[0], out[0]) and not np.array_equal(drawing[2], out[2])
+
+
 def test_train_users_step_is_as_wide_as_its_widest_batch(monkeypatch):
     # 50 rows in batches of 32 are one 32-row and one 18-row batch per user:
     # the second step computes 18 score rows, not 32
-    pool, rows, seeds, w0 = _mixed_users(np.random.default_rng(25), sizes=(50, 50, 50))
+    pool, rows, seed, w0 = _mixed_users(np.random.default_rng(25), sizes=(50, 50, 50))
     shapes = []
     sigmoid = learning._sigmoid
 
@@ -399,56 +432,53 @@ def test_train_users_step_is_as_wide_as_its_widest_batch(monkeypatch):
         return sigmoid(z)
 
     monkeypatch.setattr(learning, "_sigmoid", recording)
-    train_users(w0, pool, rows, epochs=1, lr=0.3, seeds=seeds, batch_size=32)
+    train_users(w0, pool, rows, epochs=1, lr=0.3, seed=seed, batch_size=32)
     assert shapes == [(3, 32, pool.n_classes), (3, 18, pool.n_classes)]
 
 
 def test_train_users_zero_epochs_returns_initial_weights():
-    pool, rows, seeds, w0 = _mixed_users(np.random.default_rng(18))
-    out = train_users(w0, pool, rows, epochs=0, lr=0.3, seeds=seeds, batch_size=16)
+    pool, rows, seed, w0 = _mixed_users(np.random.default_rng(18))
+    out = train_users(w0, pool, rows, epochs=0, lr=0.3, seed=seed, batch_size=16)
     assert np.array_equal(out, np.tile(w0, (len(rows), 1)))
 
 
 @pytest.mark.parametrize("bad_row", [-1, 200])
 def test_train_users_rejects_rows_outside_the_pool(bad_row):
-    pool, rows, seeds, w0 = _mixed_users(np.random.default_rng(19))
+    pool, rows, seed, w0 = _mixed_users(np.random.default_rng(19))
     rows[2] = np.append(rows[2], bad_row)
     with pytest.raises(ValidationError):
-        train_users(w0, pool, rows, epochs=1, lr=0.3, seeds=seeds, batch_size=16)
+        train_users(w0, pool, rows, epochs=1, lr=0.3, seed=seed, batch_size=16)
 
 
-@pytest.mark.parametrize("seeds, rows", [
-    pytest.param([1, 2], [np.arange(5)], id="more-seeds-than-row-sets"),
-    pytest.param([1], [np.arange(5), np.arange(3)], id="fewer-seeds-than-row-sets"),
-    pytest.param([1], [np.arange(6).reshape(2, 3)], id="2-d-row-set"),
-    pytest.param([1], [np.int64(4)], id="0-d-row-set"),
+@pytest.mark.parametrize("rows", [
+    pytest.param([np.arange(6).reshape(2, 3)], id="2-d-row-set"),
+    pytest.param([np.int64(4)], id="0-d-row-set"),
 ])
-def test_train_users_rejects_mismatched_seeds_and_row_sets(seeds, rows):
+def test_train_users_rejects_mismatched_seeds_and_row_sets(rows):
     pool = random_dataset(np.random.default_rng(23))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^train: every row set must be a 1-d index array$"):
         train_users(np.zeros(weight_dim(pool.n_features, pool.n_classes)), pool, rows,
-                    epochs=1, lr=0.1, seeds=seeds, batch_size=4)
+                    epochs=1, lr=0.1, seed=1, batch_size=4)
 
 
-# 24 users: the vectorized path when its cutoff was 12, kept past the cutoff now
-@pytest.mark.parametrize("n_users", [1, 2 * _VECTOR_SEEDS_MIN, 24])
-@pytest.mark.parametrize("seeds", [
-    pytest.param(lambda n: [*range(n - 1), -1], id="negative"),
-    pytest.param(lambda n: np.append(np.arange(n - 1), -1), id="negative-int64-array"),
-    pytest.param(lambda n: [*range(n - 1), 2**63], id="2**63"),
-    pytest.param(lambda n: np.append(np.arange(n - 1, dtype=np.uint64), np.uint64(2**63)),
-                 id="2**63-uint64-array"),
-    pytest.param(lambda n: [*range(n - 1), 1.5], id="fraction"),
-    pytest.param(lambda n: [*range(n - 1), True], id="bool"),
+# the one seed of a call of 1, 16 or 24 row sets, as a Python or a numpy integer
+@pytest.mark.parametrize("n_users", [1, 16, 24])
+@pytest.mark.parametrize("seed", [
+    pytest.param(-1, id="negative"),
+    pytest.param(np.int64(-1), id="negative-int64-array"),
+    pytest.param(2**63, id="2**63"),
+    pytest.param(np.uint64(2**63), id="2**63-uint64-array"),
+    pytest.param(1.5, id="fraction"),
+    pytest.param(True, id="bool"),
 ])
-def test_train_users_rejects_seeds_outside_0_to_2_63(n_users, seeds):
-    # on both sides of the cutoff of the vectorized generators, and before
-    # numpy could wrap a negative seed to uint32 or raise its own error
+def test_train_users_rejects_seeds_outside_0_to_2_63(n_users, seed):
+    # before numpy could wrap a negative seed or raise its own error
     pool = random_dataset(np.random.default_rng(24))
     rows = [np.arange(3)] * n_users
-    with pytest.raises(ValidationError, match=f"seed {n_users - 1} "):
+    with pytest.raises(ValidationError, match=rf"^train: seed must be an integer in "
+                                              rf"\[0, 2\*\*63\), got {re.escape(repr(seed))}$"):
         train_users(np.zeros(weight_dim(pool.n_features, pool.n_classes)), pool, rows,
-                    epochs=1, lr=0.1, seeds=seeds(n_users), batch_size=4)
+                    epochs=1, lr=0.1, seed=seed, batch_size=4)
 
 
 def test_train_users_padded_step_means_over_its_rows_alone():
@@ -457,11 +487,11 @@ def test_train_users_padded_step_means_over_its_rows_alone():
     rng = np.random.default_rng(20)
     pool = random_dataset(rng, n=30, n_features=4, n_classes=3)
     rows = [np.arange(0, 8), np.arange(10, 15), np.array([20])]
-    seeds = [3, 4, 5]
     w0 = rng.normal(size=weight_dim(4, 3))
-    out = train_users(w0, pool, rows, epochs=1, lr=0.5, seeds=seeds, batch_size=8)
+    out = train_users(w0, pool, rows, epochs=1, lr=0.5, seed=3, batch_size=8)
+    shared = np.random.default_rng(3)
     for u, r in enumerate(rows):
-        batch = r[np.random.default_rng(seeds[u]).permutation(r.size)]
+        batch = r[shared.permutation(r.size)]
         grad = loss_gradient(w0, pool.features[batch], pool.labels[batch], 3)
         assert np.array_equal(out[u], w0 - 0.5 * grad)
 
@@ -485,35 +515,6 @@ def test_permuted_epochs_equal_sequential_permutations(n, seed):
     np.random.default_rng(seed).permuted(view, axis=1, out=view)
     assert np.array_equal(view, expected + 100), message
     assert np.all(table[:, n:] == -1)
-
-
-_PIN_SEEDS = np.concatenate([
-    np.array([0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**63 - 1], dtype=np.uint64),
-    np.random.default_rng(25).integers(2**31, size=5000).astype(np.uint64),
-    np.random.default_rng(26).integers(2**63, size=5000).astype(np.uint64),
-])
-
-
-# 11 and 12 seeds: both sides of the cutoff when it was 12, vectorized now
-@pytest.mark.parametrize("count", [1, _VECTOR_SEEDS_MIN - 1, _VECTOR_SEEDS_MIN, 11, 12,
-                                   _PIN_SEEDS.size])
-def test_generators_equal_default_rng(count):
-    # the split and epoch generators of a round must draw what
-    # np.random.default_rng(seed) draws, on both sides of the cutoff
-    seeds = _PIN_SEEDS[:count]
-    message = (f"_generators no longer matches np.random.default_rng: SeedSequence or PCG64 "
-               f"seeding changed on numpy {np.__version__}, seed")
-    for s, gen in zip(seeds.tolist(), _generators(seeds)):
-        assert np.array_equal(gen.permutation(50), np.random.default_rng(s).permutation(50)), \
-            f"{message} {s}"
-    for s, gen in zip(seeds.tolist(), _generators(seeds)):
-        # as the kernel draws epochs: in place, in a strided view of a table
-        table, expected = np.full((5, 9), -1), np.full((5, 9), -1)
-        for out, rng in ((table, gen), (expected, np.random.default_rng(s))):
-            view = out[:, :7]
-            view[:] = np.arange(7)
-            rng.permuted(view, axis=1, out=view)
-        assert np.array_equal(table, expected), f"{message} {s}"
 
 
 def _blas_build():
@@ -607,7 +608,7 @@ def test_sigmoid_equals_expit_at_extremes_without_a_warning():
         pool = Dataset(np.full((6, 1), 0.5), np.arange(6) % 2, 2)
         w0 = np.array([0.0, -1000.0, 0.0, 1000.0])
         # every score is 0 or 1 exactly, so every gradient is 0
-        trained = train_users(w0, pool, [np.arange(6)], epochs=2, lr=0.5, seeds=[3],
+        trained = train_users(w0, pool, [np.arange(6)], epochs=2, lr=0.5, seed=3,
                               batch_size=4)
     expected = expit(_EXTREMES)
     assert np.array_equal(direct, expected, equal_nan=True), _sigmoid_message("moved")

@@ -6,14 +6,13 @@ from mecfl import costs, io
 from mecfl.costs import base_rate
 from mecfl.errors import DegenerateDivisor, SimulationError, ValidationError
 from mecfl.learning import (
-    _VECTOR_SEEDS_MIN,
     Dataset,
     concat_datasets,
+    loss_gradient,
     split_dataset,
-    train,
     weight_dim,
 )
-from mecfl.optimizer import solve_delta, solve_gamma
+from mecfl.optimizer import solve_delta, solve_gamma, solve_uplink
 from mecfl.orchestrator import (
     _SEED_CAP,
     _train_round,
@@ -74,7 +73,7 @@ def test_identical_seeds_reproduce_bitwise():
         assert ma.t_total == mb.t_total
         assert np.array_equal(ma.e_total, mb.e_total)
     assert np.array_equal(a.final_model.global_weights, b.final_model.global_weights)
-    assert np.array_equal(a.final_alloc.delta, b.final_alloc.delta)
+    assert np.array_equal(a.alloc_trace[-1].delta, b.alloc_trace[-1].delta)
 
 
 def test_forced_zero_delta_is_bit_identical_to_traditional():
@@ -120,7 +119,7 @@ def test_centralized_aggregate_equals_edge_model():
 def test_centralized_local_time_is_upload_only():
     pop, datasets, test, cfg = tiny_population(seed=6)
     result = run_centralized(pop, datasets, cfg, 6, test_dataset=test)
-    last, alloc = result.trace[-1], result.final_alloc
+    last, alloc = result.trace[-1], result.alloc_trace[-1]
     weight_bytes = costs.weights_bytes(result.final_model.global_weights.size, cfg)
     for i, rate in enumerate(base_rate(pop, cfg)):
         upload = costs.transmit_time(weight_bytes, alloc.uplink_weight[i], rate)
@@ -169,8 +168,8 @@ def test_starved_budget_degrades_to_full_offloading():
     pop, datasets, test, cfg = tiny_population(seed=9)
     starved = replace(pop, energy_budget=np.full(pop.n_users, 1e-15))
     result = run_proposed(starved, datasets, cfg, 5, test_dataset=test)
-    assert np.all(result.final_alloc.delta == 1.0)
-    assert np.all(result.final_alloc.gamma == 0.0)
+    assert np.all(result.alloc_trace[-1].delta == 1.0)
+    assert np.all(result.alloc_trace[-1].gamma == 0.0)
 
 
 def test_desk_scale_seed7_converges_quickly_within_budget():
@@ -215,6 +214,16 @@ def test_run_names_the_user_whose_dataset_size_differs():
     with pytest.raises(ValidationError, match="user 2: population says 60 samples, "
                                               "dataset holds 59"):
         run_proposed(pop, datasets, cfg, 2, test_dataset=test)
+
+
+def test_run_refuses_a_user_whose_uplink_rate_is_0():
+    # at a gain of 1e-30, 1 + SNR rounds to 1: round 0 used to divide by zero
+    # and round 1 to fail in simplex_shares
+    pop, datasets, test, cfg = tiny_population()
+    gains = pop.channel_gain.copy()
+    gains[1] = 1e-30
+    with pytest.raises(ValidationError, match=r"^user 1: uplink rate is 0 at SNR 2e-22$"):
+        run_proposed(replace(pop, channel_gain=gains), datasets, cfg, 3, test_dataset=test)
 
 
 @pytest.mark.parametrize("n_features, n_classes", [(3, 4), (16, 5)])
@@ -272,29 +281,38 @@ def round_inputs(n_users, delta, seed=11):
     return datasets, (pop, train_pool, alloc.delta, model, cfg, np.random.default_rng(seed))
 
 
+def train_alone(w_init, data, epochs, lr, rng, batch_size):
+    """Plain per-batch SGD of one user on ``data``, its epoch orders drawn from ``rng``."""
+    w = np.array(w_init, dtype=float)
+    for _ in range(epochs):
+        order = rng.permutation(data.sample_count)
+        for start in range(0, data.sample_count, batch_size):
+            batch = data.take(order[start:start + batch_size])
+            w -= lr * loss_gradient(w, batch.features, batch.labels, batch.n_classes)
+    return w
+
+
 @pytest.mark.parametrize("delta", [
     pytest.param([0.0, 1.0, 0.5, 0.3, 1.0, 0.77], id="6-users"),
-    # at least twice _VECTOR_SEEDS_MIN users, most of them training, so the
-    # splits and the epoch orders take the vectorized generators
+    # users that keep nothing (delta 1) between users that train
     pytest.param([0.0, 1.0, *np.linspace(0.02, 0.98, 35).tolist(), 1.0, 0.0, 0.5],
                  id="40-users"),
 ])
 def test_round_local_weights_equal_per_user_training(delta):
     n_users = len(delta)
-    assert n_users < _VECTOR_SEEDS_MIN or n_users - delta.count(1.0) >= 2 * _VECTOR_SEEDS_MIN
     datasets, args = round_inputs(n_users, delta)
     pop, before, cfg = args[0], args[3], args[4]
     after = _train_round(*args)
-    rng = np.random.default_rng(11)   # the round's seed draws, in its order
-    split_seeds = rng.integers(_SEED_CAP, size=n_users)
-    train_seeds = rng.integers(_SEED_CAP, size=n_users)
-    kept_rows, _ = split_dataset(pop.dataset_size, delta, split_seeds)
+    # the round's three seeds, in its order: the split's, the local training's, the edge's
+    split_seed, train_seed, _ = np.random.default_rng(11).integers(_SEED_CAP, size=3).tolist()
+    kept_rows, _ = split_dataset(pop.dataset_size, delta, split_seed)
     starts = np.cumsum(pop.dataset_size) - pop.dataset_size
+    shared = np.random.default_rng(train_seed)   # training users draw from it in user order
     for i, (data, kept) in enumerate(zip(datasets, kept_rows)):
         assert after.local_trainset_sizes[i] == kept.size
         if kept.size:   # the user's own rows, at its offset in the pool
-            expected = train(before.global_weights, data.take(kept - starts[i]), cfg.local_epochs,
-                             cfg.learning_rate, int(train_seeds[i]), cfg.batch_size)
+            expected = train_alone(before.global_weights, data.take(kept - starts[i]),
+                                   cfg.local_epochs, cfg.learning_rate, shared, cfg.batch_size)
         else:
             expected = before.global_weights    # offloads everything: keeps the global model
         assert np.array_equal(after.local_weights[i], expected)
@@ -372,3 +390,78 @@ def test_sgd_settings_leave_the_allocation_trace_unchanged():
             for settings in (cfg, replace(cfg, learning_rate=0.01, local_epochs=2, batch_size=7))]
     assert runs[0].trace[-1].test_loss != runs[1].trace[-1].test_loss
     assert_same_allocations(runs[0].alloc_trace, runs[1].alloc_trace)
+
+
+# Metamorphic relations of the resource game (Chen et al., ACM CSUR 2018):
+# 30 resource rounds of 50 desk users, no training, compared at rtol 1e-12.
+METAMORPHIC_SEEDS = [0, 7, 11]
+
+
+def resource_trace(pop, cfg, dim, seed, rounds=30):
+    """The allocations of ``rounds`` resource rounds from a random start, the start first."""
+    rng = np.random.default_rng(seed)
+    allocs = [AllocationState.uniform(pop.n_users, delta=rng.uniform(0.0, 1.0, pop.n_users),
+                                      gamma=rng.uniform(0.0, 1.0, pop.n_users))]
+    for _ in range(rounds):
+        allocs.append(resource_round(pop, allocs[-1], dim, cfg))
+    return allocs
+
+
+def desk_game(seed):
+    spec = desk_spec(seed=seed, user_count=50)
+    pop, datasets = io.synthesize_users(spec)
+    return pop, io.effective_config(spec), weight_dim(datasets[0].n_features,
+                                                      datasets[0].n_classes)
+
+
+def assert_close_allocations(got, expected):
+    assert len(got) == len(expected)
+    for k, (a, b) in enumerate(zip(got, expected)):
+        for name in FIELDS:
+            np.testing.assert_allclose(getattr(a, name), getattr(b, name), rtol=1e-12, atol=0,
+                                       err_msg=f"round {k} {name}")
+
+
+@pytest.mark.parametrize("seed", METAMORPHIC_SEEDS)
+def test_scaling_noise_and_every_gain_alike_leaves_the_allocations(seed):
+    # the rates see the gains only through SNR = power * gain / noise
+    pop, cfg, dim = desk_game(seed)
+    scaled_pop = replace(pop, channel_gain=pop.channel_gain * 7.3)
+    scaled_cfg = replace(cfg, noise_power=cfg.noise_power * 7.3)
+    assert_close_allocations(resource_trace(scaled_pop, scaled_cfg, dim, seed),
+                             resource_trace(pop, cfg, dim, seed))
+
+
+@pytest.mark.parametrize("seed", METAMORPHIC_SEEDS)
+def test_scaling_cycles_and_clocks_by_k_and_capacitance_by_k_cubed_leaves_costs(seed):
+    # a time is cycles over a clock rate, an energy capacitance x cycles x clock^2
+    pop, cfg, dim = desk_game(seed)
+    fast_pop = replace(pop, cpu_hz=pop.cpu_hz * 3.0)
+    fast_cfg = replace(cfg, cycles_per_byte=cfg.cycles_per_byte * 3.0,
+                       edge_cpu_hz=cfg.edge_cpu_hz * 3.0,
+                       chip_capacitance=cfg.chip_capacitance / 27.0)
+    fast, base = resource_trace(fast_pop, fast_cfg, dim, seed), resource_trace(pop, cfg, dim, seed)
+    assert_close_allocations(fast, base)
+    for k, (a, b) in enumerate(zip(fast, base)):
+        pairs = [(costs.local_time(fast_pop, a, dim, fast_cfg), costs.local_time(pop, b, dim, cfg)),
+                 (costs.edge_time_total(fast_pop, a, fast_cfg), costs.edge_time_total(pop, b, cfg)),
+                 (costs.total_energy(fast_pop, a, dim, fast_cfg),
+                  costs.total_energy(pop, b, dim, cfg))]
+        for got, want in pairs:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=f"round {k}")
+
+
+@pytest.mark.parametrize("seed", METAMORPHIC_SEEDS)
+def test_permuting_the_users_permutes_the_closed_forms_and_costs(seed):
+    # solve_delta's sweep runs in user order, so only the other closed forms commute
+    pop, cfg, dim = desk_game(seed)
+    perm = np.random.default_rng(seed).permutation(pop.n_users)
+    moved_pop = replace(pop, **{name: getattr(pop, name)[perm] for name in pop._FIELDS})
+    for k, alloc in enumerate(resource_trace(pop, cfg, dim, seed)):
+        moved = AllocationState(**{name: getattr(alloc, name)[perm] for name in FIELDS})
+        pairs = [(solve_gamma(moved_pop, moved, dim, cfg)[0], solve_gamma(pop, alloc, dim, cfg)[0]),
+                 *zip(solve_uplink(moved_pop, moved, dim, cfg), solve_uplink(pop, alloc, dim, cfg)),
+                 (costs.total_energy(moved_pop, moved, dim, cfg),
+                  costs.total_energy(pop, alloc, dim, cfg))]
+        for got, want in pairs:
+            np.testing.assert_allclose(got, want[perm], rtol=1e-12, atol=0, err_msg=f"round {k}")
