@@ -7,7 +7,7 @@ import sys
 from dataclasses import replace
 
 from . import io
-from .errors import ValidationError
+from .errors import SimulationError, ValidationError
 from .verify import run_all
 
 
@@ -134,6 +134,10 @@ def main(argv=None) -> int:
     except ValidationError as err:
         # a bad option or config value: argparse's usage and the message, exit status 2
         args.error(str(err))
+    except SimulationError as err:
+        # the run itself broke down: the message alone, exit status 1
+        print(f"mecfl {args.command}: error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

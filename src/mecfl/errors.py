@@ -8,7 +8,8 @@ Three classes cover what a caller can do about an error:
 - :class:`DegenerateDivisor`: an allocation would make a time or energy
   term infinite. A search scores that candidate as infeasible (+inf).
 - :class:`SimulationError`: the base of both, raised alone when a search
-  finds no answer or the run's bookkeeping breaks. Nothing to retry.
+  finds no answer or the run's bookkeeping breaks. Nothing to retry; the
+  CLI reports it (or a ``DegenerateDivisor``) on one line, exit status 1.
 """
 
 

@@ -12,8 +12,8 @@ Keys are ``experiment.<field>`` for :class:`ExperimentSpec` fields and
 literals. A line whose first non-blank character is ``#`` is a comment;
 elsewhere a ``#`` starts a comment unless it is inside a quoted string.
 ``experiment.seed`` is a run's one seed (``system.rng_seed`` is set from it,
-so a file may not set that). The environment variable ``MECFL_SEED``
-overrides the seed when a config file is loaded from disk.
+so a file may not set that). A run's seed enters by a config file, the CLI's
+``--seed`` or the :class:`ExperimentSpec` constructor.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import ast
 import csv
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass, field, fields, replace
 
@@ -38,8 +37,6 @@ from .orchestrator import (
 )
 from .types import (AllocationState, Population, SystemConfig, _require_field_types,
                     _require_positive, _require_seed)
-
-SEED_ENV_VAR = "MECFL_SEED"
 
 RUN_SCENARIOS = ("proposed", "traditional", "centralized")   # run_experiment's
 SWEEP_SCENARIOS = ("sweep_offload", "sweep_gamma")          # run_sweep's
@@ -144,7 +141,7 @@ def emit_config(spec: ExperimentSpec) -> str:
 def parse_config(text: str) -> ExperimentSpec:
     exp_fields = {f.name for f in fields(ExperimentSpec)} - {"system"}
     sys_fields = {f.name for f in fields(SystemConfig)}
-    exp_kwargs, sys_kwargs = {}, {}
+    exp_kwargs, sys_kwargs, set_on = {}, {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -152,6 +149,9 @@ def parse_config(text: str) -> ExperimentSpec:
         if "=" not in line:
             raise ValidationError(f"config line {lineno}: expected 'key = value'")
         key, value_text = (part.strip() for part in line.split("=", 1))
+        if key in set_on:
+            raise ValidationError(f"config lines {set_on[key]} and {lineno} both set {key}")
+        set_on[key] = lineno
         try:
             value = ast.literal_eval(value_text)
         except (ValueError, SyntaxError) as exc:
@@ -171,15 +171,7 @@ def parse_config(text: str) -> ExperimentSpec:
 
 def load_config(path: str) -> ExperimentSpec:
     with open(path, "r", encoding="utf-8") as handle:
-        spec = parse_config(handle.read())
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise ValidationError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
-        spec = replace(spec, seed=seed)
-    return spec
+        return parse_config(handle.read())
 
 
 # --------------------------------------------------------------------------
@@ -264,7 +256,8 @@ def synthesize_users(spec: ExperimentSpec) -> tuple[Population, list[Dataset]]:
     CPU rates and energy budgets are uniform over their configured ranges;
     gains follow the distance model (or ``channel_gain_range`` when set).
     The pool is shuffled and split into near-equal shards, remainders going
-    to the lowest user indices.
+    to the lowest user indices; an IDX pool is split whole, whatever
+    ``samples_per_user`` says, and needs one image per user at least.
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.user_count
@@ -281,6 +274,9 @@ def synthesize_users(spec: ExperimentSpec) -> tuple[Population, list[Dataset]]:
         if not (spec.idx_images and spec.idx_labels):
             raise ValidationError("data_source 'idx' needs idx_images and idx_labels paths")
         pool = load_idx(spec.idx_images, spec.idx_labels)
+        if pool.sample_count < n:
+            raise ValidationError(f"{spec.idx_images}: {pool.sample_count} images cannot give "
+                                  f"each of user_count={n} users one")
     else:
         pool = synthesize_dataset(n * spec.samples_per_user, spec.n_features,
                                   spec.n_classes, int(rng.integers(2**31)),
@@ -336,9 +332,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 def run_sweep(spec: ExperimentSpec) -> list[dict]:
     """Sweep the offload fraction or the CPU fraction on a static allocation.
 
-    Every sweep point trains for ``sweep_rounds`` rounds with the uplink
-    held uniform and no per-round resource adaptation, isolating the swept
-    variable. Rows come back in grid order.
+    Every sweep point trains for ``sweep_rounds`` rounds on one frozen
+    allocation (uniform uplink shares, no per-round resource adaptation),
+    isolating the swept variable. Rows come back in grid order.
     """
     if spec.scenario not in SWEEP_SCENARIOS:
         raise ValidationError(f"run_sweep cannot handle scenario {spec.scenario!r}")
@@ -346,18 +342,13 @@ def run_sweep(spec: ExperimentSpec) -> list[dict]:
     test = load_test_dataset(spec)
     cfg = effective_config(spec)
     center, edge = representative_users(pop)
-    grid = OFFLOAD_SWEEP_GRID if spec.scenario == "sweep_offload" else GAMMA_SWEEP_GRID
+    offload = spec.scenario == "sweep_offload"
     rows = []
-    for value in grid:
-        if spec.scenario == "sweep_offload":
-            delta, gamma = value, 1.0
-        else:
-            delta, gamma = spec.sweep_delta, value
-        result = run_proposed(
-            pop, datasets, cfg, spec.sweep_rounds, test_dataset=test,
-            adapt=False, force_delta=delta, initial_gamma=gamma,
-            stop_on_convergence=False,
-        )
+    for value in OFFLOAD_SWEEP_GRID if offload else GAMMA_SWEEP_GRID:
+        delta, gamma = (value, 1.0) if offload else (spec.sweep_delta, value)
+        frozen = AllocationState.uniform(pop.n_users, delta=delta, gamma=gamma)
+        result = run_proposed(pop, datasets, cfg, spec.sweep_rounds, test_dataset=test,
+                              frozen=frozen, stop_on_convergence=False)
         last = result.trace[-1]
         rows.append({
             "scenario": spec.scenario,

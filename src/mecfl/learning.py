@@ -99,7 +99,8 @@ class Dataset:
         _require_field_types(self)
         if self.n_classes < 2:
             raise ValidationError("Dataset: n_classes must be >= 2")
-        if feats.size and (feats.min() < -_RANGE_ATOL or feats.max() > 1.0 + _RANGE_ATOL):
+        # NaN fails both comparisons
+        if feats.size and not (feats.min() >= -_RANGE_ATOL and feats.max() <= 1.0 + _RANGE_ATOL):
             raise ValidationError("Dataset: features must be normalized to [0, 1]")
         if labels.size and (labels.min() < 0 or labels.max() >= self.n_classes):
             raise ValidationError("Dataset: labels must lie in [0, n_classes)")
@@ -133,6 +134,15 @@ def _unchecked(rows: np.ndarray, labels: np.ndarray, n_classes: int) -> Dataset:
 def weight_dim(n_features: int, n_classes: int) -> int:
     """Flattened weight length: one bias-augmented row per class."""
     return (n_features + 1) * n_classes
+
+
+def _weights(owner: str, w, d: Dataset) -> np.ndarray:
+    """``w`` as a float vector, once its length is the weight length of ``d``'s model."""
+    w = np.asarray(w, dtype=float)
+    dim = weight_dim(d.n_features, d.n_classes)
+    if w.shape != (dim,):
+        raise ValidationError(f"{owner}: weight length {w.size} does not match {dim}")
+    return w
 
 
 def split_dataset(sizes, delta, seed) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -251,11 +261,8 @@ def train_users(w_init: np.ndarray, pool: Dataset, rows, epochs: int, lr: float,
         raise ValidationError("train: need a finite lr > 0 and integers epochs >= 0 and "
                               f"batch_size >= 1, got lr={lr!r}, epochs={epochs!r}, "
                               f"batch_size={batch_size!r}")
-    w_init = np.asarray(w_init, dtype=float)
+    w_init = _weights("train", w_init, pool)
     n_classes, n_features = pool.n_classes, pool.n_features
-    dim = weight_dim(n_features, n_classes)
-    if w_init.shape != (dim,):
-        raise ValidationError(f"train: weight length {w_init.size} does not match {dim}")
     rows = [np.asarray(r, dtype=np.int64) for r in rows]
     if any(r.ndim != 1 for r in rows):
         raise ValidationError("train: every row set must be a 1-d index array")
@@ -354,7 +361,7 @@ def train_users(w_init: np.ndarray, pool: Dataset, rows, epochs: int, lr: float,
             del x, t, z, p, dz, g   # free this step's arrays before the next allocates its own
     out = np.tile(w0, (len(rows), 1, 1))
     out[order] = w
-    return out.reshape(len(rows), dim)
+    return out.reshape(len(rows), w_init.size)
 
 
 def train(w_init: np.ndarray, d: Dataset, epochs: int, lr: float, seed: int,
@@ -369,15 +376,16 @@ def evaluate_loss(w: np.ndarray, d: Dataset) -> float:
     """Mean over samples of the summed per-class squared sigmoid error."""
     if d.sample_count == 0:
         raise ValidationError("evaluate_loss: dataset has no samples")
-    errors = _scores(w, d.features, d.n_classes) - np.eye(d.n_classes)[d.labels]
+    errors = _scores(_weights("evaluate_loss", w, d), d.features, d.n_classes)
+    errors -= np.eye(d.n_classes)[d.labels]
     return float(np.sum(errors ** 2) / d.sample_count)
 
 
 def accuracy(w: np.ndarray, d: Dataset) -> float:
     if d.sample_count == 0:
         raise ValidationError("accuracy: dataset has no samples")
-    predicted = np.argmax(_scores(w, d.features, d.n_classes), axis=1)
-    return float(np.mean(predicted == d.labels))
+    scores = _scores(_weights("accuracy", w, d), d.features, d.n_classes)
+    return float(np.mean(np.argmax(scores, axis=1) == d.labels))
 
 
 def aggregate(model: ModelState) -> np.ndarray:

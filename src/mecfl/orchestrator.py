@@ -11,7 +11,8 @@ the offload fractions: every user splits its dataset, all users train
 in lockstep on their kept rows of the pooled data while the edge trains
 on the pooled offloaded rows, and the size-weighted aggregate forms the
 global model. Round 0 trains at the initial allocation (random
-offload/CPU fractions, uniform bandwidth, multipliers at 0.5).
+offload/CPU fractions, uniform bandwidth, multipliers at 0.5); a frozen
+run trains every round at the allocation it is given.
 
 Note the deliberate one-round lag: a round's dataset offload is priced at
 the previous round's offload shares, because the edge only reallocates
@@ -39,7 +40,7 @@ from .learning import (
     weight_dim,
 )
 from .optimizer import solve_delta, solve_gamma, solve_uplink, update_multipliers
-from .types import AllocationState, ModelState, Population, RoundMetrics, SystemConfig
+from .types import AllocationState, ModelState, Population, RoundMetrics, SystemConfig, _fits
 
 _SEED_CAP = 2**31
 
@@ -96,24 +97,29 @@ def _round_metrics(pop, alloc, model, dim, cfg, train_pool, test_dataset):
 
 def run_proposed(pop: Population, datasets, cfg: SystemConfig, max_iterations: int = 100, *,
                  test_dataset: Dataset, force_delta: float | None = None,
-                 adapt: bool = True, initial_gamma: float | None = None,
+                 frozen: AllocationState | None = None,
                  stop_on_convergence: bool = True) -> ExperimentResult:
     """Run the joint training / resource-management loop.
 
     ``force_delta`` pins every user's offload fraction for the whole run
-    (the traditional and centralized baselines); ``adapt=False`` freezes
-    the entire allocation where it starts (``force_delta`` and
-    ``initial_gamma`` set it), which is what the sweep scenarios use. The
-    run is fully reproducible from (pop, datasets, cfg).
+    while the rest of the allocation adapts (the traditional and centralized
+    baselines). ``frozen`` is the one allocation every round trains at, with
+    no resource game played and nothing drawn for it (the sweep scenarios).
+    The run is fully reproducible from (pop, datasets, cfg).
 
     With ``stop_on_convergence`` the run stops once the test loss (MSE) and
     ``t_total`` (seconds) both move by at most ``cfg.convergence_tol`` in a
     round: one absolute tolerance for two units. On the default desk spec
     ``t_total`` settles within 2e-4 s after one round, so the loss decides.
     """
-    if max_iterations < 1:
-        raise ValidationError("max_iterations must be >= 1")
+    if not (_fits(max_iterations, "int") and max_iterations >= 1):
+        raise ValidationError(f"max_iterations must be an integer >= 1, got {max_iterations!r}")
     _check_population(pop, datasets, cfg)
+    if frozen is not None and force_delta is not None:
+        raise ValidationError("frozen sets every offload fraction: pass no force_delta")
+    if frozen is not None and frozen.delta.shape != (pop.n_users,):
+        raise ValidationError(f"frozen must be one allocation of {pop.n_users} users, "
+                              f"got fields of shape {frozen.delta.shape}")
     n_features, n_classes = datasets[0].n_features, datasets[0].n_classes
     dim = weight_dim(n_features, n_classes)
     if test_dataset.n_features != n_features or test_dataset.n_classes != n_classes:
@@ -121,9 +127,11 @@ def run_proposed(pop: Population, datasets, cfg: SystemConfig, max_iterations: i
     train_pool = concat_datasets(datasets, n_classes, n_features)
 
     rng = np.random.default_rng(cfg.rng_seed)
-    delta = force_delta if force_delta is not None else rng.uniform(0.0, 1.0, pop.n_users)
-    gamma = initial_gamma if initial_gamma is not None else rng.uniform(0.0, 1.0, pop.n_users)
-    alloc = AllocationState.uniform(pop.n_users, delta=delta, gamma=gamma)
+    alloc = frozen
+    if frozen is None:
+        delta = force_delta if force_delta is not None else rng.uniform(0.0, 1.0, pop.n_users)
+        gamma = rng.uniform(0.0, 1.0, pop.n_users)
+        alloc = AllocationState.uniform(pop.n_users, delta=delta, gamma=gamma)
     model = ModelState.initial(pop.n_users, dim, pop.dataset_size)
 
     trace: list[RoundMetrics] = []
@@ -131,7 +139,7 @@ def run_proposed(pop: Population, datasets, cfg: SystemConfig, max_iterations: i
     converged = False
     for iteration in range(max_iterations):
         try:
-            if adapt and iteration > 0:
+            if frozen is None and iteration > 0:
                 alloc = resource_round(pop, alloc, dim, cfg, delta_pinned=force_delta is not None)
             model = _train_round(pop, train_pool, alloc.delta, model, cfg, rng)
             metrics = _round_metrics(pop, alloc, model, dim, cfg, train_pool, test_dataset)

@@ -12,7 +12,7 @@ import numpy as np
 from mecfl import io, verify
 from mecfl.learning import Dataset, aggregate, evaluate_loss, loss_gradient, weight_dim
 from mecfl.orchestrator import run_centralized, run_proposed, run_traditional
-from mecfl.types import ModelState, Population, SystemConfig
+from mecfl.types import AllocationState, ModelState, Population, SystemConfig
 
 from helpers import GOLDEN_VERIFY_FULL, desk_spec, record_certificates
 
@@ -84,9 +84,9 @@ def test_criterion_6_offload_sweep_trends():
         spec, pop, datasets, test, cfg = desk_population(seed=seed)
         losses, times = [], []
         for value in grid:
-            run = run_proposed(pop, datasets, cfg, spec.sweep_rounds,
-                               test_dataset=test, adapt=False, force_delta=value,
-                               initial_gamma=1.0, stop_on_convergence=False)
+            frozen = AllocationState.uniform(pop.n_users, delta=value, gamma=1.0)
+            run = run_proposed(pop, datasets, cfg, spec.sweep_rounds, test_dataset=test,
+                               frozen=frozen, stop_on_convergence=False)
             losses.append(run.trace[-1].test_loss)
             times.append(run.trace[-1].t_total)
         if all(b <= a for a, b in zip(losses, losses[1:])):

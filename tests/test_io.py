@@ -1,5 +1,6 @@
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from mecfl.cli import main as cli_main
 from mecfl.errors import ValidationError
 from mecfl.learning import train, accuracy, weight_dim
 from mecfl.orchestrator import run_proposed
+from mecfl.types import AllocationState
 from mecfl.verify import CheckResult
 
 from helpers import desk_spec
@@ -96,6 +98,20 @@ def test_idx_test_label_outside_training_classes_rejected(tmp_path):
     spec = idx_spec(tmp_path, [0, 1, 2] * 4, [0, 1, 3])
     with pytest.raises(ValidationError, match="labels must lie in"):
         io.run_experiment(spec)
+
+
+def test_idx_pool_of_fewer_images_than_users_is_refused_by_name(tmp_path, capsys):
+    # used to fail as "Population: dataset_size[5] must be an integer >= 1, got 0.0"
+    spec = replace(idx_spec(tmp_path, [0, 1, 0, 1, 0], [0, 1]), user_count=8)
+    message = f"{spec.idx_images}: 5 images cannot give each of user_count=8 users one"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        io.synthesize_users(spec)
+    config = tmp_path / "idx.cfg"
+    config.write_text(io.emit_config(spec))
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["run", "--config", str(config)])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"mecfl run: error: {message}"
 
 
 # ------------------------------------------------------------ synthetic data
@@ -202,13 +218,12 @@ def test_config_rejects_bad_literal():
         io.parse_config("experiment.user_count = os.system('x')\n")
 
 
-def test_config_env_seed_override(tmp_path, monkeypatch):
-    path = tmp_path / "exp.cfg"
-    path.write_text(io.emit_config(desk_spec(seed=1)))
-    monkeypatch.setenv(io.SEED_ENV_VAR, "99")
-    assert io.load_config(str(path)).seed == 99
-    monkeypatch.delenv(io.SEED_ENV_VAR)
-    assert io.load_config(str(path)).seed == 1
+def test_config_refuses_a_key_set_twice_and_names_both_lines():
+    # the last of the two lines used to win silently
+    with pytest.raises(ValidationError, match=r"^config lines 2 and 4 both set "
+                                              r"experiment\.user_count$"):
+        io.parse_config("# users\nexperiment.user_count = 3\nexperiment.seed = 1\n"
+                        "experiment.user_count = 4\n")
 
 
 # spec values that synthesis used to refuse late, under another name or with
@@ -251,43 +266,31 @@ WRONG_TYPES = {
     "experiment.samples_per_user = 2.5": "samples_per_user",
     "experiment.energy_budget_range = ('a', 'b')": "energy_budget_range",
     "system.rng_seed = True": "rng_seed",
-    f"{io.SEED_ENV_VAR}=abc": io.SEED_ENV_VAR,
 }
 
 
 @pytest.mark.parametrize("entry", list(WRONG_TYPES))
-def test_config_rejects_a_value_of_the_wrong_type(entry, tmp_path, monkeypatch):
+def test_config_rejects_a_value_of_the_wrong_type(entry, tmp_path):
     path = tmp_path / "exp.cfg"
-    if entry.startswith(io.SEED_ENV_VAR):
-        path.write_text(io.emit_config(desk_spec()))
-        monkeypatch.setenv(io.SEED_ENV_VAR, entry.split("=", 1)[1])
-    else:
-        path.write_text(entry + "\n")
-        monkeypatch.delenv(io.SEED_ENV_VAR, raising=False)
+    path.write_text(entry + "\n")
     with pytest.raises(ValidationError, match=WRONG_TYPES[entry]):
         io.load_config(str(path))
 
 
 SEED_ENTRIES = {
-    "spec": lambda seed, path: io.run_experiment(desk_spec(seed=seed, user_count=2)),
-    "--seed": lambda seed, path: cli._build_spec(
+    "spec": lambda seed: io.run_experiment(desk_spec(seed=seed, user_count=2)),
+    "--seed": lambda seed: cli._build_spec(
         cli._parser().parse_args(["run", "--seed", str(seed), "--users", "2"]), "proposed"),
-    "experiment.seed": lambda seed, path: io.parse_config(f"experiment.seed = {seed}\n"),
-    io.SEED_ENV_VAR: lambda seed, path: io.load_config(str(path)),
+    "experiment.seed": lambda seed: io.parse_config(f"experiment.seed = {seed}\n"),
 }
 
 
 @pytest.mark.parametrize("seed", [-1, 2**63])
 @pytest.mark.parametrize("entry", list(SEED_ENTRIES))
-def test_a_seed_outside_0_to_2_63_is_refused_where_it_enters(entry, seed, tmp_path, monkeypatch):
+def test_a_seed_outside_0_to_2_63_is_refused_where_it_enters(entry, seed):
     # not by numpy's default_rng, whose plain ValueError names no seed
-    path = tmp_path / "exp.cfg"
-    path.write_text(io.emit_config(desk_spec()))
-    monkeypatch.delenv(io.SEED_ENV_VAR, raising=False)
-    if entry == io.SEED_ENV_VAR:
-        monkeypatch.setenv(io.SEED_ENV_VAR, str(seed))
     with pytest.raises(ValidationError, match=r"seed must be an integer in \[0, 2\*\*63\)"):
-        SEED_ENTRIES[entry](seed, path)
+        SEED_ENTRIES[entry](seed)
 
 
 def test_config_takes_an_integer_for_a_real_and_a_list_for_a_range():
@@ -320,7 +323,7 @@ def test_offload_sweep_zero_matches_static_traditional_run():
     test = io.load_test_dataset(spec)
     cfg = io.effective_config(spec)
     ref = run_proposed(pop, datasets, cfg, spec.sweep_rounds, test_dataset=test,
-                       adapt=False, force_delta=0.0, initial_gamma=1.0,
+                       frozen=AllocationState.uniform(pop.n_users, delta=0.0, gamma=1.0),
                        stop_on_convergence=False)
     assert rows[0]["test_loss"] == ref.trace[-1].test_loss
     assert rows[0]["t_total"] == ref.trace[-1].t_total
@@ -525,6 +528,18 @@ def test_cli_reports_a_bad_idx_input_as_a_usage_error(command, scenario, fault, 
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith(f"mecfl {command}: error: ")
     assert (test_images if fault == "count-mismatch" else images) in err.splitlines()[-1]
+
+
+def test_cli_reports_a_failed_run_on_one_line(tmp_path, capsys):
+    # every input is valid, but round 1 of this run leaves user 12 a CPU
+    # fraction of 0 with local data to train on: no traceback, no usage text
+    config = tmp_path / "budget.cfg"
+    config.write_text("experiment.energy_budget_range = (5e-3, 2e-2)\n")
+    code = cli_main(["run", "--scenario", "traditional", "--users", "50", "--seed", "0",
+                     "--config", str(config)])
+    assert code == 1
+    assert capsys.readouterr().err == ("mecfl run: error: iteration 1: user 12: gamma=0 "
+                                       "with local data to train on\n")
 
 
 def test_cli_run_with_config_file(tmp_path):

@@ -732,9 +732,22 @@ def test_loss_rejects_empty_dataset():
         evaluate_loss(np.zeros(weight_dim(2, 2)), empty)
 
 
+@pytest.mark.parametrize("score", [evaluate_loss, learning.accuracy])
+@pytest.mark.parametrize("length", [5, 7])
+def test_scoring_refuses_weights_of_the_wrong_length(score, length):
+    # used to escape as numpy's bare "cannot reshape array of size 5 into shape (4,newaxis)"
+    d = random_dataset(np.random.default_rng(18), n=6, n_features=1, n_classes=3)
+    with pytest.raises(ValidationError, match=f"^{score.__name__}: weight length {length} "
+                                              "does not match 6$"):
+        score(np.zeros(length), d)
+
+
 def test_dataset_validation():
     with pytest.raises(ValidationError):
         Dataset([[1.5]], [0], 2)          # features out of range
+    for bad in (np.nan, np.inf):          # NaN used to pass: it fails every comparison
+        with pytest.raises(ValidationError, match=r"normalized to \[0, 1\]"):
+            Dataset([[0.5], [bad]], [0, 1], 2)
     with pytest.raises(ValidationError):
         Dataset([[0.5]], [2], 2)          # label out of range
     with pytest.raises(ValidationError):

@@ -192,6 +192,63 @@ def test_population_validation():
         run_proposed(pop, datasets, cfg, 0, test_dataset=test)
 
 
+@pytest.mark.parametrize("run", [run_proposed, run_traditional, run_centralized])
+@pytest.mark.parametrize("rounds", [2.5, 2.0, True])
+def test_run_refuses_a_round_count_that_is_no_integer(run, rounds):
+    # 2.5 used to escape as a bare TypeError from range(), and True ran one round
+    pop, datasets, test, cfg = tiny_population()
+    with pytest.raises(ValidationError, match=r"^max_iterations must be an integer >= 1, got "):
+        run(pop, datasets, cfg, rounds, test_dataset=test)
+
+
+@pytest.mark.parametrize("frozen, force_delta, message", [
+    pytest.param(make_alloc(4, delta=np.full((2, 4), 0.5)), None,
+                 r"frozen must be one allocation of 4 users, got fields of shape \(2, 4\)$",
+                 id="stacked"),
+    pytest.param(make_alloc(3), None,
+                 r"frozen must be one allocation of 4 users, got fields of shape \(3,\)$",
+                 id="user-count"),
+    pytest.param(make_alloc(4), 0.0, "frozen sets every offload fraction: pass no force_delta$",
+                 id="force_delta"),
+])
+def test_frozen_run_refuses_a_stack_another_user_count_and_force_delta(frozen, force_delta,
+                                                                       message):
+    pop, datasets, test, cfg = tiny_population()
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        run_proposed(pop, datasets, cfg, 2, test_dataset=test, frozen=frozen,
+                     force_delta=force_delta)
+
+
+def test_frozen_run_trains_every_round_at_its_allocation_and_plays_no_game(monkeypatch):
+    spec = desk_spec(seed=6, user_count=2, samples_per_user=60)
+    pop, datasets = io.synthesize_users(spec)
+    test, cfg = io.load_test_dataset(spec), io.effective_config(spec)
+    frozen = make_alloc(2, delta=[0.25, 0.5], gamma=[1.0, 0.6], offload=[0.7, 0.3],
+                        upload=[0.3, 0.7], lam_offload=[0.2, 0.9], lam_local=[1.5, 0.0])
+
+    def no_game(*args, **kwargs):
+        raise AssertionError("a frozen run played the resource game")
+
+    monkeypatch.setattr("mecfl.orchestrator.resource_round", no_game)
+    result = run_proposed(pop, datasets, cfg, 5, test_dataset=test, frozen=frozen,
+                          stop_on_convergence=False)
+    assert len(result.alloc_trace) == 5
+    for alloc in result.alloc_trace:
+        for name in FIELDS:
+            assert np.array_equal(getattr(alloc, name), getattr(frozen, name)), name
+    dim = weight_dim(datasets[0].n_features, datasets[0].n_classes)
+    for m in result.trace:
+        assert np.array_equal(m.t_local, costs.local_time(pop, frozen, dim, cfg))
+        assert m.t_edge == costs.edge_time_total(pop, frozen, cfg)
+    # nothing is drawn for the allocation: round 0's seeds are the generator's first draws
+    rng = np.random.default_rng(cfg.rng_seed)
+    pool = concat_datasets(datasets, datasets[0].n_classes, datasets[0].n_features)
+    model = ModelState.initial(pop.n_users, dim, pop.dataset_size)
+    for _ in range(5):
+        model = _train_round(pop, pool, frozen.delta, model, cfg, rng)
+    assert np.array_equal(model.global_weights, result.final_model.global_weights)
+
+
 def test_run_rejects_a_dataset_count_that_differs_from_the_user_count():
     pop, datasets, test, cfg = tiny_population()
     with pytest.raises(ValidationError, match="need one dataset per user"):
