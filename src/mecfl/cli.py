@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -15,7 +16,6 @@ def _add_common_flags(parser):
     parser.add_argument("--config", help="experiment config file (flat key = value)")
     parser.add_argument("--seed", type=int, help="override the experiment seed")
     parser.add_argument("--users", type=int, help="override the user count")
-    parser.add_argument("--max-iter", type=int, help="override the iteration cap")
     parser.add_argument("--out", help="CSV output path")
     parser.add_argument("--scenario", help="scenario to run")
 
@@ -31,10 +31,8 @@ def _build_spec(args, default_scenario: str) -> io.ExperimentSpec:
         overrides["seed"] = args.seed
     if args.users is not None:
         overrides["user_count"] = args.users
-    if args.max_iter is not None:
+    if getattr(args, "max_iter", None) is not None:
         overrides["max_iterations"] = args.max_iter
-    if args.out is not None:
-        overrides["output_path"] = args.out
     return replace(spec, **overrides) if overrides else spec
 
 
@@ -44,19 +42,22 @@ def _prepare(args, default_scenario: str, scenarios: tuple[str, ...]) -> io.Expe
 
     All of it is checked before any simulation starts, so a refused value costs
     no run: an ``OSError`` is reported as a usage error, as main reports a
-    ``ValidationError``.
+    ``ValidationError``. An output file that did not exist is removed again once
+    it has been created, so a run that fails leaves none behind.
     """
     try:
         spec = _build_spec(args, default_scenario)
         if spec.scenario not in scenarios:
             raise ValidationError(f"cannot handle scenario {spec.scenario!r}")
         idx_inputs = (spec.idx_images, spec.idx_labels, spec.idx_test_images, spec.idx_test_labels)
-        for path in filter(None, idx_inputs if spec.data_source == "idx" else ()):
+        for path in (p for p in idx_inputs if p is not None):
             open(path, "rb").close()
-        for path in (spec.output_path, getattr(args, "trace", None)):
-            if path:
-                # append mode: an existing file keeps its bytes until the run is done
-                open(path, "a", encoding="utf-8").close()
+        for path in filter(None, (args.out, getattr(args, "trace", None))):
+            created = not os.path.exists(path)
+            # append mode: an existing file keeps its bytes until the run is done
+            open(path, "a", encoding="utf-8").close()
+            if created:
+                os.remove(path)
     except OSError as err:
         args.error(str(err))
     return spec
@@ -65,8 +66,8 @@ def _prepare(args, default_scenario: str, scenarios: tuple[str, ...]) -> io.Expe
 def _cmd_run(args) -> int:
     spec = _prepare(args, "proposed", io.RUN_SCENARIOS)
     result = io.run_experiment(spec)
-    if spec.output_path:
-        io.write_metrics_csv(spec.output_path, result)
+    if args.out:
+        io.write_metrics_csv(args.out, result)
     if args.trace:
         io.write_alloc_trace(args.trace, result)
     last = result.trace[-1]
@@ -74,17 +75,17 @@ def _cmd_run(args) -> int:
     print(f"{spec.scenario}: {status} after {result.iterations_used} iterations")
     print(f"  test loss {last.test_loss:.6f}  round time {last.t_total:.6f} s  "
           f"weighted score {last.weighted_score:.6f}")
-    if spec.output_path:
-        print(f"  metrics written to {spec.output_path}")
+    if args.out:
+        print(f"  metrics written to {args.out}")
     return 0
 
 
 def _cmd_sweep(args) -> int:
     spec = _prepare(args, "sweep_offload", io.SWEEP_SCENARIOS)
     rows = io.run_sweep(spec)
-    if spec.output_path:
-        io.write_sweep_csv(spec.output_path, rows)
-        print(f"{spec.scenario}: {len(rows)} rows written to {spec.output_path}")
+    if args.out:
+        io.write_sweep_csv(args.out, rows)
+        print(f"{spec.scenario}: {len(rows)} rows written to {args.out}")
     else:
         for row in rows:
             print(f"  value {row['value']:.2f}  test loss {row['test_loss']:.6f}  "
@@ -113,6 +114,7 @@ def _parser() -> argparse.ArgumentParser:
 
     run_parser = sub.add_parser("run", help="run one scenario")
     _add_common_flags(run_parser)
+    run_parser.add_argument("--max-iter", type=int, help="override the iteration cap")
     run_parser.add_argument("--trace", help="JSON-lines allocation trace path")
     run_parser.set_defaults(handler=_cmd_run, error=run_parser.error)
 

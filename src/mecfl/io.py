@@ -56,6 +56,8 @@ _SPEC_MINIMA = {"user_count": 1, "samples_per_user": 1, "max_iterations": 1, "te
                 "sweep_rounds": 1, "n_features": 1, "n_classes": 2}
 _POSITIVE_RANGES = ("cpu_hz_range", "energy_budget_range", "distance_range_m",
                     "channel_gain_range")
+# ExperimentSpec's IDX inputs: all four set (IDX data) or none (synthetic data)
+_IDX_PATHS = ("idx_images", "idx_labels", "idx_test_images", "idx_test_labels")
 
 
 @dataclass(frozen=True)
@@ -67,13 +69,14 @@ class ExperimentSpec:
     rates and per-round energy budgets uniformly; channel gains come from
     a distance model (gain = d^-3 with log-normal shadowing, distances
     uniform in ``distance_range_m``) unless ``channel_gain_range`` is set,
-    in which case gains are drawn uniformly from it instead.
+    in which case gains are drawn uniformly from it instead. The data are IDX
+    files when the four ``idx_*`` paths are set (all four or none), else
+    synthetic. Every field is read by :func:`run_experiment` or :func:`run_sweep`.
     """
 
     scenario: str = "proposed"
     user_count: int = 10
     samples_per_user: int = 200
-    data_source: str = "synthetic"          # "synthetic" or "idx"
     idx_images: str | None = None
     idx_labels: str | None = None
     idx_test_images: str | None = None
@@ -92,7 +95,6 @@ class ExperimentSpec:
     sweep_rounds: int = 12                  # training rounds per sweep point
     sweep_delta: float = 0.5                # offload fraction pinned in the CPU sweep
     seed: int = 0
-    output_path: str | None = None
     system: SystemConfig = field(default_factory=SystemConfig)
 
     def __post_init__(self):
@@ -111,8 +113,9 @@ class ExperimentSpec:
             value = getattr(self, name)
             if value is not None and not (value[0] > 0 and math.isfinite(value[1])):
                 raise ValidationError(f"{name} must lie in (0, inf), got {value!r}")
-        if self.data_source not in ("synthetic", "idx"):
-            raise ValidationError("data_source must be 'synthetic' or 'idx'")
+        unset = [name for name in _IDX_PATHS if getattr(self, name) is None]
+        if 0 < len(unset) < len(_IDX_PATHS):
+            raise ValidationError(f"IDX data needs all four idx_* paths; unset: {', '.join(unset)}")
         if not 0.0 <= self.sweep_delta <= 1.0:
             raise ValidationError("sweep_delta must lie in [0, 1]")
 
@@ -270,9 +273,7 @@ def synthesize_users(spec: ExperimentSpec) -> tuple[Population, list[Dataset]]:
         shadowing_db = rng.normal(0.0, spec.shadowing_sigma_db, n)
         gains = distances ** -3.0 * 10.0 ** (shadowing_db / 10.0)
 
-    if spec.data_source == "idx":
-        if not (spec.idx_images and spec.idx_labels):
-            raise ValidationError("data_source 'idx' needs idx_images and idx_labels paths")
+    if spec.idx_images is not None:
         pool = load_idx(spec.idx_images, spec.idx_labels)
         if pool.sample_count < n:
             raise ValidationError(f"{spec.idx_images}: {pool.sample_count} images cannot give "
@@ -292,10 +293,7 @@ def synthesize_users(spec: ExperimentSpec) -> tuple[Population, list[Dataset]]:
 
 
 def load_test_dataset(spec: ExperimentSpec) -> Dataset:
-    if spec.data_source == "idx":
-        if not (spec.idx_test_images and spec.idx_test_labels and spec.idx_labels):
-            raise ValidationError("data_source 'idx' needs idx_test_images, idx_test_labels "
-                                  "and idx_labels paths")
+    if spec.idx_images is not None:
         # The test set shares the training classes, even where it lacks the top one.
         features, labels = _read_idx_pair(spec.idx_test_images, spec.idx_test_labels)
         n_classes = _idx_class_count(_read_idx(spec.idx_labels, _IDX_LABELS_MAGIC))

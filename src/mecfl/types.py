@@ -46,8 +46,9 @@ def _require_seed(owner: str, name: str, value) -> None:
 
 _RANGE = "a range (lo, hi) of real numbers with lo <= hi"
 _FIELD_KINDS = {"int": "an integer", "float": "a real number", "tuple": _RANGE,
-                "tuple | None": _RANGE + ", or None"}
-_NUMBER_TYPES = {"int": (int, np.integer), "float": (int, float, np.integer, np.floating)}
+                "tuple | None": _RANGE + ", or None", "str | None": "a string, or None"}
+_KIND_TYPES = {"int": (int, np.integer), "float": (int, float, np.integer, np.floating),
+               "str | None": (str, type(None))}
 
 
 def _fits(value, kind: str) -> bool:
@@ -55,11 +56,11 @@ def _fits(value, kind: str) -> bool:
         return (value is None and kind.endswith("None")) or (
             isinstance(value, (tuple, list)) and len(value) == 2
             and all(_fits(v, "float") for v in value) and value[0] <= value[1])
-    return isinstance(value, _NUMBER_TYPES[kind]) and not isinstance(value, bool)
+    return isinstance(value, _KIND_TYPES[kind]) and not isinstance(value, bool)
 
 
 def _require_field_types(obj) -> None:
-    """Check each int, float and (lo, hi) range field by its annotation; a bool is no number."""
+    """Check each int, float, range and str | None field by its annotation; a bool is no number."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if f.type in _FIELD_KINDS and not _fits(value, f.type):

@@ -81,7 +81,7 @@ def idx_spec(tmp_path, train_labels, test_labels):
         tmp_path / "train", rng.integers(0, 256, (len(train_labels), 2, 2)), train_labels)
     test_img, test_lbl = write_idx_pair(
         tmp_path / "test", rng.integers(0, 256, (len(test_labels), 2, 2)), test_labels)
-    return desk_spec(seed=3, data_source="idx", user_count=2, max_iterations=2,
+    return desk_spec(seed=3, user_count=2, max_iterations=2,
                      idx_images=train_img, idx_labels=train_lbl,
                      idx_test_images=test_img, idx_test_labels=test_lbl)
 
@@ -195,9 +195,10 @@ def test_representative_users_break_gain_ties_by_index():
 
 def test_config_round_trip():
     for spec in (desk_spec(seed=42, scenario="sweep_gamma", user_count=7,
-                           channel_gain_range=(1e-8, 1e-6), output_path="out.csv"),
+                           channel_gain_range=(1e-8, 1e-6)),
                  # a '#' inside a quoted value is part of the value, not a comment
-                 desk_spec(data_source="idx", idx_images="data#1/img", output_path="run # 2.csv")):
+                 desk_spec(idx_images="data#1/img", idx_labels="run # 2/lbl",
+                           idx_test_images="t/img", idx_test_labels="t/lbl")):
         assert io.parse_config(io.emit_config(spec)) == spec
 
 
@@ -211,6 +212,11 @@ def test_config_rejects_rng_seed_and_names_the_seed_to_set():
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValidationError):
         io.parse_config("experiment.not_a_field = 3\n")
+
+
+def test_config_rejects_a_line_without_an_equals_sign():
+    with pytest.raises(ValidationError, match="^config line 2: expected 'key = value'$"):
+        io.parse_config("experiment.seed = 1\nexperiment.user_count 3\n")
 
 
 def test_config_rejects_bad_literal():
@@ -239,6 +245,10 @@ BAD_SPEC_VALUES = {
     "energy_budget_range": ((-1.0, -0.5), r"energy_budget_range must lie in \(0, inf\)"),
     "distance_range_m": ((0.0, 500.0), r"distance_range_m must lie in \(0, inf\)"),
     "channel_gain_range": ((0.0, 1e-6), r"channel_gain_range must lie in \(0, inf\)"),
+    "sweep_delta": (1.5, r"sweep_delta must lie in \[0, 1\]"),
+    # some IDX paths but not all four: refused before any file is read
+    "idx_test_images": ("t/img", r"IDX data needs all four idx_\* paths; unset: idx_images, "
+                                 "idx_labels, idx_test_labels"),
 }
 
 
@@ -486,6 +496,11 @@ def test_cli_reports_a_bad_value_as_a_usage_error(argv, message, tmp_path, monke
      r"energy_budget_range must lie in \(0, inf\), got \(-1.0, -0.5\)"),
     ("sweep", "experiment.shadowing_sigma_db = -1.0", "shadowing_sigma_db must be finite"),
     ("sweep", "experiment.sweep_rounds = 0", "sweep_rounds must be >= 1"),
+    # a path that is no string used to be opened as a file descriptor
+    ("run", "experiment.idx_images = 2\nexperiment.idx_labels = 'l'\n"
+            "experiment.idx_test_images = 'ti'\nexperiment.idx_test_labels = 'tl'",
+     "ExperimentSpec: idx_images must be a string, or None, got 2$"),
+    ("sweep", "experiment.idx_labels = 'l'", r"IDX data needs all four idx_\* paths; unset: "),
 ])
 def test_cli_refuses_a_bad_config_value_before_the_run(command, entry, message, tmp_path,
                                                        monkeypatch, capsys):
@@ -518,7 +533,7 @@ def test_cli_reports_a_bad_idx_input_as_a_usage_error(command, scenario, fault, 
                                                   [0, 1])
     config = tmp_path / "idx.cfg"
     config.write_text(io.emit_config(desk_spec(
-        scenario=scenario, user_count=2, max_iterations=1, sweep_rounds=1, data_source="idx",
+        scenario=scenario, user_count=2, max_iterations=1, sweep_rounds=1,
         idx_images=images, idx_labels=labels, idx_test_images=test_images,
         idx_test_labels=test_labels)))
     with pytest.raises(SystemExit) as exit_info:
@@ -528,6 +543,44 @@ def test_cli_reports_a_bad_idx_input_as_a_usage_error(command, scenario, fault, 
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith(f"mecfl {command}: error: ")
     assert (test_images if fault == "count-mismatch" else images) in err.splitlines()[-1]
+
+
+def test_cli_sweep_takes_no_iteration_cap(capsys):
+    # a sweep runs sweep_rounds per point; --max-iter used to be accepted and ignored
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["sweep", "--users", "3", "--max-iter", "1"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        "error: unrecognized arguments: --max-iter 1")
+
+
+def test_cli_sweep_without_out_prints_one_line_per_point(capsys):
+    assert cli_main(["sweep", "--scenario", "sweep_gamma", "--seed", "1", "--users", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(io.GAMMA_SWEEP_GRID)
+    assert all(re.fullmatch(rf"  value {value:.2f}  test loss \d\.\d{{6}}  "
+                            r"round time \d+\.\d{6} s", line)
+               for value, line in zip(io.GAMMA_SWEEP_GRID, lines))
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+def test_cli_failed_run_leaves_no_new_output_and_keeps_an_existing_one(existing, tmp_path,
+                                                                       capsys):
+    # this run fails at iteration 1 (user 12 is left a CPU fraction of 0); each
+    # output that the writability check created used to be left behind, empty
+    config = tmp_path / "budget.cfg"
+    config.write_text("experiment.energy_budget_range = (5e-3, 2e-2)\n")
+    out, trace = tmp_path / "failed_out.csv", tmp_path / "failed_trace.jsonl"
+    if existing:
+        out.write_bytes(b"an earlier run's output\n")
+    code = cli_main(["run", "--scenario", "traditional", "--users", "50", "--seed", "0",
+                     "--config", str(config), "--out", str(out), "--trace", str(trace)])
+    assert code == 1 and "gamma=0 with local data" in capsys.readouterr().err
+    assert not trace.exists()
+    if existing:
+        assert out.read_bytes() == b"an earlier run's output\n"
+    else:
+        assert not out.exists()
 
 
 def test_cli_reports_a_failed_run_on_one_line(tmp_path, capsys):

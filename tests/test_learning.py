@@ -732,6 +732,23 @@ def test_loss_rejects_empty_dataset():
         evaluate_loss(np.zeros(weight_dim(2, 2)), empty)
 
 
+def test_accuracy_rejects_empty_dataset():
+    empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
+    with pytest.raises(ValidationError, match="^accuracy: dataset has no samples$"):
+        learning.accuracy(np.zeros(weight_dim(2, 2)), empty)
+
+
+@pytest.mark.parametrize("features, labels, message", [
+    ([0.5, 0.5], [0, 1], r"features must be 2-d \(samples, features\)"),
+    ([[0.5], [0.5]], [0], "one label per feature row required"),
+    ([[0.5], [0.5]], [[0, 1]], "one label per feature row required"),
+])
+def test_dataset_refuses_flat_features_and_a_label_count_off_the_row_count(features, labels,
+                                                                           message):
+    with pytest.raises(ValidationError, match=f"^Dataset: {message}$"):
+        Dataset(features, labels, 2)
+
+
 @pytest.mark.parametrize("score", [evaluate_loss, learning.accuracy])
 @pytest.mark.parametrize("length", [5, 7])
 def test_scoring_refuses_weights_of_the_wrong_length(score, length):

@@ -291,6 +291,15 @@ def test_run_rejects_datasets_of_different_shapes(n_features, n_classes):
         run_proposed(pop, datasets, cfg, 2, test_dataset=test)
 
 
+@pytest.mark.parametrize("n_features, n_classes", [(3, 4), (16, 5)])
+def test_run_rejects_a_test_set_of_another_shape(n_features, n_classes):
+    pop, datasets, test, cfg = tiny_population()
+    test = io.synthesize_dataset(test.sample_count, n_features, n_classes, seed=1)
+    with pytest.raises(ValidationError,
+                       match="^test dataset shape does not match the training data$"):
+        run_proposed(pop, datasets, cfg, 2, test_dataset=test)
+
+
 def sweep_instance():
     """Six users: four interior, user 2 without offload bandwidth, user 3 out of budget."""
     cfg = SystemConfig()

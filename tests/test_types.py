@@ -117,6 +117,16 @@ def test_system_config_rejects_nonpositive_constants():
         SystemConfig(batch_size=0)
 
 
+@pytest.mark.parametrize("field, message", [
+    ("loss_weight", "score weights must be >= 0"),
+    ("time_weight", "score weights must be >= 0"),
+    ("local_epochs", "local_epochs must be >= 0"),
+])
+def test_system_config_rejects_a_negative_score_weight_or_epoch_count(field, message):
+    with pytest.raises(ValidationError, match=f"^SystemConfig: {message}$"):
+        SystemConfig(**{field: -1})
+
+
 def test_user_profile_invariants():
     with pytest.raises(ValidationError):
         make_pop(power=0.0, gain=1e-6, cpu=1e9, budget=1.0, samples=10)
@@ -179,6 +189,40 @@ def test_model_state_local_size_cannot_exceed_pool():
             local_trainset_sizes=[11],
             edge_trainset_size=0,
         )
+
+
+MODEL_STATE = dict(local_weights=np.zeros((2, 3)), edge_weights=np.zeros(3),
+                   global_weights=np.zeros(3), dataset_sizes=[10, 10],
+                   local_trainset_sizes=[10, 5], edge_trainset_size=5)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(local_weights=np.zeros(3)), r"local_weights must be 2-d \(n_users, dim\)"),
+    (dict(dataset_sizes=[10, 10, 10]), "size bookkeeping must have one entry per user"),
+    (dict(local_trainset_sizes=[10]), "size bookkeeping must have one entry per user"),
+    (dict(dataset_sizes=[0, 10], local_trainset_sizes=[0, 5]), "dataset sizes must be >= 1"),
+    (dict(local_trainset_sizes=[-1, 5]),
+     r"local trainset sizes must lie in \[0, dataset size\]"),
+    (dict(edge_trainset_size=-1), "edge_trainset_size must be >= 0"),
+])
+def test_model_state_invariants(overrides, message):
+    ModelState(**MODEL_STATE)
+    with pytest.raises(ValidationError, match=f"^ModelState: {message}$"):
+        ModelState(**{**MODEL_STATE, **overrides})
+
+
+@pytest.mark.parametrize("field", ["t_edge", "t_total"])
+def test_round_metrics_rejects_a_negative_edge_or_round_time(field):
+    good = dict(t_local=[1.0], t_edge=0.5, t_total=1.0, e_total=[0.0],
+                train_loss=0.0, test_loss=0.0, weighted_score=0.0)
+    RoundMetrics(**good)
+    with pytest.raises(ValidationError, match=r"^RoundMetrics: times must be >= 0$"):
+        RoundMetrics(**{**good, field: -1.0})
+
+
+def test_allocation_of_no_users_rejected():
+    with pytest.raises(ValidationError, match="^AllocationState: at least one user required$"):
+        AllocationState(**{name: [] for name in AllocationState._FIELDS})
 
 
 def test_round_metrics_rejects_negative_time():
