@@ -58,6 +58,9 @@ _POSITIVE_RANGES = ("cpu_hz_range", "energy_budget_range", "distance_range_m",
                     "channel_gain_range")
 # ExperimentSpec's IDX inputs: all four set (IDX data) or none (synthetic data)
 _IDX_PATHS = ("idx_images", "idx_labels", "idx_test_images", "idx_test_labels")
+# ExperimentSpec's synthetic-data fields, which an IDX spec leaves at their defaults
+_SYNTHETIC_FIELDS = ("samples_per_user", "n_features", "n_classes", "class_separation",
+                     "test_samples")
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,10 @@ class ExperimentSpec:
     uniform in ``distance_range_m``) unless ``channel_gain_range`` is set,
     in which case gains are drawn uniformly from it instead. The data are IDX
     files when the four ``idx_*`` paths are set (all four or none), else
-    synthetic. Every field is read by :func:`run_experiment` or :func:`run_sweep`.
+    synthetic; an IDX spec leaves the synthetic-data fields (``samples_per_user``,
+    ``n_features``, ``n_classes``, ``class_separation``, ``test_samples``) at
+    their defaults. Every field a spec may set is read by :func:`run_experiment`
+    or :func:`run_sweep`.
     """
 
     scenario: str = "proposed"
@@ -116,6 +122,12 @@ class ExperimentSpec:
         unset = [name for name in _IDX_PATHS if getattr(self, name) is None]
         if 0 < len(unset) < len(_IDX_PATHS):
             raise ValidationError(f"IDX data needs all four idx_* paths; unset: {', '.join(unset)}")
+        if not unset:
+            defaults = {f.name: f.default for f in fields(self)}
+            changed = [name for name in _SYNTHETIC_FIELDS if getattr(self, name) != defaults[name]]
+            if changed:
+                raise ValidationError(f"{', '.join(changed)} shape synthetic data only; IDX data "
+                                      "take their size and shape from the files")
         if not 0.0 <= self.sweep_delta <= 1.0:
             raise ValidationError("sweep_delta must lie in [0, 1]")
 
@@ -247,10 +259,12 @@ def synthesize_dataset(n_samples: int, n_features: int, n_classes: int, seed: in
     means = np.zeros((n_classes, n_features))
     for c in range(n_classes):
         means[c, c % n_features] = separation * (1 + c // n_features)
-    raw = rng.standard_normal((n_samples, n_features)) + means[labels]
+    raw = rng.standard_normal((n_samples, n_features))
+    raw += means[labels]   # in place: the same bits as a sum into a new array
     lo, hi = raw.min(), raw.max()
-    span = hi - lo if hi > lo else 1.0
-    return Dataset((raw - lo) / span, labels, n_classes)
+    raw -= lo
+    raw /= hi - lo if hi > lo else 1.0
+    return Dataset(raw, labels, n_classes)
 
 
 def synthesize_users(spec: ExperimentSpec) -> tuple[Population, list[Dataset]]:
@@ -258,9 +272,11 @@ def synthesize_users(spec: ExperimentSpec) -> tuple[Population, list[Dataset]]:
 
     CPU rates and energy budgets are uniform over their configured ranges;
     gains follow the distance model (or ``channel_gain_range`` when set).
-    The pool is shuffled and split into near-equal shards, remainders going
-    to the lowest user indices; an IDX pool is split whole, whatever
-    ``samples_per_user`` says, and needs one image per user at least.
+    The pool is shuffled once and split into near-equal shards, remainders
+    going to the lowest user indices; an IDX pool is split whole and needs
+    one image per user at least. Every user's dataset is a read-only view of
+    consecutive rows of the one shuffled pool, so the data are held once, and
+    :func:`~mecfl.learning.concat_datasets` of the users in order is that pool.
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.user_count
@@ -282,11 +298,11 @@ def synthesize_users(spec: ExperimentSpec) -> tuple[Population, list[Dataset]]:
         pool = synthesize_dataset(n * spec.samples_per_user, spec.n_features,
                                   spec.n_classes, int(rng.integers(2**31)),
                                   spec.class_separation)
-    perm = rng.permutation(pool.sample_count)
+    pool = pool.take(rng.permutation(pool.sample_count))
     base, extra = divmod(pool.sample_count, n)
     sizes = base + (np.arange(n) < extra)
     ends = np.cumsum(sizes)
-    datasets = [pool.take(perm[end - size:end]) for size, end in zip(sizes, ends)]
+    datasets = [pool.take(slice(end - size, end)) for size, end in zip(sizes, ends)]
     pop = Population(transmit_power=np.full(n, spec.transmit_power_w), channel_gain=gains,
                      cpu_hz=cpu, energy_budget=energy, dataset_size=sizes)
     return pop, datasets

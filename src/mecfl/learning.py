@@ -64,6 +64,7 @@ orders of the row sets that train, in index order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -119,7 +120,11 @@ class Dataset:
         return self.features.shape[1]
 
     def take(self, indices) -> "Dataset":
-        """The rows at ``indices`` (an index array, slice or boolean mask), not checked again."""
+        """The rows at ``indices`` (an index array, slice or boolean mask), not checked again.
+
+        A slice gives a read-only view that shares this dataset's buffers; an
+        index array or a mask gives a copy.
+        """
         return _unchecked(self.rows[indices], self.labels[indices], self.n_classes)
 
 
@@ -176,15 +181,34 @@ def split_dataset(sizes, delta, seed) -> tuple[list[np.ndarray], list[np.ndarray
     return [r[k:] for r, k in zip(rows, n_offload)], [r[:k] for r, k in zip(rows, n_offload)]
 
 
+def _joined(arrays, empty: np.ndarray) -> np.ndarray:
+    """``empty`` and ``arrays`` concatenated, or, when the arrays are consecutive row slices
+    that cover one C-contiguous array in order, that array itself."""
+    base = arrays[0].base if arrays else None
+    if base is not None and base.flags.c_contiguous:
+        starts = list(itertools.accumulate((a.nbytes for a in arrays), initial=base.ctypes.data))
+        if starts[-1] == base.ctypes.data + base.nbytes and all(
+                a.base is base and a.shape[1:] == base.shape[1:] and a.flags.c_contiguous
+                and a.ctypes.data == start for a, start in zip(arrays, starts)):
+            return base
+    return np.concatenate([empty, *arrays])
+
+
 def concat_datasets(parts, n_classes: int, n_features: int) -> Dataset:
-    """The parts in order as one dataset of their checked rows; checks widths and labels only."""
+    """The parts in order as one dataset of their checked rows; checks widths and labels only.
+
+    When the parts' ``rows`` (or ``labels``) are consecutive row slices that
+    cover one array, in list order, as the users of
+    :func:`mecfl.io.synthesize_users` are, the result holds that array, not
+    a copy; any other parts are concatenated.
+    """
     parts = list(parts)
     if any(p.n_features != n_features for p in parts):
         raise ValidationError(f"concat_datasets: every part must have {n_features} features")
-    labels = np.concatenate([np.zeros(0, dtype=np.int64), *(p.labels for p in parts)])
+    labels = _joined([p.labels for p in parts], np.zeros(0, dtype=np.int64))
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValidationError(f"concat_datasets: labels must lie in [0, {n_classes})")
-    rows = np.concatenate([np.empty((0, n_features + 1)), *(p.rows for p in parts)])
+    rows = _joined([p.rows for p in parts], np.empty((0, n_features + 1)))
     return _unchecked(rows, labels, n_classes)
 
 

@@ -17,8 +17,11 @@ DESK_SYSTEM = dict(learning_rate=0.5, local_epochs=10)
 
 
 def desk_spec(seed=0, **overrides) -> ExperimentSpec:
+    """Desk settings; synthetic data get classes 8 sigmas apart (an IDX spec keeps the default)."""
     system = overrides.pop("system", SystemConfig(**DESK_SYSTEM))
-    return ExperimentSpec(seed=seed, class_separation=8.0, system=system, **overrides)
+    if "idx_images" not in overrides:
+        overrides.setdefault("class_separation", 8.0)
+    return ExperimentSpec(seed=seed, system=system, **overrides)
 
 
 def make_pop(n=1, power=0.2, gain=1e-6, cpu=1.2e9, budget=50.0, samples=1000) -> Population:

@@ -1,5 +1,6 @@
 import re
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -163,6 +164,21 @@ def test_synthesize_users_single_user_gets_everything():
     assert datasets[0].sample_count == 123
 
 
+def test_synthesize_users_holds_the_pool_once():
+    # 50 x 1200 samples of 16 features: the users' datasets are views of one
+    # shuffled pool; a copy per user would peak at about 3.1x the pool's rows
+    tracemalloc.start()
+    try:
+        _, datasets = io.synthesize_users(desk_spec(seed=0, user_count=50, samples_per_user=1200))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pool_bytes = sum(d.rows.nbytes for d in datasets)
+    assert peak <= 2.4 * pool_bytes, f"synthesize_users peaked at {peak / pool_bytes:.2f}x its pool"
+    assert all(d.rows.base is datasets[0].rows.base and d.labels.base is datasets[0].labels.base
+               for d in datasets)
+
+
 def test_synthesize_users_remainder_distribution():
     spec = desk_spec(seed=0, user_count=3, samples_per_user=34)  # pool 102 -> 34 each
     pop, _ = io.synthesize_users(spec)
@@ -250,6 +266,16 @@ BAD_SPEC_VALUES = {
     "idx_test_images": ("t/img", r"IDX data needs all four idx_\* paths; unset: idx_images, "
                                  "idx_labels, idx_test_labels"),
 }
+
+
+@pytest.mark.parametrize("name, value", [("samples_per_user", 100), ("n_features", 3),
+                                         ("n_classes", 9), ("class_separation", 8.0),
+                                         ("test_samples", 7)])
+def test_idx_spec_refuses_a_synthetic_data_field(name, value):
+    paths = dict(idx_images="i", idx_labels="l", idx_test_images="ti", idx_test_labels="tl")
+    with pytest.raises(ValidationError, match=f"^{name} shape synthetic data only"):
+        desk_spec(**paths, **{name: value})
+    desk_spec(**{name: value})   # synthetic data take it
 
 
 def test_spec_validation():

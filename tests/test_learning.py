@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from mecfl import learning
+from mecfl import io, learning
 from mecfl.errors import SimulationError, ValidationError
+from mecfl.io import ExperimentSpec
 from mecfl.learning import (
     Dataset,
     _scores,
@@ -157,6 +158,12 @@ def test_concat_equals_the_validating_constructor(sizes):
         assert not got.flags.writeable and not want.flags.writeable
 
 
+def _users(seed, user_count=4, samples_per_user=5):
+    """A synthesized population's datasets, views of one shuffled pool."""
+    return io.synthesize_users(ExperimentSpec(seed=seed, user_count=user_count,
+                                              samples_per_user=samples_per_user))[1]
+
+
 def test_concat_rejects_a_wrong_width_or_an_out_of_range_label():
     rng = np.random.default_rng(9)
     good = random_dataset(rng, n=4, n_features=3, n_classes=4)
@@ -166,6 +173,50 @@ def test_concat_rejects_a_wrong_width_or_an_out_of_range_label():
     three = Dataset(np.full((2, 3), 0.5), [0, 3], 4)
     with pytest.raises(ValidationError, match=r"labels must lie in \[0, 3\)"):
         concat_datasets([good, three], 3, 3)
+    pooled = _users(3)   # parts that tile one pool are not copied, and checked all the same
+    assert max(d.labels.max() for d in pooled) == 3
+    with pytest.raises(ValidationError, match=r"labels must lie in \[0, 3\)"):
+        concat_datasets(pooled, 3, 16)
+
+
+def test_concat_of_a_synthesized_population_is_its_pool_not_a_copy():
+    datasets = _users(0, user_count=50, samples_per_user=1200)
+    tracemalloc.start()
+    try:
+        pooled = concat_datasets(datasets, 4, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"concat_datasets allocated {peak / 2**20:.1f} MB at its peak"
+    for name in ("rows", "features", "labels"):
+        got = getattr(pooled, name)
+        assert all(np.shares_memory(got, getattr(d, name)) for d in datasets)
+        assert np.array_equal(got, np.concatenate([getattr(d, name) for d in datasets]))
+        assert not got.flags.writeable
+
+
+def _takes_by_index(datasets):
+    pool = concat_datasets(datasets, 4, 16)
+    ends = np.cumsum([d.sample_count for d in datasets])
+    return [pool.take(np.arange(end - d.sample_count, end)) for d, end in zip(datasets, ends)]
+
+
+@pytest.mark.parametrize("parts", [
+    lambda a, b: [a[1], a[0], a[2], a[3]],
+    lambda a, b: [a[0], a[2], a[3]],
+    lambda a, b: a[:3],
+    lambda a, b: a[1:],
+    lambda a, b: [a[0], a[1], b[2], b[3]],
+    lambda a, b: _takes_by_index(a),
+], ids=["out-of-order", "a-gap", "first-users-only", "last-users-only", "two-bases",
+        "index-array-takes"])
+def test_concat_copies_parts_that_do_not_tile_one_pool(parts):
+    parts = parts(_users(1), _users(2))
+    pooled = concat_datasets(parts, 4, 16)
+    for name in ("rows", "labels"):
+        got = getattr(pooled, name)
+        assert np.array_equal(got, np.concatenate([getattr(p, name) for p in parts]))
+        assert not any(np.shares_memory(got, getattr(p, name)) for p in parts)
 
 
 def test_train_zero_epochs_returns_initial_weights():

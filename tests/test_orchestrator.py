@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -38,6 +40,23 @@ def test_single_iteration_trace():
     assert result.iterations_used == 1
     assert len(result.trace) == 1
     assert not result.converged
+
+
+def test_a_round_trains_on_the_users_rows_without_copying_them():
+    # 50 x 1200 samples at the default system settings: the training pool is
+    # the users' one shuffled pool, so a round allocates 1.2x its rows, not
+    # 2.3x with a pooled copy
+    spec = io.ExperimentSpec(user_count=50, samples_per_user=1200)
+    pop, datasets = io.synthesize_users(spec)
+    test, cfg = io.load_test_dataset(spec), io.effective_config(spec)
+    tracemalloc.start()
+    try:
+        run_proposed(pop, datasets, cfg, 1, test_dataset=test)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pool_bytes = sum(d.rows.nbytes for d in datasets)
+    assert peak <= 1.5 * pool_bytes, f"a round allocated {peak / pool_bytes:.2f}x the pool"
 
 
 def test_infinite_tolerance_converges_at_two():
