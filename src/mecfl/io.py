@@ -115,6 +115,8 @@ class ExperimentSpec:
         if not 0.0 <= self.shadowing_sigma_db < math.inf:
             raise ValidationError(f"shadowing_sigma_db must be finite and >= 0, "
                                   f"got {self.shadowing_sigma_db!r}")
+        if not math.isfinite(self.class_separation):
+            raise ValidationError(f"class_separation must be finite, got {self.class_separation!r}")
         for name in _POSITIVE_RANGES:
             value = getattr(self, name)
             if value is not None and not (value[0] > 0 and math.isfinite(value[1])):

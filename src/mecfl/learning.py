@@ -2,7 +2,9 @@
 
 The model keeps one weight row per class, each row holding the feature
 weights plus a trailing bias, flattened into a single vector of length
-``(n_features + 1) * n_classes``. The loss is the mean over samples of the
+``(n_features + 1) * n_classes``. Every score multiplies rows that end in a 1
+(``Dataset.rows``) by that ``(classes, features + 1)`` block, and every
+gradient is ``dz.T @ rows``. The loss is the mean over samples of the
 squared error between the per-class sigmoid outputs and the one-hot target.
 
 A :class:`Dataset` is validated once, where data enters the program (the
@@ -13,48 +15,46 @@ on its own row set of one pool. :func:`train` is its one-row-set call, and
 :func:`split_dataset` returns every user's pool rows, so local training copies
 no user data.
 
-The kernel gives every user the same bits as :func:`loss_gradient` steps on
-that user's batches alone. Everything that does not change between steps is
-built once per call: the table of every user's batch rows (padded with -1)
-and their labels, the valid-row count of every batch, the width of every
-step (the row count of its widest batch), per-step flags for "some batch is
-narrower than the step" and "some batch has one row", and the one-hot rows.
-A step computes only as many rows as its widest batch: on equal shards of
-50 rows in batches of 32, every second step is 18 rows wide, not 32.
-Scores and their gradients are held user-major, ``(users, rows, classes)``,
-the forward product's own output. A call of one row set (the edge's
-:func:`train`) gathers that row set's batch rows and one-hot targets 64
-steps at a time and steps on 2-D views of them, ``(rows, features + 1)`` by
-the one ``(classes, features + 1)`` weight block, with the same expressions
-as the 3-D step but ``np.dot`` for ``np.matmul``: a gather of the whole call
-would hold all its epochs' rows at once, and per-step gathers and a stacked
-product of one matrix cost more numpy dispatch than the step's arithmetic.
-The bits match because:
+Everything that does not change between steps is built once per call: the
+table of every user's batch rows (padded with -1) and their labels, the
+valid-row count of every batch, the width of every step (the row count of
+its widest batch), per-step flags for "some batch is narrower than the step"
+and "some batch has one row", and the one-hot rows. A step computes only as
+many rows as its widest batch: on equal shards of 50 rows in batches of 32,
+every second step is 18 rows wide, not 32. Scores and their gradients are
+held user-major, ``(users, rows, classes)``, the forward product's own
+output. A call of one row set (the edge's :func:`train`) gathers that row
+set's batch rows and one-hot targets 64 steps at a time and steps on 2-D
+views of them, with the same expressions as the 3-D step but ``np.dot`` for
+``np.matmul``: a gather of the whole call would hold all its epochs' rows at
+once, and per-step gathers and a stacked product of one matrix cost more
+numpy dispatch than the step's arithmetic.
 
-- the kernel gathers its batches from ``Dataset.rows``, which end in a 1,
-  and holds every user's weights as one ``(users, classes, features + 1)``
-  block, updated in place; ``w - lr * g`` is elementwise, so the layout does
-  not change its bits;
-- products stay one gemm per user, which sums each entry in order whatever
-  the strides of its operands and output, so a score ends in ``+ 1 * bias``
-  as in ``_logits``, and the gradient's last column is the bias gradient's
-  row sum; ``np.dot`` of 2-D arrays calls the same gemm as one matrix of a
-  stacked ``matmul``, so the one-row-set step gives the bits of a one-user
-  3-D step (tests pin all three); a batch of one row, as in every step one
-  row wide, gets numpy's one-row product (gemv) over its features plus the
-  bias, as a one-user call does, and a one-feature gradient (a two-column
-  product, not summed in order) is summed row by row in both;
-- score rows are independent, so a step computes each user's rows as its
-  batch alone would, however wide the step;
+A user whose batches are all full (as wide as their step) or one row gets
+the bits of :func:`loss_gradient` steps on its batches alone, because:
+
+- the weights are one ``(users, classes, features + 1)`` block, updated in
+  place by the elementwise ``w - lr * g``;
+- a full batch is one matrix of each stacked product, shaped as its batch
+  alone, and gemm gives it that matrix's bits whatever the strides;
+  ``np.dot`` of 2-D arrays calls the same gemm (tests pin both);
+- numpy takes a one-row product with gemv, and the kernel takes it apart
+  for a one-row batch, as a batch of that row alone does; its gradient is
+  one product per entry, plus the padding's zeros;
+- a one-feature gradient (a two-column product, which gemm does not sum in
+  order) is summed row by row in both;
 - the sigmoid (:func:`_sigmoid`) is elementwise, and numpy's ``exp`` gives
-  an entry the same bits at any offset, length or stride of the array;
-  below z = -log(DBL_MAX), about -709.78, ``exp(-z)`` overflows and the
-  sigmoid is 0, so the kernel silences that overflow for the whole call;
-- ``take`` reads the -1 padding as the last row of the pool; padding rows
-  get a zero gradient, and a zero added to a sum leaves it unchanged;
+  an entry the same bits at any offset, length or stride;
+- ``take`` reads the -1 padding as the last row of the pool, and padding
+  rows get a zero gradient;
 - a step whose batches all have its width divides by the scalar width, the
-  same float as every user's row count; other steps divide by each user's
-  count.
+  same float as every user's row count; other steps divide by each user's.
+
+A batch narrower than its step, of more than one row, is computed inside
+wider products whose padding adds zeros to its sums. That keeps its bits
+only where gemm sums each entry in order, as tests pin up to 17 features;
+above that such a user may differ in the last bits (up to about 4e-16 in
+the weights after two epochs at 64 to 784 features).
 
 Each randomized call takes one seed, an integer in [0, 2**63), and draws
 from one ``np.random.default_rng(seed)``: :func:`split_dataset` draws every
@@ -92,7 +92,10 @@ class Dataset:
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=float)
-        labels = np.array(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        if labels.size and labels.dtype.kind not in "iu":
+            raise ValidationError(f"Dataset: labels must be integers, got dtype {labels.dtype}")
+        labels = labels.astype(np.int64)
         if feats.ndim != 2:
             raise ValidationError("Dataset: features must be 2-d (samples, features)")
         if labels.shape != (feats.shape[0],):
@@ -217,12 +220,6 @@ def shuffle_dataset(d: Dataset, seed: int) -> Dataset:
     return d.take(np.random.default_rng(seed).permutation(d.sample_count))
 
 
-def _logits(w: np.ndarray, features: np.ndarray, n_classes: int) -> np.ndarray:
-    """Per-class scores before the sigmoid, shape (samples, classes)."""
-    rows = w.reshape(n_classes, -1)
-    return features @ rows[:, :-1].T + rows[:, -1]
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """``1 / (1 + exp(-z))`` of every entry, computed in place in ``z``, which it returns.
 
@@ -237,9 +234,9 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.reciprocal(z, out=z)
 
 
-def _scores(w: np.ndarray, features: np.ndarray, n_classes: int) -> np.ndarray:
-    """Per-class sigmoid outputs, shape (samples, classes)."""
-    z = _logits(w, features, n_classes)
+def _scores(w: np.ndarray, rows: np.ndarray, n_classes: int) -> np.ndarray:
+    """Per-class sigmoid outputs of ``rows`` (each ending in a 1), shape (samples, classes)."""
+    z = rows @ w.reshape(n_classes, -1).T
     with np.errstate(over="ignore"):
         return _sigmoid(z)
 
@@ -248,19 +245,19 @@ def loss_gradient(w: np.ndarray, features: np.ndarray, labels: np.ndarray,
                   n_classes: int) -> np.ndarray:
     """Gradient of the mean squared sigmoid error over the given rows.
 
-    ``w`` is (dim,), ``features`` (rows, features) and ``labels`` (rows,).
-    :func:`train_users` runs the same expression for every user at once and
-    gives the same bits as one call per batch.
+    ``w`` is (dim,), ``features`` (rows, features) and ``labels`` (rows,);
+    the ones column is appended here. :func:`train_users` runs the same
+    expression for every user at once (see the module docstring for when it
+    gives the bits of one call per batch).
     """
     if len(labels) == 0:
         raise ValidationError("loss_gradient: no rows")
-    probs = _scores(w, features, n_classes)
+    rows = np.concatenate([features, np.ones((len(labels), 1))], axis=1)
+    probs = _scores(w, rows, n_classes)
     dz = 2.0 * (probs - np.eye(n_classes)[labels]) * probs * (1.0 - probs) / len(labels)
     if features.shape[1] > 1:
-        grad_feat = dz.T @ features
-    else:
-        grad_feat = (dz * features).sum(axis=0)[:, None]   # rows in order, not gemv
-    return np.concatenate([grad_feat, dz.sum(axis=0)[:, None]], axis=1).ravel()
+        return (dz.T @ rows).ravel()
+    return (dz[:, :, None] * rows[:, None, :]).sum(axis=0).ravel()   # rows in order, not gemv
 
 
 def train_users(w_init: np.ndarray, pool: Dataset, rows, epochs: int, lr: float, seed: int,
@@ -277,8 +274,9 @@ def train_users(w_init: np.ndarray, pool: Dataset, rows, epochs: int, lr: float,
     Step k updates every user on its own k-th batch and computes as many
     rows as the widest of those batches, not ``batch_size``; a user out of
     batches (or with no rows at all) keeps its weights. Returns the weights,
-    shape (users, dim), with the same bits as training each user alone on
-    those orders (see the module docstring for why).
+    shape (users, dim). A user whose batches are all full or one row, and at
+    up to 17 features every user, gets the bits of training alone on those
+    orders (see the module docstring for why).
     """
     if not (_fits(epochs, "int") and _fits(batch_size, "int") and lr > 0 and math.isfinite(lr)
             and epochs >= 0 and batch_size >= 1):
@@ -356,14 +354,12 @@ def train_users(w_init: np.ndarray, pool: Dataset, rows, epochs: int, lr: float,
             if singles:
                 # numpy takes a one-row product with gemv, which sums in another
                 # order than gemm: a user whose batch is one row gets the one-row
-                # product over its features plus the bias, as a batch of that row
-                # alone does in _logits. z is the product's fresh contiguous
-                # array, so its (users, rows, classes) reshape is a view.
+                # product, as a batch of that row alone does in _scores. z is the
+                # product's fresh contiguous array, so its (users, rows, classes)
+                # reshape is a view.
                 s = np.flatnonzero(counts[:a, k] == 1)
-                ws = w[s]
                 z.reshape(-1, b, n_classes)[s, 0] = (
-                    x.reshape(-1, b, n_features + 1)[s, :1, :-1]
-                    @ ws[:, :, :-1].swapaxes(1, 2))[:, 0] + ws[:, :, -1]
+                    x.reshape(-1, b, n_features + 1)[s, :1] @ w[s].swapaxes(1, 2))[:, 0]
             p = _sigmoid(z)
             dz = np.subtract(p, t, out=t)   # no later step reads t: dz takes its buffer
             dz *= 2.0
@@ -400,7 +396,7 @@ def evaluate_loss(w: np.ndarray, d: Dataset) -> float:
     """Mean over samples of the summed per-class squared sigmoid error."""
     if d.sample_count == 0:
         raise ValidationError("evaluate_loss: dataset has no samples")
-    errors = _scores(_weights("evaluate_loss", w, d), d.features, d.n_classes)
+    errors = _scores(_weights("evaluate_loss", w, d), d.rows, d.n_classes)
     errors -= np.eye(d.n_classes)[d.labels]
     return float(np.sum(errors ** 2) / d.sample_count)
 
@@ -408,7 +404,7 @@ def evaluate_loss(w: np.ndarray, d: Dataset) -> float:
 def accuracy(w: np.ndarray, d: Dataset) -> float:
     if d.sample_count == 0:
         raise ValidationError("accuracy: dataset has no samples")
-    scores = _scores(_weights("accuracy", w, d), d.features, d.n_classes)
+    scores = _scores(_weights("accuracy", w, d), d.rows, d.n_classes)
     return float(np.mean(np.argmax(scores, axis=1) == d.labels))
 
 

@@ -183,7 +183,7 @@ class AllocationState:
 
         ``delta`` and ``gamma`` are one value for every user or one per user.
         """
-        share = np.full(n_users, 1.0 / n_users)
+        share = np.full(n_users, 1.0) / n_users
         return cls(
             delta=np.full(n_users, delta, dtype=float),
             gamma=np.full(n_users, gamma, dtype=float),

@@ -1,6 +1,7 @@
 import re
 import struct
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -257,6 +258,7 @@ BAD_SPEC_VALUES = {
     "n_classes": (1, "n_classes must be >= 2"),
     "transmit_power_w": (0.0, "transmit_power_w must be finite and > 0, got 0.0"),
     "shadowing_sigma_db": (-1.0, "shadowing_sigma_db must be finite and >= 0, got -1.0"),
+    "class_separation": (float("nan"), "class_separation must be finite, got nan"),
     "cpu_hz_range": ((0.0, 1e9), r"cpu_hz_range must lie in \(0, inf\)"),
     "energy_budget_range": ((-1.0, -0.5), r"energy_budget_range must lie in \(0, inf\)"),
     "distance_range_m": ((0.0, 500.0), r"distance_range_m must lie in \(0, inf\)"),
@@ -543,6 +545,21 @@ def test_cli_refuses_a_bad_config_value_before_the_run(command, entry, message, 
                         capsys.readouterr().err.splitlines()[-1])
     # refused before any simulation starts and before --out is created
     assert not started and not out.exists()
+
+
+@pytest.mark.parametrize("value", ["1e999", "-1e999"])
+def test_cli_refuses_a_non_finite_class_separation(value, tmp_path, capsys):
+    # synthesis used to warn "invalid value encountered in divide", and the run
+    # then exited naming the features' range
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"experiment.class_separation = {value}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", "--config", str(config), "--out", str(tmp_path / "out.csv")])
+    assert exit_info.value.code == 2
+    assert re.fullmatch(r"mecfl run: error: class_separation must be finite, got -?inf",
+                        capsys.readouterr().err.splitlines()[-1])
 
 
 @pytest.mark.parametrize("command, scenario", [("run", "proposed"), ("sweep", "sweep_offload")])

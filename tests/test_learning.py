@@ -451,11 +451,32 @@ def test_train_users_equals_per_user_reference_loop():
     pytest.param((9, 1, 0, 4), 1, 5, 3, 3, id="steps-one-row-wide-5-features"),
     pytest.param((9, 1, 0, 4), 1, 16, 3, 3, id="steps-one-row-wide-16-features"),
     pytest.param((33, 33), 32, 16, 4, 3, id="one-row-step-of-all-users-bench-shape"),
+    # the widest at which gemm is pinned to sum in order, so every user keeps
+    # its bits, narrower batches too
+    pytest.param((64, 50, 7, 0, 1, 1, 17, 33, 49, 2), 16, 17, 10, 2, id="17-features"),
 ])
 def test_train_users_equals_reference_at_branch_points(sizes, batch_size, n_features,
                                                        n_classes, epochs):
     _assert_equals_reference(np.random.default_rng(22), epochs, batch_size, sizes=sizes,
                              n_features=n_features, n_classes=n_classes)
+
+
+def test_train_users_at_image_width_equals_reference_for_full_and_one_row_batches():
+    # 784 features, as IDX images have. A user whose batches are all full or
+    # one row computes its own batches' products, so it matches training alone.
+    # Above 17 features gemm need not sum each entry in order, so a user whose
+    # batch is narrower than its step but not one row (50, 7 and 2 rows here)
+    # may differ in the last bits, and is left out.
+    batch_size = 16
+    pool, rows, seed, w0 = _mixed_users(np.random.default_rng(33),
+                                        sizes=(64, 50, 7, 0, 1, 1, 17, 33, 49, 97, 2),
+                                        n_features=784, n_classes=10)
+    out = train_users(w0, pool, rows, epochs=2, lr=0.3, seed=seed, batch_size=batch_size)
+    expected = _reference_weights(w0, pool, rows, 2, batch_size, seed)
+    exact = [u for u, r in enumerate(rows) if r.size % batch_size in (0, 1)]
+    assert len(exact) == 8
+    for u in exact:
+        assert np.array_equal(out[u], expected[u]), f"user {u} with {rows[u].size} rows"
 
 
 def test_train_users_draws_nothing_for_a_user_without_rows():
@@ -577,12 +598,14 @@ def _blas_build():
 
 
 def test_gemm_sums_the_ones_column_in_order():
-    # train_users multiplies rows that end in a 1 by weights that end in the
-    # bias, and relies on gemm summing each entry in order: the score then
-    # ends in + bias, and the last gradient column is the bias gradient's
-    # row sum, with the bits of the features-alone products loss_gradient
-    # takes. Shapes at bench sizes; a one-row forward product is gemv, which
-    # does not sum in that order, and the kernel computes it apart.
+    # Up to 17 features gemm sums each entry in order: a product of rows that
+    # end in a 1 ends in + bias, and the last gradient column is the bias
+    # gradient's row sum. So the ones-column products equal the features-alone
+    # products plus a separate bias, which is why outputs at 17 features or
+    # fewer (the synthetic data's 16) kept their bits when every score moved to
+    # the ones column, and why a batch narrower than its step, whose padding
+    # adds zeros, keeps its bits there. Shapes at bench sizes; a one-row
+    # forward product is gemv, which does not sum in that order.
     rng = np.random.default_rng(27)
     message = (f"gemm no longer sums each entry in order on numpy {np.__version__} with "
                f"{_blas_build()}, shape")
@@ -652,10 +675,10 @@ def test_sigmoid_equals_expit_at_extremes_without_a_warning():
         warnings.simplefilter("error")
         with np.errstate(over="ignore"):
             direct = _sigmoid(_EXTREMES.copy())
-        # zero features and weights make each class's score its bias
+        # a zero feature and weight make each class's score its bias
         n = _EXTREMES.size
         w = np.stack([np.zeros(n), _EXTREMES], axis=1).ravel()
-        scored = _scores(w, np.zeros((1, 1)), n)[0]
+        scored = _scores(w, np.array([[0.0, 1.0]]), n)[0]
         pool = Dataset(np.full((6, 1), 0.5), np.arange(6) % 2, 2)
         w0 = np.array([0.0, -1000.0, 0.0, 1000.0])
         # every score is 0 or 1 exactly, so every gradient is 0
@@ -800,6 +823,18 @@ def test_dataset_refuses_flat_features_and_a_label_count_off_the_row_count(featu
         Dataset(features, labels, 2)
 
 
+@pytest.mark.parametrize("labels, dtype", [
+    pytest.param([0.7, 1.9], "float64", id="fractions"),   # used to be kept as [0, 1]
+    pytest.param(["0", "1"], "<U1", id="strings"),          # used to be parsed
+    pytest.param([0, np.nan], "float64", id="nan"),         # used to raise numpy's ValueError
+    pytest.param([True, False], "bool", id="bools"),
+])
+def test_dataset_refuses_labels_that_are_not_integers(labels, dtype):
+    with pytest.raises(ValidationError,
+                       match=f"^Dataset: labels must be integers, got dtype {re.escape(dtype)}$"):
+        Dataset(np.full((2, 1), 0.5), labels, 2)
+
+
 @pytest.mark.parametrize("score", [evaluate_loss, learning.accuracy])
 @pytest.mark.parametrize("length", [5, 7])
 def test_scoring_refuses_weights_of_the_wrong_length(score, length):
@@ -824,6 +859,7 @@ def test_dataset_validation():
         with pytest.raises(ValidationError):
             Dataset([[0.5]], [0], n_classes)
     assert Dataset([[0.5]], [0], np.int64(2)).n_classes == 2
+    assert Dataset(np.zeros((0, 1)), [], 2).sample_count == 0   # [] is float64: no label to refuse
 
 
 @pytest.mark.parametrize("pick", ["indices", "slice", "mask"])

@@ -100,6 +100,12 @@ def test_uniform_constructor_is_feasible():
     assert np.all(alloc.lambda_offload == 0.5) and np.all(alloc.lambda_local == 0.5)
 
 
+def test_uniform_constructor_refuses_zero_users():
+    # used to raise ZeroDivisionError from 1.0 / n_users
+    with pytest.raises(ValidationError, match="^AllocationState: at least one user required$"):
+        AllocationState.uniform(0)
+
+
 @pytest.mark.parametrize("seed", [-3, 2**63, True])
 def test_system_config_rejects_a_seed_outside_0_to_2_63(seed):
     with pytest.raises(ValidationError, match="rng_seed"):
