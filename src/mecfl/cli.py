@@ -6,6 +6,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from . import io
 from .errors import SimulationError, ValidationError
@@ -21,7 +22,8 @@ def _add_common_flags(parser):
 
 
 def _build_spec(args, default_scenario: str) -> io.ExperimentSpec:
-    spec = io.load_config(args.config) if args.config else io.ExperimentSpec()
+    spec = (io.parse_config(Path(args.config).read_text(encoding="utf-8")) if args.config
+            else io.ExperimentSpec())
     overrides = {}
     if args.scenario:
         overrides["scenario"] = args.scenario

@@ -63,6 +63,19 @@ _SYNTHETIC_FIELDS = ("samples_per_user", "n_features", "n_classes", "class_separ
                      "test_samples")
 
 
+def _require_finite_means(separation: float, n_features: int, n_classes: int) -> None:
+    """Refuse a class separation whose farthest cluster mean of synthetic data is not
+    finite; every other mean, and so the spread the data are scaled by, lies between 0
+    and that one."""
+    if not math.isfinite(separation):
+        raise ValidationError(f"class_separation must be finite, got {separation!r}")
+    farthest = separation * (1 + (n_classes - 1) // n_features)
+    if not math.isfinite(farthest):
+        raise ValidationError(f"class_separation {separation!r} puts class {n_classes - 1}'s "
+                              f"cluster mean at {farthest!r} with n_features={n_features}; "
+                              "it must be finite")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment, fully described.
@@ -115,8 +128,7 @@ class ExperimentSpec:
         if not 0.0 <= self.shadowing_sigma_db < math.inf:
             raise ValidationError(f"shadowing_sigma_db must be finite and >= 0, "
                                   f"got {self.shadowing_sigma_db!r}")
-        if not math.isfinite(self.class_separation):
-            raise ValidationError(f"class_separation must be finite, got {self.class_separation!r}")
+        _require_finite_means(self.class_separation, self.n_features, self.n_classes)
         for name in _POSITIVE_RANGES:
             value = getattr(self, name)
             if value is not None and not (value[0] > 0 and math.isfinite(value[1])):
@@ -140,20 +152,8 @@ def effective_config(spec: ExperimentSpec) -> SystemConfig:
 
 
 # --------------------------------------------------------------------------
-# config file round trip
+# config files
 # --------------------------------------------------------------------------
-
-def emit_config(spec: ExperimentSpec) -> str:
-    lines = ["# mecfl experiment configuration"]
-    for f in fields(ExperimentSpec):
-        if f.name == "system":
-            continue
-        lines.append(f"experiment.{f.name} = {getattr(spec, f.name)!r}")
-    for f in fields(SystemConfig):
-        if f.name != "rng_seed":   # set from experiment.seed
-            lines.append(f"system.{f.name} = {getattr(spec.system, f.name)!r}")
-    return "\n".join(lines) + "\n"
-
 
 def parse_config(text: str) -> ExperimentSpec:
     exp_fields = {f.name for f in fields(ExperimentSpec)} - {"system"}
@@ -184,11 +184,6 @@ def parse_config(text: str) -> ExperimentSpec:
         else:
             raise ValidationError(f"config line {lineno}: unknown key {key!r}")
     return ExperimentSpec(system=SystemConfig(**sys_kwargs), **exp_kwargs)
-
-
-def load_config(path: str) -> ExperimentSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_config(handle.read())
 
 
 # --------------------------------------------------------------------------
@@ -256,6 +251,7 @@ def synthesize_dataset(n_samples: int, n_features: int, n_classes: int, seed: in
         raise ValidationError("synthesize_dataset: n_samples must be >= 1")
     if n_features < 1 or n_classes < 2:
         raise ValidationError("synthesize_dataset: need n_features >= 1, n_classes >= 2")
+    _require_finite_means(separation, n_features, n_classes)
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, n_classes, size=n_samples)
     means = np.zeros((n_classes, n_features))

@@ -31,7 +31,8 @@ once, and per-step gathers and a stacked product of one matrix cost more
 numpy dispatch than the step's arithmetic.
 
 A user whose batches are all full (as wide as their step) or one row gets
-the bits of :func:`loss_gradient` steps on its batches alone, because:
+the bits of steps of the tests' reference gradient (``loss_gradient`` in
+``tests/helpers.py``) on its batches alone, because:
 
 - the weights are one ``(users, classes, features + 1)`` block, updated in
   place by the elementwise ``w - lr * g``;
@@ -239,25 +240,6 @@ def _scores(w: np.ndarray, rows: np.ndarray, n_classes: int) -> np.ndarray:
     z = rows @ w.reshape(n_classes, -1).T
     with np.errstate(over="ignore"):
         return _sigmoid(z)
-
-
-def loss_gradient(w: np.ndarray, features: np.ndarray, labels: np.ndarray,
-                  n_classes: int) -> np.ndarray:
-    """Gradient of the mean squared sigmoid error over the given rows.
-
-    ``w`` is (dim,), ``features`` (rows, features) and ``labels`` (rows,);
-    the ones column is appended here. :func:`train_users` runs the same
-    expression for every user at once (see the module docstring for when it
-    gives the bits of one call per batch).
-    """
-    if len(labels) == 0:
-        raise ValidationError("loss_gradient: no rows")
-    rows = np.concatenate([features, np.ones((len(labels), 1))], axis=1)
-    probs = _scores(w, rows, n_classes)
-    dz = 2.0 * (probs - np.eye(n_classes)[labels]) * probs * (1.0 - probs) / len(labels)
-    if features.shape[1] > 1:
-        return (dz.T @ rows).ravel()
-    return (dz[:, :, None] * rows[:, None, :]).sum(axis=0).ravel()   # rows in order, not gemv
 
 
 def train_users(w_init: np.ndarray, pool: Dataset, rows, epochs: int, lr: float, seed: int,

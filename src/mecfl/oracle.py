@@ -143,14 +143,12 @@ def finite_diff(f, x, order: int, h: float):
     return float(diff) if x.ndim == 0 else diff
 
 
-def _compositions(total: int, parts: int):
-    """All nonnegative integer vectors of the given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """All nonnegative integer vectors of the given length summing to total, one per
+    row, in lexicographic order: every head of ``parts - 1`` entries that leaves room."""
+    heads = np.indices((total + 1,) * (parts - 1)).reshape(parts - 1, (total + 1) ** (parts - 1)).T
+    heads = heads[heads.sum(axis=1) <= total]
+    return np.column_stack([heads, total - heads.sum(axis=1)])
 
 
 def _fastest(candidates: np.ndarray, refused: np.ndarray, per_user_time) -> int | None:
@@ -196,7 +194,7 @@ def simplex_minimize_maxtime(pop: Population, alloc: AllocationState, dim: int,
         raise ValidationError("simplex_minimize_maxtime: resolution must be finite, > 0 "
                               f"and <= 1, got {resolution!r}")
     steps = int(round(1.0 / resolution))
-    shares = np.array(list(_compositions(steps, n)), dtype=float) / steps
+    shares = _compositions(steps, n) / steps
     starved = shares <= 0.0
     best_offload = _fastest(
         shares, starved & (alloc.delta > 0.0),

@@ -25,7 +25,7 @@ from .errors import ValidationError
 
 # Absolute slack used when comparing allocations against box/simplex bounds.
 CONSTRAINT_ATOL = 1e-9
-_SEED_LIMIT = 2**63
+_INT64_LIMIT = 2**63   # a seed and a dataset size lie below it
 
 
 def _require_positive(owner: str, **named: float) -> None:
@@ -34,13 +34,10 @@ def _require_positive(owner: str, **named: float) -> None:
             raise ValidationError(f"{owner}: {name} must be finite and > 0, got {value!r}")
 
 
-def _is_seed(s) -> bool:
-    """A seed is an integer in [0, 2**63); a bool is none."""
-    return isinstance(s, (int, np.integer)) and not isinstance(s, bool) and 0 <= s < _SEED_LIMIT
-
-
 def _require_seed(owner: str, name: str, value) -> None:
-    if not _is_seed(value):
+    """A seed is an integer in [0, 2**63); a bool is none."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and 0 <= value < _INT64_LIMIT):
         raise ValidationError(f"{owner}: {name} must be an integer in [0, 2**63), got {value!r}")
 
 
@@ -183,6 +180,9 @@ class AllocationState:
 
         ``delta`` and ``gamma`` are one value for every user or one per user.
         """
+        if not _fits(n_users, "int") or n_users < 0:   # 0 users: the constructor refuses them
+            raise ValidationError(f"AllocationState.uniform: n_users must be an integer >= 1, "
+                                  f"got {n_users!r}")
         share = np.full(n_users, 1.0) / n_users
         return cls(
             delta=np.full(n_users, delta, dtype=float),
@@ -267,12 +267,15 @@ class Population:
         values = np.array(arrays)   # one row per field, in _FIELDS order
         ok = (values > 0) & (values < np.inf)                # NaN fails both
         sizes = values[-1]
-        ok[-1] &= np.maximum(np.floor(sizes), 1.0) == sizes  # integers >= 1
+        ok[-1] &= (np.maximum(np.floor(sizes), 1.0) == sizes) & (sizes < _INT64_LIMIT)
         if not ok.all():
             row, *where = np.unravel_index(int(ok.argmin()), ok.shape)
-            rule = "an integer >= 1" if self._FIELDS[row] == "dataset_size" else "finite and > 0"
+            value = float(values[(row, *where)])
+            rule = ("finite and > 0" if self._FIELDS[row] != "dataset_size"
+                    else "an integer < 2**63" if _INT64_LIMIT <= value < math.inf
+                    else "an integer >= 1")
             raise ValidationError(f"Population: {self._FIELDS[row]}[{', '.join(map(str, where))}]"
-                                  f" must be {rule}, got {float(values[(row, *where)])!r}")
+                                  f" must be {rule}, got {value!r}")
         values.flags.writeable = False
         for name, row in zip(self._FIELDS, values):
             object.__setattr__(self, name, row)

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import numpy as np
 
+from mecfl.errors import ValidationError
 from mecfl.io import ExperimentSpec
+from mecfl.learning import _scores
 from mecfl.types import AllocationState, Population, SystemConfig
 
 # Recorded certificates of ``verify.run_all()`` at full counts (see test_golden_verify.py).
@@ -58,3 +60,36 @@ def make_alloc(n=1, delta=0.5, gamma=0.5, offload=None, upload=None,
 def record_certificates(checks) -> list[dict]:
     """The name, verdict and detail line of each check, as the golden recordings hold them."""
     return [{"name": c.name, "passed": bool(c.passed), "detail": c.detail} for c in checks]
+
+
+def loss_gradient(w: np.ndarray, features: np.ndarray, labels: np.ndarray,
+                  n_classes: int) -> np.ndarray:
+    """Gradient of the mean squared sigmoid error over the given rows.
+
+    ``w`` is (dim,), ``features`` (rows, features) and ``labels`` (rows,);
+    the ones column is appended here. The tests' independent reference for
+    ``mecfl.learning.train_users``, which runs the same expression for every
+    user at once (see that module's docstring for when it gives the bits of
+    one call per batch).
+    """
+    if len(labels) == 0:
+        raise ValidationError("loss_gradient: no rows")
+    rows = np.concatenate([features, np.ones((len(labels), 1))], axis=1)
+    probs = _scores(w, rows, n_classes)
+    dz = 2.0 * (probs - np.eye(n_classes)[labels]) * probs * (1.0 - probs) / len(labels)
+    if features.shape[1] > 1:
+        return (dz.T @ rows).ravel()
+    return (dz[:, :, None] * rows[:, None, :]).sum(axis=0).ravel()   # rows in order, not gemv
+
+
+def emit_config(spec: ExperimentSpec) -> str:
+    """The text of a config file that ``mecfl.io.parse_config`` reads back as ``spec``."""
+    lines = ["# mecfl experiment configuration"]
+    for f in fields(ExperimentSpec):
+        if f.name == "system":
+            continue
+        lines.append(f"experiment.{f.name} = {getattr(spec, f.name)!r}")
+    for f in fields(SystemConfig):
+        if f.name != "rng_seed":   # set from experiment.seed
+            lines.append(f"system.{f.name} = {getattr(spec.system, f.name)!r}")
+    return "\n".join(lines) + "\n"

@@ -10,11 +10,11 @@ import json
 import numpy as np
 
 from mecfl import io, verify
-from mecfl.learning import Dataset, aggregate, evaluate_loss, loss_gradient, weight_dim
+from mecfl.learning import Dataset, aggregate, evaluate_loss, weight_dim
 from mecfl.orchestrator import run_centralized, run_proposed, run_traditional
 from mecfl.types import AllocationState, ModelState, Population, SystemConfig
 
-from helpers import GOLDEN_VERIFY_FULL, desk_spec, record_certificates
+from helpers import GOLDEN_VERIFY_FULL, desk_spec, loss_gradient, record_certificates
 
 SEEDS = (1, 2, 3)
 

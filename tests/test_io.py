@@ -15,7 +15,7 @@ from mecfl.orchestrator import run_proposed
 from mecfl.types import AllocationState
 from mecfl.verify import CheckResult
 
-from helpers import desk_spec
+from helpers import desk_spec, emit_config
 
 
 # ---------------------------------------------------------------- IDX files
@@ -109,7 +109,7 @@ def test_idx_pool_of_fewer_images_than_users_is_refused_by_name(tmp_path, capsys
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         io.synthesize_users(spec)
     config = tmp_path / "idx.cfg"
-    config.write_text(io.emit_config(spec))
+    config.write_text(emit_config(spec))
     with pytest.raises(SystemExit) as exit_info:
         cli_main(["run", "--config", str(config)])
     assert exit_info.value.code == 2
@@ -216,14 +216,14 @@ def test_config_round_trip():
                  # a '#' inside a quoted value is part of the value, not a comment
                  desk_spec(idx_images="data#1/img", idx_labels="run # 2/lbl",
                            idx_test_images="t/img", idx_test_labels="t/lbl")):
-        assert io.parse_config(io.emit_config(spec)) == spec
+        assert io.parse_config(emit_config(spec)) == spec
 
 
 def test_config_rejects_rng_seed_and_names_the_seed_to_set():
     # experiment.seed is the run's one seed; a system.rng_seed would be overridden by it
     with pytest.raises(ValidationError, match=r"line 1: .*experiment\.seed"):
         io.parse_config("system.rng_seed = 5\nexperiment.seed = 3\n")
-    assert "rng_seed" not in io.emit_config(desk_spec(seed=5))
+    assert "rng_seed" not in emit_config(desk_spec(seed=5))
 
 
 def test_config_rejects_unknown_keys():
@@ -312,7 +312,7 @@ def test_config_rejects_a_value_of_the_wrong_type(entry, tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text(entry + "\n")
     with pytest.raises(ValidationError, match=WRONG_TYPES[entry]):
-        io.load_config(str(path))
+        io.parse_config(path.read_text())
 
 
 SEED_ENTRIES = {
@@ -562,6 +562,34 @@ def test_cli_refuses_a_non_finite_class_separation(value, tmp_path, capsys):
                         capsys.readouterr().err.splitlines()[-1])
 
 
+def test_cli_refuses_a_class_separation_whose_cluster_mean_overflows(tmp_path, capsys):
+    # 1e308 * 4 overflows: synthesis used to warn "invalid value encountered in
+    # divide", and the run then exited naming the features' range
+    config = tmp_path / "exp.cfg"
+    config.write_text("experiment.class_separation = 1e308\nexperiment.n_features = 1\n"
+                      "experiment.user_count = 3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", "--config", str(config)])
+        with pytest.raises(ValidationError, match="^class_separation 1e"):
+            io.synthesize_dataset(30, 1, 4, 0, 1e308)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "mecfl run: error: class_separation 1e+308 puts class 3's cluster mean at inf "
+        "with n_features=1; it must be finite")
+
+
+@pytest.mark.parametrize("separation", [1.5e308, -1.5e308])
+def test_a_huge_finite_class_separation_at_16_features_still_synthesizes(separation):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        spec = desk_spec(class_separation=separation, user_count=3)
+        pop, _ = io.synthesize_users(spec)
+        io.load_test_dataset(spec)
+    assert pop.n_users == 3 and spec.n_features == 16
+
+
 @pytest.mark.parametrize("command, scenario", [("run", "proposed"), ("sweep", "sweep_offload")])
 @pytest.mark.parametrize("fault", ["missing-file", "bad-magic", "count-mismatch"])
 def test_cli_reports_a_bad_idx_input_as_a_usage_error(command, scenario, fault, tmp_path, capsys):
@@ -575,7 +603,7 @@ def test_cli_reports_a_bad_idx_input_as_a_usage_error(command, scenario, fault, 
         test_images, test_labels = write_idx_pair(tmp_path / "test", np.zeros((3, 2, 2), np.uint8),
                                                   [0, 1])
     config = tmp_path / "idx.cfg"
-    config.write_text(io.emit_config(desk_spec(
+    config.write_text(emit_config(desk_spec(
         scenario=scenario, user_count=2, max_iterations=1, sweep_rounds=1,
         idx_images=images, idx_labels=labels, idx_test_images=test_images,
         idx_test_labels=test_labels)))
@@ -640,7 +668,7 @@ def test_cli_reports_a_failed_run_on_one_line(tmp_path, capsys):
 
 def test_cli_run_with_config_file(tmp_path):
     cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text(io.emit_config(desk_spec(seed=2, user_count=3,
+    cfg_path.write_text(emit_config(desk_spec(seed=2, user_count=3,
                                                  samples_per_user=40, max_iterations=2)))
     out = tmp_path / "m.csv"
     code = cli_main(["run", "--config", str(cfg_path), "--out", str(out)])

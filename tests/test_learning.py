@@ -17,7 +17,6 @@ from mecfl.learning import (
     aggregate,
     concat_datasets,
     evaluate_loss,
-    loss_gradient,
     shuffle_dataset,
     split_dataset,
     train,
@@ -25,6 +24,8 @@ from mecfl.learning import (
     weight_dim,
 )
 from mecfl.types import ModelState
+
+from helpers import loss_gradient
 
 
 def random_dataset(rng, n=40, n_features=3, n_classes=2):

@@ -10,7 +10,6 @@ from mecfl.errors import DegenerateDivisor, SimulationError, ValidationError
 from mecfl.learning import (
     Dataset,
     concat_datasets,
-    loss_gradient,
     split_dataset,
     weight_dim,
 )
@@ -25,7 +24,7 @@ from mecfl.orchestrator import (
 )
 from mecfl.types import AllocationState, ModelState, SystemConfig, validate_allocation
 
-from helpers import desk_spec, make_alloc, make_pop
+from helpers import desk_spec, loss_gradient, make_alloc, make_pop
 
 
 def tiny_population(seed=0, **overrides):

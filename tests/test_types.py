@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -106,6 +107,14 @@ def test_uniform_constructor_refuses_zero_users():
         AllocationState.uniform(0)
 
 
+@pytest.mark.parametrize("bad", [-1, 2.5, True])
+def test_uniform_constructor_refuses_a_user_count_that_is_not_a_positive_integer(bad):
+    # -1 used to raise numpy's bare ValueError, 2.5 and True a TypeError
+    with pytest.raises(ValidationError, match=rf"^AllocationState.uniform: n_users must be an "
+                                              rf"integer >= 1, got {bad!r}$"):
+        AllocationState.uniform(bad)
+
+
 @pytest.mark.parametrize("seed", [-3, 2**63, True])
 def test_system_config_rejects_a_seed_outside_0_to_2_63(seed):
     with pytest.raises(ValidationError, match="rng_seed"):
@@ -157,6 +166,16 @@ def test_population_rejects_a_dataset_size_that_is_not_a_positive_integer(bad):
                        match=rf"^Population: dataset_size\[2\] must be an integer >= 1, "
                              rf"got {float(bad)!r}$"):
         make_pop(samples=[10, 20, bad, bad])
+
+
+@pytest.mark.parametrize("bad", [2.0**63, 1e300])
+def test_population_rejects_a_dataset_size_beyond_int64(bad):
+    # used to warn "invalid value encountered in cast" and store -2**63
+    with pytest.raises(ValidationError,
+                       match=rf"^Population: dataset_size\[2\] must be an integer < 2\*\*63, "
+                             rf"got {re.escape(repr(bad))}$"):
+        make_pop(samples=[10, 20, bad, bad])
+    make_pop(samples=[10, 20, 2.0**63 - 1024])   # the largest float below 2**63 fits
 
 
 def test_population_holds_integral_sizes_as_integers():
