@@ -35,8 +35,8 @@ from .orchestrator import (
     run_proposed,
     run_traditional,
 )
-from .types import (AllocationState, Population, SystemConfig, _require_field_types,
-                    _require_positive, _require_seed)
+from .types import (_INT64_LIMIT, AllocationState, Population, SystemConfig,
+                    _require_field_types, _require_positive, _require_seed)
 
 RUN_SCENARIOS = ("proposed", "traditional", "centralized")   # run_experiment's
 SWEEP_SCENARIOS = ("sweep_offload", "sweep_gamma")          # run_sweep's
@@ -51,7 +51,8 @@ METRICS_HEADER = ("iteration", "train_loss", "test_loss", "t_total", "t_edge",
 SWEEP_HEADER = ("scenario", "value", "train_loss", "test_loss", "t_total", "t_edge",
                 "t_local_center", "t_local_celledge", "e_total_center", "e_total_celledge")
 
-# ExperimentSpec's counts and their least values, and its ranges that must lie in (0, inf)
+# ExperimentSpec's counts and their least values (each lies below 2**63, numpy's int64
+# limit), and its ranges that must lie in (0, inf)
 _SPEC_MINIMA = {"user_count": 1, "samples_per_user": 1, "max_iterations": 1, "test_samples": 1,
                 "sweep_rounds": 1, "n_features": 1, "n_classes": 2}
 _POSITIVE_RANGES = ("cpu_hz_range", "energy_budget_range", "distance_range_m",
@@ -124,6 +125,8 @@ class ExperimentSpec:
         for name, low in _SPEC_MINIMA.items():
             if getattr(self, name) < low:
                 raise ValidationError(f"{name} must be >= {low}")
+            if getattr(self, name) >= _INT64_LIMIT:
+                raise ValidationError(f"{name} must be < 2**63")
         _require_positive("ExperimentSpec", transmit_power_w=self.transmit_power_w)
         if not 0.0 <= self.shadowing_sigma_db < math.inf:
             raise ValidationError(f"shadowing_sigma_db must be finite and >= 0, "

@@ -147,8 +147,9 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     """All nonnegative integer vectors of the given length summing to total, one per
     row, in lexicographic order: every head of ``parts - 1`` entries that leaves room."""
     heads = np.indices((total + 1,) * (parts - 1)).reshape(parts - 1, (total + 1) ** (parts - 1)).T
-    heads = heads[heads.sum(axis=1) <= total]
-    return np.column_stack([heads, total - heads.sum(axis=1)])
+    used = heads.sum(axis=1)
+    fits = used <= total
+    return np.column_stack([heads[fits], total - used[fits]])
 
 
 def _fastest(candidates: np.ndarray, refused: np.ndarray, per_user_time) -> int | None:
@@ -184,8 +185,9 @@ def simplex_minimize_maxtime(pop: Population, alloc: AllocationState, dim: int,
     times only improve with more bandwidth) is searched on its own grid.
     Offload fractions, CPU fractions, and multipliers are taken from
     ``alloc`` and held fixed. Each face is scored as one stacked candidate
-    allocation, so memory grows with its composition count,
-    (steps+1)(steps+2)/2 at 3 users for steps = round(1 / resolution).
+    allocation of its (steps+1)(steps+2)/2 compositions at 3 users, for
+    steps = round(1 / resolution); building them takes a grid of (steps+1)**2
+    index pairs first, so memory grows with that.
     """
     n = pop.n_users
     if n > 3:

@@ -308,11 +308,9 @@ WRONG_TYPES = {
 
 
 @pytest.mark.parametrize("entry", list(WRONG_TYPES))
-def test_config_rejects_a_value_of_the_wrong_type(entry, tmp_path):
-    path = tmp_path / "exp.cfg"
-    path.write_text(entry + "\n")
+def test_config_rejects_a_value_of_the_wrong_type(entry):
     with pytest.raises(ValidationError, match=WRONG_TYPES[entry]):
-        io.parse_config(path.read_text())
+        io.parse_config(entry + "\n")
 
 
 SEED_ENTRIES = {
@@ -545,6 +543,19 @@ def test_cli_refuses_a_bad_config_value_before_the_run(command, entry, message, 
                         capsys.readouterr().err.splitlines()[-1])
     # refused before any simulation starts and before --out is created
     assert not started and not out.exists()
+
+
+@pytest.mark.parametrize("name", ["n_classes", "user_count", "samples_per_user"])
+def test_cli_refuses_a_count_of_2_63_or_more(name, tmp_path, capsys):
+    # a 401-digit n_classes used to end the run in a bare OverflowError traceback
+    config = tmp_path / "exp.cfg"
+    for value in (2**63, 10**400):
+        config.write_text(f"experiment.{name} = {value}\n")
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", "--config", str(config), "--out", str(tmp_path / "out.csv")])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"mecfl run: error: {name} must be < 2**63")
 
 
 @pytest.mark.parametrize("value", ["1e999", "-1e999"])
