@@ -15,6 +15,8 @@ turn) and reads the model only as its weight dimension ``dim``:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .costs import (
@@ -27,7 +29,7 @@ from .costs import (
     weights_bytes,
 )
 from .errors import ValidationError
-from .types import AllocationState, Population, SystemConfig, project_unit_interval
+from .types import AllocationState, Population, SystemConfig
 
 # Keeps both multipliers strictly positive; repeated penalty increments
 # would otherwise drive the upload-side multiplier to zero or below.
@@ -80,7 +82,8 @@ def solve_delta(pop: Population, alloc: AllocationState, dim: int,
 
     Each user's fraction equates its local and edge completion times. Both
     are linear in delta with opposite slopes, so the balance point is
-    unique; it is projected onto [0, 1]. Other users' offload decisions
+    unique; it is projected onto [0, 1], and one that is not finite raises
+    :class:`ValidationError` naming the user. Other users' offload decisions
     enter through the shared edge compute load: user i answers the fresh
     fractions of users j < i and the previous ones (``alloc.delta``) of
     users j > i, so user 0 answers everyone else's previous fractions. A
@@ -95,8 +98,9 @@ def solve_delta(pop: Population, alloc: AllocationState, dim: int,
     rate = base_rate(pop, cfg)
     data = dataset_bytes(pop, cfg)
     edge_per_unit = data * cfg.cycles_per_byte / cfg.edge_cpu_hz
-    # entries of forced users may divide by zero; the loop skips them
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # entries of forced users may divide by zero; the loop skips them. A share
+    # or CPU fraction near 0 may overflow a time; the loop refuses a non-finite balance.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         local_per_unit = training_time(data, cfg.cycles_per_byte, gamma, pop.cpu_hz)
         own = local_per_unit + transmit_time(weights_bytes(dim, cfg), upload_share, rate)
         per_unit = (transmit_time(data, offload_share, rate) + edge_per_unit
@@ -114,7 +118,11 @@ def solve_delta(pop: Population, alloc: AllocationState, dim: int,
             d = 1.0
         else:
             edge_load = (earlier + later_i) * cfg.cycles_per_byte / cfg.edge_cpu_hz
-            d = project_unit_interval((own_i - edge_load) / per_unit_i)
+            d = (own_i - edge_load) / per_unit_i
+            if not math.isfinite(d):
+                raise ValidationError(f"user {len(delta)}: solve_delta balance point is not "
+                                      f"finite, got {d!r}")
+            d = min(max(d, 0.0), 1.0)
         delta.append(d)
         earlier += d * data_i
     return np.array(delta)

@@ -1,10 +1,9 @@
 """Core value types: system constants, the user population, allocations, models, metrics.
 
 All types are frozen dataclasses and every array field is made read-only at
-construction, so instances are immutable value objects that can be shared
-across workers without synchronization. Invalid states cannot be built:
-constructors validate their invariants and raise :class:`ValidationError`
-on violation.
+construction, so instances are immutable value objects. Invalid states
+cannot be built: constructors validate their invariants and raise
+:class:`ValidationError` on violation.
 
 An :class:`AllocationState` is one allocation of ``n`` users, or a stack of
 candidate allocations: its fields may be shaped ``(..., n)``. They are
@@ -168,6 +167,7 @@ class AllocationState:
         stacked.flags.writeable = False
         for name, row in zip(self._FIELDS, stacked):
             object.__setattr__(self, name, row)
+        object.__setattr__(self, "_stacked", stacked)   # what validate_allocation reads
         validate_allocation(self, n)
 
     @property
@@ -210,14 +210,11 @@ def validate_allocation(alloc: AllocationState, n_users: int) -> AllocationState
     within one check the first field in ``_FIELDS`` order, then the first
     candidate of a stack and then the lowest user index is reported.
     """
+    if alloc.n_users != n_users:
+        raise ValidationError(f"AllocationState: delta has length {alloc.n_users}, "
+                              f"expected {n_users}")
     names = AllocationState._FIELDS
-    arrays = [getattr(alloc, name) for name in names]
-    for name, arr in zip(names, arrays):
-        if arr.shape[-1] != n_users:
-            raise ValidationError(
-                f"AllocationState: {name} has length {arr.shape[-1]}, expected {n_users}"
-            )
-    stacked = np.array(arrays)   # one row per field, in _FIELDS order
+    stacked = alloc._stacked   # the constructor's copy: one row per field, in _FIELDS order
     upper = _FIELD_UPPER.reshape((-1,) + (1,) * (stacked.ndim - 1))   # broadcast per field
     # Non-finite entries fail both comparisons, so one pass covers the boxes too.
     inside = (stacked >= -CONSTRAINT_ATOL) & (stacked <= upper)
@@ -360,10 +357,3 @@ class RoundMetrics:
         if self.t_edge < 0 or self.t_total < 0:
             raise ValidationError("RoundMetrics: times must be >= 0")
 
-
-def project_unit_interval(x: float) -> float:
-    """Clamp a finite real onto [0, 1]."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValidationError(f"project_unit_interval: input must be finite, got {x!r}")
-    return min(max(x, 0.0), 1.0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from dataclasses import fields, replace
@@ -55,6 +57,17 @@ def delta_of(index, pop, alloc, dim, cfg):
     return solve_delta(reordered(pop, order), reordered(alloc, order), dim, cfg)[0]
 
 
+def balance_of_first(pop, alloc, dim, cfg):
+    """User 0's unclamped balance point against everyone else's previous offload fractions."""
+    (rate, *_), data = base_rate(pop, cfg), costs.dataset_bytes(pop, cfg)
+    local = costs.training_time(data[0], cfg.cycles_per_byte, alloc.gamma[0], pop.cpu_hz[0])
+    own = local + costs.transmit_time(costs.weights_bytes(dim, cfg), alloc.uplink_weight[0], rate)
+    per_unit = (costs.transmit_time(data[0], alloc.uplink_offload[0], rate)
+                + data[0] * cfg.cycles_per_byte / cfg.edge_cpu_hz + local)
+    edge_load = (alloc.delta[1:] * data[1:]).sum() * cfg.cycles_per_byte / cfg.edge_cpu_hz
+    return float((own - edge_load) / per_unit)
+
+
 def test_gamma_zero_remaining_budget():
     pop, alloc, dim, cfg = gamma_instance(target=0.0)
     assert gamma_of(pop, alloc, dim, cfg) == (0.0, False)
@@ -99,6 +112,7 @@ def test_delta_limit_all_remote_costs_vanish():
     pop = make_pop(gain=1e-2, samples=1, cpu=1e8)
     alloc = make_alloc(1, delta=0.3, gamma=1.0, offload=[0.5], upload=[0.5])
     dim = 10000
+    assert balance_of_first(pop, alloc, dim, cfg) > 1.0   # clamped onto 1
     assert delta_of(0, pop, alloc, dim, cfg) == 1.0
 
 
@@ -107,7 +121,9 @@ def test_delta_clamps_at_zero_when_edge_is_overloaded():
     pop = make_pop(samples=[100, 100000])
     alloc = make_alloc(2, delta=[0.5, 1.0], gamma=1.0, offload=[0.4, 0.4], upload=[0.4, 0.4])
     dim = 100
-    assert delta_of(0, pop, alloc, dim, cfg) == 0.0
+    assert balance_of_first(pop, alloc, dim, cfg) < 0.0
+    d = delta_of(0, pop, alloc, dim, cfg)
+    assert d == 0.0 and math.copysign(1.0, d) == 1.0   # +0, not -0
 
 
 def test_delta_interior_balances_times():
@@ -123,10 +139,42 @@ def test_delta_interior_balances_times():
         star = delta_of(0, pop, alloc, dim, cfg)
         if not 0.0 < star < 1.0:
             continue
+        assert star == balance_of_first(pop, alloc, dim, cfg)   # the clamp keeps its bits
         state = replace(alloc, delta=np.array([star, alloc.delta[1]]))
         t_local = costs.local_time(pop, state, dim, cfg)[0]
         t_edge = costs.edge_time_user(pop, state, cfg)[0]
         assert abs(t_local - t_edge) <= 1e-6 * max(t_local, t_edge)
+
+
+def test_delta_answers_are_fixed_points_of_the_clamp():
+    # shares and edge speeds spread wide enough that the sweep clamps on both sides
+    rng = np.random.default_rng(0)
+    clamped = set()
+    for _ in range(100):
+        cfg = SystemConfig(edge_cpu_hz=10 ** rng.uniform(5, 12))
+        pop = make_pop(3, gain=10 ** rng.uniform(-9, -5, 3), samples=rng.integers(1, 5000, 3))
+        alloc = make_alloc(3, delta=rng.uniform(0, 1, 3), gamma=rng.uniform(0.05, 1, 3),
+                           offload=rng.dirichlet(np.ones(3)), upload=rng.dirichlet(np.ones(3)))
+        for d in solve_delta(pop, alloc, int(rng.integers(10, 10000)), cfg).tolist():
+            assert min(max(d, 0.0), 1.0) == d
+            clamped.add(d if d in (0.0, 1.0) else "interior")
+    assert clamped == {0.0, 1.0, "interior"}
+
+
+@pytest.mark.parametrize("balance, where, alloc, cfg", [
+    # a CPU share of 1e-320 overflows the local time: inf / inf
+    ("nan", 1, make_alloc(2, gamma=[0.5, 1e-320]), SystemConfig()),
+    # an upload share of 1e-320 overflows the upload time alone
+    ("inf", 1, make_alloc(2, upload=[0.5, 1e-320]), SystemConfig()),
+    # the others' previous offload overflows the edge load
+    ("-inf", 0, make_alloc(4, delta=[0.5, 1.0, 1.0, 1.0], gamma=1.0),
+     SystemConfig(cycles_per_byte=1e305)),
+], ids=["nan", "inf", "-inf"])
+def test_delta_refuses_a_non_finite_balance_naming_the_user(balance, where, alloc, cfg):
+    pop = make_pop(alloc.n_users, samples=1)
+    with pytest.raises(ValidationError, match=rf"^user {where}: solve_delta balance point is "
+                                              rf"not finite, got {balance}$"):
+        solve_delta(pop, alloc, 10, cfg)
 
 
 def test_delta_requires_positive_allocations():

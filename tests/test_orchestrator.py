@@ -476,6 +476,55 @@ def test_sgd_settings_leave_the_allocation_trace_unchanged():
     assert_same_allocations(runs[0].alloc_trace, runs[1].alloc_trace)
 
 
+def extreme_population(rng, cfg, dim):
+    """1 to 50 users: sizes down to 1, gains 1e-12 to 1e-3, and budgets 1e-3x to 1e3x
+    the energy of the weight upload at an equal share."""
+    n = int(rng.integers(1, 51))
+    power, gain = rng.uniform(0.01, 1.0, n), 10 ** rng.uniform(-12, -3, n)
+    rate = cfg.bandwidth_hz * np.log2(1.0 + power * gain / cfg.noise_power)
+    upload = costs.transmit_energy(power, costs.weights_bytes(dim, cfg), 1.0 / n, rate)
+    return make_pop(n, power=power, gain=gain, cpu=rng.uniform(1e8, 2e9, n),
+                    budget=upload * 10 ** rng.uniform(-3, 3, n),
+                    samples=np.where(rng.random(n) < 0.3, 1, np.ceil(10 ** rng.uniform(0, 4, n))))
+
+
+@pytest.mark.parametrize("pinned", [None, 0.0, 1.0], ids=["free", "pinned-0", "pinned-1"])
+def test_extreme_populations_stay_feasible_or_raise_a_simulation_error(pinned):
+    # ROADMAP item 11, no SGD: every round gives a checked allocation whose
+    # costs are finite and whose split partitions every user's rows, or
+    # raises a SimulationError; pytest turns a RuntimeWarning into an error.
+    # Budgets below the upload energy leave a user at gamma = 0; with delta
+    # held at 0 (pinned, or by a zero offload share) its local time raises
+    # DegenerateDivisor. Full offloading never trains locally and completes.
+    rng = np.random.default_rng(11)
+    cfg = SystemConfig()
+    completed = 0
+    for _ in range(20):
+        dim = int(rng.integers(2, 2000))
+        pop = extreme_population(rng, cfg, dim)
+        delta = rng.uniform(0.0, 1.0, pop.n_users) if pinned is None else pinned
+        alloc = AllocationState.uniform(pop.n_users, delta=delta,
+                                        gamma=rng.uniform(0.0, 1.0, pop.n_users))
+        for k in range(20):
+            try:
+                alloc = resource_round(pop, alloc, dim, cfg, delta_pinned=pinned is not None)
+                round_costs = [costs.local_time(pop, alloc, dim, cfg),
+                               costs.total_energy(pop, alloc, dim, cfg),
+                               costs.edge_time_total(pop, alloc, cfg)]
+            except SimulationError:
+                assert pinned != 1.0
+                break
+            assert all(np.isfinite(c).all() and (np.asarray(c) >= 0).all() for c in round_costs)
+            kept, offloaded = split_dataset(pop.dataset_size, alloc.delta, k)
+            ends = np.cumsum(pop.dataset_size)
+            for rows, end, size in zip(map(np.concatenate, zip(kept, offloaded)), ends,
+                                       pop.dataset_size):
+                assert np.sort(rows).tolist() == list(range(end - size, end))
+        else:
+            completed += 1
+    assert completed >= (20 if pinned == 1.0 else 1)
+
+
 # Metamorphic relations of the resource game (Chen et al., ACM CSUR 2018):
 # 30 resource rounds of 50 desk users, no training, compared at rtol 1e-12.
 METAMORPHIC_SEEDS = [0, 7, 11]

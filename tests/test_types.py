@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,36 +12,10 @@ from mecfl.types import (
     Population,
     RoundMetrics,
     SystemConfig,
-    project_unit_interval,
     validate_allocation,
 )
 
 from helpers import make_alloc, make_pop
-
-
-def test_project_clamps_above():
-    assert project_unit_interval(1.7) == 1.0
-
-
-def test_project_clamps_below():
-    assert project_unit_interval(-0.3) == 0.0
-
-
-def test_project_interior_fixed_point():
-    assert project_unit_interval(0.42) == 0.42
-
-
-@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
-def test_project_rejects_non_finite(bad):
-    with pytest.raises(ValidationError):
-        project_unit_interval(bad)
-
-
-def test_project_idempotent():
-    rng = np.random.default_rng(0)
-    for x in rng.uniform(-1e6, 1e6, 200):
-        once = project_unit_interval(x)
-        assert project_unit_interval(once) == once
 
 
 def test_validate_allocation_accepts_feasible_point():
@@ -86,6 +61,19 @@ def test_validate_allocation_length_mismatch():
     alloc = make_alloc(2)
     with pytest.raises(ValidationError):
         validate_allocation(alloc, 3)
+
+
+def test_validate_allocation_checks_the_constructors_copy_without_another():
+    # 100,000 users: the six fields are 4.8 MB of floats, which a second
+    # stack of them would allocate again
+    alloc = AllocationState.uniform(100_000, delta=0.5, gamma=0.5)
+    tracemalloc.start()
+    try:
+        validate_allocation(alloc, alloc.n_users)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * alloc.n_users * 8, f"validate_allocation peaked at {peak} bytes"
 
 
 def test_allocation_arrays_are_read_only():
