@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
+from mecfl import costs
 from mecfl.errors import ValidationError
 from mecfl.io import ExperimentSpec
 from mecfl.learning import _scores
@@ -55,6 +56,18 @@ def make_alloc(n=1, delta=0.5, gamma=0.5, offload=None, upload=None,
         lambda_local=np.full(n, lam_local, float) if np.isscalar(lam_local)
         else np.asarray(lam_local, float),
     )
+
+
+def balance_of_first(pop, alloc, dim, cfg) -> float:
+    """User 0's unclamped offload balance point against everyone else's previous
+    offload fractions: the value ``solve_delta`` clamps onto [0, 1] for it."""
+    (rate, *_), data = costs.base_rate(pop, cfg), costs.dataset_bytes(pop, cfg)
+    local = costs.training_time(data[0], cfg.cycles_per_byte, alloc.gamma[0], pop.cpu_hz[0])
+    own = local + costs.transmit_time(costs.weights_bytes(dim, cfg), alloc.uplink_weight[0], rate)
+    per_unit = (costs.transmit_time(data[0], alloc.uplink_offload[0], rate)
+                + data[0] * cfg.cycles_per_byte / cfg.edge_cpu_hz + local)
+    edge_load = (alloc.delta[1:] * data[1:]).sum() * cfg.cycles_per_byte / cfg.edge_cpu_hz
+    return float((own - edge_load) / per_unit)
 
 
 def record_certificates(checks) -> list[dict]:

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 from dataclasses import replace
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from mecfl.errors import ValidationError
+from mecfl.optimizer import solve_delta
 from mecfl.types import (
     AllocationState,
     ModelState,
@@ -15,7 +17,37 @@ from mecfl.types import (
     validate_allocation,
 )
 
-from helpers import make_alloc, make_pop
+from helpers import balance_of_first, make_alloc, make_pop
+
+
+# The offload sweep projects each balance point onto the unit interval inline
+# in solve_delta; user 0 answers first, against the others' previous fractions.
+def test_project_clamps_above():
+    # enormous edge CPU and uplink: only the local training term survives
+    cfg = SystemConfig(edge_cpu_hz=1e30)
+    pop = make_pop(gain=1e-2, samples=1, cpu=1e8)
+    alloc = make_alloc(1, delta=0.3, gamma=1.0, offload=[0.5], upload=[0.5])
+    assert balance_of_first(pop, alloc, 10000, cfg) > 1.0
+    assert solve_delta(pop, alloc, 10000, cfg)[0] == 1.0
+
+
+def test_project_clamps_below():
+    # the other user's offloaded rows overload a slow edge
+    cfg = SystemConfig(edge_cpu_hz=1e6)
+    pop = make_pop(samples=[100, 100000])
+    alloc = make_alloc(2, delta=[0.5, 1.0], gamma=1.0, offload=[0.4, 0.4], upload=[0.4, 0.4])
+    assert balance_of_first(pop, alloc, 100, cfg) < 0.0
+    d = solve_delta(pop, alloc, 100, cfg)[0]
+    assert d == 0.0 and math.copysign(1.0, d) == 1.0   # +0, not -0
+
+
+def test_project_interior_fixed_point():
+    cfg = SystemConfig()
+    for n in (1, 2):
+        pop, alloc = make_pop(n), make_alloc(n)
+        balance = balance_of_first(pop, alloc, 200, cfg)
+        assert 0.0 < balance < 1.0
+        assert solve_delta(pop, alloc, 200, cfg)[0] == balance   # keeps its bits
 
 
 def test_validate_allocation_accepts_feasible_point():
