@@ -9,9 +9,10 @@ dataset offloading and weight upload. The two transmissions never run at
 the same time; sequencing them is the orchestrator's job.
 
 Sizes are carried in bytes and converted to bits only where they meet a
-rate (rates are bit/s). The size of a dataset and of the weight vector are
-linear models: ``bytes_per_sample * samples`` and
-``bytes_per_weight_element * dim``: the costs read the model only as ``dim``.
+rate (rates are bit/s). Dataset and weight sizes are linear models,
+``bytes_per_sample * samples`` and ``bytes_per_weight_element * dim``: the
+costs read the model only as ``dim``. The round costs charge one pass over
+the data, whatever ``local_epochs`` is (ROADMAP item 3).
 
 The kernels (``training_time``, ``transmit_time``, ...) broadcast over
 numpy arrays and scalars alike, and the size and rate models

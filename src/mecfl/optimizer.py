@@ -2,7 +2,9 @@
 
 Each function answers for every user of a :class:`Population` in one
 call (``solve_delta`` as a Gauss-Seidel sweep, in which the users move in
-turn) and reads the model only as its weight dimension ``dim``:
+turn) and reads the model only as its weight dimension ``dim``. Like the
+cost model, each answers a stack (fields ``(..., n)``, a 1-d input
+broadcast; ``dim`` a scalar or ``(..., 1)``) as each instance alone.
 
 * ``solve_gamma``    - CPU fraction that spends the whole energy budget,
 * ``solve_delta``    - offload fraction that balances the local and edge
@@ -89,52 +91,52 @@ def solve_delta(pop: Population, alloc: AllocationState, dim: int,
     users j > i, so user 0 answers everyone else's previous fractions. A
     user without offload share gets 0; otherwise a user without CPU budget
     (gamma = 0) gets 1, the limit of the balance as its local time diverges.
+    A stack is swept one instance after another, in Python floats.
     """
     gamma, offload_share, upload_share = alloc.gamma, alloc.uplink_offload, alloc.uplink_weight
     forced_zero = offload_share <= 0.0
     forced_one = ~forced_zero & (gamma <= 0.0)
     check_degenerate(~forced_zero & ~forced_one & (upload_share <= 0.0),
                      "solve_delta needs positive gamma and both uplink shares")
-    rate = base_rate(pop, cfg)
-    data = dataset_bytes(pop, cfg)
+    rate, data = base_rate(pop, cfg), dataset_bytes(pop, cfg)
     edge_per_unit = data * cfg.cycles_per_byte / cfg.edge_cpu_hz
     # entries of forced users may divide by zero; the loop skips them. A share
     # or CPU fraction near 0 may overflow a time; the loop refuses a non-finite balance.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         local_per_unit = training_time(data, cfg.cycles_per_byte, gamma, pop.cpu_hz)
         own = local_per_unit + transmit_time(weights_bytes(dim, cfg), upload_share, rate)
-        per_unit = (transmit_time(data, offload_share, rate) + edge_per_unit
-                    + local_per_unit)
-    suffix = np.cumsum((alloc.delta * data)[::-1])[::-1]   # previous bytes of users j >= i
-    later = np.append(suffix[1:], 0.0)                     # ... of users j > i
-    delta = []
-    earlier = 0.0                                          # fresh bytes of users j < i
-    for zero, one, own_i, per_unit_i, later_i, data_i in zip(
-            forced_zero.tolist(), forced_one.tolist(), own.tolist(), per_unit.tolist(),
-            later.tolist(), data.tolist()):
-        if zero:
-            d = 0.0
-        elif one:
-            d = 1.0
-        else:
-            edge_load = (earlier + later_i) * cfg.cycles_per_byte / cfg.edge_cpu_hz
-            d = (own_i - edge_load) / per_unit_i
-            if not math.isfinite(d):
-                raise ValidationError(f"user {len(delta)}: solve_delta balance point is not "
-                                      f"finite, got {d!r}")
-            d = min(max(d, 0.0), 1.0)
-        delta.append(d)
-        earlier += d * data_i
-    return np.array(delta)
+        per_unit = transmit_time(data, offload_share, rate) + edge_per_unit + local_per_unit
+    # the sweep's inputs broadcast to the stack; the last row: previous bytes of users j > i
+    table = np.zeros((6,) + own.shape)
+    for row, value in zip(table, (forced_zero, forced_one, own, per_unit, data)):
+        row[...] = value
+    table[5, ..., :-1] = np.cumsum((alloc.delta * data)[..., :0:-1], axis=-1)[..., ::-1]
+    swept = []
+    for instance in table.reshape(6, -1, own.shape[-1]).transpose(1, 0, 2).tolist():
+        delta, earlier = [], 0.0   # earlier: fresh bytes of users j < i
+        for zero, one, own_i, per_unit_i, data_i, later_i in zip(*instance):
+            if zero or one:   # forced to 0 or to 1
+                d = one
+            else:
+                edge_load = (earlier + later_i) * cfg.cycles_per_byte / cfg.edge_cpu_hz
+                d = (own_i - edge_load) / per_unit_i
+                if not math.isfinite(d):
+                    raise ValidationError(f"user {len(delta)}: solve_delta balance point is "
+                                          f"not finite, got {d!r}")
+                d = min(max(d, 0.0), 1.0)
+            delta.append(d)
+            earlier += d * data_i
+        swept.append(delta)
+    return np.array(swept).reshape(own.shape)
 
 
 def simplex_shares(weights: np.ndarray) -> np.ndarray:
-    """Normalize nonnegative weights to sum to 1, up to rounding."""
+    """Normalize nonnegative weights to sum to 1 along the last axis, up to rounding."""
     weights = np.asarray(weights, dtype=float)
     if np.any(weights < 0) or not np.all(np.isfinite(weights)):
         raise ValidationError("simplex_shares: weights must be finite and >= 0")
-    total = weights.sum()
-    if total <= 0.0:
+    total = weights.sum(axis=-1, keepdims=True)
+    if (total <= 0.0).any():
         raise ValidationError("simplex_shares: every proportionality weight is zero")
     return weights / total
 
@@ -144,18 +146,18 @@ def solve_uplink(pop: Population, alloc: AllocationState, dim: int,
     """Square-root proportional bandwidth shares for both uplink phases.
 
     A user's weight is sqrt(multiplier * bytes / rate) of its offloaded data
-    or of its weights. Users with delta = 0 get a zero offload share; when
-    no user offloads, the moot ``alloc.uplink_offload`` is kept. Each
-    computed vector sums to 1 up to rounding.
+    or of its weights. Users with delta = 0 get a zero offload share; an
+    instance in which no user offloads keeps its moot ``alloc.uplink_offload``.
+    Each computed vector sums to 1 up to rounding.
     """
     if np.any(alloc.lambda_offload <= 0.0) or np.any(alloc.lambda_local <= 0.0):
         raise ValidationError("solve_uplink: multipliers must be > 0")
     rate = base_rate(pop, cfg)
     upload = simplex_shares(np.sqrt(alloc.lambda_local * weights_bytes(dim, cfg) / rate))
-    if not np.any(alloc.delta > 0.0):
-        return alloc.uplink_offload, upload
+    offloading = (alloc.delta > 0.0).any(axis=-1, keepdims=True)
     offload = np.sqrt(alloc.lambda_offload * alloc.delta * dataset_bytes(pop, cfg) / rate)
-    return simplex_shares(offload), upload
+    return (np.where(offloading, simplex_shares(np.where(offloading, offload, 1.0)),
+                     alloc.uplink_offload), upload)
 
 
 def update_multipliers(e_total: np.ndarray, energy_budget: np.ndarray,

@@ -166,9 +166,9 @@ def resource_round(pop: Population, alloc: AllocationState, dim: int, cfg: Syste
                    delta_pinned: bool = False) -> AllocationState:
     """The allocation one round of the resource game leads to from ``alloc``.
 
-    CPU fractions, the offload sweep (unless ``delta_pinned``), the
-    multiplier step on the energy spent at the previous bandwidth shares,
-    then both share vectors.
+    CPU fractions, the offload sweep (unless ``delta_pinned``), the multiplier
+    step on the energy spent at the previous bandwidth shares, then both share
+    vectors. A stack of games (fields ``(..., n)``) plays as each game alone.
     """
     gamma, _ = solve_gamma(pop, alloc, dim, cfg)
     alloc = replace(alloc, gamma=gamma)

@@ -6,11 +6,11 @@ cannot be built: constructors validate their invariants and raise
 :class:`ValidationError` on violation.
 
 An :class:`AllocationState` is one allocation of ``n`` users, or a stack of
-candidate allocations: its fields may be shaped ``(..., n)``. They are
-broadcast to one shape, stored once and validated in one pass along the
-last (user) axis, so the oracles can score a whole candidate grid with one
-call of the cost model. A :class:`Population` may be a stack of instances
-too (fields of one shape ``(..., n)``); the round loop takes 1-d inputs.
+candidate allocations with fields shaped ``(..., n)``, broadcast to one
+shape, stored once and validated in one pass along the last (user) axis:
+the oracles score a whole candidate grid with one call of the cost model.
+A :class:`Population` may be a stack of instances too. The best responses
+and ``resource_round`` play stacks; only ``run_proposed`` takes 1-d inputs.
 """
 
 from __future__ import annotations
@@ -83,7 +83,8 @@ class SystemConfig:
     bandwidth_hz: float = 20e6           # total uplink bandwidth of the access point
     noise_power: float = 1e-9            # additive white Gaussian noise power (W)
     edge_cpu_hz: float = 16e9            # edge server CPU rate (cycles/s)
-    cycles_per_byte: float = 100.0       # CPU cycles needed to train on one byte
+    cycles_per_byte: float = 100.0       # CPU cycles per byte of one pass over the data;
+    # the round costs charge one pass, whatever local_epochs is (ROADMAP item 3)
     chip_capacitance: float = 1e-28      # effective switched capacitance of user CPUs
     loss_weight: float = 1.0             # scales test loss in the reported weighted score
     time_weight: float = 1.0             # scales round time in the reported weighted score

@@ -6,9 +6,9 @@ one parameter is its count. The CLI and the acceptance tests run these.
 
 A check draws its instances one after another from its seeded stream and
 stacks them (fields ``(instances, users)``, weight dimensions
-``(instances, 1)``); the closed forms, the costs, the bisection and the
-finite differences then run once on the stack. Per instance stay the
-CPU-fraction grid search, the Gauss-Seidel sweep and the bandwidth check.
+``(instances, 1)``); each closed form, the costs, the bisection and the
+finite differences then run once on the stack. Only the CPU-fraction grid
+search and the simplex oracle of the bandwidth check run per instance.
 
 The bandwidth check constructs instances whose multipliers are consistent
 with the optimum they encode (offload multipliers proportional to the
@@ -166,15 +166,14 @@ def _imbalance(pop, alloc, dims, cfg, d):
 def check_delta_closed_form(n_instances: int = 200) -> CheckResult:
     """Offload-fraction closed form vs bisection on the time imbalance.
 
-    The sweep is ordered with the target user first, so its answer is the
-    one-player closed form against the others' previous fractions. All
-    instances that bracket a root are bisected together, one lane each.
+    One sweep over the stack, each instance ordered with the target user
+    first, answers the one-player closed form against the others' previous
+    fractions. All instances that bracket a root are bisected together.
     """
     rng = np.random.default_rng(23)
     pop, alloc, dims, cfg = random_delta_instances(rng, n_instances)
-    solved = np.array([
-        solve_delta(instance(pop, (k, _TARGET_FIRST)), instance(alloc, (k, _TARGET_FIRST)),
-                    dim, cfg)[0] for k, dim in enumerate(dims[:, 0].tolist())])
+    solved = solve_delta(instance(pop, (slice(None), _TARGET_FIRST)),
+                         instance(alloc, (slice(None), _TARGET_FIRST)), dims, cfg)[:, 0]
     lo, hi = _imbalance(pop, alloc, dims, cfg, np.array([[0.0], [1.0]]))[0]   # delta = 0, 1
     clamp_zero = lo < 0.0
     clamp_one = ~clamp_zero & (hi > 0.0)
@@ -221,23 +220,19 @@ def random_uplink_instances(rng, count: int):
 
 
 def check_uplink_closed_form(n_instances: int = 50) -> CheckResult:
-    """Bandwidth-share closed form vs the exhaustive simplex search per instance."""
+    """Bandwidth-share closed form, on the stack, vs the exhaustive simplex search per instance."""
     rng = np.random.default_rng(37)
     pops, allocs, dims, cfg = random_uplink_instances(rng, n_instances)
-    worst_gap = worst_sum = 0.0
-    for k, dim in enumerate(dims[:, 0].tolist()):
-        pop, alloc = instance(pops, k), instance(allocs, k)
-        closed_off, closed_up = solve_uplink(pop, alloc, dim, cfg)
-        oracle_off, oracle_up = simplex_minimize_maxtime(pop, alloc, dim, cfg, SIMPLEX_RESOLUTION)
-        worst_gap = max(worst_gap, float(np.abs(closed_off - oracle_off).max()),
-                        float(np.abs(closed_up - oracle_up).max()))
-        worst_sum = max(worst_sum, abs(closed_off.sum() - 1.0), abs(closed_up.sum() - 1.0))
+    closed = np.array(solve_uplink(pops, allocs, dims, cfg))   # (phase, instance, user)
+    oracle = np.stack([simplex_minimize_maxtime(instance(pops, k), instance(allocs, k), dim, cfg,
+                                                SIMPLEX_RESOLUTION)
+                       for k, dim in enumerate(dims[:, 0].tolist())], axis=1)
+    worst_gap = float(np.abs(closed - oracle).max())
+    worst_sum = float(np.abs(closed.sum(axis=-1) - 1.0).max())
     passed = worst_gap <= SIMPLEX_RESOLUTION + 1e-12 and worst_sum <= SIMPLEX_SUM_TOL
-    return CheckResult(
-        "uplink-closed-form", passed,
-        f"{n_instances} instances: max share gap={worst_gap:.3g} "
-        f"(resolution {SIMPLEX_RESOLUTION:g}), max |sum-1|={worst_sum:.3g}",
-    )
+    return CheckResult("uplink-closed-form", passed, f"{n_instances} instances: max share "
+                       f"gap={worst_gap:.3g} (resolution {SIMPLEX_RESOLUTION:g}), "
+                       f"max |sum-1|={worst_sum:.3g}")
 
 
 def _analytic_first_derivatives(pop, alloc, dims, cfg):

@@ -43,6 +43,14 @@ def join(pops) -> Population:
                          for f in fields(Population)})
 
 
+def stack(objs):
+    """Several Populations or AllocationStates of one user count as one stack:
+    fields shaped ``(instances, users)``."""
+    objs = list(objs)
+    return type(objs[0])(**{f.name: np.stack([getattr(o, f.name) for o in objs])
+                            for f in fields(objs[0])})
+
+
 def make_alloc(n=1, delta=0.5, gamma=0.5, offload=None, upload=None,
                lam_offload=0.5, lam_local=0.5) -> AllocationState:
     share = np.full(n, 1.0 / n)

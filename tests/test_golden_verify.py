@@ -53,10 +53,22 @@ def test_verify_fast_matches_golden_certificates(certificates):
 
 
 def test_verify_builds_one_stack_per_check_not_one_object_per_instance(fast_run):
-    # the checks certify each instance set as one stack: a per-instance,
-    # per-point or per-bisection-step object would cost thousands here
+    # the checks certify each instance set as one stack (81 allocations and 17
+    # populations); only the simplex oracle takes its 5 instances one by one.
+    # The offload sweep run per instance again would add 20 of each.
     _, built = fast_run
-    assert built[AllocationState] <= 150 and built[Population] <= 80, built
+    assert built[AllocationState] <= 90 and built[Population] <= 20, built
+
+
+def test_verify_calls_each_closed_form_once_per_check(monkeypatch):
+    calls = dict.fromkeys(["solve_gamma", "solve_delta", "solve_uplink"], 0)
+    for name in calls:
+        def counted(*args, solve=getattr(verify, name), name=name):
+            calls[name] += 1
+            return solve(*args)
+        monkeypatch.setattr(verify, name, counted)
+    verify.run_all(fast=True)
+    assert calls == {"solve_gamma": 1, "solve_delta": 1, "solve_uplink": 1}
 
 
 def test_curvature_check_builds_as_many_objects_at_any_point_count():

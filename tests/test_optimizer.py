@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import fields, replace
 
-from mecfl import costs
+from mecfl import costs, verify
 from mecfl.costs import base_rate
 from mecfl.errors import DegenerateDivisor, ValidationError
 from mecfl.optimizer import (
@@ -15,7 +15,7 @@ from mecfl.optimizer import (
 )
 from mecfl.types import SystemConfig
 
-from helpers import join, make_alloc, make_pop
+from helpers import join, make_alloc, make_pop, stack
 
 
 def gamma_instance(target, delta=0.4, share=0.4):
@@ -152,7 +152,10 @@ def test_delta_answers_are_fixed_points_of_the_clamp():
     # the others' previous offload overflows the edge load
     ("-inf", 0, make_alloc(4, delta=[0.5, 1.0, 1.0, 1.0], gamma=1.0),
      SystemConfig(cycles_per_byte=1e305)),
-], ids=["nan", "inf", "-inf"])
+    # in a stack, the user is named by its index on the last axis
+    ("nan", 1, stack([make_alloc(2), make_alloc(2, gamma=[0.5, 1e-320]), make_alloc(2)]),
+     SystemConfig()),
+], ids=["nan", "inf", "-inf", "nan-in-a-stack"])
 def test_delta_refuses_a_non_finite_balance_naming_the_user(balance, where, alloc, cfg):
     pop = make_pop(alloc.n_users, samples=1)
     with pytest.raises(ValidationError, match=rf"^user {where}: solve_delta balance point is "
@@ -173,6 +176,32 @@ def test_delta_requires_positive_allocations():
     forced = make_alloc(3, gamma=[0.0, 0.5, 0.5], offload=[0.5, 0.0, 0.5],
                         upload=[0.0, 0.0, 0.5])
     assert solve_delta(pop, forced, dim, cfg)[:2].tolist() == [1.0, 0.0]
+
+
+def test_delta_on_a_stack_sweeps_each_instance_as_if_alone():
+    pop, alloc, dims, cfg = verify.random_delta_instances(np.random.default_rng(4), 12)
+    alone = [solve_delta(verify.instance(pop, k), verify.instance(alloc, k), dim, cfg)
+             for k, dim in enumerate(dims[:, 0].tolist())]
+    assert np.array_equal(solve_delta(pop, alloc, dims, cfg), alone)
+    # a 1-d population and a scalar dimension broadcast against the stacked allocations
+    first, dim = verify.instance(pop, 0), int(dims[0, 0])
+    alone = [solve_delta(first, verify.instance(alloc, k), dim, cfg) for k in range(12)]
+    assert np.array_equal(solve_delta(first, alloc, dim, cfg), alone)
+
+
+def test_uplink_on_a_stack_shares_within_each_instance():
+    pop, alloc, dims, cfg = verify.random_uplink_instances(np.random.default_rng(6), 5)
+    idle = np.arange(5)[:, None] == 2   # instance 2 offloads nothing
+    alloc = replace(alloc, delta=np.where(idle, 0.0, alloc.delta), uplink_offload=[0.7, 0.2])
+    offload, upload = solve_uplink(pop, alloc, dims, cfg)
+    for k, dim in enumerate(dims[:, 0].tolist()):
+        alone = solve_uplink(verify.instance(pop, k), verify.instance(alloc, k), dim, cfg)
+        assert np.array_equal(offload[k], alone[0]) and np.array_equal(upload[k], alone[1])
+        assert abs(upload[k].sum() - 1.0) <= 1e-12
+        if k == 2:
+            assert offload[k].tolist() == [0.7, 0.2]   # kept
+        else:
+            assert abs(offload[k].sum() - 1.0) <= 1e-12
 
 
 def test_uplink_symmetric_users_split_evenly():
@@ -251,6 +280,8 @@ def test_uplink_all_zero_offload_weights():
 def test_simplex_shares_reject_all_zero_weights():
     with pytest.raises(ValidationError, match="every proportionality weight is zero"):
         simplex_shares(np.zeros(3))
+    with pytest.raises(ValidationError, match="every proportionality weight is zero"):
+        simplex_shares(np.array([[1.0, 2.0], [0.0, 0.0]]))   # one row of a stack
 
 
 @pytest.mark.parametrize("bad", [-1e-12, np.nan], ids=["negative", "nan"])
@@ -261,6 +292,8 @@ def test_simplex_shares_reject_a_negative_or_nan_weight(bad):
 
 def test_simplex_shares_of_positive_weights_sum_to_one():
     assert simplex_shares(np.array([1.0, 2.0, 1.0])).tolist() == [0.25, 0.5, 0.25]
+    assert simplex_shares(np.array([[1.0, 2.0, 1.0], [0.0, 0.0, 4.0]])).tolist() == [
+        [0.25, 0.5, 0.25], [0.0, 0.0, 1.0]]   # each row of a stack
     rng = np.random.default_rng(5)
     for n in (1, 2, 3, 7, 50):
         shares = simplex_shares(rng.uniform(1e-9, 1e3, n))

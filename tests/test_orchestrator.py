@@ -24,7 +24,7 @@ from mecfl.orchestrator import (
 )
 from mecfl.types import AllocationState, ModelState, SystemConfig, validate_allocation
 
-from helpers import desk_spec, loss_gradient, make_alloc, make_pop
+from helpers import desk_spec, loss_gradient, make_alloc, make_pop, stack
 
 
 def tiny_population(seed=0, **overrides):
@@ -465,6 +465,38 @@ def test_resource_round_alone_replays_the_allocation_trace(case):
     assert_same_allocations(allocs, result.alloc_trace)
 
 
+def stacked_game():
+    """Seven instances of 7 desk users: seeds 0-5 at random offload and CPU fractions, then
+    seed 0 again with every offload fraction 0. Returns the populations, the allocations,
+    one weight dimension per instance as ``(instances, 1)`` and the configuration."""
+    rng = np.random.default_rng(5)
+    pops = [io.synthesize_users(desk_spec(seed=seed, user_count=7))[0] for seed in range(6)]
+    allocs = [AllocationState.uniform(7, delta=rng.uniform(0.0, 1.0, 7),
+                                      gamma=rng.uniform(0.0, 1.0, 7)) for _ in pops]
+    pops.append(pops[0])
+    allocs.append(AllocationState.uniform(7, delta=0.0, gamma=rng.uniform(0.0, 1.0, 7)))
+    return pops, allocs, rng.integers(100, 2000, (len(pops), 1)), SystemConfig()
+
+
+def assert_stack_of(got, expected):
+    """``got``, a stacked allocation, holds the bits of the allocations ``expected``."""
+    for name in FIELDS:
+        assert np.array_equal(getattr(got, name), [getattr(a, name) for a in expected]), name
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+def test_a_stacked_resource_round_plays_each_instance_as_if_alone(pinned):
+    pops, allocs, dims, cfg = stacked_game()
+    pop, alloc = stack(pops), stack(allocs)
+    for k in range(6):
+        alloc = resource_round(pop, alloc, dims, cfg, delta_pinned=pinned)
+        allocs = [resource_round(p, a, dim, cfg, delta_pinned=pinned)
+                  for p, a, dim in zip(pops, allocs, dims[:, 0].tolist())]
+        assert_stack_of(alloc, allocs)
+    if pinned:   # the instance that offloads nothing kept its moot offload shares
+        assert alloc.uplink_offload[-1].tolist() == [1 / 7] * 7
+
+
 def test_sgd_settings_leave_the_allocation_trace_unchanged():
     spec = desk_spec(seed=7, user_count=20, samples_per_user=100)
     pop, datasets = io.synthesize_users(spec)
@@ -598,3 +630,25 @@ def test_permuting_the_users_permutes_the_closed_forms_and_costs(seed):
                   costs.total_energy(pop, alloc, dim, cfg))]
         for got, want in pairs:
             np.testing.assert_allclose(got, want[perm], rtol=1e-12, atol=0, err_msg=f"round {k}")
+
+
+def test_permuting_the_instances_of_a_stack_permutes_the_rounds():
+    pops, allocs, dims, cfg = stacked_game()
+    perm = np.random.default_rng(2).permutation(len(pops))
+    pop, alloc = stack(pops), stack(allocs)
+    moved_pop, moved = stack(pops[i] for i in perm), stack(allocs[i] for i in perm)
+    for k in range(6):
+        alloc = resource_round(pop, alloc, dims, cfg)
+        moved = resource_round(moved_pop, moved, dims[perm], cfg)
+        for name in FIELDS:
+            assert np.array_equal(getattr(moved, name), getattr(alloc, name)[perm]), (k, name)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_a_stack_of_one_plays_the_one_dimensional_round(seed):
+    pop, cfg, dim = desk_game(seed)
+    trace = resource_trace(pop, cfg, dim, seed, rounds=6)
+    alloc = stack(trace[:1])
+    for expected in trace[1:]:
+        alloc = resource_round(stack([pop]), alloc, dim, cfg)
+        assert_stack_of(alloc, [expected])
