@@ -58,9 +58,10 @@ above that such a user may differ in the last bits (up to about 4e-16 in
 the weights after two epochs at 64 to 784 features).
 
 Each randomized call takes one seed, an integer in [0, 2**63), and draws
-from one ``np.random.default_rng(seed)``: :func:`split_dataset` draws every
-user's row order in user order, and :func:`train_users` draws the epoch
-orders of the row sets that train, in index order.
+from one ``np.random.default_rng(seed)``: :func:`split_dataset` the row
+orders of all users and :func:`train_users` the epoch orders of the row sets
+that train, in index order. Each run of consecutive equal sizes draws in one
+``Generator.permuted`` call, the draws of one ``permutation`` per lane.
 """
 
 from __future__ import annotations
@@ -161,6 +162,7 @@ def split_dataset(sizes, delta, seed) -> tuple[list[np.ndarray], list[np.ndarray
     before it, ordered by the ``u``-th ``permutation`` drawn from
     ``np.random.default_rng(seed)`` (a seed in [0, 2**63)); the first
     round(delta[u] * sizes[u]) of them, ties rounded up, go to the edge.
+    A run of consecutive equal sizes draws in one ``permuted`` call.
     """
     if not (isinstance(sizes, np.ndarray) and sizes.dtype.kind in "iu"):
         sizes = list(sizes)
@@ -179,10 +181,19 @@ def split_dataset(sizes, delta, seed) -> tuple[list[np.ndarray], list[np.ndarray
     if outside.size:
         raise ValidationError(f"split_dataset: delta must lie in [0, 1], got {outside[0]}")
     n_offload = np.floor(delta * sizes + 0.5).astype(np.int64).tolist()
-    starts = (np.cumsum(sizes) - sizes).tolist()
+    starts = np.cumsum(sizes) - sizes
     rng = np.random.default_rng(seed)
-    rows = [rng.permutation(n) + start for n, start in zip(sizes.tolist(), starts)]
+    rows = []
+    for a, b in _runs(sizes):
+        block = np.arange(sizes[a]) + starts[a:b, None]    # each user's rows, in order
+        rows.extend(rng.permuted(block, axis=1, out=block))
     return [r[k:] for r, k in zip(rows, n_offload)], [r[:k] for r, k in zip(rows, n_offload)]
+
+
+def _runs(sizes: np.ndarray):
+    """``(start, end)`` of every maximal run of equal consecutive entries of 1-d ``sizes``."""
+    cuts = (np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist()
+    return itertools.pairwise([0, *cuts, len(sizes)] if len(sizes) else [])
 
 
 def _joined(arrays, empty: np.ndarray) -> np.ndarray:
@@ -250,9 +261,10 @@ def train_users(w_init: np.ndarray, pool: Dataset, rows, epochs: int, lr: float,
     in that order), cut into ``batch_size`` chunks after a fresh permutation
     each epoch. The permutations come from one ``np.random.default_rng(seed)``
     (a seed in [0, 2**63)): the row sets that train go in index order, each
-    drawing all its epochs in one ``Generator.permuted`` call, which gives the
-    orders of one ``permutation`` per epoch; a row set that makes no step
-    draws nothing. One row set thus trains as :func:`train` does at ``seed``.
+    drawing the orders of one ``permutation`` per epoch; a row set that makes
+    no step draws nothing. A run of consecutive training row sets of one size
+    draws all their epochs in one ``Generator.permuted`` call, the same
+    draws. One row set thus trains as :func:`train` does at ``seed``.
     Step k updates every user on its own k-th batch and computes as many
     rows as the widest of those batches, not ``batch_size``; a user out of
     batches (or with no rows at all) keeps its weights. Returns the weights,
@@ -285,12 +297,15 @@ def train_users(w_init: np.ndarray, pool: Dataset, rows, epochs: int, lr: float,
     # batches[slot, k] holds the pool rows of that user's k-th batch, padded
     # with -1; each user's epochs are one contiguous block of its slot.
     batches = np.full((len(order), len(active), batch_size), -1, dtype=np.intp)
+    # A run of equal sizes in index order takes consecutive slots (stable sort).
+    trained, slot_of = np.flatnonzero(steps), np.argsort(order).tolist()
+    n_of, k_of, starts = (x[trained].tolist() for x in (sizes, steps, np.cumsum(sizes) - sizes))
     rng = np.random.default_rng(seed)
-    for slot in np.argsort(order).tolist():                 # row sets in index order
-        u = order[slot]
-        block = batches[slot, :steps[u]].reshape(epochs, -1)[:, :sizes[u]]
-        block[:] = rows[u]
-        rng.permuted(block, axis=1, out=block)
+    for a, b in _runs(sizes[trained]):
+        s, m, n = slot_of[a], b - a, n_of[a]
+        block = batches[s:s + m, :k_of[a]].reshape(m, epochs, -1)[:, :, :n]
+        block[:] = flat[starts[a]:starts[a] + m * n].reshape(m, 1, n)
+        rng.permuted(block, axis=2, out=block)
     labels = pool.labels.take(batches)
     pad = batches < 0
     counts = batch_size - pad.sum(axis=2)                   # (slots, steps)
@@ -379,8 +394,8 @@ def evaluate_loss(w: np.ndarray, d: Dataset) -> float:
     if d.sample_count == 0:
         raise ValidationError("evaluate_loss: dataset has no samples")
     errors = _scores(_weights("evaluate_loss", w, d), d.rows, d.n_classes)
-    errors -= np.eye(d.n_classes)[d.labels]
-    return float(np.sum(errors ** 2) / d.sample_count)
+    errors[np.arange(d.sample_count), d.labels] -= 1.0   # the one-hot target, in place
+    return float(np.sum(np.square(errors, out=errors)) / d.sample_count)
 
 
 def accuracy(w: np.ndarray, d: Dataset) -> float:

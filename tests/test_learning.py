@@ -1,3 +1,4 @@
+import collections
 import math
 import re
 import tracemalloc
@@ -119,16 +120,25 @@ def test_split_and_shuffle_reject_seeds_outside_0_to_2_63(call, seed):
         call(d, seed)
 
 
-@pytest.mark.parametrize("n_users", [5, 40])
-def test_split_equals_each_users_permutation_after_its_offset(n_users):
-    # user u's rows are ordered by the u-th permutation of one generator;
-    # a user without rows (size 0) draws nothing
+@pytest.mark.parametrize("users", [
+    5, 40,                                        # that many users of random sizes
+    # synthesize_users' sizes: base + 1 for the first `extra` users
+    pytest.param(50 + (np.arange(800) < 37), id="synthesized"),
+    pytest.param(np.tile([49, 50, 50, 49, 49, 50], 40), id="interleaved-49-50"),
+    pytest.param(np.array([0, 0, 3, 3, 0, 0, 0, 3, 5, 0]), id="runs-of-zeros"),
+])
+def test_split_equals_each_users_permutation_after_its_offset(users):
+    # user u's rows are ordered by the u-th permutation of one generator,
+    # also where a run of equal sizes draws in one permuted call; a user
+    # without rows (size 0) draws nothing
+    n_users = users if isinstance(users, int) else len(users)
     rng = np.random.default_rng(n_users)
-    sizes = rng.integers(0, 60, n_users)
+    sizes = rng.integers(0, 60, n_users) if isinstance(users, int) else users
     delta = rng.uniform(0.0, 1.0, n_users)
     delta[:3] = 0.0, 1.0, 0.5
-    sizes[2] = 7                                  # 3.5 rows: a tie, rounded up
-    sizes[3] = 0
+    if isinstance(users, int):
+        sizes[2] = 7                              # 3.5 rows: a tie, rounded up
+        sizes[3] = 0
     seed = 2**63 - n_users                        # near the top of the seed range
     kept, offloaded = split_dataset(sizes, delta, seed)
     draws = np.random.default_rng(seed)
@@ -139,7 +149,8 @@ def test_split_equals_each_users_permutation_after_its_offset(n_users):
         assert np.array_equal(offloaded[u], perm[:n_offload])
         assert np.array_equal(kept[u], perm[n_offload:])
         start += sizes[u]
-    assert offloaded[2].size == 4
+    if isinstance(users, int):
+        assert offloaded[2].size == 4
 
 
 @pytest.mark.parametrize("sizes", [[5, 0, 7], [0, 0], []],
@@ -455,6 +466,12 @@ def test_train_users_equals_per_user_reference_loop():
     # the widest at which gemm is pinned to sum in order, so every user keeps
     # its bits, narrower batches too
     pytest.param((64, 50, 7, 0, 1, 1, 17, 33, 49, 2), 16, 17, 10, 2, id="17-features"),
+    # runs of equal sizes, each drawn in one permuted call; 33 and 64 rows both
+    # make 2 steps an epoch but draw orders of different lengths
+    pytest.param((50, 50, 50, 49, 50, 49, 49, 0, 0, 33, 64, 64), 32, 8, 3, 3,
+                 id="runs-of-equal-sizes"),
+    # a row set without rows splits no run: the two 49s draw in one call
+    pytest.param((49, 0, 49, 0, 0, 17), 32, 8, 3, 3, id="a-run-around-empty-row-sets"),
 ])
 def test_train_users_equals_reference_at_branch_points(sizes, batch_size, n_features,
                                                        n_classes, epochs):
@@ -588,6 +605,64 @@ def test_permuted_epochs_equal_sequential_permutations(n, seed):
     np.random.default_rng(seed).permuted(view, axis=1, out=view)
     assert np.array_equal(view, expected + 100), message
     assert np.all(table[:, n:] == -1)
+
+
+@pytest.mark.parametrize("users, n", [(800, 50), (50, 1200), (10, 600), (9, 2), (5, 1), (3, 0)])
+@pytest.mark.parametrize("seed", [0, 7, 123456789])
+def test_permuted_runs_equal_sequential_permutations(users, n, seed):
+    # train_users draws the epochs of a run of equal-size row sets with one
+    # permuted call on a strided (users, epochs, n) view of its batch table
+    epochs = 3
+    sequential = np.random.default_rng(seed)
+    expected = np.array([sequential.permutation(n) for _ in range(users * epochs)])
+    table = np.full((users + 2, epochs, n + 3), -1)
+    view = table[1:-1, :, :n]
+    view[:] = np.arange(n) + 100
+    drawn = np.random.default_rng(seed)
+    drawn.permuted(view, axis=2, out=view)
+    message = (f"Generator.permuted over a 3-d strided view no longer matches sequential "
+               f"permutation calls on numpy {np.__version__}")
+    assert np.array_equal(view, expected.reshape(users, epochs, n) + 100), message
+    assert np.all(table[[0, -1]] == -1) and np.all(table[:, :, n:] == -1)
+    assert drawn.integers(2**63) == sequential.integers(2**63), message
+
+
+def test_an_empty_population_splits_and_trains_to_nothing():
+    assert split_dataset([], [], 3) == ([], [])
+    pool, _, seed, w0 = _mixed_users(np.random.default_rng(27))
+    out = train_users(w0, pool, [], epochs=2, lr=0.3, seed=seed, batch_size=16)
+    assert out.shape == (0, w0.size)
+
+
+class _CountingGenerator:
+    """A ``Generator`` that counts the calls of each of its methods into ``calls``."""
+
+    def __init__(self, generator, calls):
+        self._generator, self._calls = generator, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._generator, name)
+
+        def counted(*args, **kwargs):
+            self._calls[name] += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+def test_a_run_of_equal_sizes_draws_in_one_call(monkeypatch):
+    # a per-user loop of draws fails this count; the row sets train in runs
+    # 50 x 3, 49, 50, 49 x 2, 33 and 64 x 2
+    pool, rows, seed, w0 = _mixed_users(np.random.default_rng(28),
+                                        sizes=(50, 50, 50, 49, 50, 49, 49, 0, 0, 33, 64, 64))
+    calls = collections.Counter()
+    default_rng = learning.np.random.default_rng
+    monkeypatch.setattr(learning.np.random, "default_rng",
+                        lambda seed: _CountingGenerator(default_rng(seed), calls))
+    split_dataset(np.full(800, 50), np.full(800, 0.1), 7)
+    assert calls == {"permuted": 1}
+    calls.clear()
+    train_users(w0, pool, rows, epochs=3, lr=0.3, seed=seed, batch_size=32)
+    assert calls == {"permuted": 6}
 
 
 def _blas_build():
@@ -784,6 +859,19 @@ def test_loss_vanishes_for_perfect_predictor():
     d = Dataset([[0.0], [1.0]], [0, 1], 2)
     w = np.array([-100.0, 50.0, 100.0, -50.0])  # rows (feature, bias) per class
     assert evaluate_loss(w, d) < 1e-20
+
+
+def test_loss_equals_the_one_hot_formula_bit_for_bit():
+    # the loss subtracts 1 at each label in place of a one-hot matrix: an
+    # entry minus 0.0 keeps its bits, saturated scores of exactly 0 and 1 too
+    rng = np.random.default_rng(14)
+    d = random_dataset(rng, n=300, n_features=4, n_classes=5)
+    for scale in (1.0, 1e3):
+        w = scale * rng.normal(size=weight_dim(4, 5))
+        scores = _scores(w, d.rows, 5)
+        one_hot = float(np.sum((scores - np.eye(5)[d.labels]) ** 2) / d.sample_count)
+        assert evaluate_loss(w, d) == one_hot
+    assert (scores == 0.0).any() and (scores == 1.0).any()
 
 
 def test_loss_matches_naive_double_loop():
