@@ -13,7 +13,10 @@ puts every composition of a simplex into one stacked
 ``finite_diff`` evaluates its stencil at an array of points in one call of
 ``f``, and ``bisect_root`` bisects an array of lanes at once.
 ``grid_minimize`` builds its grid one block at a time with ``linspace``'s
-arithmetic, so a million-point grid holds no array of its own size.
+arithmetic, so a million-point grid holds no array of its own size, and
+scores a sequence of problems on each block before it builds the next:
+the grid is built once for all of them, and a block is scored while it
+is still in cache.
 ``bisect_root`` is scipy's bisection written out, with the same roots bit
 for bit, so importing the package does not load ``scipy.optimize``.
 """
@@ -44,13 +47,27 @@ def grid_minimize(f, lo: float, hi: float, points: int, constraint=None):
     else raises :class:`ValidationError`. Both run on one block of the grid
     at a time. NaN and infeasible points score +inf; ties take the smallest
     x. Resolution is (hi-lo)/(points-1); the points are ``np.linspace``'s.
+
+    ``f`` may also be a sequence of problems over the same grid, with
+    ``constraint`` None or a sequence as long (each entry a predicate or
+    None). Each block is then built once and scored by every problem in
+    turn, and the result is a list with one ``(x, f(x))`` pair per problem.
     """
+    single = callable(f)
+    objectives = [f] if single else list(f)
+    if single or constraint is None:
+        constraints = [constraint] * len(objectives)
+    else:
+        constraints = list(constraint)
+    if len(constraints) != len(objectives):
+        raise ValidationError(f"grid_minimize: {len(constraints)} constraints for "
+                              f"{len(objectives)} problems")
     if not isinstance(points, numbers.Integral) or points < 2:
         raise ValidationError(f"grid_minimize: points must be an integer >= 2, got {points!r}")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValidationError(f"grid_minimize: need finite lo < hi, got [{lo}, {hi}]")
     step = (hi - lo) / (points - 1)
-    best_x, best_y = None, np.inf
+    best_x, best_y = [None] * len(objectives), [np.inf] * len(objectives)
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, points, _GRID_BLOCK):
             # linspace's arithmetic, with its branch for a step that underflows to 0
@@ -58,19 +75,26 @@ def grid_minimize(f, lo: float, hi: float, points: int, constraint=None):
             block = (block * step if step else block / (points - 1) * (hi - lo)) + lo
             if start + _GRID_BLOCK >= points:
                 block[-1] = hi
-            ys = np.asarray(f(block), dtype=float)
-            feasible = (np.ones(block.shape, dtype=bool) if constraint is None
-                        else np.asarray(constraint(block), dtype=bool))
-            if ys.shape != block.shape or feasible.shape != block.shape:
-                raise ValidationError("grid_minimize: f and constraint must return one value "
-                                      "per grid point")
-            ys = np.where(feasible & ~np.isnan(ys), ys, np.inf)
-            i = int(np.argmin(ys))
-            if ys[i] < best_y:
-                best_x, best_y = block[i], ys[i]
-    if best_x is None:
-        raise SimulationError("grid_minimize: no feasible grid point")
-    return float(best_x), float(best_y)
+            # every problem scores the block while it is in cache
+            for k, (objective, predicate) in enumerate(zip(objectives, constraints)):
+                ys = np.asarray(objective(block), dtype=float)
+                feasible = (np.ones(block.shape, dtype=bool) if predicate is None
+                            else np.asarray(predicate(block), dtype=bool))
+                if ys.shape != block.shape or feasible.shape != block.shape:
+                    raise ValidationError("grid_minimize: f and constraint must return one "
+                                          "value per grid point")
+                ys = np.where(feasible, ys, np.inf)
+                i = int(np.argmin(ys))
+                if np.isnan(ys[i]):   # argmin stops at the first NaN; NaN scores +inf
+                    ys[np.isnan(ys)] = np.inf
+                    i = int(np.argmin(ys))
+                if ys[i] < best_y[k]:
+                    best_x[k], best_y[k] = block[i], ys[i]
+    if None in best_x:
+        raise SimulationError("grid_minimize: no feasible grid point" + (
+            "" if single else f" for problem {best_x.index(None)}"))
+    pairs = [(float(x), float(y)) for x, y in zip(best_x, best_y)]
+    return pairs[0] if single else pairs
 
 
 def bisect_root(g, lo, hi, tol: float):

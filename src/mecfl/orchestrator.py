@@ -193,7 +193,10 @@ def _train_round(pop, train_pool, delta, model, cfg, rng):
     local_weights = train_users(model.global_weights, train_pool, kept_rows, cfg.local_epochs,
                                 cfg.learning_rate, train_seed, cfg.batch_size)
 
-    # Edge phase: train on the pooled offloaded rows, then aggregate.
+    # Edge phase: train on the pooled offloaded rows, then aggregate. The
+    # shuffle and train share edge_seed, and train's epoch-0 order is the
+    # shuffle's permutation perm, so epoch 0 visits pooled_rows[perm][perm].
+    # Kept as is: drawing otherwise moves every run's losses and the golden trace.
     pooled_rows = np.concatenate(offloaded_rows)
     if pooled_rows.size:
         pooled = shuffle_dataset(train_pool.take(pooled_rows), edge_seed)

@@ -71,6 +71,17 @@ def test_verify_calls_each_closed_form_once_per_check(monkeypatch):
     assert calls == {"solve_gamma": 1, "solve_delta": 1, "solve_uplink": 1}
 
 
+def test_gamma_check_searches_every_instance_in_one_grid_call(monkeypatch):
+    problems = []
+
+    def counted(f, *args, search=verify.grid_minimize):
+        problems.append(len(f))
+        return search(f, *args)
+    monkeypatch.setattr(verify, "grid_minimize", counted)
+    assert verify.check_gamma_closed_form(n_instances=20).passed
+    assert problems == [20]
+
+
 def test_curvature_check_builds_as_many_objects_at_any_point_count():
     _, few = _counting_constructions(
         lambda: verify.check_curvature_and_monotonicity(points_per_pair=10))

@@ -546,14 +546,20 @@ def test_block_grid_equals_full_grid(points):
 
 
 def test_grid_holds_one_block_of_points_at_a_time():
-    # the whole grid of 10**6 float64 points would be 8 MB
-    tracemalloc.start()
-    try:
-        grid_minimize(lambda x: (x - 0.3) ** 2, 0.0, 1.0, 10**6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10**6, peak
+    # the whole grid of 10**6 float64 points would be 8 MB, and so would each
+    # problem's values on it; 20 problems share one block at a time
+    centers = np.linspace(0.1, 0.9, 20)
+    objectives = [lambda x, c=c: (x - c) ** 2 for c in centers]
+    constraints = [lambda x, c=c: x <= c + 0.05 for c in centers]
+    for search in (lambda: grid_minimize(objectives[0], 0.0, 1.0, 10**6),
+                   lambda: grid_minimize(objectives, 0.0, 1.0, 10**6, constraints)):
+        tracemalloc.start()
+        try:
+            search()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6, peak
 
 
 def test_block_grid_tie_across_a_block_boundary_takes_the_smallest_x():
@@ -620,3 +626,78 @@ def test_block_grid_calls_f_and_constraint_once_per_block():
 def test_grid_rejects_infinite_bounds_and_fractional_points(lo, hi, points):
     with pytest.raises(ValidationError):
         grid_minimize(lambda x: (x - 0.3) ** 2, lo, hi, points)
+
+
+# --------------------------------------------------------------------------
+# several problems over one grid
+# --------------------------------------------------------------------------
+
+def _problem_mix(lo, hi, points):
+    """(name, f, constraint) of problems whose winners exercise the block rules."""
+    xs = np.linspace(lo, hi, points)
+    edge, step = xs[_BLOCK], xs[1] - xs[0]   # first point of the second block
+    floor = xs[2 * _BLOCK + 10]
+    return [
+        ("smooth", lambda x: (x - xs[points // 3]) ** 2 + 1e-3 * np.sin(40.0 * x), None),
+        ("feasible-only-later", lambda x: (x - 0.5 * (lo + hi)) ** 2, lambda x: x >= floor),
+        ("tie-across-a-boundary", lambda x: np.where(np.abs(x - edge) <= 3.5 * step, 0.0,
+                                                     1.0 + x * x), None),
+        ("nan-then-values", lambda x: np.where(x < xs[_BLOCK + 5], np.nan, x), None),
+        ("budgeted", lambda x: (hi - x) / x + x, lambda x: x * x <= 0.6 * hi * hi),
+    ]
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.0, 5e-324)], ids=["span", "subnormal-span"])
+def test_a_sequence_of_problems_equals_one_call_per_problem(lo, hi):
+    points = 3 * _BLOCK + 7
+    names, objectives, constraints = zip(*_problem_mix(lo, hi, points))
+    got = grid_minimize(objectives, lo, hi, points, constraints)
+    assert len(got) == len(names)
+    for name, f, constraint, pair in zip(names, objectives, constraints, got):
+        assert np.array_equal(pair, grid_minimize(f, lo, hi, points, constraint)), name
+        assert np.array_equal(pair, _reference_grid(f, lo, hi, points, constraint)), name
+    if lo == -1.0:
+        xs = np.linspace(lo, hi, points)
+        assert got[1][0] == xs[2 * _BLOCK + 10]   # the first feasible point
+        assert got[2] == (xs[_BLOCK - 3], 0.0)     # the tie goes to the earlier block
+        assert got[3][0] == xs[_BLOCK + 5]
+
+
+def test_a_sequence_names_the_first_problem_with_no_feasible_point():
+    points = 3 * _BLOCK + 7
+    (_, smooth, _), (_, later, floor), *_ = _problem_mix(0.0, 1.0, points)
+
+    def all_nan(x):
+        return np.full_like(x, np.nan)
+
+    with pytest.raises(SimulationError, match=r"^grid_minimize: no feasible grid point "
+                                              r"for problem 1$"):
+        grid_minimize([smooth, all_nan, later, all_nan], 0.0, 1.0, points,
+                      [None, None, floor, None])
+    with pytest.raises(SimulationError, match=r"for problem 2$"):
+        grid_minimize([smooth, later, smooth], 0.0, 1.0, points,
+                      [None, floor, lambda x: x > 2.0])
+    with pytest.raises(SimulationError, match=r"^grid_minimize: no feasible grid point$"):
+        grid_minimize(all_nan, 0.0, 1.0, points)
+
+
+def test_a_sequence_scores_each_block_once_per_problem_in_order():
+    calls = []
+
+    def problem(k):
+        return (lambda x: calls.append(("f", k, x[0], len(x))) or x - k,
+                lambda x: calls.append(("constraint", k, x[0], len(x))) or x >= 0.0)
+
+    objectives, constraints = zip(*map(problem, range(3)))
+    got = grid_minimize(objectives, 0.0, 1.0, 2 * _BLOCK + 1, constraints)
+    assert got == [(0.0, -k) for k in range(3)]
+    xs = np.linspace(0.0, 1.0, 2 * _BLOCK + 1)
+    assert calls == [(role, k, xs[start], min(_BLOCK, 2 * _BLOCK + 1 - start))
+                     for start in range(0, 2 * _BLOCK + 1, _BLOCK)
+                     for k in range(3) for role in ("f", "constraint")]
+
+
+def test_a_sequence_needs_one_constraint_per_problem():
+    with pytest.raises(ValidationError, match="2 constraints for 3 problems"):
+        grid_minimize([lambda x: x] * 3, 0.0, 1.0, 11, [None, None])
+    assert grid_minimize([lambda x: x, lambda x: -x], 0.0, 1.0, 11) == [(0.0, 0.0), (1.0, -1.0)]
