@@ -1,8 +1,10 @@
 """Certify the three closed-form best responses on one instance each.
 
 Every closed form the simulator uses is checked against a dumb numeric
-method that knows nothing about the derivation: a constrained grid search
-for the CPU fraction, bisection on the time imbalance for the offload
+method that knows nothing about the derivation: bisection on the energy
+budget for the CPU fraction (energy rises with it, so the budget-bound
+answer is the root of energy = budget), cross-checked by a 1,001-point
+constrained grid search, bisection on the time imbalance for the offload
 fraction, and an exhaustive simplex search for the bandwidth shares.
 
     python3 demos/closed_forms_vs_oracle.py
@@ -25,15 +27,21 @@ pop, alloc, dims, cfg, transmission = verify.random_gamma_instances(rng, 1)
 gamma = solve_gamma(pop, alloc, dims, cfg)[0][0, 0]
 data = ((1.0 - alloc.delta) * costs.dataset_bytes(pop, cfg))[0, 0]
 cpu, budget, tx = pop.cpu_hz[0, 0], pop.energy_budget[0, 0], transmission[0, 0]
-grid_gamma, _ = grid_minimize(
-    lambda g: costs.training_time(data, cfg.cycles_per_byte, g, cpu),
-    0.0, 1.0, 10**6,
-    lambda g: costs.training_energy(cfg.chip_capacitance, data, cfg.cycles_per_byte,
-                                    g, cpu) + tx <= budget,
-)
+
+
+def energy(g):
+    return costs.training_energy(cfg.chip_capacitance, data, cfg.cycles_per_byte, g, cpu) + tx
+
+
+# all of the budget is spent, unless it affords the whole CPU
+root = 1.0 if energy(1.0) <= budget else bisect_root(lambda g: energy(g) - budget,
+                                                     0.0, 1.0, 1e-15)
+grid_gamma, _ = grid_minimize(lambda g: costs.training_time(data, cfg.cycles_per_byte, g, cpu),
+                              0.0, 1.0, verify.GRID_POINTS, lambda g: energy(g) <= budget)
 print("CPU fraction")
-print(f"  closed form {gamma:.8f}   grid search {grid_gamma:.8f}   "
-      f"gap {abs(gamma - grid_gamma):.2e}")
+print(f"  closed form {gamma:.10f}   bisection {root:.10f}   gap {abs(gamma - root):.2e}")
+print(f"  closed form {gamma:.10f}   grid search {grid_gamma:.10f}   "
+      f"gap {abs(gamma - grid_gamma):.2e} (step {1 / (verify.GRID_POINTS - 1):g})")
 
 # --- offload fraction: balance the local and edge completion times --------
 pop, alloc, dims, cfg = verify.random_delta_instances(rng, 1)

@@ -11,12 +11,9 @@ Candidates are scored as one batch, not one at a time: the simplex search
 puts every composition of a simplex into one stacked
 :class:`AllocationState` and makes one cost-model call per simplex,
 ``finite_diff`` evaluates its stencil at an array of points in one call of
-``f``, and ``bisect_root`` bisects an array of lanes at once.
-``grid_minimize`` builds its grid one block at a time with ``linspace``'s
-arithmetic, so a million-point grid holds no array of its own size, and
-scores a sequence of problems on each block before it builds the next:
-the grid is built once for all of them, and a block is scored while it
-is still in cache.
+``f``, ``bisect_root`` bisects an array of lanes at once, and
+``grid_minimize`` scores a stack of problems on one ``linspace`` grid in
+one call of ``f``.
 ``bisect_root`` is scipy's bisection written out, with the same roots bit
 for bit, so importing the package does not load ``scipy.optimize``.
 """
@@ -34,67 +31,45 @@ from . import costs
 from .errors import DegenerateDivisor, SimulationError, ValidationError
 from .types import AllocationState, Population, SystemConfig, _require_positive
 
-_GRID_BLOCK = 16384                       # grid points scored per call of f
 _BISECT_HALVINGS = 100                    # scipy's default maxiter
 _BISECT_RTOL = 4 * sys.float_info.epsilon  # scipy's default rtol
 
 
 def grid_minimize(f, lo: float, hi: float, points: int, constraint=None):
-    """Feasible grid point minimizing ``f`` on [lo, hi].
+    """Feasible grid point minimizing ``f`` on [lo, hi], for every problem of a stack.
 
-    ``f`` (and ``constraint``, a boolean predicate) must broadcast over a
-    numpy vector of grid points and return one value per point; anything
-    else raises :class:`ValidationError`. Both run on one block of the grid
-    at a time. NaN and infeasible points score +inf; ties take the smallest
-    x. Resolution is (hi-lo)/(points-1); the points are ``np.linspace``'s.
-
-    ``f`` may also be a sequence of problems over the same grid, with
-    ``constraint`` None or a sequence as long (each entry a predicate or
-    None). Each block is then built once and scored by every problem in
-    turn, and the result is a list with one ``(x, f(x))`` pair per problem.
+    The grid is ``np.linspace(lo, hi, points)``, built once; resolution is
+    (hi-lo)/(points-1). ``f`` (and ``constraint``, a boolean predicate) is
+    called once on it and may return any stack ``(..., points)`` of problems,
+    one value per grid point along the last axis (the two broadcast
+    together); anything else raises :class:`ValidationError`. NaN, overflowed
+    and infeasible points score +inf; ties take the smallest x. Returns
+    ``(x, f(x))``: floats for a 1-d result, arrays of the stack shape
+    otherwise. "No feasible grid point" names the first problem without one.
     """
-    single = callable(f)
-    objectives = [f] if single else list(f)
-    if single or constraint is None:
-        constraints = [constraint] * len(objectives)
-    else:
-        constraints = list(constraint)
-    if len(constraints) != len(objectives):
-        raise ValidationError(f"grid_minimize: {len(constraints)} constraints for "
-                              f"{len(objectives)} problems")
     if not isinstance(points, numbers.Integral) or points < 2:
         raise ValidationError(f"grid_minimize: points must be an integer >= 2, got {points!r}")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValidationError(f"grid_minimize: need finite lo < hi, got [{lo}, {hi}]")
-    step = (hi - lo) / (points - 1)
-    best_x, best_y = [None] * len(objectives), [np.inf] * len(objectives)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, points, _GRID_BLOCK):
-            # linspace's arithmetic, with its branch for a step that underflows to 0
-            block = np.arange(start, min(start + _GRID_BLOCK, points), dtype=float)
-            block = (block * step if step else block / (points - 1) * (hi - lo)) + lo
-            if start + _GRID_BLOCK >= points:
-                block[-1] = hi
-            # every problem scores the block while it is in cache
-            for k, (objective, predicate) in enumerate(zip(objectives, constraints)):
-                ys = np.asarray(objective(block), dtype=float)
-                feasible = (np.ones(block.shape, dtype=bool) if predicate is None
-                            else np.asarray(predicate(block), dtype=bool))
-                if ys.shape != block.shape or feasible.shape != block.shape:
-                    raise ValidationError("grid_minimize: f and constraint must return one "
-                                          "value per grid point")
-                ys = np.where(feasible, ys, np.inf)
-                i = int(np.argmin(ys))
-                if np.isnan(ys[i]):   # argmin stops at the first NaN; NaN scores +inf
-                    ys[np.isnan(ys)] = np.inf
-                    i = int(np.argmin(ys))
-                if ys[i] < best_y[k]:
-                    best_x[k], best_y[k] = block[i], ys[i]
-    if None in best_x:
+    xs = np.linspace(lo, hi, points)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ys = np.asarray(f(xs), dtype=float)
+        feasible = (np.ones(points, dtype=bool) if constraint is None
+                    else np.asarray(constraint(xs), dtype=bool))
+    if ys.shape[-1:] != (points,) or feasible.shape[-1:] != (points,):
+        raise ValidationError("grid_minimize: f and constraint must return one value per grid "
+                              "point, along the last axis")
+    scores = np.where(feasible & np.isfinite(ys), ys, np.inf)
+    best = np.argmin(scores, axis=-1)           # the first of equal scores: the smallest x
+    best_y = scores.min(axis=-1)
+    missing = np.isinf(best_y)
+    if missing.any():
+        where = [int(i) for i in np.argwhere(missing)[0]]   # empty for a 1-d result
         raise SimulationError("grid_minimize: no feasible grid point" + (
-            "" if single else f" for problem {best_x.index(None)}"))
-    pairs = [(float(x), float(y)) for x, y in zip(best_x, best_y)]
-    return pairs[0] if single else pairs
+            f" for problem {where[0] if len(where) == 1 else tuple(where)}" if where else ""))
+    if best_y.ndim == 0:
+        return float(xs[best]), float(best_y)
+    return xs[best], best_y
 
 
 def bisect_root(g, lo, hi, tol: float):

@@ -7,9 +7,10 @@ one parameter is its count. The CLI and the acceptance tests run these.
 A check draws its instances one after another from its seeded stream and
 stacks them (fields ``(instances, users)``, weight dimensions
 ``(instances, 1)``); each closed form, the costs, the bisection and the
-finite differences then run once on the stack, and the CPU-fraction grid
-search scores every instance in one pass over its grid. Only the simplex
-oracle of the bandwidth check runs per instance.
+finite differences then run once on the stack: the CPU-fraction check
+bisects every budget-bound instance at once and cross-checks all of them
+on one stacked grid. Only the simplex oracle of the bandwidth check runs
+per instance.
 
 The bandwidth check constructs instances whose multipliers are consistent
 with the optimum they encode (offload multipliers proportional to the
@@ -33,7 +34,8 @@ from .oracle import bisect_root, finite_diff, grid_minimize, simplex_minimize_ma
 from .optimizer import solve_delta, solve_gamma, solve_uplink
 from .types import AllocationState, Population, SystemConfig
 
-GRID_POINTS = 10**6          # gamma oracle resolution: one step is 1e-6
+GAMMA_MATCH_TOL = 1e-12
+GRID_POINTS = 1001           # gamma cross-check resolution: one step is 1e-3
 DELTA_MATCH_TOL = 1e-8
 BALANCE_RTOL = 1e-6
 ENERGY_RTOL = 1e-6
@@ -114,15 +116,15 @@ def random_gamma_instances(rng, count: int):
     return pop, alloc, dims, cfg, transmission
 
 
-def _gamma_problem(cfg, data, cpu, budget, transmission):
-    """One instance's training time at CPU fraction g, and whether g keeps its budget."""
-    return (lambda g: costs.training_time(data, cfg.cycles_per_byte, g, cpu),
-            lambda g: costs.training_energy(cfg.chip_capacitance, data, cfg.cycles_per_byte,
-                                            g, cpu) + transmission <= budget)
-
-
 def check_gamma_closed_form(n_instances: int = 200) -> CheckResult:
-    """CPU-fraction closed form vs one constrained grid search scoring every instance."""
+    """CPU-fraction closed form vs bisection on each instance's energy budget.
+
+    Energy rises with gamma, so the best gamma is 1 where the budget affords
+    it and otherwise the root of energy(gamma) = budget: one lane-wise
+    bisection finds it for every budget-bound instance. One stacked grid
+    search over all instances, which assumes none of this, must agree to
+    within its step.
+    """
     rng = np.random.default_rng(11)
     step = 1.0 / (GRID_POINTS - 1)
     pop, alloc, dims, cfg, transmission = random_gamma_instances(rng, n_instances)
@@ -130,18 +132,31 @@ def check_gamma_closed_form(n_instances: int = 200) -> CheckResult:
     if exhausted.any():
         return CheckResult("gamma-closed-form", False, "unexpected exhausted budget")
     kept = (1.0 - alloc.delta) * costs.dataset_bytes(pop, cfg)
-    times, within_budget = zip(*map(_gamma_problem, [cfg] * n_instances, kept[:, 0],
-                                    pop.cpu_hz[:, 0], pop.energy_budget[:, 0],
-                                    transmission[:, 0]))
-    grid_best = [x for x, _ in grid_minimize(times, 0.0, 1.0, GRID_POINTS, within_budget)]
-    worst_gap = np.abs(solved[:, 0] - grid_best).max()
+    cpu, budget = pop.cpu_hz, pop.energy_budget
+
+    def energy(g, k=...):   # of the instances k at CPU fraction g
+        return (costs.training_energy(cfg.chip_capacitance, kept[k], cfg.cycles_per_byte, g,
+                                      cpu[k]) + transmission[k])
+
+    bound = energy(1.0) > budget   # the budget does not afford gamma = 1
+    best = np.ones_like(solved)
+    best[bound] = bisect_root(lambda g: energy(g, bound) - budget[bound],
+                              np.zeros(int(bound.sum())), 1.0,
+                              1e-15)   # brackets far narrower than GAMMA_MATCH_TOL
+    worst_gap = np.abs(solved - best).max()
+    grid_best, _ = grid_minimize(
+        lambda g: costs.training_time(kept, cfg.cycles_per_byte, g, cpu), 0.0, 1.0, GRID_POINTS,
+        lambda g: energy(g) <= budget)
+    grid_gap = np.abs(solved[:, 0] - grid_best).max()
     interior = (solved > 0.0) & (solved < 1.0)
     spent = costs.total_energy(pop, replace(alloc, gamma=solved), dims, cfg)
-    mismatch = np.abs(spent - pop.energy_budget) / pop.energy_budget
+    mismatch = np.abs(spent - budget) / budget
     worst_energy = mismatch[interior].max(initial=0.0)
-    passed = worst_gap <= step + 1e-12 and worst_energy <= ENERGY_RTOL and interior.any()
+    passed = (worst_gap <= GAMMA_MATCH_TOL and grid_gap <= step + 1e-12
+              and worst_energy <= ENERGY_RTOL and interior.any())
     return CheckResult("gamma-closed-form", passed, f"{n_instances} instances ({interior.sum()} "
-                       f"interior): max |gap|={worst_gap:.3g} (grid step {step:.1g}), "
+                       f"interior): max |gap|={worst_gap:.3g} (bisection on the budget), "
+                       f"max grid gap={grid_gap:.3g} (grid step {step:.1g}), "
                        f"max budget mismatch={worst_energy:.3g}")
 
 

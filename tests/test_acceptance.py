@@ -37,7 +37,7 @@ def certify(criterion: int, result):
     assert record_certificates([result]) == [golden[result.name]]
 
 
-def test_criterion_1_gamma_closed_form_vs_grid_oracle():
+def test_criterion_1_gamma_closed_form_vs_budget_bisection_oracle():
     certify(1, verify.check_gamma_closed_form(n_instances=200))
 
 

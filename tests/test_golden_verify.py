@@ -14,6 +14,7 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mecfl import verify
@@ -72,14 +73,40 @@ def test_verify_calls_each_closed_form_once_per_check(monkeypatch):
 
 
 def test_gamma_check_searches_every_instance_in_one_grid_call(monkeypatch):
-    problems = []
-
-    def counted(f, *args, search=verify.grid_minimize):
-        problems.append(len(f))
-        return search(f, *args)
-    monkeypatch.setattr(verify, "grid_minimize", counted)
+    # one bisection over every budget-bound lane, one stacked grid over every instance
+    calls = dict.fromkeys(["grid_minimize", "bisect_root"], 0)
+    for name in calls:
+        def counted(*args, search=getattr(verify, name), name=name):
+            calls[name] += 1
+            return search(*args)
+        monkeypatch.setattr(verify, name, counted)
     assert verify.check_gamma_closed_form(n_instances=20).passed
-    assert problems == [20]
+    assert calls == {"grid_minimize": 1, "bisect_root": 1}
+
+
+def _gamma_mutant(monkeypatch, mutate):
+    """``check_gamma_closed_form(20)`` with ``mutate`` applied to what ``solve_gamma`` answers."""
+    def mutant(*args, solve=verify.solve_gamma):
+        gamma, exhausted = solve(*args)
+        return mutate(gamma.copy()), exhausted
+    monkeypatch.setattr(verify, "solve_gamma", mutant)
+    return verify.check_gamma_closed_form(n_instances=20)
+
+
+def test_gamma_check_fails_interior_fractions_off_by_one_part_in_a_billion(monkeypatch):
+    # a grid certificate with a 1e-6 step passes this mutant
+    result = _gamma_mutant(monkeypatch,
+                           lambda gamma: np.where(gamma < 1.0, gamma * (1.0 - 1e-9), gamma))
+    assert not result.passed, result.detail
+
+
+def test_gamma_check_fails_a_budget_bound_instance_forced_to_one(monkeypatch):
+    def force_first_interior(gamma):
+        gamma.flat[np.argmax(gamma < 1.0)] = 1.0
+        return gamma
+
+    result = _gamma_mutant(monkeypatch, force_first_interior)
+    assert not result.passed, result.detail
 
 
 def test_curvature_check_builds_as_many_objects_at_any_point_count():

@@ -1,9 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from mecfl import costs, oracle, verify
+from mecfl import costs, verify
 from mecfl.errors import DegenerateDivisor, SimulationError, ValidationError
 from mecfl.costs import base_rate
 from mecfl.oracle import bisect_root, finite_diff, grid_minimize, simplex_minimize_maxtime
@@ -497,125 +495,131 @@ def test_finite_diff_at_many_points_stacks_the_stencil_first():
 
 
 # --------------------------------------------------------------------------
-# block-wise grid search against the full-grid search it replaced
+# a stack of problems on one grid, each as if searched on its own
 # --------------------------------------------------------------------------
 
 def _reference_grid(f, lo, hi, points, constraint=None):
-    """One call of ``f`` and ``constraint`` on the whole grid."""
+    """One problem: one call of ``f`` and ``constraint`` on the grid, then a scan of
+    the finite feasible points for the smallest value, ties to the smallest x."""
     xs = np.linspace(lo, hi, points)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ys = np.asarray(f(xs), dtype=float)
         feasible = (np.ones(points, dtype=bool) if constraint is None
                     else np.asarray(constraint(xs), dtype=bool))
-    ys = np.where(feasible & ~np.isnan(ys), ys, np.inf)
-    if not np.any(np.isfinite(ys)):
+    scored = [(y, x) for x, y, ok in zip(xs, ys, feasible) if ok and np.isfinite(y)]
+    if not scored:
         raise SimulationError("reference: no feasible grid point")
-    best = int(np.argmin(ys))
-    return float(xs[best]), float(ys[best])
+    y, x = min(scored)
+    return float(x), float(y)
 
 
-_BLOCK = oracle._GRID_BLOCK
+def _assert_stack_equals_reference(rows, lo, hi, points):
+    """One stacked call vs one reference call per ``(f, constraint)`` row, bit for bit.
 
+    A row without a feasible point makes the stacked call name the first such
+    row; the other rows are then compared in a stack without them. Returns the
+    winner of every row that has one, by row index.
+    """
+    def stacked(rows):
+        return grid_minimize(
+            lambda x: np.stack([f(x) for f, _ in rows]), lo, hi, points,
+            lambda x: np.stack([np.ones(points, dtype=bool) if c is None else c(x)
+                                for _, c in rows]))
 
-def _assert_grid_equals_reference(f, lo, hi, points, constraint=None):
-    """Same (x, f(x)) bits as the reference, or "no feasible grid point" from both."""
-    try:
-        want = _reference_grid(f, lo, hi, points, constraint)
-    except SimulationError:
-        with pytest.raises(SimulationError, match="grid_minimize: no feasible grid point"):
-            grid_minimize(f, lo, hi, points, constraint)
-        return None
-    got = grid_minimize(f, lo, hi, points, constraint)
-    assert np.array_equal(got, want), (got, want)
-    return got
-
-
-@pytest.mark.parametrize("points", [2, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK,
-                                    3 * _BLOCK + 7, 10**6])
-def test_block_grid_equals_full_grid(points):
-    _assert_grid_equals_reference(lambda x: (x - 0.3) ** 2 + 1e-3 * np.sin(40.0 * x),
-                                  0.0, 1.0, points)
-    _assert_grid_equals_reference(lambda x: 1.0 / x + x, 0.0, 3.0, points,
-                                  constraint=lambda x: x * x <= 0.6)
-    # every point the blocks are scored at is linspace's, also on a subnormal
-    # span, where linspace's step (hi - lo) / (points - 1) underflows to 0
-    for lo, hi in (0.0, 1.0), (0.0, 5e-324):
-        seen = []
-        grid_minimize(lambda x: seen.append(x.copy()) or x, lo, hi, points)
-        assert np.concatenate(seen).tobytes() == np.linspace(lo, hi, points).tobytes()
-
-
-def test_grid_holds_one_block_of_points_at_a_time():
-    # the whole grid of 10**6 float64 points would be 8 MB, and so would each
-    # problem's values on it; 20 problems share one block at a time
-    centers = np.linspace(0.1, 0.9, 20)
-    objectives = [lambda x, c=c: (x - c) ** 2 for c in centers]
-    constraints = [lambda x, c=c: x <= c + 0.05 for c in centers]
-    for search in (lambda: grid_minimize(objectives[0], 0.0, 1.0, 10**6),
-                   lambda: grid_minimize(objectives, 0.0, 1.0, 10**6, constraints)):
-        tracemalloc.start()
+    want, empty = {}, []
+    for k, (f, constraint) in enumerate(rows):
         try:
-            search()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 10**6, peak
+            want[k] = _reference_grid(f, lo, hi, points, constraint)
+        except SimulationError:
+            empty.append(k)
+    if empty:
+        with pytest.raises(SimulationError, match=rf"^grid_minimize: no feasible grid point "
+                                                  rf"for problem {empty[0]}$"):
+            stacked(rows)
+    xs, ys = stacked([rows[k] for k in want])
+    assert xs.tobytes() == np.array([x for x, _ in want.values()]).tobytes()
+    assert ys.tobytes() == np.array([y for _, y in want.values()]).tobytes()
+    return want
 
 
-def test_block_grid_tie_across_a_block_boundary_takes_the_smallest_x():
-    points = 2 * _BLOCK + 5
-    xs = np.linspace(-1.0, 1.0, points)
-    edge = xs[_BLOCK]                     # first point of the second block
-    step = xs[1] - xs[0]
+_POINTS = 1001
+_XS = np.linspace(-1.0, 1.0, _POINTS)
+_STEP = _XS[1] - _XS[0]
+_SUBNORMAL = 5e-324          # linspace's step (hi - lo) / (points - 1) underflows to 0
+_GRID_CASES = {
+    # (lo, hi, rows of (f, constraint), {row: the winner it must have})
+    "ties": (-1.0, 1.0, [
+        (lambda x: np.where(np.abs(x - _XS[600]) <= 3.5 * _STEP, 0.0, 1.0 + x * x), None),
+        (lambda x: np.zeros_like(x), None),
+        (lambda x: np.round(x, 1) ** 2, None),
+    ], {0: (_XS[597], 0.0), 1: (-1.0, 0.0), 2: (_XS[475], 0.0)}),
+    "nan-rows": (-1.0, 1.0, [
+        (lambda x: np.where(x < _XS[700], np.nan, x), None),
+        (lambda x: np.where(np.abs(x - 0.3) < 0.1, np.nan, (x - 0.3) ** 2), None),
+        (lambda x: np.full_like(x, np.nan), None),
+    ], {0: (_XS[700], _XS[700])}),
+    "all-infeasible-row": (-1.0, 1.0, [
+        (lambda x: (x - 0.3) ** 2 + 1e-3 * np.sin(40.0 * x), None),
+        (lambda x: x, lambda x: x > 2.0),
+        (lambda x: (x + 0.5) ** 2, lambda x: x > 2.0),
+        (lambda x: 1.0 / x + x, lambda x: x * x <= 0.6),
+    ], {}),
+    "feasible-only-late": (-1.0, 1.0, [
+        (lambda x: (x - 0.5) ** 2, lambda x: x >= _XS[-3]),
+        (lambda x: -x, lambda x: x >= 1.0),
+        (lambda x: x, lambda x: x >= _XS[-3]),
+    ], {0: (_XS[-3], (_XS[-3] - 0.5) ** 2), 1: (1.0, -1.0), 2: (_XS[-3], _XS[-3])}),
+    "subnormal-span": (0.0, _SUBNORMAL, [
+        (lambda x: (_SUBNORMAL - x) / x + x, lambda x: x * x <= 0.6 * _SUBNORMAL ** 2),
+        # -1/5e-324 overflows to -inf, which scores +inf like any overflow
+        (lambda x: np.where(x > 0.0, -1.0 / x, 1.0), None),
+        # 1/5e-324 overflows too: no point of the row is finite
+        (lambda x: 1.0 / x + x, None),
+    ], {0: (_SUBNORMAL, _SUBNORMAL), 1: (0.0, 1.0)}),
+}
 
-    def plateau(x):
-        return np.where(np.abs(x - edge) <= 3.5 * step, 0.0, 1.0 + x * x)
 
-    x, fx = _assert_grid_equals_reference(plateau, -1.0, 1.0, points)
-    assert (x, fx) == (xs[_BLOCK - 3], 0.0)
-
-
-def test_block_grid_skips_blocks_that_are_all_infeasible():
-    points = 4 * _BLOCK + 3
-    xs = np.linspace(0.0, 1.0, points)
-    floor = xs[2 * _BLOCK + 10]
-    x, _ = _assert_grid_equals_reference(lambda x: (x - 0.5) ** 2, 0.0, 1.0, points,
-                                         constraint=lambda x: x >= floor)
-    assert x == floor
+@pytest.mark.parametrize("case", sorted(_GRID_CASES))
+def test_stacked_grid_equals_one_reference_call_per_row(case):
+    lo, hi, rows, winners = _GRID_CASES[case]
+    got = _assert_stack_equals_reference(rows, lo, hi, _POINTS)
+    for row, winner in winners.items():
+        assert got[row] == winner, row
 
 
-def test_block_grid_scores_nan_as_infinite():
-    points = 3 * _BLOCK + 1
-    x, _ = _assert_grid_equals_reference(
-        lambda x: np.where(x < 0.4, np.nan, (x - 0.3) ** 2), 0.0, 1.0, points)
-    assert x >= 0.4
-    assert _assert_grid_equals_reference(lambda x: np.full_like(x, np.nan),
-                                         0.0, 1.0, points) is None
+def test_grid_returns_arrays_of_the_stack_shape_and_names_a_problem_by_its_index():
+    xs = np.linspace(0.0, 1.0, 11)
+    at = np.array([[1, 5, 9], [2, 4, 6]])
+    x, fx = grid_minimize(lambda g: (g - xs[at][..., None]) ** 2, 0.0, 1.0, 11)
+    assert x.shape == fx.shape == (2, 3)
+    assert np.array_equal(x, xs[at]) and not fx.any()
+    assert grid_minimize(lambda g: (g - 0.3) ** 2, 0.0, 1.0, 11) == (xs[3], (xs[3] - 0.3) ** 2)
+    last = (np.arange(6).reshape(2, 3) == 5)[..., None]
+    with pytest.raises(SimulationError, match=r"for problem \(1, 2\)$"):
+        grid_minimize(lambda g: (g - xs[at][..., None]) ** 2, 0.0, 1.0, 11,
+                      lambda g: ~last & (g >= 0.0))
 
 
 @pytest.mark.parametrize("f, constraint", [
-    (lambda x: 0.25, None),                       # one value for the whole block
+    (lambda x: 0.25, None),                       # one value for the whole grid
     (lambda x: x[:-1], None),                     # one value too few
-    (lambda x: x, lambda x: True),                # one verdict for the whole block
-], ids=["f-scalar", "f-short", "constraint-scalar"])
+    (lambda x: np.stack([x, x], axis=-1), None),  # the points on the wrong axis
+    (lambda x: x, lambda x: True),                # one verdict for the whole grid
+], ids=["f-scalar", "f-short", "f-points-first", "constraint-scalar"])
 def test_grid_rejects_callables_without_one_value_per_point(f, constraint):
     with pytest.raises(ValidationError, match="must return one value per grid point"):
-        grid_minimize(f, 0.0, 1.0, _BLOCK + 3, constraint)
+        grid_minimize(f, 0.0, 1.0, 101, constraint)
 
 
-def test_block_grid_calls_f_and_constraint_once_per_block():
-    sizes = {"f": [], "constraint": []}
-
-    def f(x):
-        sizes["f"].append(len(x))
-        return x
-
-    def constraint(x):
-        sizes["constraint"].append(len(x))
-        return x >= 0.0
-
-    grid_minimize(f, 0.0, 1.0, 2 * _BLOCK + 1, constraint)
-    assert sizes == {"f": [_BLOCK, _BLOCK, 1], "constraint": [_BLOCK, _BLOCK, 1]}
+def test_grid_calls_f_and_constraint_once_on_the_linspace_grid():
+    seen = []
+    for lo, hi in (0.0, 1.0), (0.0, _SUBNORMAL):
+        grid_minimize(lambda x: seen.append(x.copy()) or x, lo, hi, _POINTS,
+                      lambda x: seen.append(x.copy()) or x >= lo)
+        assert len(seen) == 2
+        for xs in seen:
+            assert xs.tobytes() == np.linspace(lo, hi, _POINTS).tobytes()
+        seen.clear()
 
 
 @pytest.mark.parametrize("lo, hi, points", [
@@ -626,78 +630,3 @@ def test_block_grid_calls_f_and_constraint_once_per_block():
 def test_grid_rejects_infinite_bounds_and_fractional_points(lo, hi, points):
     with pytest.raises(ValidationError):
         grid_minimize(lambda x: (x - 0.3) ** 2, lo, hi, points)
-
-
-# --------------------------------------------------------------------------
-# several problems over one grid
-# --------------------------------------------------------------------------
-
-def _problem_mix(lo, hi, points):
-    """(name, f, constraint) of problems whose winners exercise the block rules."""
-    xs = np.linspace(lo, hi, points)
-    edge, step = xs[_BLOCK], xs[1] - xs[0]   # first point of the second block
-    floor = xs[2 * _BLOCK + 10]
-    return [
-        ("smooth", lambda x: (x - xs[points // 3]) ** 2 + 1e-3 * np.sin(40.0 * x), None),
-        ("feasible-only-later", lambda x: (x - 0.5 * (lo + hi)) ** 2, lambda x: x >= floor),
-        ("tie-across-a-boundary", lambda x: np.where(np.abs(x - edge) <= 3.5 * step, 0.0,
-                                                     1.0 + x * x), None),
-        ("nan-then-values", lambda x: np.where(x < xs[_BLOCK + 5], np.nan, x), None),
-        ("budgeted", lambda x: (hi - x) / x + x, lambda x: x * x <= 0.6 * hi * hi),
-    ]
-
-
-@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.0, 5e-324)], ids=["span", "subnormal-span"])
-def test_a_sequence_of_problems_equals_one_call_per_problem(lo, hi):
-    points = 3 * _BLOCK + 7
-    names, objectives, constraints = zip(*_problem_mix(lo, hi, points))
-    got = grid_minimize(objectives, lo, hi, points, constraints)
-    assert len(got) == len(names)
-    for name, f, constraint, pair in zip(names, objectives, constraints, got):
-        assert np.array_equal(pair, grid_minimize(f, lo, hi, points, constraint)), name
-        assert np.array_equal(pair, _reference_grid(f, lo, hi, points, constraint)), name
-    if lo == -1.0:
-        xs = np.linspace(lo, hi, points)
-        assert got[1][0] == xs[2 * _BLOCK + 10]   # the first feasible point
-        assert got[2] == (xs[_BLOCK - 3], 0.0)     # the tie goes to the earlier block
-        assert got[3][0] == xs[_BLOCK + 5]
-
-
-def test_a_sequence_names_the_first_problem_with_no_feasible_point():
-    points = 3 * _BLOCK + 7
-    (_, smooth, _), (_, later, floor), *_ = _problem_mix(0.0, 1.0, points)
-
-    def all_nan(x):
-        return np.full_like(x, np.nan)
-
-    with pytest.raises(SimulationError, match=r"^grid_minimize: no feasible grid point "
-                                              r"for problem 1$"):
-        grid_minimize([smooth, all_nan, later, all_nan], 0.0, 1.0, points,
-                      [None, None, floor, None])
-    with pytest.raises(SimulationError, match=r"for problem 2$"):
-        grid_minimize([smooth, later, smooth], 0.0, 1.0, points,
-                      [None, floor, lambda x: x > 2.0])
-    with pytest.raises(SimulationError, match=r"^grid_minimize: no feasible grid point$"):
-        grid_minimize(all_nan, 0.0, 1.0, points)
-
-
-def test_a_sequence_scores_each_block_once_per_problem_in_order():
-    calls = []
-
-    def problem(k):
-        return (lambda x: calls.append(("f", k, x[0], len(x))) or x - k,
-                lambda x: calls.append(("constraint", k, x[0], len(x))) or x >= 0.0)
-
-    objectives, constraints = zip(*map(problem, range(3)))
-    got = grid_minimize(objectives, 0.0, 1.0, 2 * _BLOCK + 1, constraints)
-    assert got == [(0.0, -k) for k in range(3)]
-    xs = np.linspace(0.0, 1.0, 2 * _BLOCK + 1)
-    assert calls == [(role, k, xs[start], min(_BLOCK, 2 * _BLOCK + 1 - start))
-                     for start in range(0, 2 * _BLOCK + 1, _BLOCK)
-                     for k in range(3) for role in ("f", "constraint")]
-
-
-def test_a_sequence_needs_one_constraint_per_problem():
-    with pytest.raises(ValidationError, match="2 constraints for 3 problems"):
-        grid_minimize([lambda x: x] * 3, 0.0, 1.0, 11, [None, None])
-    assert grid_minimize([lambda x: x, lambda x: -x], 0.0, 1.0, 11) == [(0.0, 0.0), (1.0, -1.0)]
