@@ -4,8 +4,9 @@ Every closed form the simulator uses is checked against a dumb numeric
 method that knows nothing about the derivation: bisection on the energy
 budget for the CPU fraction (energy rises with it, so the budget-bound
 answer is the root of energy = budget), cross-checked by a 1,001-point
-constrained grid search, bisection on the time imbalance for the offload
-fraction, and an exhaustive simplex search for the bandwidth shares.
+constrained grid search, bisection on each user's time imbalance, the
+other users at the equilibrium, for the offload fractions, and an
+exhaustive simplex search for the bandwidth shares.
 
     python3 demos/closed_forms_vs_oracle.py
 """
@@ -43,25 +44,27 @@ print(f"  closed form {gamma:.10f}   bisection {root:.10f}   gap {abs(gamma - ro
 print(f"  closed form {gamma:.10f}   grid search {grid_gamma:.10f}   "
       f"gap {abs(gamma - grid_gamma):.2e} (step {1 / (verify.GRID_POINTS - 1):g})")
 
-# --- offload fraction: balance the local and edge completion times --------
+# --- offload fractions: balance each user's local and edge completion times
 pop, alloc, dims, cfg = verify.random_delta_instances(rng, 1)
 pop, alloc, dim = verify.instance(pop, 0), verify.instance(alloc, 0), int(dims[0, 0])
 
-# The first user of the sweep answers the others' previous fractions.
-user_1_first = [1, 0, 2]
-delta = solve_delta(verify.instance(pop, user_1_first), verify.instance(alloc, user_1_first),
-                    dim, cfg)[0]
+# The equilibrium: every user's fraction is its best response to the others'.
+delta = solve_delta(pop, alloc, dim, cfg)
+equilibrium = replace(alloc, delta=delta)
 
 
-def imbalance(d):
-    state = replace(alloc, delta=np.where(np.arange(3) == 1, d, alloc.delta))
+def imbalance(d, user):
+    state = replace(equilibrium, delta=np.where(np.arange(3) == user, d, delta))
     return (costs.local_time(pop, state, dim, cfg)
-            - costs.edge_time_user(pop, state, cfg))[1]
+            - costs.edge_time_user(pop, state, cfg))[user]
 
 
-root = bisect_root(imbalance, 0.0, 1.0, 1e-12)
 print("offload fraction")
-print(f"  closed form {delta:.10f}   bisection {root:.10f}   gap {abs(delta - root):.2e}")
+for user, d in enumerate(delta.tolist()):
+    # a fraction at a bound is a best response when the imbalance there points past it
+    root = (0.0 if imbalance(0.0, user) < 0.0 else 1.0 if imbalance(1.0, user) > 0.0
+            else bisect_root(lambda x: imbalance(x, user), 0.0, 1.0, 1e-12))
+    print(f"  user {user}: closed form {d:.10f}   bisection {root:.10f}   gap {abs(d - root):.2e}")
 
 # --- bandwidth shares: minimize the slowest per-user completion time ------
 pop, alloc, dims, cfg = verify.random_uplink_instances(rng, 1)

@@ -1,14 +1,14 @@
 """Closed-form best responses for the per-round resource game.
 
 Each function answers for every user of a :class:`Population` in one
-call (``solve_delta`` as a Gauss-Seidel sweep, in which the users move in
-turn) and reads the model only as its weight dimension ``dim``. Like the
-cost model, each answers a stack (fields ``(..., n)``, a 1-d input
-broadcast; ``dim`` a scalar or ``(..., 1)``) as each instance alone.
+call, with no loop over users or instances, and reads the model only as
+its weight dimension ``dim``. Like the cost model, each answers a stack
+(fields ``(..., n)``, a 1-d input broadcast; ``dim`` a scalar or
+``(..., 1)``) as each instance alone.
 
 * ``solve_gamma``    - CPU fraction that spends the whole energy budget,
-* ``solve_delta``    - offload fraction that balances the local and edge
-                       completion times,
+* ``solve_delta``    - offload fractions at which every user's local and edge
+                       completion times balance, the subgame's equilibrium,
 * ``solve_uplink``   - bandwidth shares proportional to the square root of
                        the multiplier-weighted transmission load,
 * ``update_multipliers`` - penalty step that shifts bandwidth weight toward
@@ -16,8 +16,6 @@ broadcast; ``dim`` a scalar or ``(..., 1)``) as each instance alone.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -80,54 +78,60 @@ def solve_gamma(pop: Population, alloc: AllocationState, dim: int,
 
 def solve_delta(pop: Population, alloc: AllocationState, dim: int,
                 cfg: SystemConfig) -> np.ndarray:
-    """Offload fractions of one Gauss-Seidel sweep over the users in index order.
+    """Offload fractions at the equilibrium of the offload subgame.
 
-    Each user's fraction equates its local and edge completion times. Both
-    are linear in delta with opposite slopes, so the balance point is
-    unique; it is projected onto [0, 1], and one that is not finite raises
-    :class:`ValidationError` naming the user. Other users' offload decisions
-    enter through the shared edge compute load: user i answers the fresh
-    fractions of users j < i and the previous ones (``alloc.delta``) of
-    users j > i, so user 0 answers everyone else's previous fractions. A
-    user without offload share gets 0; otherwise a user without CPU budget
-    (gamma = 0) gets 1, the limit of the balance as its local time diverges.
-    A stack is swept one instance after another, in Python floats.
+    User i's local and edge completion times balance where a_i * delta_i + E
+    = own_i: a_i is its offload transmit plus local training time per unit
+    of delta, own_i its local time at delta = 0, E the edge's compute load.
+    A free user answers clip((own_i - E) / a_i, 0, 1); the load these answers
+    and the users forced to 1 make is unique, so neither the users' order nor
+    ``alloc.delta`` moves the result. A user without offload share gets 0,
+    else one without CPU budget (gamma = 0) gets 1, the limit of its balance.
+    A free user whose balance point is not finite raises ValidationError.
     """
     gamma, offload_share, upload_share = alloc.gamma, alloc.uplink_offload, alloc.uplink_weight
-    forced_zero = offload_share <= 0.0
-    forced_one = ~forced_zero & (gamma <= 0.0)
-    check_degenerate(~forced_zero & ~forced_one & (upload_share <= 0.0),
+    forced_one = (offload_share > 0.0) & (gamma <= 0.0)
+    free = (offload_share > 0.0) & (gamma > 0.0)
+    check_degenerate(free & (upload_share <= 0.0),
                      "solve_delta needs positive gamma and both uplink shares")
     rate, data = base_rate(pop, cfg), dataset_bytes(pop, cfg)
-    edge_per_unit = data * cfg.cycles_per_byte / cfg.edge_cpu_hz
-    # entries of forced users may divide by zero; the loop skips them. A share
-    # or CPU fraction near 0 may overflow a time; the loop refuses a non-finite balance.
+    # a forced user's time may divide by zero, a free one's overflow: neither loads the edge
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        edge_per_unit = data * cfg.cycles_per_byte / cfg.edge_cpu_hz
         local_per_unit = training_time(data, cfg.cycles_per_byte, gamma, pop.cpu_hz)
         own = local_per_unit + transmit_time(weights_bytes(dim, cfg), upload_share, rate)
-        per_unit = transmit_time(data, offload_share, rate) + edge_per_unit + local_per_unit
-    # the sweep's inputs broadcast to the stack; the last row: previous bytes of users j > i
-    table = np.zeros((6,) + own.shape)
-    for row, value in zip(table, (forced_zero, forced_one, own, per_unit, data)):
-        row[...] = value
-    table[5, ..., :-1] = np.cumsum((alloc.delta * data)[..., :0:-1], axis=-1)[..., ::-1]
-    swept = []
-    for instance in table.reshape(6, -1, own.shape[-1]).transpose(1, 0, 2).tolist():
-        delta, earlier = [], 0.0   # earlier: fresh bytes of users j < i
-        for zero, one, own_i, per_unit_i, data_i, later_i in zip(*instance):
-            if zero or one:   # forced to 0 or to 1
-                d = one
-            else:
-                edge_load = (earlier + later_i) * cfg.cycles_per_byte / cfg.edge_cpu_hz
-                d = (own_i - edge_load) / per_unit_i
-                if not math.isfinite(d):
-                    raise ValidationError(f"user {len(delta)}: solve_delta balance point is "
-                                          f"not finite, got {d!r}")
-                d = min(max(d, 0.0), 1.0)
-            delta.append(d)
-            earlier += d * data_i
-        swept.append(delta)
-    return np.array(swept).reshape(own.shape)
+        per_unit = transmit_time(data, offload_share, rate) + local_per_unit
+        playing = free & np.isfinite(own) & np.isfinite(per_unit)
+        load = _edge_load(np.where(forced_one, edge_per_unit, 0.0).sum(axis=-1, keepdims=True),
+                          np.where(playing, edge_per_unit, 0.0), np.where(playing, own, 0.0),
+                          np.where(playing, per_unit, 1.0))
+        balance = (own - load) / per_unit
+    if (bad := free & ~np.isfinite(balance)).any():
+        k = int(bad.argmax())
+        raise ValidationError(f"user {k % bad.shape[-1]}: solve_delta balance point is not "
+                              f"finite, got {float(balance.flat[k])!r}")
+    return np.where(free, np.clip(balance, 0.0, 1.0), forced_one.astype(float))
+
+
+def _edge_load(forced, v, own, a):
+    """The root E, as ``(..., 1)``, of E = forced + sum_i v_i * clip((own_i - E) / a_i, 0, 1).
+
+    The sum is linear between breakpoints own_i - a_i (user i leaves 1) and
+    own_i (it reaches 0). Running sums of its intercept and slope over the
+    sorted breakpoints count those below E; the users then at 1 and in
+    between give E exactly, free of the running sums' cancellation."""
+    slope = v / a
+    points = np.concatenate([own - a, own], axis=-1)
+    order = np.argsort(points, axis=-1, kind="stable")   # a tie leaves 1 before it reaches 0
+    changes = np.concatenate([[slope * own - v, slope], [-slope * own, -slope]], axis=-1)
+    intercept, steepness = np.take_along_axis(changes, order[None], -1).cumsum(-1)
+    points = np.take_along_axis(points, order, -1)
+    level = forced + v.sum(-1, keepdims=True) + intercept - steepness * points
+    below = (level > points).sum(-1, keepdims=True)   # breakpoints below the root
+    left_one, at_zero = np.split(np.argsort(order, axis=-1) < below, 2, axis=-1)
+    inside = np.where(left_one & ~at_zero, slope, 0.0)   # of the users between 1 and 0
+    return ((forced + (np.where(left_one, 0.0, v) + inside * own).sum(-1, keepdims=True))
+            / (1.0 + inside.sum(-1, keepdims=True)))
 
 
 def simplex_shares(weights: np.ndarray) -> np.ndarray:

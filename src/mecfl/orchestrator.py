@@ -4,15 +4,16 @@ A round is the resource game, then a training step. ``resource_round``
 maps one allocation to the next and needs no training: the model enters
 it only through its weight dimension. It runs the best responses at the
 previous round's bandwidth shares (every user's CPU fraction, then the
-offload fractions in one Gauss-Seidel sweep in user order), then the edge
-updates the multipliers from the energies these fractions spend and
-recomputes both bandwidth share vectors. The training step reads only
-the offload fractions: every user splits its dataset, all users train
-in lockstep on their kept rows of the pooled data while the edge trains
-on the pooled offloaded rows, and the size-weighted aggregate forms the
-global model. Round 0 trains at the initial allocation (random
-offload/CPU fractions, uniform bandwidth, multipliers at 0.5); a frozen
-run trains every round at the allocation it is given.
+offload subgame's equilibrium), then the edge updates the multipliers
+from the energies these fractions spend and recomputes both bandwidth
+share vectors. The training step reads only the offload fractions: every
+user splits its dataset, all users train in lockstep on their kept rows
+of the pooled data while the edge trains on the pooled offloaded rows,
+and the size-weighted aggregate forms the global model. Round 0 trains
+at the initial allocation (random offload/CPU fractions, uniform
+bandwidth, multipliers at 0.5), whose offload fractions reach round 1
+only through the CPU fractions. A frozen run trains every round at the
+allocation it is given.
 
 Note the deliberate one-round lag: a round's dataset offload is priced at
 the previous round's offload shares, because the edge only reallocates
@@ -166,7 +167,7 @@ def resource_round(pop: Population, alloc: AllocationState, dim: int, cfg: Syste
                    delta_pinned: bool = False) -> AllocationState:
     """The allocation one round of the resource game leads to from ``alloc``.
 
-    CPU fractions, the offload sweep (unless ``delta_pinned``), the multiplier
+    CPU fractions, the offload equilibrium (unless ``delta_pinned``), the multiplier
     step on the energy spent at the previous bandwidth shares, then both share
     vectors. A stack of games (fields ``(..., n)``) plays as each game alone.
     """

@@ -46,7 +46,6 @@ FD_STEP_FIRST = 1e-6
 FD_STEP_SECOND = 1e-4
 SIGN_MARGIN = 1e-12
 _DEFAULT_CONFIG = SystemConfig()   # every instance uses the defaults; the type is frozen
-_TARGET, _TARGET_FIRST = 1, [1, 0, 2]   # the delta check's user, and its users target first
 
 
 @dataclass(frozen=True)
@@ -173,47 +172,43 @@ def random_delta_instances(rng, count: int):
     return pop, alloc, dims[:, None], _DEFAULT_CONFIG
 
 
-def _imbalance(pop, alloc, dims, cfg, d):
-    """Local minus edge completion time of each instance's target user at its
-    offload fraction ``d``, and the larger of the two times."""
-    state = replace(alloc, delta=np.where(np.arange(alloc.n_users) == _TARGET,
-                                          d[..., None], alloc.delta))
-    t_local = costs.local_time(pop, state, dims, cfg)[..., _TARGET]
-    t_edge = costs.edge_time_user(pop, state, cfg)[..., _TARGET]
+def _imbalance(pop, alloc, dims, cfg, user, d):
+    """Local minus edge completion time of each lane's (stack row's) ``user`` at offload
+    fraction ``d``, the others at ``alloc.delta``; and the larger of the two times."""
+    mine = np.arange(alloc.n_users) == user[:, None]   # one user per lane
+    state = replace(alloc, delta=np.where(mine, d[..., None], alloc.delta))
+    t_local = costs.local_time(pop, state, dims, cfg)[..., mine]
+    t_edge = costs.edge_time_user(pop, state, cfg)[..., mine]
     return t_local - t_edge, np.maximum(t_local, t_edge)
 
 
 def check_delta_closed_form(n_instances: int = 200) -> CheckResult:
-    """Offload-fraction closed form vs bisection on the time imbalance.
+    """Offload-fraction equilibrium vs every user's best response, by bisection.
 
-    One sweep over the stack, each instance ordered with the target user
-    first, answers the one-player closed form against the others' previous
-    fractions. All instances that bracket a root are bisected together.
+    Each user of each instance is one lane, the others at their equilibrium
+    fractions. Its best response is the bound its time imbalance points to
+    where that keeps one sign on [0, 1], else the imbalance's root: one
+    bisection over all such lanes finds them.
     """
     rng = np.random.default_rng(23)
     pop, alloc, dims, cfg = random_delta_instances(rng, n_instances)
-    solved = solve_delta(instance(pop, (slice(None), _TARGET_FIRST)),
-                         instance(alloc, (slice(None), _TARGET_FIRST)), dims, cfg)[:, 0]
-    lo, hi = _imbalance(pop, alloc, dims, cfg, np.array([[0.0], [1.0]]))[0]   # delta = 0, 1
-    clamp_zero = lo < 0.0
-    clamp_one = ~clamp_zero & (hi > 0.0)
-    wrong = (clamp_zero & (solved != 0.0)) | (clamp_one & (solved != 1.0))
-    if wrong.any():
-        k = int(wrong.argmax())
-        return CheckResult("delta-closed-form", False,
-                           f"expected clamp at {0 if clamp_zero[k] else 1}, got {solved[k]}")
-    bracketed = ~clamp_zero & ~clamp_one
-    inner = instance(pop, bracketed), instance(alloc, bracketed), dims[bracketed], cfg
+    solved = solve_delta(pop, alloc, dims, cfg)
+    k, user = np.divmod(np.arange(solved.size), alloc.n_users)   # one lane per user
+    lanes = instance(pop, k), replace(instance(alloc, k), delta=solved[k]), dims[k], cfg, user
+    solved = solved.ravel()
+    lo, hi = _imbalance(*lanes, np.array([[0.0], [1.0]]))[0]   # at delta = 0, 1; lo >= hi
+    best = (hi > 0.0) * 1.0   # local is slower even at 1: 1; edge is slower even at 0: 0
+    bracketed = (lo >= 0.0) & (hi <= 0.0)
+    inner = *(instance(x, bracketed) for x in lanes[:2]), lanes[2][bracketed], cfg, user[bracketed]
     ends = np.zeros(int(bracketed.sum()))
-    roots = bisect_root(lambda d: _imbalance(*inner, d)[0], ends, ends + 1.0, 1e-12)
-    solved = solved[bracketed]
-    worst_gap = np.abs(solved - roots).max(initial=0.0)
+    best[bracketed] = bisect_root(lambda d: _imbalance(*inner, d)[0], ends, ends + 1.0, 1e-12)
+    worst_gap = np.abs(solved - best).max()
     interior = (solved > 0.0) & (solved < 1.0)
-    gap, slower = _imbalance(*inner, solved)
+    gap, slower = _imbalance(*lanes, solved)
     worst_balance = (np.abs(gap) / slower)[interior].max(initial=0.0)
     passed = worst_gap <= DELTA_MATCH_TOL and worst_balance <= BALANCE_RTOL and interior.any()
-    return CheckResult("delta-closed-form", passed, f"{n_instances} instances ({interior.sum()} "
-                       f"interior): max |gap|={worst_gap:.3g}, "
+    return CheckResult("delta-closed-form", passed, f"{n_instances} instances x {alloc.n_users} "
+                       f"users ({interior.sum()} interior): max |gap|={worst_gap:.3g}, "
                        f"max time imbalance={worst_balance:.3g}")
 
 

@@ -67,8 +67,8 @@ def make_alloc(n=1, delta=0.5, gamma=0.5, offload=None, upload=None,
 
 
 def balance_of_first(pop, alloc, dim, cfg) -> float:
-    """User 0's unclamped offload balance point against everyone else's previous
-    offload fractions: the value ``solve_delta`` clamps onto [0, 1] for it."""
+    """User 0's unclamped offload balance point against the other users' fractions
+    in ``alloc.delta``: its best response to them, before the clamp onto [0, 1]."""
     (rate, *_), data = costs.base_rate(pop, cfg), costs.dataset_bytes(pop, cfg)
     local = costs.training_time(data[0], cfg.cycles_per_byte, alloc.gamma[0], pop.cpu_hz[0])
     own = local + costs.transmit_time(costs.weights_bytes(dim, cfg), alloc.uplink_weight[0], rate)
@@ -76,6 +76,45 @@ def balance_of_first(pop, alloc, dim, cfg) -> float:
                 + data[0] * cfg.cycles_per_byte / cfg.edge_cpu_hz + local)
     edge_load = (alloc.delta[1:] * data[1:]).sum() * cfg.cycles_per_byte / cfg.edge_cpu_hz
     return float((own - edge_load) / per_unit)
+
+
+def gauss_seidel_delta(pop, alloc, dim, cfg, max_sweeps=200) -> np.ndarray:
+    """Offload fractions of Gauss-Seidel sweeps over a 1-d population, from
+    ``alloc.delta`` until a sweep moves nothing (at most ``max_sweeps``).
+
+    In each sweep the users answer in index order, in Python floats: user i
+    balances its local and edge completion times against the fresh
+    fractions of users j < i and the previous ones of users j > i. A user
+    without offload share gets 0, else one without CPU budget 1. The
+    per-user reference for ``solve_delta``'s equilibrium, which is this
+    iteration's fixed point.
+    """
+    forced_zero = alloc.uplink_offload <= 0.0
+    forced_one = ~forced_zero & (alloc.gamma <= 0.0)
+    rate, data = costs.base_rate(pop, cfg), costs.dataset_bytes(pop, cfg)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        local = costs.training_time(data, cfg.cycles_per_byte, alloc.gamma, pop.cpu_hz)
+        own = local + costs.transmit_time(costs.weights_bytes(dim, cfg), alloc.uplink_weight, rate)
+        per_unit = (costs.transmit_time(data, alloc.uplink_offload, rate)
+                    + data * cfg.cycles_per_byte / cfg.edge_cpu_hz + local)
+    delta = alloc.delta.tolist()
+    for _ in range(max_sweeps):
+        later = np.append(np.cumsum((np.array(delta) * data)[:0:-1])[::-1], 0.0)
+        swept, earlier = [], 0.0   # earlier: fresh bytes of users j < i
+        for zero, one, own_i, per_unit_i, data_i, later_i in zip(
+                forced_zero.tolist(), forced_one.tolist(), own.tolist(), per_unit.tolist(),
+                data.tolist(), later.tolist()):
+            if zero or one:
+                d = float(one)
+            else:
+                edge_load = (earlier + later_i) * cfg.cycles_per_byte / cfg.edge_cpu_hz
+                d = min(max((own_i - edge_load) / per_unit_i, 0.0), 1.0)
+            swept.append(d)
+            earlier += d * data_i
+        if swept == delta:
+            break
+        delta = swept
+    return np.array(delta)
 
 
 def record_certificates(checks) -> list[dict]:

@@ -109,6 +109,26 @@ def test_gamma_check_fails_a_budget_bound_instance_forced_to_one(monkeypatch):
     assert not result.passed, result.detail
 
 
+def _delta_mutant(monkeypatch, mutate):
+    """``check_delta_closed_form(20)`` with ``mutate`` applied to what ``solve_delta`` answers."""
+    monkeypatch.setattr(verify, "solve_delta",
+                        lambda *args, solve=verify.solve_delta: mutate(solve(*args).copy()))
+    return verify.check_delta_closed_form(n_instances=20)
+
+
+@pytest.mark.parametrize("where", ["interior", "clamped"])
+def test_delta_check_fails_one_user_off_its_best_response_by_1e_7(monkeypatch, where):
+    # ten times the check's tolerance; a user at a bound moves into [0, 1]
+    def move_one(delta):
+        interior = (delta > 0.0) & (delta < 1.0)
+        k = int(np.argmax(interior if where == "interior" else ~interior))
+        delta.flat[k] += 1e-7 if delta.flat[k] < 1.0 else -1e-7
+        return delta
+
+    result = _delta_mutant(monkeypatch, move_one)
+    assert not result.passed, result.detail
+
+
 def test_curvature_check_builds_as_many_objects_at_any_point_count():
     _, few = _counting_constructions(
         lambda: verify.check_curvature_and_monotonicity(points_per_pair=10))

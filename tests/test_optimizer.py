@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from dataclasses import fields, replace
+from dataclasses import replace
 
 from mecfl import costs, verify
 from mecfl.costs import base_rate
@@ -15,7 +15,7 @@ from mecfl.optimizer import (
 )
 from mecfl.types import SystemConfig
 
-from helpers import join, make_alloc, make_pop, stack
+from helpers import gauss_seidel_delta, join, make_alloc, make_pop, stack
 
 
 def gamma_instance(target, delta=0.4, share=0.4):
@@ -40,19 +40,6 @@ def gamma_of(pop, alloc, dim, cfg):
     """solve_gamma on a one-user population, as plain (gamma, exhausted)."""
     (gamma,), (exhausted,) = solve_gamma(pop, alloc, dim, cfg)
     return gamma, exhausted
-
-
-def reordered(obj, order):
-    return replace(obj, **{f.name: getattr(obj, f.name)[order] for f in fields(obj)})
-
-
-def delta_of(index, pop, alloc, dim, cfg):
-    """User ``index``'s answer to everyone else's previous offload fractions.
-
-    That is entry 0 of a sweep that visits the user first.
-    """
-    order = [index] + [j for j in range(pop.n_users) if j != index]
-    return solve_delta(reordered(pop, order), reordered(alloc, order), dim, cfg)[0]
 
 
 def test_gamma_zero_remaining_budget():
@@ -99,7 +86,7 @@ def test_delta_limit_all_remote_costs_vanish():
     pop = make_pop(gain=1e-2, samples=1, cpu=1e8)
     alloc = make_alloc(1, delta=0.3, gamma=1.0, offload=[0.5], upload=[0.5])
     dim = 10000
-    assert delta_of(0, pop, alloc, dim, cfg) == 1.0
+    assert solve_delta(pop, alloc, dim, cfg)[0] == 1.0
 
 
 def test_delta_clamps_at_zero_when_edge_is_overloaded():
@@ -107,12 +94,14 @@ def test_delta_clamps_at_zero_when_edge_is_overloaded():
     pop = make_pop(samples=[100, 100000])
     alloc = make_alloc(2, delta=[0.5, 1.0], gamma=1.0, offload=[0.4, 0.4], upload=[0.4, 0.4])
     dim = 100
-    assert delta_of(0, pop, alloc, dim, cfg) == 0.0
+    assert solve_delta(pop, alloc, dim, cfg)[0] == 0.0
 
 
 def test_delta_interior_balances_times():
+    # at the equilibrium every interior user's local and edge times agree
     rng = np.random.default_rng(21)
     cfg = SystemConfig()
+    interior = 0
     for _ in range(20):
         pop = join(make_pop(gain=rng.uniform(1e-8, 1e-6), samples=int(rng.integers(100, 2000)))
                    for _ in range(2))
@@ -120,13 +109,66 @@ def test_delta_interior_balances_times():
                            offload=rng.dirichlet(np.ones(2)) * 0.9,
                            upload=rng.dirichlet(np.ones(2)) * 0.9)
         dim = int(rng.integers(100, 2000))
-        star = delta_of(0, pop, alloc, dim, cfg)
-        if not 0.0 < star < 1.0:
-            continue
-        state = replace(alloc, delta=np.array([star, alloc.delta[1]]))
-        t_local = costs.local_time(pop, state, dim, cfg)[0]
-        t_edge = costs.edge_time_user(pop, state, cfg)[0]
-        assert abs(t_local - t_edge) <= 1e-6 * max(t_local, t_edge)
+        state = replace(alloc, delta=solve_delta(pop, alloc, dim, cfg))
+        t_local = costs.local_time(pop, state, dim, cfg)
+        t_edge = costs.edge_time_user(pop, state, cfg)
+        for i in np.flatnonzero((state.delta > 0.0) & (state.delta < 1.0)):
+            interior += 1
+            assert abs(t_local[i] - t_edge[i]) <= 1e-9 * max(t_local[i], t_edge[i])
+    assert interior >= 20
+
+
+def random_game(rng, n):
+    """``n`` users spread wide enough that the equilibrium clamps on both sides, some
+    of them forced (no offload share, or no CPU budget); a weight dimension; a config."""
+    cfg = SystemConfig(edge_cpu_hz=10 ** rng.uniform(7, 12))
+    pop = make_pop(n, power=rng.uniform(0.1, 0.5, n), gain=10 ** rng.uniform(-9, -5, n),
+                   cpu=rng.uniform(0.8e9, 3e9, n), samples=rng.integers(1, 3000, n))
+    forced = rng.uniform(size=(2, n)) < 0.05
+    forced[0] &= ~forced[1]   # a user without offload share trains locally: it needs CPU
+    alloc = make_alloc(n, delta=rng.uniform(0, 1, n),
+                       gamma=np.where(forced[0], 0.0, rng.uniform(0.01, 1, n)),
+                       offload=np.where(forced[1], 0.0, rng.dirichlet(np.ones(n))),
+                       upload=rng.dirichlet(np.ones(n)))
+    return pop, alloc, int(rng.integers(10, 10000)), cfg
+
+
+GAME_SIZES = [1, 2, 3, 10, 50, 200, 800]
+
+
+@pytest.mark.parametrize("n", GAME_SIZES)
+def test_delta_equals_the_gauss_seidel_fixed_point(n):
+    # the per-user sweep, repeated until it stops moving, reaches the same fractions
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        pop, alloc, dim, cfg = random_game(rng, n)
+        np.testing.assert_allclose(solve_delta(pop, alloc, dim, cfg),
+                                   gauss_seidel_delta(pop, alloc, dim, cfg),
+                                   rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", GAME_SIZES)
+def test_every_free_user_is_balanced_or_at_the_bound_its_imbalance_points_to(n):
+    rng = np.random.default_rng(100 + n)
+    seen = set()
+    for _ in range(5):
+        pop, alloc, dim, cfg = random_game(rng, n)
+        state = replace(alloc, delta=solve_delta(pop, alloc, dim, cfg))
+        free = (alloc.uplink_offload > 0.0) & (alloc.gamma > 0.0)
+        assert np.all(state.delta[alloc.uplink_offload <= 0.0] == 0.0)
+        assert np.all(state.delta[(alloc.uplink_offload > 0.0) & (alloc.gamma <= 0.0)] == 1.0)
+        t_local = costs.local_time(pop, state, dim, cfg)
+        t_edge = costs.edge_time_user(pop, state, cfg)
+        gap, slower = t_local - t_edge, np.maximum(t_local, t_edge)
+        for d, g, s in zip(state.delta[free], gap[free], slower[free]):
+            if d == 0.0:     # the edge is slower even without any of the user's rows
+                assert g <= 1e-9 * s
+            elif d == 1.0:   # local is slower even with all rows at the edge
+                assert g >= -1e-9 * s
+            else:
+                assert abs(g) <= 1e-9 * s
+            seen.add(d if d in (0.0, 1.0) else "interior")
+    assert "interior" in seen
 
 
 def test_delta_answers_are_fixed_points_of_the_clamp():
@@ -149,9 +191,10 @@ def test_delta_answers_are_fixed_points_of_the_clamp():
     ("nan", 1, make_alloc(2, gamma=[0.5, 1e-320]), SystemConfig()),
     # an upload share of 1e-320 overflows the upload time alone
     ("inf", 1, make_alloc(2, upload=[0.5, 1e-320]), SystemConfig()),
-    # the others' previous offload overflows the edge load
-    ("-inf", 0, make_alloc(4, delta=[0.5, 1.0, 1.0, 1.0], gamma=1.0),
-     SystemConfig(cycles_per_byte=1e305)),
+    # each user's edge load is finite, but that of the three forced to 1 (gamma = 0)
+    # overflows their sum
+    ("-inf", 0, make_alloc(4, gamma=[1.0, 0.0, 0.0, 0.0]),
+     SystemConfig(cycles_per_byte=1e305, edge_cpu_hz=1.0)),
     # in a stack, the user is named by its index on the last axis
     ("nan", 1, stack([make_alloc(2), make_alloc(2, gamma=[0.5, 1e-320]), make_alloc(2)]),
      SystemConfig()),
@@ -178,7 +221,7 @@ def test_delta_requires_positive_allocations():
     assert solve_delta(pop, forced, dim, cfg)[:2].tolist() == [1.0, 0.0]
 
 
-def test_delta_on_a_stack_sweeps_each_instance_as_if_alone():
+def test_delta_on_a_stack_solves_each_instance_as_if_alone():
     pop, alloc, dims, cfg = verify.random_delta_instances(np.random.default_rng(4), 12)
     alone = [solve_delta(verify.instance(pop, k), verify.instance(alloc, k), dim, cfg)
              for k, dim in enumerate(dims[:, 0].tolist())]
@@ -187,6 +230,11 @@ def test_delta_on_a_stack_sweeps_each_instance_as_if_alone():
     first, dim = verify.instance(pop, 0), int(dims[0, 0])
     alone = [solve_delta(first, verify.instance(alloc, k), dim, cfg) for k in range(12)]
     assert np.array_equal(solve_delta(first, alloc, dim, cfg), alone)
+    # wide games, clamped on both sides and with forced users, under one configuration
+    rng = np.random.default_rng(5)
+    pops, allocs, dims, cfgs = zip(*(random_game(rng, 200) for _ in range(4)))
+    alone = [solve_delta(p, a, d, cfgs[0]) for p, a, d in zip(pops, allocs, dims)]
+    assert np.array_equal(solve_delta(stack(pops), stack(allocs), np.c_[list(dims)], cfgs[0]), alone)
 
 
 def test_uplink_on_a_stack_shares_within_each_instance():

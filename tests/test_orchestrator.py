@@ -318,7 +318,7 @@ def test_run_rejects_a_test_set_of_another_shape(n_features, n_classes):
         run_proposed(pop, datasets, cfg, 2, test_dataset=test)
 
 
-def sweep_instance():
+def game_instance():
     """Six users: four interior, user 2 without offload bandwidth, user 3 out of budget."""
     cfg = SystemConfig()
     gains = [1e-6, 3e-7, 2e-6, 5e-7, 1e-6, 8e-7]
@@ -330,24 +330,22 @@ def sweep_instance():
 
 
 def best_responses(pop, alloc, dim, cfg):
-    """Every CPU fraction, then the offload sweep, as one round begins."""
+    """Every CPU fraction, then the offload equilibrium, as one round begins."""
     gamma, _ = solve_gamma(pop, alloc, dim, cfg)
     alloc = replace(alloc, gamma=gamma)
     return replace(alloc, delta=solve_delta(pop, alloc, dim, cfg))
 
 
-def test_sweep_is_sequential_in_user_id_order():
-    pop, alloc, dim, cfg = sweep_instance()
+def test_offload_equilibrium_balances_every_interior_user():
+    pop, alloc, dim, cfg = game_instance()
     new = best_responses(pop, alloc, dim, cfg)
     assert new.delta[2] == 0.0
     assert new.gamma[3] == 0.0 and new.delta[3] == 1.0
     t_local = costs.local_time(pop, new, dim, cfg)
+    t_edge = costs.edge_time_user(pop, new, cfg)
     for i in (0, 1, 4, 5):
+        # user i answers the others' fractions of the same equilibrium
         assert 0.0 < new.delta[i] < 1.0
-        # user i answered the fresh offload fractions of lower ids and the
-        # previous ones of higher ids
-        seen = np.where(np.arange(6) <= i, new.delta, alloc.delta)
-        t_edge = costs.edge_time_user(pop, replace(new, delta=seen), cfg)
         assert t_local[i] == pytest.approx(t_edge[i], rel=1e-9)
 
 
@@ -579,6 +577,16 @@ def desk_game(seed):
                                                       datasets[0].n_classes)
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_no_user_is_locked_at_zero_offload_after_forty_rounds(seed):
+    # One sweep answering the random round-0 fractions leaves 21 (seed 0) and
+    # 13 (seed 7) of these users at delta = 0, where their zero offload share
+    # then holds them; the equilibrium leaves none there.
+    pop, cfg, dim = desk_game(seed)
+    final = resource_trace(pop, cfg, dim, cfg.rng_seed, rounds=40)[-1]   # run_proposed's draw
+    assert not (final.delta == 0.0).any(), np.flatnonzero(final.delta == 0.0)
+
+
 def assert_close_allocations(got, expected):
     assert len(got) == len(expected)
     for k, (a, b) in enumerate(zip(got, expected)):
@@ -618,13 +626,13 @@ def test_scaling_cycles_and_clocks_by_k_and_capacitance_by_k_cubed_leaves_costs(
 
 @pytest.mark.parametrize("seed", METAMORPHIC_SEEDS)
 def test_permuting_the_users_permutes_the_closed_forms_and_costs(seed):
-    # solve_delta's sweep runs in user order, so only the other closed forms commute
     pop, cfg, dim = desk_game(seed)
     perm = np.random.default_rng(seed).permutation(pop.n_users)
     moved_pop = replace(pop, **{name: getattr(pop, name)[perm] for name in pop._FIELDS})
     for k, alloc in enumerate(resource_trace(pop, cfg, dim, seed)):
         moved = AllocationState(**{name: getattr(alloc, name)[perm] for name in FIELDS})
         pairs = [(solve_gamma(moved_pop, moved, dim, cfg)[0], solve_gamma(pop, alloc, dim, cfg)[0]),
+                 (solve_delta(moved_pop, moved, dim, cfg), solve_delta(pop, alloc, dim, cfg)),
                  *zip(solve_uplink(moved_pop, moved, dim, cfg), solve_uplink(pop, alloc, dim, cfg)),
                  (costs.total_energy(moved_pop, moved, dim, cfg),
                   costs.total_energy(pop, alloc, dim, cfg))]

@@ -20,34 +20,41 @@ from mecfl.types import (
 from helpers import balance_of_first, make_alloc, make_pop
 
 
-# The offload sweep projects each balance point onto the unit interval inline
-# in solve_delta; user 0 answers first, against the others' previous fractions.
+# solve_delta projects each balance point onto the unit interval inline; at
+# the equilibrium, user 0's balance point answers the others' equilibrium fractions.
+def equilibrium(pop, alloc, dim, cfg):
+    return replace(alloc, delta=solve_delta(pop, alloc, dim, cfg))
+
+
 def test_project_clamps_above():
     # enormous edge CPU and uplink: only the local training term survives
     cfg = SystemConfig(edge_cpu_hz=1e30)
     pop = make_pop(gain=1e-2, samples=1, cpu=1e8)
-    alloc = make_alloc(1, delta=0.3, gamma=1.0, offload=[0.5], upload=[0.5])
+    alloc = equilibrium(pop, make_alloc(1, delta=0.3, gamma=1.0, offload=[0.5], upload=[0.5]),
+                        10000, cfg)
     assert balance_of_first(pop, alloc, 10000, cfg) > 1.0
-    assert solve_delta(pop, alloc, 10000, cfg)[0] == 1.0
+    assert alloc.delta[0] == 1.0
 
 
 def test_project_clamps_below():
     # the other user's offloaded rows overload a slow edge
     cfg = SystemConfig(edge_cpu_hz=1e6)
     pop = make_pop(samples=[100, 100000])
-    alloc = make_alloc(2, delta=[0.5, 1.0], gamma=1.0, offload=[0.4, 0.4], upload=[0.4, 0.4])
+    alloc = equilibrium(pop, make_alloc(2, delta=[0.5, 1.0], gamma=1.0, offload=[0.4, 0.4],
+                                        upload=[0.4, 0.4]), 100, cfg)
     assert balance_of_first(pop, alloc, 100, cfg) < 0.0
-    d = solve_delta(pop, alloc, 100, cfg)[0]
+    d = alloc.delta[0]
     assert d == 0.0 and math.copysign(1.0, d) == 1.0   # +0, not -0
 
 
 def test_project_interior_fixed_point():
     cfg = SystemConfig()
     for n in (1, 2):
-        pop, alloc = make_pop(n), make_alloc(n)
+        pop = make_pop(n)
+        alloc = equilibrium(pop, make_alloc(n), 200, cfg)
         balance = balance_of_first(pop, alloc, 200, cfg)
         assert 0.0 < balance < 1.0
-        assert solve_delta(pop, alloc, 200, cfg)[0] == balance   # keeps its bits
+        assert alloc.delta[0] == pytest.approx(balance, rel=1e-12)
 
 
 def test_validate_allocation_accepts_feasible_point():
