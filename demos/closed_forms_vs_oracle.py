@@ -20,8 +20,10 @@ from mecfl.optimizer import solve_delta, solve_gamma, solve_uplink
 
 rng = np.random.default_rng(2024)
 
-# verify draws its instances as stacks: fields shaped (instances, users) and
-# one weight dimension per instance; here each stack holds one instance.
+# verify draws its instances as stacks, one draw per field for all of them:
+# fields shaped (instances, users) and one weight dimension per instance; here
+# each stack holds one instance. The oracles take such stacks whole, so one
+# call certifies every instance; this demo picks out its one instance.
 
 # --- CPU fraction: minimize local time subject to the energy budget -------
 pop, alloc, dims, cfg, transmission = verify.random_gamma_instances(rng, 1)

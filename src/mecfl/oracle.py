@@ -8,12 +8,12 @@ only double the typo risk); the independence lies in the optimization
 step itself.
 
 Candidates are scored as one batch, not one at a time: the simplex search
-puts every composition of a simplex into one stacked
-:class:`AllocationState` and makes one cost-model call per simplex,
-``finite_diff`` evaluates its stencil at an array of points in one call of
-``f``, ``bisect_root`` bisects an array of lanes at once, and
-``grid_minimize`` scores a stack of problems on one ``linspace`` grid in
-one call of ``f``.
+puts every composition of a simplex, for every instance of a stack, into
+one stacked :class:`AllocationState` (candidates on a new leading axis)
+and makes one cost-model call per simplex, ``finite_diff`` evaluates its
+stencil at an array of points in one call of ``f``, ``bisect_root``
+bisects an array of lanes at once, and ``grid_minimize`` scores a stack of
+problems on one ``linspace`` grid in one call of ``f``.
 ``bisect_root`` is scipy's bisection written out, with the same roots bit
 for bit, so importing the package does not load ``scipy.optimize``.
 """
@@ -33,6 +33,12 @@ from .types import AllocationState, Population, SystemConfig, _require_positive
 
 _BISECT_HALVINGS = 100                    # scipy's default maxiter
 _BISECT_RTOL = 4 * sys.float_info.epsilon  # scipy's default rtol
+
+
+def _first(missing: np.ndarray, noun: str) -> str:
+    """`` for <noun> <index>`` naming the first flagged entry of a stack; "" when 0-d."""
+    where = [int(i) for i in np.argwhere(missing)[0]]
+    return f" for {noun} {where[0] if len(where) == 1 else tuple(where)}" if where else ""
 
 
 def grid_minimize(f, lo: float, hi: float, points: int, constraint=None):
@@ -64,9 +70,7 @@ def grid_minimize(f, lo: float, hi: float, points: int, constraint=None):
     best_y = scores.min(axis=-1)
     missing = np.isinf(best_y)
     if missing.any():
-        where = [int(i) for i in np.argwhere(missing)[0]]   # empty for a 1-d result
-        raise SimulationError("grid_minimize: no feasible grid point" + (
-            f" for problem {where[0] if len(where) == 1 else tuple(where)}" if where else ""))
+        raise SimulationError("grid_minimize: no feasible grid point" + _first(missing, "problem"))
     if best_y.ndim == 0:
         return float(xs[best]), float(best_y)
     return xs[best], best_y
@@ -151,29 +155,32 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     return np.column_stack([heads[fits], total - used[fits]])
 
 
-def _fastest(candidates: np.ndarray, refused: np.ndarray, per_user_time) -> int | None:
-    """Index of the candidate whose slowest user finishes first, or None.
+def _over_users(ufunc, values: np.ndarray) -> np.ndarray:
+    """``ufunc`` reduced over the users, the last axis, as one call on the user slices:
+    along a last axis of 2 or 3 users numpy runs one short inner loop per row, about
+    20x slower at 1001 x 50 x 2."""
+    return ufunc.reduce(list(np.moveaxis(values, -1, 0)))
 
-    ``per_user_time`` maps a stack of candidates to per-user times in one
-    cost-model call. ``refused`` flags, per candidate and user, what the
-    cost model refuses with :class:`DegenerateDivisor` (it refuses a whole
-    stack for one such candidate): those candidates stay out of the call
-    and score +inf. If the call still raises, no candidate avoids the
-    degeneracy and every one scores +inf. NaN scores +inf too; ties take
-    the first candidate.
+
+def _fastest(candidates: np.ndarray, refused: np.ndarray, per_user_time) -> np.ndarray:
+    """Per instance, the index of the candidate whose slowest user finishes first, or -1.
+
+    ``candidates`` ``(candidates, 1, ..., n)`` broadcasts against the
+    instances; ``refused`` ``(candidates, ...)`` flags, per candidate and
+    instance, what the cost model refuses with :class:`DegenerateDivisor`
+    (it refuses a whole stack for one such candidate). A refused candidate
+    is swapped for uniform shares in the one call of ``per_user_time`` and
+    scores +inf for its own instance only. NaN scores +inf too; ties take
+    the first candidate; -1 marks an instance with no finite score.
     """
-    scores = np.full(len(candidates), np.inf)
-    kept = ~refused.any(axis=-1)
-    try:
-        worst = per_user_time(candidates[kept]).max(axis=-1)
-    except DegenerateDivisor:
-        return None
-    scores[kept] = np.where(np.isnan(worst), np.inf, worst)
-    best = int(np.argmin(scores))
-    return best if np.isfinite(scores[best]) else None
+    uniform = np.full(candidates.shape[-1], 1.0 / candidates.shape[-1])
+    worst = _over_users(np.maximum,
+                        per_user_time(np.where(refused[..., None], uniform, candidates)))
+    scores = np.where(refused | np.isnan(worst), np.inf, worst)
+    return np.where(np.isfinite(scores.min(axis=0)), np.argmin(scores, axis=0), -1)
 
 
-def simplex_minimize_maxtime(pop: Population, alloc: AllocationState, dim: int,
+def simplex_minimize_maxtime(pop: Population, alloc: AllocationState, dim,
                              cfg: SystemConfig, resolution: float):
     """Exhaustive search certifying tiny bandwidth allocations (<= 3 users).
 
@@ -183,10 +190,20 @@ def simplex_minimize_maxtime(pop: Population, alloc: AllocationState, dim: int,
     only on the upload shares, so each simplex face (shares summing to 1;
     times only improve with more bandwidth) is searched on its own grid.
     Offload fractions, CPU fractions, and multipliers are taken from
-    ``alloc`` and held fixed. Each face is scored as one stacked candidate
-    allocation of its (steps+1)(steps+2)/2 compositions at 3 users, for
-    steps = round(1 / resolution); building them takes a grid of (steps+1)**2
-    index pairs first, so memory grows with that.
+    ``alloc`` and held fixed.
+
+    Takes one instance (1-d fields, a scalar ``dim``) or a stack of them
+    (fields ``(..., n)``, ``dim`` a scalar or ``(..., 1)``) and returns the
+    offload and upload shares, each of the fields' shape; each instance gets
+    the bits of a call on its own. Each face is scored for every instance in
+    one cost-model call on a stacked candidate allocation ``(candidates, ...,
+    n)``: its (steps+1)(steps+2)/2 compositions at 3 users, for steps =
+    round(1 / resolution), so memory per face is candidates x instances x
+    users, 1001 x 50 x 2 at the full uplink check of ``verify``; building
+    the compositions takes a grid of (steps+1)**2 index pairs first. An
+    instance with no admissible candidate, or one the cost model refuses
+    whatever its shares (e.g. gamma = 0 with local data), raises
+    :class:`SimulationError`; the first names its stack index.
     """
     n = pop.n_users
     if n > 3:
@@ -196,14 +213,21 @@ def simplex_minimize_maxtime(pop: Population, alloc: AllocationState, dim: int,
                               f"and <= 1, got {resolution!r}")
     steps = int(round(1.0 / resolution))
     shares = _compositions(steps, n) / steps
-    starved = shares <= 0.0
-    best_offload = _fastest(
-        shares, starved & (alloc.delta > 0.0),
-        lambda s: costs.edge_time_user(pop, replace(alloc, uplink_offload=s), cfg))
-    best_upload = _fastest(
-        shares, starved,
-        lambda s: costs.local_time(pop, replace(alloc, uplink_weight=s), dim, cfg))
-    if best_offload is None or best_upload is None:
-        raise SimulationError("simplex_minimize_maxtime: every grid point was degenerate")
-    offload, upload = shares[[best_offload, best_upload]]
-    return offload, upload
+    stacked = max(pop.dataset_size.ndim, alloc.delta.ndim, np.ndim(dim)) - 1   # instance axes
+    candidates = shares.reshape(shares.shape[:1] + (1,) * stacked + (n,))
+    starved = candidates <= 0.0
+    try:
+        best_offload = _fastest(
+            candidates, _over_users(np.logical_or, starved & (alloc.delta > 0.0)),
+            lambda s: costs.edge_time_user(pop, replace(alloc, uplink_offload=s), cfg))
+        best_upload = _fastest(
+            candidates, starved.any(axis=-1),
+            lambda s: costs.local_time(pop, replace(alloc, uplink_weight=s), dim, cfg))
+    except DegenerateDivisor as err:
+        raise SimulationError(f"simplex_minimize_maxtime: every grid point was degenerate "
+                              f"({err})") from err
+    missing = (best_offload < 0) | (best_upload < 0)
+    if missing.any():
+        raise SimulationError("simplex_minimize_maxtime: every grid point was degenerate"
+                              + _first(missing, "instance"))
+    return shares[best_offload], shares[best_upload]

@@ -4,13 +4,17 @@ Each check draws randomized instances from its own fixed seed, solves them
 twice (closed form and oracle) and reports one :class:`CheckResult`; its
 one parameter is its count. The CLI and the acceptance tests run these.
 
-A check draws its instances one after another from its seeded stream and
-stacks them (fields ``(instances, users)``, weight dimensions
-``(instances, 1)``); each closed form, the costs, the bisection and the
-finite differences then run once on the stack: the CPU-fraction check
-bisects every budget-bound instance at once and cross-checks all of them
-on one stacked grid. Only the simplex oracle of the bandwidth check runs
-per instance.
+A check draws its instances as a stack, one field at a time: each
+population field of all instances is one draw from its seeded stream,
+shaped ``(instances, users)``, and so is each further column (fractions,
+shares, weight dimensions ``(instances, 1)``). Since one draw covers
+every instance, the instances of a fast check are not the first
+instances of its full check. Each closed form, the costs, the bisection,
+the finite differences and the oracles then run once on the stack: the
+CPU-fraction check bisects every budget-bound instance at once and
+cross-checks all of them on one stacked grid, and the bandwidth check
+scores every instance in one simplex search. No check loops over its
+instances in Python.
 
 The bandwidth check constructs instances whose multipliers are consistent
 with the optimum they encode (offload multipliers proportional to the
@@ -60,29 +64,27 @@ class CheckResult:
 
 
 def _draw_instances(rng, count: int, n_users: int, draw_rest):
-    """``count`` instances, each drawing its users in turn (transmit power, channel
-    gain, CPU rate, dataset size), then ``draw_rest(rng)``; stacked, 1 J placeholder budgets."""
-    users, rest = [], []
-    for _ in range(count):
-        users.append([(rng.uniform(0.1, 0.5), 10.0 ** rng.uniform(-8.0, -5.0),
-                       rng.uniform(0.8e9, 3.0e9), rng.integers(100, 2001))
-                      for _ in range(n_users)])
-        rest.append(draw_rest(rng))
-    power, gain, cpu, size = np.moveaxis(np.array(users, dtype=float), -1, 0)
-    pop = Population(power, gain, cpu, np.ones_like(power), size)
-    return pop, [np.array(column) for column in zip(*rest)]
+    """``count`` instances of ``n_users`` users: each population field (transmit power,
+    channel gain, CPU rate, dataset size) in one draw shaped ``(count, n_users)``, then
+    ``draw_rest(rng, count)``, whole columns; 1 J placeholder budgets."""
+    shape = (count, n_users)
+    power, gain = rng.uniform(0.1, 0.5, shape), 10.0 ** rng.uniform(-8.0, -5.0, shape)
+    cpu, size = rng.uniform(0.8e9, 3.0e9, shape), rng.integers(100, 2001, shape)
+    return Population(power, gain, cpu, np.ones(shape), size), draw_rest(rng, count)
 
 
 def _one_user_instances(rng, count: int, delta, gamma, share, *extra):
-    """``count`` one-user instances: each draws its user, delta, gamma and both shares
-    uniform on the given ranges, its weight dimension, then one uniform per ``extra``
-    range. Returns the population, the allocations, the dimensions and the extras."""
-    pop, (d, g, off, up, dims, *rest) = _draw_instances(rng, count, 1, lambda rng: (
-        rng.uniform(*delta), rng.uniform(*gamma), rng.uniform(*share), rng.uniform(*share),
-        rng.integers(100, 8001), *(rng.uniform(*bounds) for bounds in extra)))
-    alloc = AllocationState(delta=d[:, None], gamma=g[:, None], uplink_offload=off[:, None],
-                            uplink_weight=up[:, None], lambda_offload=[0.5], lambda_local=[0.5])
-    return pop, alloc, dims[:, None], rest
+    """``count`` one-user instances: their users, then delta, gamma and both shares
+    uniform on the given ranges, their weight dimensions and one uniform column per
+    ``extra`` range. Returns the population, the allocations, the dimensions and the extras."""
+    column = (count, 1)
+    pop, (d, g, off, up, dims, *rest) = _draw_instances(rng, count, 1, lambda rng, count: (
+        rng.uniform(*delta, column), rng.uniform(*gamma, column), rng.uniform(*share, column),
+        rng.uniform(*share, column), rng.integers(100, 8001, column),
+        *(rng.uniform(*bounds, column) for bounds in extra)))
+    alloc = AllocationState(delta=d, gamma=g, uplink_offload=off, uplink_weight=up,
+                            lambda_offload=[0.5], lambda_local=[0.5])
+    return pop, alloc, dims, rest
 
 
 def instance(stack, index):
@@ -105,13 +107,9 @@ def random_gamma_instances(rng, count: int):
     transmission = (costs.transmit_energy(power, alloc.delta * data, alloc.uplink_offload, rate)
                     + costs.transmit_energy(power, costs.weights_bytes(dims, cfg),
                                             alloc.uplink_weight, rate))
-    # Per instance in Python floats, whose ** is C's pow: numpy squares u * cpu by
-    # multiplying, which differs in the last bit for about one product in a thousand.
-    compute_at_target = [
-        costs.training_energy(cfg.chip_capacitance, kept, cfg.cycles_per_byte, u, cpu)
-        for kept, u, cpu in zip((1.0 - alloc.delta[:, 0]) * data[:, 0], target.tolist(),
-                                pop.cpu_hz[:, 0].tolist())]
-    pop = replace(pop, energy_budget=transmission + np.array(compute_at_target)[:, None])
+    compute_at_target = costs.training_energy(cfg.chip_capacitance, (1.0 - alloc.delta) * data,
+                                              cfg.cycles_per_byte, target, pop.cpu_hz)
+    pop = replace(pop, energy_budget=transmission + compute_at_target)
     return pop, alloc, dims, cfg, transmission
 
 
@@ -162,14 +160,15 @@ def check_gamma_closed_form(n_instances: int = 200) -> CheckResult:
 def random_delta_instances(rng, count: int):
     """``count`` three-user instances with random fractions and shares, stacked."""
     pop, (offload, upload, delta, gamma, dims) = _draw_instances(
-        rng, count, 3, lambda rng: (rng.dirichlet(np.ones(3)) * rng.uniform(0.7, 1.0),
-                                    rng.dirichlet(np.ones(3)) * rng.uniform(0.7, 1.0),
-                                    rng.uniform(0.05, 0.95, 3), rng.uniform(0.2, 1.0, 3),
-                                    rng.integers(100, 8001)))
+        rng, count, 3, lambda rng, count: (
+            rng.dirichlet(np.ones(3), count) * rng.uniform(0.7, 1.0, (count, 1)),
+            rng.dirichlet(np.ones(3), count) * rng.uniform(0.7, 1.0, (count, 1)),
+            rng.uniform(0.05, 0.95, (count, 3)), rng.uniform(0.2, 1.0, (count, 3)),
+            rng.integers(100, 8001, (count, 1))))
     alloc = AllocationState(delta=delta, gamma=gamma, uplink_offload=offload,
                             uplink_weight=upload, lambda_offload=np.full(3, 0.5),
                             lambda_local=np.full(3, 0.5))
-    return pop, alloc, dims[:, None], _DEFAULT_CONFIG
+    return pop, alloc, dims, _DEFAULT_CONFIG
 
 
 def _imbalance(pop, alloc, dims, cfg, user, d):
@@ -216,14 +215,14 @@ def random_uplink_instances(rng, count: int):
     """``count`` two-user instances whose multipliers encode the max-time optimum, stacked."""
     cfg = _DEFAULT_CONFIG
     pop, (dims, delta, slack) = _draw_instances(
-        rng, count, 2, lambda rng: (rng.integers(100, 8001), rng.uniform(0.2, 0.9, 2),
-                                    rng.uniform(0.3, 0.95)))
-    dims = dims[:, None]
+        rng, count, 2, lambda rng, count: (rng.integers(100, 8001, (count, 1)),
+                                           rng.uniform(0.2, 0.9, (count, 2)),
+                                           rng.uniform(0.3, 0.95, (count, 1))))
     rates, data, cpu = base_rate(pop, cfg), costs.dataset_bytes(pop, cfg), pop.cpu_hz
     # One shared local-compute time makes the upload-side optimum purely
     # proportional; gamma realizes it.
     compute_floor = (1.0 - delta) * data * cfg.cycles_per_byte / cpu
-    common_time = compute_floor.max(axis=-1, keepdims=True) / slack[:, None]
+    common_time = compute_floor.max(axis=-1, keepdims=True) / slack
     gamma = (1.0 - delta) * data * cfg.cycles_per_byte / (common_time * cpu)
     offload_load = delta * data / rates
     upload_load = costs.weights_bytes(dims, cfg) / rates
@@ -235,13 +234,11 @@ def random_uplink_instances(rng, count: int):
 
 
 def check_uplink_closed_form(n_instances: int = 50) -> CheckResult:
-    """Bandwidth-share closed form, on the stack, vs the exhaustive simplex search per instance."""
+    """Bandwidth-share closed form vs the exhaustive simplex search, both on the stack."""
     rng = np.random.default_rng(37)
     pops, allocs, dims, cfg = random_uplink_instances(rng, n_instances)
     closed = np.array(solve_uplink(pops, allocs, dims, cfg))   # (phase, instance, user)
-    oracle = np.stack([simplex_minimize_maxtime(instance(pops, k), instance(allocs, k), dim, cfg,
-                                                SIMPLEX_RESOLUTION)
-                       for k, dim in enumerate(dims[:, 0].tolist())], axis=1)
+    oracle = np.array(simplex_minimize_maxtime(pops, allocs, dims, cfg, SIMPLEX_RESOLUTION))
     worst_gap = float(np.abs(closed - oracle).max())
     worst_sum = float(np.abs(closed.sum(axis=-1) - 1.0).max())
     passed = worst_gap <= SIMPLEX_RESOLUTION + 1e-12 and worst_sum <= SIMPLEX_SUM_TOL
@@ -269,14 +266,13 @@ def _analytic_first_derivatives(pop, alloc, dims, cfg):
 def check_curvature_and_monotonicity(points_per_pair: int = 1000) -> CheckResult:
     """Finite-difference convexity and first-derivative signs of the costs."""
     rng, cfg = np.random.default_rng(41), _DEFAULT_CONFIG
-    ranges = (0.1, 0.9), (0.05, 0.95), (0.05, 0.95)   # of delta, gamma and the shares
-    # The pairs are read off one instance that is then dropped: drawing it
-    # keeps every later point, and so the certificates, those of the seed.
-    pairs = list(_analytic_first_derivatives(*_one_user_instances(rng, 1, *ranges)[:3], cfg))
+    # delta, gamma and the shares; every derivative pair is checked at the same points
+    pop, alloc, dims, _ = _one_user_instances(rng, points_per_pair, (0.1, 0.9), (0.05, 0.95),
+                                              (0.05, 0.95))
+    analytic = _analytic_first_derivatives(pop, alloc, dims, cfg)
     min_fd2 = np.inf
-    for quantity, variable in pairs:
-        pop, alloc, dims, _ = _one_user_instances(rng, points_per_pair, *ranges)
-        reference = _analytic_first_derivatives(pop, alloc, dims, cfg)[(quantity, variable)][:, 0]
+    for (quantity, variable), reference in analytic.items():
+        reference = reference[:, 0]
         cost = costs.total_energy if quantity == "energy" else costs.local_time
 
         def evaluate(xs):   # one candidate per stencil point and instance, as one stack
@@ -294,7 +290,7 @@ def check_curvature_and_monotonicity(points_per_pair: int = 1000) -> CheckResult
                 f"analytic={reference[k]:.3g}" if wrong_sign[k] else
                 f"negative curvature for {quantity} in {variable}: {fd2[k]:.3g}"))
         min_fd2 = min(min_fd2, fd2.min())
-    return CheckResult("curvature-monotonicity", True, f"{len(pairs)} derivative pairs x "
+    return CheckResult("curvature-monotonicity", True, f"{len(analytic)} derivative pairs x "
                        f"{points_per_pair} points: signs match, min curvature {min_fd2:.3g}")
 
 

@@ -36,6 +36,21 @@ def make_pop(n=1, power=0.2, gain=1e-6, cpu=1.2e9, budget=50.0, samples=1000) ->
                       energy_budget=budget.ravel(), dataset_size=samples.ravel())
 
 
+class CountingGenerator:
+    """A ``Generator`` that counts the calls of each of its methods into ``calls``."""
+
+    def __init__(self, generator, calls):
+        self._generator, self._calls = generator, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._generator, name)
+
+        def counted(*args, **kwargs):
+            self._calls[name] += 1
+            return method(*args, **kwargs)
+        return counted
+
+
 def join(pops) -> Population:
     """The users of several populations, in order, as one population."""
     pops = list(pops)

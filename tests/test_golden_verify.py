@@ -10,6 +10,7 @@ Regenerate both (only for an intended change of the certificates) with
     PYTHONPATH=src python tests/test_golden_verify.py
 """
 
+import collections
 import dataclasses
 import json
 from pathlib import Path
@@ -20,7 +21,7 @@ import pytest
 from mecfl import verify
 from mecfl.types import AllocationState, Population
 
-from helpers import GOLDEN_VERIFY_FULL, record_certificates
+from helpers import GOLDEN_VERIFY_FULL, CountingGenerator, record_certificates
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_verify_fast.json"
 
@@ -54,11 +55,30 @@ def test_verify_fast_matches_golden_certificates(certificates):
 
 
 def test_verify_builds_one_stack_per_check_not_one_object_per_instance(fast_run):
-    # the checks certify each instance set as one stack (81 allocations and 17
-    # populations); only the simplex oracle takes its 5 instances one by one.
-    # The offload sweep run per instance again would add 20 of each.
+    # every check certifies its instance set as one stack: 64 allocations (42
+    # of them the delta check's bisection, one per evaluation) and 7 populations.
+    # The simplex oracle run per instance again would add 13 and 5 of them.
     _, built = fast_run
-    assert built[AllocationState] <= 90 and built[Population] <= 20, built
+    assert built == {AllocationState: 64, Population: 7}, built
+
+
+@pytest.mark.parametrize("check, fast, full", [
+    ("check_gamma_closed_form", 20, 200),
+    ("check_delta_closed_form", 20, 200),
+    ("check_uplink_closed_form", 5, 50),
+    ("check_curvature_and_monotonicity", 100, 1000),
+])
+def test_every_check_makes_as_many_generator_calls_at_any_count(monkeypatch, check, fast, full):
+    # each field of all instances is one draw; a loop over instances draws per instance
+    default_rng = verify.np.random.default_rng
+    counts = []
+    for count in (fast, full):
+        calls = collections.Counter()
+        monkeypatch.setattr(verify.np.random, "default_rng",
+                            lambda seed: CountingGenerator(default_rng(seed), calls))
+        assert getattr(verify, check)(count).passed
+        counts.append(calls)
+    assert counts[0] == counts[1] and sum(counts[0].values()) <= 12, counts
 
 
 def test_verify_calls_each_closed_form_once_per_check(monkeypatch):
@@ -127,6 +147,51 @@ def test_delta_check_fails_one_user_off_its_best_response_by_1e_7(monkeypatch, w
 
     result = _delta_mutant(monkeypatch, move_one)
     assert not result.passed, result.detail
+
+
+def test_uplink_check_makes_one_oracle_call_on_the_stack(monkeypatch):
+    calls = []
+
+    def counted(pop, *args, search=verify.simplex_minimize_maxtime):
+        calls.append(pop.transmit_power.shape)
+        return search(pop, *args)
+
+    monkeypatch.setattr(verify, "simplex_minimize_maxtime", counted)
+    assert verify.check_uplink_closed_form(n_instances=5).passed
+    assert calls == [(5, 2)]
+
+
+def test_uplink_check_builds_as_many_objects_at_any_instance_count():
+    _, one = _counting_constructions(lambda: verify.check_uplink_closed_form(n_instances=1))
+    _, many = _counting_constructions(lambda: verify.check_uplink_closed_form(n_instances=50))
+    assert one == many
+
+
+def test_uplink_check_fails_two_upload_shares_swapped_in_one_instance(monkeypatch):
+    # the most unequal instance, so the swap moves its shares by more than the resolution
+    def mutant(*args, solve=verify.solve_uplink):
+        offload, upload = solve(*args)
+        upload = upload.copy()
+        k = int(np.argmax(np.abs(upload[:, 0] - upload[:, 1])))
+        upload[k] = upload[k, ::-1]
+        return offload, upload
+
+    monkeypatch.setattr(verify, "solve_uplink", mutant)
+    result = verify.check_uplink_closed_form(n_instances=5)
+    assert not result.passed, result.detail
+
+
+def test_curvature_check_fails_one_analytic_derivative_of_the_wrong_sign(monkeypatch):
+    def mutant(*args, derive=verify._analytic_first_derivatives):
+        analytic = derive(*args)
+        flipped = analytic[("local_time", "gamma")].copy()
+        flipped[7] = -flipped[7]
+        return {**analytic, ("local_time", "gamma"): flipped}
+
+    monkeypatch.setattr(verify, "_analytic_first_derivatives", mutant)
+    result = verify.check_curvature_and_monotonicity(points_per_pair=100)
+    assert not result.passed
+    assert result.detail.startswith("sign mismatch for d(local_time)/d(gamma)"), result.detail
 
 
 def test_curvature_check_builds_as_many_objects_at_any_point_count():

@@ -26,7 +26,7 @@ from mecfl.learning import (
 )
 from mecfl.types import ModelState
 
-from helpers import loss_gradient
+from helpers import CountingGenerator, loss_gradient
 
 
 def random_dataset(rng, n=40, n_features=3, n_classes=2):
@@ -634,21 +634,6 @@ def test_an_empty_population_splits_and_trains_to_nothing():
     assert out.shape == (0, w0.size)
 
 
-class _CountingGenerator:
-    """A ``Generator`` that counts the calls of each of its methods into ``calls``."""
-
-    def __init__(self, generator, calls):
-        self._generator, self._calls = generator, calls
-
-    def __getattr__(self, name):
-        method = getattr(self._generator, name)
-
-        def counted(*args, **kwargs):
-            self._calls[name] += 1
-            return method(*args, **kwargs)
-        return counted
-
-
 def test_a_run_of_equal_sizes_draws_in_one_call(monkeypatch):
     # a per-user loop of draws fails this count; the row sets train in runs
     # 50 x 3, 49, 50, 49 x 2, 33 and 64 x 2
@@ -657,7 +642,7 @@ def test_a_run_of_equal_sizes_draws_in_one_call(monkeypatch):
     calls = collections.Counter()
     default_rng = learning.np.random.default_rng
     monkeypatch.setattr(learning.np.random, "default_rng",
-                        lambda seed: _CountingGenerator(default_rng(seed), calls))
+                        lambda seed: CountingGenerator(default_rng(seed), calls))
     split_dataset(np.full(800, 50), np.full(800, 0.1), 7)
     assert calls == {"permuted": 1}
     calls.clear()

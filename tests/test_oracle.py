@@ -8,7 +8,7 @@ from mecfl.oracle import bisect_root, finite_diff, grid_minimize, simplex_minimi
 from mecfl.types import SystemConfig
 from dataclasses import replace
 
-from helpers import make_alloc, make_pop
+from helpers import make_alloc, make_pop, stack
 
 
 def test_grid_finds_quadratic_vertex():
@@ -265,6 +265,72 @@ def test_batched_simplex_scores_nan_as_infinite(monkeypatch):
 
 
 # --------------------------------------------------------------------------
+# a stack of instances in one simplex search, each as if searched on its own
+# --------------------------------------------------------------------------
+
+def _assert_stack_equals_single_calls(pop, alloc, dims, cfg, resolution):
+    """One stacked call vs one call per instance, bit for bit; ``dims`` is a scalar
+    or one per instance."""
+    stacked = simplex_minimize_maxtime(pop, alloc, dims, cfg, resolution)
+    dim_of = np.broadcast_to(dims, pop.transmit_power.shape[:1] + (1,))
+    singles = [simplex_minimize_maxtime(verify.instance(pop, k), verify.instance(alloc, k),
+                                        int(dim_of[k, 0]), cfg, resolution)
+               for k in range(len(dim_of))]
+    for phase, got in enumerate(stacked):
+        assert got.shape == pop.transmit_power.shape
+        assert np.array_equal(got, [single[phase] for single in singles])
+    return stacked
+
+
+def test_stacked_simplex_equals_single_calls_on_the_full_uplink_check_instances():
+    pop, alloc, dims, cfg = verify.random_uplink_instances(np.random.default_rng(37), 50)
+    _assert_stack_equals_single_calls(pop, alloc, dims, cfg, verify.SIMPLEX_RESOLUTION)
+
+
+def test_stacked_simplex_equals_single_calls_on_three_user_instances():
+    pop, alloc, dims, cfg = verify.random_delta_instances(np.random.default_rng(3), 6)
+    _assert_stack_equals_single_calls(pop, alloc, dims, cfg, 5e-2)
+
+
+def test_stacked_simplex_admits_an_idle_users_zero_share_in_its_own_instance_only():
+    # user 0 of instance 0 offloads nothing; in instance 1 every user offloads,
+    # so a zero offload share is refused there but not in instance 0
+    pops = stack([make_pop(samples=[600 + 300 * i for i in range(3)]), make_pop(3)])
+    allocs = stack([make_alloc(3, delta=[0.0, 0.4, 0.7], gamma=[0.9, 0.6, 0.3]),
+                    make_alloc(3, delta=0.5, gamma=0.5)])
+    offload, _ = _assert_stack_equals_single_calls(pops, allocs, 100, SystemConfig(), 2e-2)
+    assert offload[0, 0] == 0.0 and (offload[1] > 0.0).all()
+
+
+def test_stacked_simplex_names_the_instance_without_an_admissible_candidate(monkeypatch):
+    # every offload candidate of instance 2 (delta 0.25) scores NaN; the others keep theirs
+    original = costs.edge_time_user
+
+    def nan_in_one_instance(pop, alloc, cfg):
+        times = original(pop, alloc, cfg)
+        return np.where(alloc.delta[..., :1] == 0.25, np.nan, times)
+
+    monkeypatch.setattr(costs, "edge_time_user", nan_in_one_instance)
+    pops = stack([make_pop(2)] * 4)
+    allocs = stack([make_alloc(2, delta=d) for d in (0.5, 0.4, 0.25, 0.25)])
+    with pytest.raises(SimulationError, match="every grid point was degenerate for instance 2$"):
+        simplex_minimize_maxtime(pops, allocs, 100, SystemConfig(), 1e-2)
+    offload, _ = simplex_minimize_maxtime(verify.instance(pops, slice(2)),
+                                          verify.instance(allocs, slice(2)), 100,
+                                          SystemConfig(), 1e-2)
+    assert offload.tolist() == [[0.5, 0.5]] * 2
+
+
+def test_stacked_simplex_rejects_a_stack_with_a_gamma_degenerate_instance():
+    # instance 1's user 1 has local data but no CPU, whatever the shares
+    pops = stack([make_pop(2)] * 3)
+    allocs = stack([make_alloc(2), make_alloc(2, delta=0.5, gamma=[0.5, 0.0]), make_alloc(2)])
+    with pytest.raises(SimulationError,
+                       match="simplex_minimize_maxtime: every grid point was degenerate"):
+        simplex_minimize_maxtime(pops, allocs, np.full((3, 1), 100), SystemConfig(), 1e-2)
+
+
+# --------------------------------------------------------------------------
 # bisection: scipy's loop, written out
 # --------------------------------------------------------------------------
 
@@ -381,7 +447,7 @@ def test_lanewise_bisect_root_equals_per_lane_calls_on_the_delta_check_instances
     whole = _lane_imbalance(pop, alloc, dims, cfg)
     bracketed = (whole(np.zeros(200)) >= 0.0) & (whole(np.ones(200)) <= 0.0)
     lanes = int(bracketed.sum())
-    assert lanes == 190
+    assert lanes == 188
     roots = bisect_root(_lane_imbalance(verify.instance(pop, bracketed),
                                         verify.instance(alloc, bracketed), dims[bracketed], cfg),
                         np.zeros(lanes), np.ones(lanes), 1e-12)
